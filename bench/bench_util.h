@@ -110,6 +110,16 @@ struct HarnessArgs {
   size_t cores = 0;
 };
 
+inline void PrintUsage(std::FILE* out, const char* argv0) {
+  std::fprintf(out,
+               "usage: %s [--quick | --full] [--out=F.csv] [--json F] "
+               "[--cores N]\n",
+               argv0);
+}
+
+/// Strict: `--help` prints the usage and exits 0; an unknown flag (or a
+/// flag missing its value) prints the usage and exits 2, before any
+/// benchmark work starts.
 inline HarnessArgs ParseArgs(int argc, char** argv) {
   HarnessArgs args;
   for (int i = 1; i < argc; ++i) {
@@ -127,11 +137,13 @@ inline HarnessArgs ParseArgs(int argc, char** argv) {
       args.cores = static_cast<size_t>(std::strtoul(argv[i] + 8, nullptr, 10));
     } else if (std::strcmp(argv[i], "--cores") == 0 && i + 1 < argc) {
       args.cores = static_cast<size_t>(std::strtoul(argv[++i], nullptr, 10));
+    } else if (std::strcmp(argv[i], "--help") == 0) {
+      PrintUsage(stdout, argv[0]);
+      std::exit(0);
     } else {
-      std::fprintf(stderr,
-                   "unknown flag '%s' (supported: --quick --full --out=F "
-                   "--json F --cores N)\n",
-                   argv[i]);
+      std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
+      PrintUsage(stderr, argv[0]);
+      std::exit(2);
     }
   }
   return args;

@@ -116,9 +116,6 @@ std::string PipelinePlan::Describe() const {
         "private lane: %zu shards (%zu target queries, %zu cross)\n",
         shard_count, private_queries, private_cross_queries);
   }
-  if (ingest_producers > 1) {
-    out += StrFormat("ingest: %zu MPSC producer handles\n", ingest_producers);
-  }
   if (pin_threads) {
     out += "affinity: workers pinned round-robin to cores\n";
   }
@@ -176,11 +173,6 @@ PipelineBuilder& PipelineBuilder::WithOverloadPolicy(OverloadPolicy policy,
 
 PipelineBuilder& PipelineBuilder::WithSeed(uint64_t seed) {
   seed_ = seed;
-  return *this;
-}
-
-PipelineBuilder& PipelineBuilder::WithIngestProducers(size_t producers) {
-  ingest_producers_ = producers == 0 ? 1 : producers;
   return *this;
 }
 
@@ -397,19 +389,6 @@ StatusOr<std::unique_ptr<Pipeline>> PipelineBuilder::Build() {
           "mechanism protects)");
     }
   }
-  if (ingest_producers_ > 1) {
-    if (has_private) {
-      return Status::InvalidArgument(
-          "WithIngestProducers(>1) is incompatible with private queries: "
-          "the private lane's ingest contract is single-producer");
-    }
-    if (overload_.policy != OverloadPolicy::kBlock) {
-      return Status::InvalidArgument(
-          "WithIngestProducers(>1) requires the blocking overload policy "
-          "(the admission/shedding layer is single-producer)");
-    }
-  }
-
   auto pipeline = std::unique_ptr<Pipeline>(new Pipeline());
   pipeline->builder_uid_ = uid_;
   if (metrics_enabled_) {
@@ -422,14 +401,12 @@ StatusOr<std::unique_ptr<Pipeline>> PipelineBuilder::Build() {
   plan.private_queries = private_queries_.size();
   plan.private_cross_queries = private_cross_.size();
   plan.reorder_capacity = reorder_capacity_;
-  plan.ingest_producers = ingest_producers_;
   plan.pin_threads = pin_threads_;
   // The sequential plan has no queues, so the overload policy is moot
   // there; the plan records kBlock to say "nothing will ever shed".
-  plan.overload_policy =
-      plan.shard_count == 1 && !has_private && ingest_producers_ <= 1
-          ? OverloadPolicy::kBlock
-          : overload_.policy;
+  plan.overload_policy = plan.shard_count == 1 && !has_private
+                              ? OverloadPolicy::kBlock
+                              : overload_.policy;
 
   // Resolve every cross query's correlation key up front: the planner
   // dedupes equal keys into shared lane-groups and validates the rest.
@@ -468,9 +445,7 @@ StatusOr<std::unique_ptr<Pipeline>> PipelineBuilder::Build() {
 
   // --- Plain/cross lane ----------------------------------------------------
   if (!plain_.empty() || !cross_.empty()) {
-    // MPSC ingest needs the sharded runtime even at budget 1: only Shard
-    // has per-producer lanes and the merging worker.
-    plan.sequential = plan.shard_count == 1 && ingest_producers_ <= 1;
+    plan.sequential = plan.shard_count == 1;
     if (plan.sequential) {
       // Budget 1: one in-process engine answers plain AND cross queries
       // exactly (a single partition sees the whole stream in order) with
@@ -549,7 +524,6 @@ StatusOr<std::unique_ptr<Pipeline>> PipelineBuilder::Build() {
       options.exchange.lane_capacity = exchange_capacity_;
       options.exchange.reorder_capacity = reorder_capacity_;
       options.overload = overload_;
-      options.ingest_producers = ingest_producers_;
       options.pin_threads = pin_threads_;
       options.affinity_cores = affinity_cores_;
       pipeline->runtime_ =
@@ -586,13 +560,6 @@ StatusOr<std::unique_ptr<Pipeline>> PipelineBuilder::Build() {
                                               "plain"));
       }
       PLDP_RETURN_IF_ERROR(pipeline->runtime_->Start());
-      if (ingest_producers_ > 1) {
-        for (size_t p = 0; p < pipeline->runtime_->producer_count(); ++p) {
-          pipeline->producers_.push_back(std::unique_ptr<PipelineProducer>(
-              new PipelineProducer(pipeline.get(),
-                                   pipeline->runtime_->producer(p))));
-        }
-      }
     }
   }
 
@@ -663,30 +630,7 @@ StatusOr<std::unique_ptr<Pipeline>> PipelineBuilder::Build() {
 Pipeline::~Pipeline() { (void)Stop(); }
 
 Status Pipeline::OnEvent(const Event& event) {
-  driver_role_.Assert();
-  if (finished_) {
-    return Status::FailedPrecondition("ingestion after Finish()/OnEnd");
-  }
-  if (sequential_ != nullptr) {
-    const uint64_t t0 =
-        seq_obs_.process_latency_ns != nullptr ? obs::MonotonicNowNs() : 0;
-    PLDP_RETURN_IF_ERROR(sequential_->OnEvent(event));
-    if (seq_obs_.process_latency_ns != nullptr) {
-      seq_obs_.process_latency_ns->Record(obs::MonotonicNowNs() - t0);
-    }
-    if (seq_obs_.batch_size != nullptr) seq_obs_.batch_size->Record(1);
-    if (seq_obs_.events != nullptr) seq_obs_.events->Inc();
-  }
-  if (runtime_ != nullptr) {
-    PLDP_RETURN_IF_ERROR(runtime_->OnEvent(event));
-  }
-  if (private_engine_ != nullptr) {
-    PLDP_RETURN_IF_ERROR(private_engine_->OnEvent(event));
-  }
-  // order: relaxed; standalone telemetry counter, readers tolerate lag.
-  events_ingested_.fetch_add(1, std::memory_order_relaxed);
-  if (ingest_counter_ != nullptr) ingest_counter_->Inc();
-  return Status::OK();
+  return OnEventBatch(EventSpan(&event, 1));
 }
 
 Status Pipeline::OnEventBatch(EventSpan events) {
@@ -836,34 +780,6 @@ std::vector<ShardStats> Pipeline::CrossShardStatsSnapshot() const {
   }
   return stats;
 }
-
-// ---------------------------------------------------------------------------
-// PipelineProducer
-
-Status PipelineProducer::OnEvent(const Event& event) {
-  PLDP_RETURN_IF_ERROR(producer_->OnEvent(event));
-  // order: relaxed; standalone telemetry counter, readers tolerate lag.
-  pipeline_->events_ingested_.fetch_add(1, std::memory_order_relaxed);
-  if (pipeline_->ingest_counter_ != nullptr) {
-    pipeline_->ingest_counter_->Inc();
-  }
-  return Status::OK();
-}
-
-Status PipelineProducer::OnEventBatch(EventSpan events) {
-  PLDP_RETURN_IF_ERROR(producer_->OnEventBatch(events));
-  // order: relaxed; standalone telemetry counter, readers tolerate lag.
-  pipeline_->events_ingested_.fetch_add(events.size(),
-                                        std::memory_order_relaxed);
-  if (pipeline_->ingest_counter_ != nullptr) {
-    pipeline_->ingest_counter_->Inc(events.size());
-  }
-  return Status::OK();
-}
-
-void PipelineProducer::PublishFloor() { producer_->PublishFloor(); }
-
-size_t PipelineProducer::index() const { return producer_->index(); }
 
 // ---------------------------------------------------------------------------
 // FinishedPipeline

@@ -69,7 +69,6 @@ namespace pldp {
 
 class PipelineBuilder;
 class Pipeline;
-class PipelineProducer;
 class FinishedPipeline;
 
 /// How a cross-subject query's correlation key is derived. `Auto()` lets
@@ -200,10 +199,6 @@ struct PipelinePlan {
   size_t private_queries = 0;
   size_t private_cross_queries = 0;
 
-  /// Concurrent ingest producer handles (the MPSC front-end). 1 = the
-  /// classic single-driver ingest; > 1 forces the sharded plan (even at
-  /// shard budget 1) and moves ingestion to Pipeline::producer handles.
-  size_t ingest_producers = 1;
   /// True when worker threads are pinned round-robin to cores at start.
   bool pin_threads = false;
 
@@ -274,22 +269,21 @@ class Pipeline : public StreamSubscriber {
 
   // Ingest (single producer thread; the driver-role contract below).
 
-  /// Feeds one event to every lane. Thread contract: one thread drives all
-  /// of OnEvent/OnEventBatch/OnEnd/Finish (a StreamReplayer satisfies
-  /// this). Backpressure: under the default overload policy a full shard
-  /// queue BLOCKS this call until the worker catches up — memory stays
-  /// bounded, the caller slows to the pipeline's pace; under a shedding
-  /// policy the call never blocks on a full queue and may drop instead
-  /// (see PipelineBuilder::WithOverloadPolicy). Errors:
+  /// Feeds a batch of events to every lane. Thread contract: one thread
+  /// drives all of OnEvent/OnEventBatch/OnEnd/Finish (a StreamReplayer
+  /// satisfies this). Backpressure: under the default overload policy a
+  /// full shard queue BLOCKS this call until the worker catches up —
+  /// memory stays bounded, the caller slows to the pipeline's pace; under
+  /// a shedding policy the call never blocks on a full queue and may drop
+  /// instead (see PipelineBuilder::WithOverloadPolicy). Errors:
   /// FailedPrecondition after Finish()/OnEnd or when a worker stopped
-  /// mid-push.
-  Status OnEvent(const Event& event) override;
-
-  /// Bulk ingest; semantically identical to calling OnEvent per element
-  /// but several times cheaper on the ingest thread (per-shard staging,
-  /// one queue release store per shard burst). Same thread, backpressure,
-  /// and error contract as OnEvent.
+  /// mid-push. Batching is cheaper on the ingest thread (per-shard
+  /// staging, one queue release store per shard burst).
   Status OnEventBatch(EventSpan events) override;
+
+  /// Feeds one event: OnEventBatch over a one-element span, with the same
+  /// thread, backpressure, and error contract.
+  Status OnEvent(const Event& event) override;
 
   /// End-of-stream from a StreamReplayer: runs the terminal finish (drain
   /// + finalize + exchange seal). Ingestion afterwards is refused; call
@@ -302,14 +296,6 @@ class Pipeline : public StreamSubscriber {
   /// behind Finish(); this exists for warmup/backpressure checkpoints
   /// (e.g. the bench harness). The private lane only drains at Finish().
   Status Drain();
-
-  /// MPSC ingest handles (WithIngestProducers). Empty unless the plan has
-  /// ingest_producers > 1; then handle i may be driven by exactly one
-  /// thread at a time (one thread may drive several handles), the
-  /// engine-level OnEvent/OnEventBatch are refused, and the terminal
-  /// Finish()/OnEnd must run only after every producer thread quiesced.
-  size_t producer_count() const { return producers_.size(); }
-  PipelineProducer* producer(size_t i) const { return producers_[i].get(); }
 
   /// Terminal drain barrier: drains every lane, finalizes the private
   /// publishers, seals the exchanges, and returns the typed result view.
@@ -354,7 +340,6 @@ class Pipeline : public StreamSubscriber {
 
  private:
   friend class PipelineBuilder;
-  friend class PipelineProducer;
   friend class FinishedPipeline;
 
   Pipeline() = default;
@@ -370,9 +355,6 @@ class Pipeline : public StreamSubscriber {
 
   /// Private lane.
   std::unique_ptr<ParallelPrivateEngine> private_engine_;
-
-  /// MPSC ingest handles (populated by Build() iff ingest_producers > 1).
-  std::vector<std::unique_ptr<PipelineProducer>> producers_;
 
   /// Handle-index translation: registration index -> engine query index.
   /// (Sequential mode interleaves plain and cross queries in one engine's
@@ -404,37 +386,6 @@ class Pipeline : public StreamSubscriber {
   Status finish_status_ PLDP_GUARDED_BY(driver_role_) = Status::OK();
   /// Atomic so a scrape thread may read events_processed() mid-ingest.
   std::atomic<uint64_t> events_ingested_{0};
-};
-
-/// One MPSC ingest handle of a pipeline built WithIngestProducers(P > 1)
-/// (see Pipeline::producer). Thin typed wrapper over the runtime's
-/// IngestProducer that keeps the pipeline-level ingest accounting
-/// (events_processed, pldp_pipeline_events_ingested_total) consistent
-/// with the classic single-driver path.
-class PipelineProducer {
- public:
-  PipelineProducer(const PipelineProducer&) = delete;
-  PipelineProducer& operator=(const PipelineProducer&) = delete;
-
-  /// Stamps and routes one event / one batch; blocks on full lanes.
-  /// Exactly one thread at a time per handle.
-  Status OnEvent(const Event& event);
-  Status OnEventBatch(EventSpan events);
-
-  /// Publishes this producer's sequence floor to every shard. Call when
-  /// the handle goes idle while other producers keep ingesting — a stale
-  /// floor gates the shard merges until the next Finish() barrier.
-  void PublishFloor();
-
-  size_t index() const;
-
- private:
-  friend class PipelineBuilder;
-  PipelineProducer(Pipeline* pipeline, IngestProducer* producer)
-      : pipeline_(pipeline), producer_(producer) {}
-
-  Pipeline* const pipeline_;
-  IngestProducer* const producer_;
 };
 
 /// Declarative builder: declare queries and budgets, then Build() to plan,
@@ -478,16 +429,6 @@ class PipelineBuilder {
   /// Base seed for every deterministic Rng in the pipeline (per-shard and
   /// per-subject mechanism Rngs derive from it).
   PipelineBuilder& WithSeed(uint64_t seed);
-  /// Concurrent ingest producer handles (the MPSC front-end). 1 (default)
-  /// keeps the classic single-driver StreamSubscriber ingest. With P > 1
-  /// the plan is always sharded (even at shard budget 1), ingestion moves
-  /// to the Pipeline::producer handles (the pipeline-level OnEvent /
-  /// OnEventBatch are refused), and producer p stamps the arithmetic
-  /// progression p, p+P, p+2P, ... — so a stream partitioned round-robin
-  /// over the handles reproduces single-producer results bit-for-bit.
-  /// Build() errors when combined with private queries or a shedding
-  /// overload policy (both are single-producer components).
-  PipelineBuilder& WithIngestProducers(size_t producers);
   /// Pins worker threads round-robin to cores at start (stage-1 shards
   /// first, then merge shards), capped to `max_cores` distinct cores
   /// (0 = all available). A placement hint: unsupported platforms and
@@ -607,7 +548,6 @@ class PipelineBuilder {
   size_t reorder_capacity_ = 0;
   OverloadOptions overload_;
   uint64_t seed_ = 0x9111bea5ULL;
-  size_t ingest_producers_ = 1;
   bool pin_threads_ = false;
   size_t affinity_cores_ = 0;
 

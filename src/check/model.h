@@ -30,7 +30,7 @@
 // read-modify-write acts on the latest value in modification order) and
 // extend its release sequence. seq_cst fences exchange per-location
 // visibility floors through a global SC state, which is exactly the
-// guarantee the Doorbell and stall-floor Dekker handshakes rely on (see
+// guarantee the Doorbell's Dekker handshake relies on (see
 // docs/ARCHITECTURE.md "Model checking" for what this approximation does
 // and does not capture).
 //

@@ -10,7 +10,7 @@
 // where lane (p, c) is written only by stage-1 worker p and read only by
 // stage-2 worker c — every lane keeps the proven single-producer /
 // single-consumer discipline, and the matrix as a whole is the
-// multi-producer ingest primitive the stage-2 side needs.
+// multi-producer primitive the stage-2 side needs.
 //
 //   stage-1 shard p ──ExchangeEmitter── lane(p,0) ──► merge shard 0
 //                  │                    lane(p,1) ──► merge shard 1

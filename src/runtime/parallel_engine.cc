@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -20,8 +19,9 @@ size_t ResolveShardCount(size_t requested) {
   return hw == 0 ? 1 : static_cast<size_t>(hw);
 }
 
-// How often the per-event ingest path refreshes every shard's producer
-// floor (power of two; amortizes the O(shards) stores).
+// How often one-element ingest calls (per-event callers) refresh every
+// shard's producer floor; amortizes the O(shards) stores and doorbell
+// rings.
 constexpr uint64_t kProducerFloorPeriod = 1024;
 
 }  // namespace
@@ -56,29 +56,6 @@ ParallelStreamingEngine::ParallelStreamingEngine(ParallelEngineOptions options)
     for (auto& shard : shards_) raw.push_back(shard.get());
     admission_ = std::make_unique<AdmissionQueue>(
         overload_options_, std::move(raw), &events_ingested_);
-  }
-
-  const size_t producer_count =
-      options.ingest_producers == 0 ? 1 : options.ingest_producers;
-  if (producer_count > 1) {
-    if (overload_options_.policy != OverloadPolicy::kBlock) {
-      // The admission layer is a single-producer component (it owns the
-      // TryPush path and the parked-event floor clamp); shedding under
-      // MPSC ingest would need per-producer admission state.
-      init_error_ = Status::FailedPrecondition(
-          "ingest_producers > 1 requires the blocking overload policy");
-    } else {
-      for (auto& shard : shards_) {
-        Status s = shard->EnableMultiProducer(producer_count);
-        if (init_error_.ok() && !s.ok()) init_error_ = s;
-      }
-    }
-  }
-  stall_floors_.Configure(producer_count);
-  producers_.reserve(producer_count);
-  for (size_t p = 0; p < producer_count; ++p) {
-    producers_.push_back(std::unique_ptr<IngestProducer>(
-        new IngestProducer(this, p, producer_count)));
   }
 
   if (options.exchange.enabled) {
@@ -342,12 +319,6 @@ Status ParallelStreamingEngine::EnableMetrics(obs::MetricsRegistry* registry,
       PLDP_RETURN_IF_ERROR(group.merge_shards[c]->SetInstruments(ins));
     }
   }
-  for (size_t p = 0; p < producers_.size(); ++p) {
-    producers_[p]->ingest_counter_ = registry->AddCounter(
-        "pldp_ingest_events_total",
-        "Events accepted through an ingest producer handle",
-        {{"lane", lane}, {"producer", std::to_string(p)}});
-  }
   return Status::OK();
 }
 
@@ -554,10 +525,7 @@ Status ParallelStreamingEngine::Drain() {
     // barrier once they have landed in their shard queues.
     PLDP_RETURN_IF_ERROR(admission_->FlushBlocking());
   }
-  // The ingest fence must precede the shard drains: in MPSC mode a shard
-  // can only run its lanes dry once every producer's floor passed the
-  // bound (a stale floor gates the lane merge forever).
-  const uint64_t bound = PrepareIngestBarrier();
+  const uint64_t bound = IngestFrontier();
   for (auto& shard : shards_) {
     Status s = shard->Drain();
     if (!s.ok()) return s;
@@ -603,8 +571,7 @@ Status ParallelStreamingEngine::FinishInternal() {
   if (admission_ != nullptr) {
     PLDP_RETURN_IF_ERROR(admission_->FlushBlocking());
   }
-  // Ingest fence before the shard drains — see Drain() for why.
-  const uint64_t bound = PrepareIngestBarrier();
+  const uint64_t bound = IngestFrontier();
   for (auto& shard : shards_) {
     PLDP_RETURN_IF_ERROR(shard->Drain());
   }
@@ -662,61 +629,14 @@ Status ParallelStreamingEngine::Stop() {
 }
 
 Status ParallelStreamingEngine::OnEvent(const Event& event) {
-  if (producers_.size() > 1) {
-    return Status::FailedPrecondition(
-        "MPSC ingest: drive the per-producer handles (producer(i)), not "
-        "the engine-level OnEvent");
-  }
-  ingest_role_.Assert();
-  if (!running_) {
-    return Status::FailedPrecondition(
-        "ParallelStreamingEngine::OnEvent before Start()");
-  }
-  // order: relaxed; see the Start() rationale on the finished_ latch.
-  if (finished_.load(std::memory_order_relaxed)) {
-    return Status::FailedPrecondition("ingestion after Finish()");
-  }
-  const size_t target = router_.ShardOf(event);
-  if (admission_ != nullptr &&
-      admission_->ShouldShedBeforeStamp(target, event)) {
-    // Dropped pre-stamping: the sequence space stays gapless, so shedding
-    // leaves the watermark protocol untouched.
-    return Status::OK();
-  }
-  StampedEvent stamped;
-  // order: relaxed; only ticket uniqueness matters — the event itself is
-  // published by the queue push, and floors ride their own releases.
-  const uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  stamped.seq = seq;
-  stamped.event = event;
-  if (admission_ != nullptr) {
-    // Queue full turns into park-or-shed instead of blocking; admitted
-    // events are counted (via the shared counter) only when they land.
-    (void)admission_->Offer(target, std::move(stamped));
-  } else {
-    PLDP_RETURN_IF_ERROR(shards_[target]->PushStampedN(&stamped, 1));
-    // order: relaxed; standalone telemetry counter.
-    events_ingested_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // Periodically tell every shard how far the stream has advanced, so
-  // shards starved by routing skew keep watermarking their lanes (see
-  // Shard::NoteProducerFloor).
-  if ((seq & (kProducerFloorPeriod - 1)) == kProducerFloorPeriod - 1) {
-    PublishProducerFloor(seq + 1);
-  }
-  return Status::OK();
+  return OnEventBatch(EventSpan(&event, 1));
 }
 
 Status ParallelStreamingEngine::OnEventBatch(EventSpan events) {
-  if (producers_.size() > 1) {
-    return Status::FailedPrecondition(
-        "MPSC ingest: drive the per-producer handles (producer(i)), not "
-        "the engine-level OnEventBatch");
-  }
   ingest_role_.Assert();
   if (!running_) {
     return Status::FailedPrecondition(
-        "ParallelStreamingEngine::OnEventBatch before Start()");
+        "ParallelStreamingEngine ingest before Start()");
   }
   // order: relaxed; see the Start() rationale on the finished_ latch.
   if (finished_.load(std::memory_order_relaxed)) {
@@ -728,42 +648,53 @@ Status ParallelStreamingEngine::OnEventBatch(EventSpan events) {
     // event granularity, so the bulk staging fast path does not apply.
     for (const Event& e : events) {
       const size_t target = router_.ShardOf(e);
+      // Dropped pre-stamping: the sequence space stays gapless, so
+      // shedding leaves the watermark protocol untouched.
       if (admission_->ShouldShedBeforeStamp(target, e)) continue;
       StampedEvent stamped;
-      // order: relaxed; ticket uniqueness only (see OnEvent).
+      // order: relaxed; only ticket uniqueness matters — the event itself
+      // is published by the queue push, and floors ride their own
+      // releases.
       stamped.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
       stamped.event = e;
+      // Queue full turns into park-or-shed instead of blocking; admitted
+      // events are counted (via the shared counter) only when they land.
       (void)admission_->Offer(target, std::move(stamped));
     }
     admission_->Pump();
-    // order: relaxed; same-thread read of our own fetch_adds, and the
-    // floor publication below carries its own release semantics.
-    PublishProducerFloor(next_seq_.load(std::memory_order_relaxed));
-    return Status::OK();
+  } else {
+    for (auto& buf : staging_) buf.clear();
+    for (const Event& e : events) {
+      StampedEvent stamped;
+      // order: relaxed; ticket uniqueness only (see the admission path).
+      stamped.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
+      stamped.event = e;
+      staging_[router_.ShardOf(e)].push_back(std::move(stamped));
+    }
+    for (size_t i = 0; i < shards_.size(); ++i) {
+      if (staging_[i].empty()) continue;
+      // Count exactly what each queue accepted: on a failed push (e.g.
+      // racing Stop) events_ingested_ must still reconcile with the
+      // per-shard pushed/processed counters.
+      size_t accepted = 0;
+      const Status s = shards_[i]->PushStampedN(
+          staging_[i].data(), staging_[i].size(), &accepted);
+      // order: relaxed; standalone telemetry counter.
+      events_ingested_.fetch_add(accepted, std::memory_order_relaxed);
+      PLDP_RETURN_IF_ERROR(s);
+    }
   }
-  for (auto& buf : staging_) buf.clear();
-  for (const Event& e : events) {
-    StampedEvent stamped;
-    // order: relaxed; ticket uniqueness only (see OnEvent).
-    stamped.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-    stamped.event = e;
-    staging_[router_.ShardOf(e)].push_back(std::move(stamped));
+  // Every stamped event is now pushed (or parked, which ClampFloor
+  // covers), so the frontier is a safe floor. A multi-event batch always
+  // publishes it; one-element calls (per-event ingest) only every
+  // kProducerFloorPeriod events, so a per-event caller does not ring
+  // every shard's doorbell on every event.
+  // order: relaxed; same-thread read of our own fetch_adds, and the floor
+  // publication carries its own release semantics.
+  const uint64_t floor = next_seq_.load(std::memory_order_relaxed);
+  if (events.size() > 1 || floor % kProducerFloorPeriod == 0) {
+    PublishProducerFloor(floor);
   }
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    if (staging_[i].empty()) continue;
-    // Count exactly what each queue accepted: on a failed push (e.g.
-    // racing Stop) events_ingested_ must still reconcile with the
-    // per-shard pushed/processed counters.
-    size_t accepted = 0;
-    const Status s = shards_[i]->PushStampedN(staging_[i].data(),
-                                              staging_[i].size(), &accepted);
-    // order: relaxed; standalone telemetry counter.
-    events_ingested_.fetch_add(accepted, std::memory_order_relaxed);
-    PLDP_RETURN_IF_ERROR(s);
-  }
-  // Every staged event is now pushed; the whole batch is a safe floor.
-  // order: relaxed; same-thread read (see the single-event path).
-  PublishProducerFloor(next_seq_.load(std::memory_order_relaxed));
   return Status::OK();
 }
 
@@ -856,211 +787,9 @@ std::vector<ShardStats> ParallelStreamingEngine::ShardStatsSnapshot() const {
 }
 
 uint64_t ParallelStreamingEngine::IngestFrontier() const {
-  if (producers_.size() <= 1) {
-    // order: relaxed; a frontier snapshot may lag — callers treat it as
-    // a monotonic hint, and queue pushes publish the events themselves.
-    return next_seq_.load(std::memory_order_relaxed);
-  }
-  uint64_t frontier = 0;
-  for (const auto& producer : producers_) {
-    frontier = std::max(frontier, producer->seq_frontier());
-  }
-  return frontier;
-}
-
-uint64_t ParallelStreamingEngine::PrepareIngestBarrier() {
-  if (producers_.size() <= 1) {
-    // order: relaxed; single-producer mode, the caller is that producer.
-    return next_seq_.load(std::memory_order_relaxed);
-  }
-  const uint64_t bound = IngestFrontier();
-  // Arm the producer-side resync first: a producer ingesting again after
-  // this barrier must stamp at or above `bound`, or its events would fall
-  // below the watermark the barrier is about to flush (monotone — a
-  // concurrent barrier with a larger bound must win).
-  stall_floors_.ArmResyncFloor(bound);
-  // Publish `bound` as every producer's floor on every shard: quiescent
-  // producers' lanes are then provably past every pending candidate, so
-  // the lane merges can run dry during the shard drains that follow.
-  for (size_t p = 0; p < producers_.size(); ++p) {
-    for (auto& shard : shards_) shard->NoteLaneFloor(p, bound);
-  }
-  return bound;
-}
-
-void ParallelStreamingEngine::PublishStallFloors(size_t stalled,
-                                                 uint64_t own_floor) {
-  // The stalled producer's own claim first: every sequence it stamped
-  // below `own_floor` has landed in a lane already (own_floor is its
-  // smallest unpushed stamp), so this is sound even mid-push — and it is
-  // what lets a SECOND stalled producer's shard merge past this one.
-  for (auto& shard : shards_) shard->NoteLaneFloor(stalled, own_floor);
-  // Quiescent peers: lift their lane floors to the ingest frontier so a
-  // merge gated on an idle peer cannot hold this push full forever. Arm
-  // the resync floor BEFORE proving quiescence: the coordinator's Dekker
-  // handshake (runtime/stall_floor.h) guarantees a peer whose in-call
-  // flag reads false here either never enters a stamping call again or
-  // enters one whose MaybeResync observes the armed bound — both keep
-  // every future stamp of that peer at or above the floor published for
-  // it. A peer seen in-call is skipped: its own pushes, periodic floors,
-  // and (should it stall too) its own stall hook keep its lanes live.
-  const uint64_t bound = IngestFrontier();
-  stall_floors_.ArmResyncFloor(bound);
-  stall_floors_.QuiescenceFence();
-  for (size_t p = 0; p < producers_.size(); ++p) {
-    if (p == stalled) continue;
-    if (stall_floors_.InCall(p)) continue;
-    for (auto& shard : shards_) shard->NoteLaneFloor(p, bound);
-  }
-}
-
-void IngestProducer::OnLaneStall(void* ctx, uint64_t next_seq) {
-  auto* stall = static_cast<StallContext*>(ctx);
-  stall->engine->PublishStallFloors(stall->producer,
-                                    std::min(next_seq, stall->rest_min));
-}
-
-IngestProducer::IngestProducer(ParallelStreamingEngine* engine, size_t index,
-                               size_t stride)
-    : engine_(engine), index_(index), stride_(stride), seq_next_(index) {
-  if (stride_ > 1) {
-    staging_.resize(engine_->shards_.size());
-    // Mirror the engine-level staging: pre-size to the per-lane queue
-    // capacity so steady-state batched ingest never grows the buffers
-    // (queue_capacity() aggregates over the P lanes, hence the division).
-    for (auto& buf : staging_) {
-      buf.reserve(engine_->shards_.empty()
-                      ? 0
-                      : engine_->shards_[0]->queue_capacity() / stride_);
-    }
-  }
-}
-
-StallFloorCoordinator& IngestProducer::Coordinator() {
-  return engine_->stall_floors_;
-}
-
-void IngestProducer::MaybeResync() {
-  // Callers enter through CallScope, whose EnterCall fence precedes this
-  // load: paired with the stall side's QuiescenceFence it guarantees
-  // that a handle proven out-of-call there cannot miss a bound armed
-  // there (the Dekker argument in runtime/stall_floor.h).
-  const uint64_t rf = engine_->stall_floors_.AcquireResyncFloor();
-  // order: relaxed; this thread is seq_next_'s only writer.
-  const uint64_t next = seq_next_.load(std::memory_order_relaxed);
-  if (next >= rf) return;
-  // Smallest value >= rf that keeps this producer's residue (mod stride).
-  seq_next_.store(rf + (index_ + stride_ - rf % stride_) % stride_,
-                  std::memory_order_relaxed);
-}
-
-void IngestProducer::PublishFloor() {
-  role_.Assert();
-  if (stride_ == 1) return;  // single-producer floors ride the engine path
-  // order: relaxed; same-thread read of our own store below OnEvent.
-  const uint64_t floor = seq_next_.load(std::memory_order_relaxed);
-  for (auto& shard : engine_->shards_) shard->NoteLaneFloor(index_, floor);
-  since_floor_ = 0;
-}
-
-Status IngestProducer::OnEvent(const Event& event) {
-  if (stride_ == 1) {
-    Status s = engine_->OnEvent(event);
-    if (s.ok() && ingest_counter_ != nullptr) ingest_counter_->Inc(1);
-    return s;
-  }
-  role_.Assert();
-  if (!engine_->running_) {
-    return Status::FailedPrecondition(
-        "IngestProducer::OnEvent before Start()");
-  }
-  // order: relaxed; see the Start() rationale on the finished_ latch.
-  if (engine_->finished_.load(std::memory_order_relaxed)) {
-    return Status::FailedPrecondition("ingestion after Finish()");
-  }
-  CallScope in_call(this);
-  MaybeResync();
-  StampedEvent stamped;
-  // order: relaxed; seq_next_ is written only by this producer thread.
-  const uint64_t seq = seq_next_.load(std::memory_order_relaxed);
-  stamped.seq = seq;
-  stamped.event = event;
-  // Frontier semantics ("every handed-out seq is strictly below it")
-  // require the advance before the possibly-blocking push.
-  // order: release pairs with seq_frontier()'s acquire, so a stall
-  // claimant that reads the frontier also sees everything stamped below.
-  seq_next_.store(seq + stride_, std::memory_order_release);
-  const size_t target = engine_->router_.ShardOf(event);
-  StallContext stall{engine_, index_,
-                     std::numeric_limits<uint64_t>::max()};
-  PLDP_RETURN_IF_ERROR(engine_->shards_[target]->PushStampedLaneN(
-      index_, &stamped, 1, nullptr, &IngestProducer::OnLaneStall, &stall));
-  // order: relaxed; standalone telemetry counter.
-  engine_->events_ingested_.fetch_add(1, std::memory_order_relaxed);
-  if (ingest_counter_ != nullptr) ingest_counter_->Inc(1);
-  if (++since_floor_ >= kProducerFloorPeriod) PublishFloor();
-  return Status::OK();
-}
-
-Status IngestProducer::OnEventBatch(EventSpan events) {
-  if (stride_ == 1) {
-    Status s = engine_->OnEventBatch(events);
-    if (s.ok() && ingest_counter_ != nullptr) {
-      ingest_counter_->Inc(events.size());
-    }
-    return s;
-  }
-  role_.Assert();
-  if (!engine_->running_) {
-    return Status::FailedPrecondition(
-        "IngestProducer::OnEventBatch before Start()");
-  }
-  // order: relaxed; see the Start() rationale on the finished_ latch.
-  if (engine_->finished_.load(std::memory_order_relaxed)) {
-    return Status::FailedPrecondition("ingestion after Finish()");
-  }
-  if (events.empty()) return Status::OK();
-  CallScope in_call(this);
-  MaybeResync();
-  for (auto& buf : staging_) buf.clear();
-  // order: relaxed; seq_next_ is written only by this producer thread.
-  uint64_t seq = seq_next_.load(std::memory_order_relaxed);
-  for (const Event& e : events) {
-    StampedEvent stamped;
-    stamped.seq = seq;
-    seq += stride_;
-    stamped.event = e;
-    staging_[engine_->router_.ShardOf(e)].push_back(std::move(stamped));
-  }
-  // order: release pairs with seq_frontier()'s acquire (see OnEvent).
-  seq_next_.store(seq, std::memory_order_release);
-  for (size_t i = 0; i < staging_.size(); ++i) {
-    if (staging_[i].empty()) continue;
-    // Stall floor while this shard's push blocks: the smallest sequence
-    // this producer has not landed anywhere is either still inside THIS
-    // buffer (the hook receives it) or the head of a buffer yet to be
-    // pushed — buffers are filled in stream order, so a later buffer can
-    // hold smaller sequences than this one's tail.
-    uint64_t rest_min = std::numeric_limits<uint64_t>::max();
-    for (size_t j = i + 1; j < staging_.size(); ++j) {
-      if (!staging_[j].empty() && staging_[j].front().seq < rest_min) {
-        rest_min = staging_[j].front().seq;
-      }
-    }
-    StallContext stall{engine_, index_, rest_min};
-    size_t accepted = 0;
-    const Status s = engine_->shards_[i]->PushStampedLaneN(
-        index_, staging_[i].data(), staging_[i].size(), &accepted,
-        &IngestProducer::OnLaneStall, &stall);
-    // order: relaxed; standalone telemetry counter.
-    engine_->events_ingested_.fetch_add(accepted,
-                                        std::memory_order_relaxed);
-    if (ingest_counter_ != nullptr) ingest_counter_->Inc(accepted);
-    PLDP_RETURN_IF_ERROR(s);
-  }
-  // Every staged event is pushed; the whole batch is a safe floor.
-  PublishFloor();
-  return Status::OK();
+  // order: relaxed; a frontier snapshot may lag — callers treat it as a
+  // monotonic hint, and queue pushes publish the events themselves.
+  return next_seq_.load(std::memory_order_relaxed);
 }
 
 std::vector<ShardStats> ParallelStreamingEngine::CrossShardStatsSnapshot()

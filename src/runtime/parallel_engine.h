@@ -74,12 +74,9 @@
 #include "runtime/overload.h"
 #include "runtime/router.h"
 #include "runtime/shard.h"
-#include "runtime/stall_floor.h"
 #include "stream/replay.h"
 
 namespace pldp {
-
-class IngestProducer;
 
 /// Configuration of the optional repartition/exchange stage.
 struct RuntimeExchangeOptions {
@@ -128,16 +125,6 @@ struct ParallelEngineOptions {
   /// with zero added overhead; the shedding policies interpose an
   /// AdmissionQueue in front of the shard queues.
   OverloadOptions overload;
-  /// Concurrent ingest producers (the MPSC front-end). 1 (default) keeps
-  /// the historic single-producer StreamSubscriber contract. With P > 1
-  /// every shard exposes P independent SPSC ingest lanes; callers drive
-  /// the per-producer handles (ParallelStreamingEngine::producer) from up
-  /// to P concurrent threads, and the engine-level OnEvent/OnEventBatch
-  /// are refused. Producer p stamps sequence numbers p, p+P, p+2P, ... so
-  /// a stream partitioned round-robin over the handles reproduces the
-  /// single-producer stamping bit-for-bit. Requires the blocking overload
-  /// policy (the admission layer is single-producer).
-  size_t ingest_producers = 1;
   /// Pin worker threads to cores at Start (round-robin: stage-1 shards
   /// first, then stage-2 merge shards). No-op on platforms without
   /// affinity support — pinning is a hint, never a correctness knob.
@@ -162,14 +149,6 @@ class ParallelStreamingEngine : public StreamSubscriber {
 
   size_t shard_count() const { return shards_.size(); }
   const EventRouter& router() const { return router_; }
-
-  /// Ingest producer handles (always >= 1; see
-  /// ParallelEngineOptions::ingest_producers). Handle i may be driven by
-  /// exactly one thread at a time; distinct handles may ingest
-  /// concurrently. With one producer, producer(0) simply forwards to the
-  /// engine-level OnEvent/OnEventBatch.
-  size_t producer_count() const { return producers_.size(); }
-  IngestProducer* producer(size_t i) const { return producers_[i].get(); }
 
   bool exchange_enabled() const { return !groups_.empty(); }
 
@@ -256,15 +235,14 @@ class ParallelStreamingEngine : public StreamSubscriber {
   // by Start/Stop themselves, not by this flag.
   bool running() const { return running_.load(std::memory_order_relaxed); }
 
-  // StreamSubscriber — the ingest path (single producer thread). With
-  // ingest_producers > 1 these entry points are refused: the MPSC
-  // front-end is driven through the per-producer handles instead.
+  // StreamSubscriber — the ingest path (single producer thread).
+
+  /// Ingests one event: OnEventBatch over a one-element span.
   Status OnEvent(const Event& event) override;
 
   /// Bulk ingest: partitions the span into per-shard staging buffers and
   /// bulk-pushes each (one queue release store per shard burst instead of
-  /// one per event). Equivalent to calling OnEvent on each event, several
-  /// times cheaper on the router thread.
+  /// one per event). The only ingest path: OnEvent is a one-element call.
   Status OnEventBatch(EventSpan events) override;
 
   /// Drains, so DetectionsOf/stats are consistent the moment
@@ -372,12 +350,9 @@ class ParallelStreamingEngine : public StreamSubscriber {
   /// the shard queues on the ingest thread. Declared after shards_ (it
   /// borrows them).
   std::unique_ptr<AdmissionQueue> admission_;
-  /// Ingest confinement for the engine-level entry points: with one
-  /// producer the StreamSubscriber contract holds (one thread drives
-  /// OnEvent/OnEventBatch/OnEnd) and this role, asserted at those entry
-  /// points, ties the staging buffers to that thread. With P > 1 the
-  /// engine-level entry points are refused outright and each
-  /// IngestProducer handle carries its own role for its own lane state.
+  /// Ingest confinement: the StreamSubscriber contract (one thread drives
+  /// OnEvent/OnEventBatch/OnEnd), asserted at OnEventBatch, ties the
+  /// staging buffers to that thread.
   ThreadRole ingest_role_;
   /// Per-shard staging buffers reused across OnEventBatch calls.
   std::vector<std::vector<StampedEvent>> staging_
@@ -385,18 +360,6 @@ class ParallelStreamingEngine : public StreamSubscriber {
   size_t query_count_ = 0;
   /// Global cross-query index -> (lane-group, group-local index).
   std::vector<std::pair<size_t, size_t>> cross_index_;
-  /// Ingest producer handles (see producer()); sized at construction,
-  /// never resized after. Always at least one.
-  std::vector<std::unique_ptr<IngestProducer>> producers_;
-  /// The resync floor + per-producer in-call flags and their Dekker
-  /// fence protocol (runtime/stall_floor.h): barriers and stalled
-  /// producers arm the floor, every producer bumps its next sequence
-  /// number to at least it (congruence-preserving, see
-  /// IngestProducer::MaybeResync) before stamping again — so events
-  /// ingested after a Drain/Finish barrier can never fall below the
-  /// watermark bound that barrier flushed, and a stalled producer can
-  /// soundly lift a quiescent peer's lane floors on its behalf.
-  StallFloorCoordinator stall_floors_;
   /// Ingest sequence numbers handed out (single ingest thread increments;
   /// drain barriers read from any thread).
   std::atomic<uint64_t> next_seq_{0};
@@ -429,134 +392,9 @@ class ParallelStreamingEngine : public StreamSubscriber {
   void PublishProducerFloor(uint64_t floor);
   void InstallCallbackDispatchers();
   /// Snapshot of the ingest frontier: every stamped sequence number is
-  /// strictly below it. next_seq_ with one producer, the max per-producer
-  /// frontier in MPSC mode. Safe from any thread (best-effort while
-  /// producers race, exact once they are quiescent — same as Drain).
+  /// strictly below it. Safe from any thread (best-effort while the
+  /// producer races, exact once it is quiescent — same as Drain).
   uint64_t IngestFrontier() const;
-  /// Pre-barrier ingest fence (Drain/FinishInternal): computes the
-  /// frontier bound, publishes it as every producer's lane floor on every
-  /// shard (so the lane merges can run dry), and arms the resync floor so
-  /// post-barrier ingestion stamps above the bound. Returns the bound.
-  uint64_t PrepareIngestBarrier();
-  /// Anti-deadlock floor publication while producer `stalled` blocks on a
-  /// full lane (Shard::StallFn). Publishes `own_floor` (the stalled
-  /// producer's smallest not-yet-pushed sequence — sound mid-push) as its
-  /// lane floor everywhere, then lifts every provably-quiescent peer's
-  /// lane floors to the ingest frontier. The quiescence proof is the
-  /// StallFloorCoordinator's Dekker handshake (runtime/stall_floor.h):
-  /// arm the floor at the frontier, fence, read the peer's in-call flag
-  /// — a peer observed out-of-call will stamp at or above the armed
-  /// bound on its next call, so its lane may claim the bound now.
-  /// Machine-checked by tests/check/check_stall_floor_test.cc. Without
-  /// this, a
-  /// merge gated on an idle peer's stale floor and a producer blocked on
-  /// the resulting full lane deadlock: the barrier that would refresh the
-  /// floor can never run while the push blocks.
-  void PublishStallFloors(size_t stalled, uint64_t own_floor);
-
-  friend class IngestProducer;
-};
-
-/// One handle of the MPSC ingest front-end (see
-/// ParallelEngineOptions::ingest_producers). Producer p of P stamps the
-/// arithmetic progression p, p+P, p+2P, ... so the union over handles is
-/// gapless exactly when the caller partitions the stream round-robin —
-/// and is merge-safe (unique, per-lane increasing) under any partitioning.
-///
-/// Threading: one thread at a time per handle (asserted via a ThreadRole;
-/// one thread may legally drive several handles, e.g. a round-robin
-/// driver). A handle that stops ingesting while others continue should
-/// call PublishFloor() — an abandoned lane's stale floor otherwise gates
-/// the shard merges until a peer's blocked push publishes stall floors on
-/// its behalf (PublishStallFloors) or the next Drain/Finish barrier
-/// republishes it; the explicit call skips that detour.
-class IngestProducer {
- public:
-  IngestProducer(const IngestProducer&) = delete;
-  IngestProducer& operator=(const IngestProducer&) = delete;
-
-  /// Stamps and routes one event / one batch to its shard lane(s).
-  /// Blocking on full lanes (kBlock semantics); refused before Start()
-  /// and after Finish(), like the engine-level entry points.
-  Status OnEvent(const Event& event);
-  Status OnEventBatch(EventSpan events);
-
-  /// Publishes this producer's current floor (= its next sequence number)
-  /// to every shard, unblocking merges gated on this lane. Called
-  /// automatically every kProducerFloorPeriod events and at every batch
-  /// end; call it explicitly when the handle goes idle.
-  void PublishFloor();
-
-  size_t index() const { return index_; }
-
-  /// This producer's stamping frontier: every sequence number it handed
-  /// out is strictly below this. Safe from any thread.
-  // order: acquire pairs with the producer's release advance, so a
-  // frontier observation also covers every event stamped below it.
-  uint64_t seq_frontier() const {
-    return seq_next_.load(std::memory_order_acquire);
-  }
-
- private:
-  friend class ParallelStreamingEngine;
-  IngestProducer(ParallelStreamingEngine* engine, size_t index,
-                 size_t stride);
-
-  /// Applies a pending barrier resync: bumps seq_next_ to the smallest
-  /// value >= the armed resync floor that keeps the (mod stride)
-  /// congruence.
-  void MaybeResync() PLDP_REQUIRES(role_);
-
-  /// Scoped in-call marker: entry runs StallFloorCoordinator::EnterCall
-  /// (flag store + the seq_cst fence MaybeResync's resync-floor load
-  /// rides on — the producer half of the stall-floor Dekker pair). Must
-  /// enclose every stamping call (OnEvent/OnEventBatch in MPSC mode)
-  /// from before MaybeResync to after the last push.
-  class CallScope {
-   public:
-    explicit CallScope(IngestProducer* producer) : producer_(producer) {
-      producer_->Coordinator().EnterCall(producer_->index_);
-    }
-    ~CallScope() { producer_->Coordinator().ExitCall(producer_->index_); }
-    CallScope(const CallScope&) = delete;
-    CallScope& operator=(const CallScope&) = delete;
-
-   private:
-    IngestProducer* const producer_;
-  };
-
-  StallFloorCoordinator& Coordinator();
-
-  /// Context threaded through Shard::PushStampedLaneN's stall hook.
-  /// `rest_min` is the smallest sequence staged for a not-yet-pushed
-  /// shard buffer (batched path): the published own-floor is
-  /// min(next unpushed seq of the stalled push, rest_min), i.e. the
-  /// producer's true landed frontier.
-  struct StallContext {
-    ParallelStreamingEngine* engine;
-    size_t producer;
-    uint64_t rest_min;
-  };
-  static void OnLaneStall(void* ctx, uint64_t next_seq);
-
-  ParallelStreamingEngine* const engine_;
-  const size_t index_;
-  /// Total producer count P (the stamping stride). 1 = delegate mode:
-  /// the handle simply forwards to the engine-level entry points.
-  const size_t stride_;
-  /// Single-thread confinement of the stamping state below.
-  ThreadRole role_;
-  /// Next sequence number to hand out (atomic so barriers and gauges can
-  /// read the frontier from other threads; written only by the handle's
-  /// thread, release — plus the congruence-preserving barrier resync).
-  std::atomic<uint64_t> seq_next_;
-  /// Events stamped since the last floor publication.
-  uint64_t since_floor_ PLDP_GUARDED_BY(role_) = 0;
-  /// Per-shard staging for OnEventBatch (MPSC mode only; empty in
-  /// delegate mode). Capacity is retained across batches.
-  std::vector<std::vector<StampedEvent>> staging_ PLDP_GUARDED_BY(role_);
-  /// Optional per-producer ingest counter (EnableMetrics).
-  obs::Counter* ingest_counter_ = nullptr;
 };
 
 }  // namespace pldp

@@ -2,7 +2,6 @@
 
 #include "runtime/shard.h"
 
-#include <limits>
 #include <utility>
 
 #include "cep/predicate.h"
@@ -80,32 +79,6 @@ Status Shard::SetDetectionCallback(DetectionCallback callback) {
   return Status::OK();
 }
 
-Status Shard::EnableMultiProducer(size_t producer_count) {
-  // order: relaxed; pre-start guard, orchestrator-serialized.
-  if (running_.load(std::memory_order_relaxed)) {
-    return Status::FailedPrecondition(
-        "Shard::EnableMultiProducer must precede Start()");
-  }
-  if (producer_count == 0) {
-    return Status::InvalidArgument("producer_count must be >= 1");
-  }
-  lanes_.clear();
-  lanes_.reserve(producer_count);
-  for (size_t p = 0; p < producer_count; ++p) {
-    // Each producer gets the full configured capacity: per-lane
-    // backpressure then behaves like single-lane mode per producer.
-    lanes_.push_back(std::make_unique<SpscQueue<StampedEvent>>(
-        queue_.capacity()));
-    lanes_.back()->SetWaker(&doorbell_);
-  }
-  lane_floors_ = std::make_unique<Atomic<uint64_t>[]>(producer_count);
-  for (size_t p = 0; p < producer_count; ++p) {
-    // order: relaxed; pre-start initialization, Start() synchronizes.
-    lane_floors_[p].store(0, std::memory_order_relaxed);
-  }
-  return Status::OK();
-}
-
 Status Shard::AddExchange(std::unique_ptr<ExchangeEmitter> emitter,
                           bool forward_raw_events) {
   // order: relaxed; pre-start guard, orchestrator-serialized.
@@ -152,37 +125,12 @@ Status Shard::Start() {
   worker_ = std::thread([this] {
     if (affinity_core_ >= 0) (void)PinCurrentThreadToCore(affinity_core_);
     worker_role_.Acquire();
-    if (lanes_.empty()) {
-      RunLoop();
-    } else {
-      MultiRunLoop();
-    }
+    RunLoop();
     worker_role_.Release();
   });
   // order: relaxed; advisory flag for running() observers.
   running_.store(true, std::memory_order_relaxed);
   return Status::OK();
-}
-
-Status Shard::Push(Event event) {
-  producer_role_.Assert();  // Single-producer contract (see header).
-  StampedEvent stamped;
-  stamped.seq = auto_seq_++;
-  stamped.event = std::move(event);
-  return PushStampedN(&stamped, 1);
-}
-
-Status Shard::PushN(Event* events, size_t count, size_t* accepted) {
-  producer_role_.Assert();  // Single-producer contract (see header).
-  scratch_.clear();
-  scratch_.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    StampedEvent stamped;
-    stamped.seq = auto_seq_++;
-    stamped.event = std::move(events[i]);
-    scratch_.push_back(std::move(stamped));
-  }
-  return PushStampedN(scratch_.data(), count, accepted);
 }
 
 Status Shard::PushStampedN(StampedEvent* events, size_t count,
@@ -193,16 +141,12 @@ Status Shard::PushStampedN(StampedEvent* events, size_t count,
   if (!running_.load(std::memory_order_relaxed)) {
     return Status::FailedPrecondition("shard not running");
   }
-  if (!lanes_.empty()) {
-    return Status::FailedPrecondition(
-        "shard is in multi-producer mode; use PushStampedLaneN");
-  }
   Backoff backoff;
   bool waited = false;
   size_t done = 0;
   while (done < count) {
     // Fail fast instead of spinning forever when the worker is gone (a
-    // Push racing Stop(), or a producer outliving the shard's shutdown).
+    // push racing Stop(), or a producer outliving the shard's shutdown).
     // Events enqueued before the cutoff still count as pushed; Stop()
     // processes any queue leftovers after joining the worker, so Drain
     // stays consistent even if the worker missed them.
@@ -242,7 +186,7 @@ Status Shard::PushStampedN(StampedEvent* events, size_t count,
 size_t Shard::TryPushStampedN(StampedEvent* events, size_t count) {
   // order: relaxed on both flags; advisory fail-fast guards (see
   // PushStampedN).
-  if (!running_.load(std::memory_order_relaxed) || !lanes_.empty() ||
+  if (!running_.load(std::memory_order_relaxed) ||
       stop_requested_.load(std::memory_order_relaxed)) {
     return 0;
   }
@@ -250,62 +194,6 @@ size_t Shard::TryPushStampedN(StampedEvent* events, size_t count) {
   // order: relaxed; same contract as PushStampedN's pushed_ update.
   if (n > 0) pushed_.fetch_add(n, std::memory_order_relaxed);
   return n;
-}
-
-Status Shard::PushStampedLaneN(size_t producer, StampedEvent* events,
-                               size_t count, size_t* accepted,
-                               StallFn stall, void* stall_ctx) {
-  if (accepted != nullptr) *accepted = 0;
-  if (producer >= lanes_.size()) {
-    return Status::InvalidArgument("producer lane index out of range");
-  }
-  // order: relaxed; advisory guard (see PushStampedN).
-  if (!running_.load(std::memory_order_relaxed)) {
-    return Status::FailedPrecondition("shard not running");
-  }
-  SpscQueue<StampedEvent>& lane = *lanes_[producer];
-  Backoff backoff;
-  bool waited = false;
-  size_t done = 0;
-  while (done < count) {
-    // Same fail-fast-on-stop contract as PushStampedN.
-    // order: relaxed; fail-fast hint (see PushStampedN).
-    if (stop_requested_.load(std::memory_order_relaxed)) {
-      // order: relaxed; see PushStampedN.
-      if (done > 0) pushed_.fetch_add(done, std::memory_order_relaxed);
-      if (accepted != nullptr) *accepted = done;
-      PLDP_LOG(Warning) << "shard " << index_ << ": lane " << producer
-                        << " push after stop, " << (count - done) << " of "
-                        << count << " events rejected";
-      return Status::FailedPrecondition("push after shard stop");
-    }
-    const size_t n = lane.TryPushN(events + done, count - done);
-    if (n == 0) {
-      waited = true;
-      // A persistently full lane means the worker is not merging — which
-      // in MPSC mode can be THIS producer's fault structurally: the merge
-      // may be gated on a quiescent peer's stale floor that only an
-      // ingest barrier would normally refresh, and the barrier can never
-      // run while this call blocks. The stall hook breaks the cycle from
-      // here (throttled to the post-budget backoff cadence, ~50us).
-      if (stall != nullptr && backoff.ShouldPark()) {
-        stall(stall_ctx, events[done].seq);
-      }
-      backoff.Wait();
-    } else {
-      done += n;
-      backoff.Reset();
-    }
-  }
-  if (waited) {
-    // order: relaxed; telemetry only.
-    backpressure_waits_.fetch_add(1, std::memory_order_relaxed);
-    if (obs_.backpressure_waits) obs_.backpressure_waits->Inc();
-  }
-  // order: relaxed; see PushStampedN's pushed_ update.
-  pushed_.fetch_add(count, std::memory_order_relaxed);
-  if (accepted != nullptr) *accepted = count;
-  return Status::OK();
 }
 
 Status Shard::Drain() {
@@ -374,7 +262,7 @@ Status Shard::Stop() {
   if (!running_.load(std::memory_order_relaxed)) return Status::OK();
   Status drained = Drain();
   // order: release so work published before the stop request is visible
-  // to the worker that observes it (acquire in the run loops).
+  // to the worker that observes it (acquire in the run loop).
   stop_requested_.store(true, std::memory_order_release);
   doorbell_.Ring();  // A parked worker must observe the stop flag.
   if (worker_.joinable()) worker_.join();
@@ -385,40 +273,14 @@ Status Shard::Stop() {
   // processed_ is released.
   worker_role_.Acquire();
   const std::vector<ExchangeHookRef> hooks = SnapshotHooks();
-  if (lanes_.empty()) {
-    StampedEvent leftover;
-    while (queue_.TryPop(leftover)) {
-      ProcessOne(leftover, hooks);
-      if (obs_.events) obs_.events->Inc();
-      if (obs_.batch_size) obs_.batch_size->Record(1);
-      if (obs_.process_latency_ns) obs_.process_latency_ns->Record(0);
-      // order: release; releases a concurrent Drain (see header contract).
-      processed_.fetch_add(1, std::memory_order_release);
-    }
-  } else {
-    // Multi-producer leftovers merge across lanes in sequence order
-    // (ingest is over, so the floors no longer gate anything).
-    const size_t lane_count = lanes_.size();
-    std::vector<StampedEvent> heads(lane_count);
-    std::vector<char> valid(lane_count, 0);
-    for (;;) {
-      size_t min_p = lane_count;
-      for (size_t p = 0; p < lane_count; ++p) {
-        if (!valid[p]) valid[p] = lanes_[p]->TryPop(heads[p]) ? 1 : 0;
-        if (valid[p] &&
-            (min_p == lane_count || heads[p].seq < heads[min_p].seq)) {
-          min_p = p;
-        }
-      }
-      if (min_p == lane_count) break;
-      ProcessOne(heads[min_p], hooks);
-      if (obs_.events) obs_.events->Inc();
-      if (obs_.batch_size) obs_.batch_size->Record(1);
-      if (obs_.process_latency_ns) obs_.process_latency_ns->Record(0);
-      // order: release; releases a concurrent Drain (see header contract).
-      processed_.fetch_add(1, std::memory_order_release);
-      valid[min_p] = 0;
-    }
+  StampedEvent leftover;
+  while (queue_.TryPop(leftover)) {
+    ProcessOne(leftover, hooks);
+    if (obs_.events) obs_.events->Inc();
+    if (obs_.batch_size) obs_.batch_size->Record(1);
+    if (obs_.process_latency_ns) obs_.process_latency_ns->Record(0);
+    // order: release; releases a concurrent Drain (see header contract).
+    processed_.fetch_add(1, std::memory_order_release);
   }
   worker_role_.Release();
   // order: relaxed; advisory flag for running() observers.
@@ -601,150 +463,6 @@ void Shard::RunLoop() {
                producer_floor_.load(std::memory_order_acquire) > idle_bound;
       });
       // Woken (or preempted by work) — spin afresh before parking again.
-      backoff.Reset();
-      continue;
-    }
-    backoff.Wait();
-  }
-}
-
-void Shard::MultiRunLoop() {
-  Backoff backoff;
-  const std::vector<ExchangeHookRef> hooks = SnapshotHooks();
-  const size_t lane_count = lanes_.size();
-  // Per-lane merge state: the head slot (smallest not-yet-released event
-  // of that lane) and the last floor observed from its producer.
-  std::vector<StampedEvent> heads(lane_count);
-  std::vector<char> valid(lane_count, 0);
-  std::vector<uint64_t> floors(lane_count, 0);
-  std::vector<StampedEvent> batch;
-  batch.reserve(kPopBatch);
-  uint64_t last_idle_bound = 0;
-  for (;;) {
-    // Refill order matters: floor first, head second. A producer release-
-    // stores its floor after the pushes it covers, so a floor acquired
-    // BEFORE an empty TryPop proves the lane holds nothing below it.
-    for (size_t p = 0; p < lane_count; ++p) {
-      // order: acquire pairs with NoteLaneFloor's release CAS — the floor
-      // only proves emptiness if the covered pushes are visible first.
-      floors[p] = lane_floors_[p].load(std::memory_order_acquire);
-      if (!valid[p]) valid[p] = lanes_[p]->TryPop(heads[p]) ? 1 : 0;
-    }
-    // Merge pass: release the minimum head while every headless lane's
-    // floor proves it cannot still produce something smaller — the same
-    // watermark-style gate the stage-2 exchange merge uses.
-    batch.clear();
-    while (batch.size() < kPopBatch) {
-      size_t min_p = lane_count;
-      for (size_t p = 0; p < lane_count; ++p) {
-        if (valid[p] &&
-            (min_p == lane_count || heads[p].seq < heads[min_p].seq)) {
-          min_p = p;
-        }
-      }
-      if (min_p == lane_count) break;
-      const uint64_t candidate = heads[min_p].seq;
-      bool gated = false;
-      for (size_t p = 0; p < lane_count; ++p) {
-        if (!valid[p] && floors[p] <= candidate) {
-          gated = true;
-          break;
-        }
-      }
-      if (gated) break;  // The outer loop re-reads floors and retries.
-      batch.push_back(std::move(heads[min_p]));
-      valid[min_p] = lanes_[min_p]->TryPop(heads[min_p]) ? 1 : 0;
-    }
-    if (!batch.empty()) {
-      backoff.Reset();
-      const size_t n = batch.size();
-      if (obs_.batch_size) obs_.batch_size->Record(n);
-      uint64_t t_prev = obs_.process_latency_ns ? obs::MonotonicNowNs() : 0;
-      for (size_t i = 0; i < n; ++i) {
-        ProcessOne(batch[i], hooks);
-        if (obs_.process_latency_ns) {
-          const uint64_t t_now = obs::MonotonicNowNs();
-          obs_.process_latency_ns->Record(t_now - t_prev);
-          t_prev = t_now;
-        }
-      }
-      if (obs_.events) obs_.events->Inc(n);
-      // order: release; the publication point Drain acquires.
-      processed_.fetch_add(n, std::memory_order_release);
-      ExecuteCommand(hooks);
-      continue;
-    }
-    ExecuteCommand(hooks);
-    // order: acquire pairs with Stop()'s release store.
-    if (stop_requested_.load(std::memory_order_acquire)) {
-      // Ingest is over: force-merge every remaining head and lane
-      // leftover in sequence order, ignoring the (possibly stale) floors
-      // — no smaller sequence can arrive anymore. The worker never
-      // returns holding a valid head.
-      for (;;) {
-        size_t min_p = lane_count;
-        for (size_t p = 0; p < lane_count; ++p) {
-          if (!valid[p]) valid[p] = lanes_[p]->TryPop(heads[p]) ? 1 : 0;
-          if (valid[p] &&
-              (min_p == lane_count || heads[p].seq < heads[min_p].seq)) {
-            min_p = p;
-          }
-        }
-        if (min_p == lane_count) return;
-        ProcessOne(heads[min_p], hooks);
-        if (obs_.events) obs_.events->Inc();
-        if (obs_.batch_size) obs_.batch_size->Record(1);
-        if (obs_.process_latency_ns) obs_.process_latency_ns->Record(0);
-        // order: release; the publication point Drain acquires.
-        processed_.fetch_add(1, std::memory_order_release);
-        valid[min_p] = 0;
-      }
-    }
-    // Idle watermark: everything merged so far — or the lanes' common
-    // floor when every lane is drained and headless (all producers vouch
-    // nothing below it is outstanding).
-    if (!hooks.empty()) {
-      uint64_t bound = processed_any_ ? last_seq_ + 1 : 0;
-      bool all_idle = true;
-      uint64_t min_floor = std::numeric_limits<uint64_t>::max();
-      for (size_t p = 0; p < lane_count; ++p) {
-        if (valid[p] || !lanes_[p]->ApproxEmpty()) {
-          all_idle = false;
-          break;
-        }
-        if (floors[p] < min_floor) min_floor = floors[p];
-      }
-      if (all_idle && lane_count > 0 && min_floor > bound) bound = min_floor;
-      if (bound > 0) {
-        for (const ExchangeHookRef& hook : hooks) {
-          (void)hook.emitter->Broadcast(bound);
-        }
-        last_idle_bound = bound;
-      }
-    }
-    if (backoff.ShouldPark()) {
-      // Wake on: any lane push (queue waker), any floor movement vs the
-      // snapshot in `floors` (NoteLaneFloor rings), a posted command, or
-      // stop. Only atomics and loop-local state — no guarded members.
-      const bool watch_floor = !hooks.empty();
-      const uint64_t idle_bound = last_idle_bound;
-      (void)doorbell_.ParkUnless([this, &floors, lane_count, watch_floor,
-                                  idle_bound] {
-        for (size_t p = 0; p < lane_count; ++p) {
-          if (!lanes_[p]->ApproxEmpty()) return true;
-          // order: acquire; same pairing as the refill loop's floor read.
-          const uint64_t f = lane_floors_[p].load(std::memory_order_acquire);
-          if (f != floors[p]) return true;
-          if (watch_floor && f > idle_bound) return true;
-        }
-        // order: acquire/relaxed, same pairing as ExecuteCommand.
-        if (cmd_gen_.load(std::memory_order_acquire) !=
-            cmd_ack_.load(std::memory_order_relaxed)) {
-          return true;
-        }
-        // order: acquire pairs with Stop()'s release store.
-        return stop_requested_.load(std::memory_order_acquire);
-      });
       backoff.Reset();
       continue;
     }

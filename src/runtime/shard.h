@@ -19,15 +19,12 @@
 // global order on the stage-2 side.
 //
 // Threading contract:
-//   - Default (single-lane) mode: exactly one thread (the router /
-//     ParallelStreamingEngine caller) may call Push / PushN at a time; the
-//     worker thread is the only consumer. With EnableMultiProducer(P) the
-//     shard instead exposes P independent SPSC ingest lanes — exactly one
-//     thread per lane index may call PushStampedLaneN / NoteLaneFloor, and
-//     the worker merges the lanes back into global sequence order.
+//   - Exactly one thread (the router / ParallelStreamingEngine caller) may
+//     call PushStampedN / TryPushStampedN / NoteProducerFloor at a time;
+//     the worker thread is the only consumer.
 //   - AddQuery / SetEventSink / AddExchange must happen before Start. Start
 //     and Stop must not race each other or a pushing producer (they manage
-//     the worker thread), but Push racing a Stop fails fast instead of
+//     the worker thread), but a push racing a Stop fails fast instead of
 //     hanging.
 //   - Drain() and stats() may be called from any thread, including while a
 //     producer is pushing: the counters (and the running flag) are atomics,
@@ -44,13 +41,6 @@
 //     release store that Drain observes with an acquire load, which orders
 //     all engine/sink mutations before the caller's reads. Command
 //     acknowledgements publish the same way.
-//
-// The multi-producer lane-floor handshake (NoteLaneFloor vs the merging
-// worker, including the stall-floor path that keeps an idle peer from
-// wedging a full lane) is machine-checked by
-// tests/check/check_stall_floor_test.cc; the negative twin
-// PLDP_CHECK_NEGATIVE_STALL (runtime/stall_floor.cc) re-introduces the
-// idle-peer deadlock and proves the checker reports it.
 
 #ifndef PLDP_RUNTIME_SHARD_H_
 #define PLDP_RUNTIME_SHARD_H_
@@ -156,21 +146,6 @@ class Shard {
 
   ShardEventSink* event_sink() const { return sink_.get(); }
 
-  /// Switches ingest to `producer_count` independent SPSC lanes (the MPSC
-  /// front-end): producer `p` pushes pre-stamped events with strictly
-  /// increasing sequence numbers through PushStampedLaneN(p, ...), and the
-  /// worker merges all lanes back into global sequence order before
-  /// processing. Merge progress across an idle lane requires its producer
-  /// to publish floors via NoteLaneFloor (the engine's per-producer floor
-  /// protocol; the engine's stall-floor path publishes on behalf of
-  /// quiescent producers so an idle lane cannot wedge a push — see
-  /// ParallelStreamingEngine::PublishStallFloors). Must precede Start();
-  /// `producer_count` >= 1.
-  Status EnableMultiProducer(size_t producer_count);
-
-  /// Number of ingest lanes (0 in default single-lane mode).
-  size_t producer_lane_count() const { return lanes_.size(); }
-
   /// Pins the worker thread to `core` at startup (no-op when negative or
   /// unsupported on this platform). Must precede Start().
   void SetAffinityCore(int core) { affinity_core_ = core; }
@@ -187,73 +162,17 @@ class Shard {
   /// Launches the worker thread. Returns FailedPrecondition if running.
   Status Start();
 
-  /// Enqueues one event, blocking (spin + yield) while the queue is full.
-  /// Producer thread only; requires a running worker — fails fast with
-  /// FailedPrecondition when the shard is stopped or stopping, instead of
-  /// spinning forever on a queue nobody drains. Events pushed through this
-  /// overload are stamped with a shard-local sequence (standalone use);
-  /// the sharded engine pushes pre-stamped events carrying global numbers.
-  Status Push(Event event);
-
-  /// Bulk enqueue: moves `count` events out of `events` into the queue,
-  /// blocking while it is full. Same preconditions as Push; one release
-  /// store per queue burst instead of one per event. When `accepted` is
-  /// non-null it receives the number of events actually enqueued (== count
-  /// on success, possibly fewer when failing fast on a stop).
-  Status PushN(Event* events, size_t count, size_t* accepted = nullptr);
-
-  /// Pre-stamped bulk enqueue (the sharded engine's path). Sequence numbers
-  /// must be strictly increasing across all pushes to this shard. Single-
-  /// lane mode only — FailedPrecondition after EnableMultiProducer.
+  /// Bulk enqueue of pre-stamped events, blocking (spin + yield) while
+  /// the queue is full; one release store per queue burst instead of one
+  /// per event. Sequence numbers must be strictly increasing across all
+  /// pushes to this shard. Producer thread only; requires a running
+  /// worker — fails fast with FailedPrecondition when the shard is stopped
+  /// or stopping, instead of spinning forever on a queue nobody drains.
+  /// When `accepted` is non-null it receives the number of events actually
+  /// enqueued (== count on success, possibly fewer when failing fast on a
+  /// stop).
   Status PushStampedN(StampedEvent* events, size_t count,
                       size_t* accepted = nullptr);
-
-  /// Stall hook for PushStampedLaneN: invoked with `ctx` and the sequence
-  /// number of the next unpushed event each backoff step after the push
-  /// has exhausted its spin/yield budget on a full lane. The MPSC engine
-  /// uses it to publish stall floors (ParallelStreamingEngine::
-  /// PublishStallFloors): without them, a merge gated on a quiescent
-  /// peer's stale lane floor and a producer blocked on the resulting full
-  /// lane deadlock each other.
-  using StallFn = void (*)(void* ctx, uint64_t next_seq);
-
-  /// Multi-producer variant of PushStampedN: producer `producer` pushes
-  /// into its own lane. Exactly one thread per lane index; sequence
-  /// numbers must be strictly increasing within each lane. Blocking with
-  /// the same fail-fast-on-stop semantics as PushStampedN; `stall` (if
-  /// non-null) fires periodically while the lane stays full.
-  Status PushStampedLaneN(size_t producer, StampedEvent* events,
-                          size_t count, size_t* accepted = nullptr,
-                          StallFn stall = nullptr,
-                          void* stall_ctx = nullptr);
-
-  /// Per-producer floor (multi-producer mode): every event producer
-  /// `producer` will ever push to ANY shard with seq < `floor` has been
-  /// pushed already. The worker needs these to merge across an idle lane
-  /// (see MultiRunLoop) and to broadcast idle watermarks. Called by the
-  /// lane's producer thread and by the engine's drain barrier on behalf
-  /// of quiescent producers — the monotone CAS keeps the floor from ever
-  /// regressing whichever writer is slower. Rings the worker doorbell,
-  /// but only when the floor actually advanced: the stall-floor path
-  /// republishes the same bound every backoff step, and an unconditional
-  /// ring would wake parked workers on every repeat for nothing (a no-op
-  /// publish carries no information the park predicate could act on).
-  void NoteLaneFloor(size_t producer, uint64_t floor) {
-    // order: relaxed; the CAS below re-validates, a stale read only costs
-    // one extra loop iteration.
-    uint64_t prev = lane_floors_[producer].load(std::memory_order_relaxed);
-    while (prev < floor) {
-      // order: release on success so every event pushed before this floor
-      // claim is visible to the worker's acquire of the floor; relaxed on
-      // failure — the reloaded value is only compared, not dereferenced.
-      if (lane_floors_[producer].compare_exchange_weak(
-              prev, floor, std::memory_order_release,
-              std::memory_order_relaxed)) {
-        doorbell_.Ring();
-        return;
-      }
-    }
-  }
 
   /// Non-blocking variant: enqueues as many leading events as the queue
   /// has room for and returns that number (0 when full, stopped, or not
@@ -267,7 +186,7 @@ class Shard {
   /// shard that receives little or no traffic broadcast idle watermarks
   /// that track the global stream instead of staying silent until the
   /// next drain barrier — without it, skewed routings buffer everything
-  /// downstream. Same caller as Push (the single ingest thread).
+  /// downstream. Same caller as PushStampedN (the single ingest thread).
   void NoteProducerFloor(uint64_t floor) {
     // order: release so everything pushed before the floor claim is
     // visible to the worker's acquire load.
@@ -324,19 +243,8 @@ class Shard {
 
   /// Instantaneous queue occupancy / capacity — safe from any thread
   /// (SPSC indices are atomics); used for queue-depth gauges and health.
-  /// In multi-producer mode these aggregate over all ingest lanes.
-  size_t queue_depth() const {
-    if (lanes_.empty()) return queue_.ApproxSize();
-    size_t depth = 0;
-    for (const auto& lane : lanes_) depth += lane->ApproxSize();
-    return depth;
-  }
-  size_t queue_capacity() const {
-    if (lanes_.empty()) return queue_.capacity();
-    size_t cap = 0;
-    for (const auto& lane : lanes_) cap += lane->capacity();
-    return cap;
-  }
+  size_t queue_depth() const { return queue_.ApproxSize(); }
+  size_t queue_capacity() const { return queue_.capacity(); }
 
   /// Doorbell park/wake counts (always tracked, even un-instrumented);
   /// used by stats() and the parking-liveness tests.
@@ -381,12 +289,6 @@ class Shard {
   std::vector<ExchangeHookRef> SnapshotHooks() const PLDP_EXCLUDES(reg_mu_);
 
   void RunLoop() PLDP_REQUIRES(worker_role_);
-  /// Multi-producer worker loop: merges the P ingest lanes back into
-  /// global sequence order. A lane's head may only be released once every
-  /// other lane either shows a head (so the minimum is known) or has a
-  /// published floor above the candidate — the same watermark-style gate
-  /// the exchange merge uses.
-  void MultiRunLoop() PLDP_REQUIRES(worker_role_);
   /// Delivers one event to the engine, the sink, and every exchange hook —
   /// the per-event section of the worker loop (also used by Stop's
   /// post-join leftover absorption, under the role handoff). When
@@ -404,13 +306,6 @@ class Shard {
 
   const size_t index_;
   SpscQueue<StampedEvent> queue_;
-  /// Multi-producer ingest lanes (empty in single-lane mode). Frozen by
-  /// EnableMultiProducer before Start; unique_ptr keeps SpscQueue stable
-  /// (it is neither movable nor copyable).
-  std::vector<std::unique_ptr<SpscQueue<StampedEvent>>> lanes_;
-  /// Per-lane producer floors (multi-producer mode), released by each
-  /// producer and acquired by the merging worker.
-  std::unique_ptr<Atomic<uint64_t>[]> lane_floors_;
   /// Wake-on-work doorbell the idle worker parks on; rung by every queue
   /// push (SetWaker), floor publication, posted command, and stop.
   Doorbell doorbell_;
@@ -433,21 +328,17 @@ class Shard {
   // read it race-free.
   Atomic<bool> running_{false};
 
-  /// Confinement tokens (zero-size, zero-cost — see thread_annotations.h):
-  /// worker_role_ is held by the worker thread (and by Stop after the
-  /// join, the documented handoff); producer_role_ is the single-pushing-
-  /// thread contract, asserted at the Push entry points.
+  /// Confinement token (zero-size, zero-cost — see thread_annotations.h):
+  /// held by the worker thread (and by Stop after the join, the
+  /// documented handoff).
   ThreadRole worker_role_;
-  ThreadRole producer_role_;
 
   // Producer-side state. The counters are written by the producer thread
   // only (relaxed) but read from arbitrary threads by Drain()/stats(),
-  // hence atomic; auto_seq_/scratch_ are producer-private.
+  // hence atomic.
   Atomic<uint64_t> pushed_{0};
   Atomic<uint64_t> backpressure_waits_{0};
   Atomic<uint64_t> producer_floor_{0};
-  uint64_t auto_seq_ PLDP_GUARDED_BY(producer_role_) = 0;
-  std::vector<StampedEvent> scratch_ PLDP_GUARDED_BY(producer_role_);
 
   // Orchestrator → worker command channel: payload/kind are published by
   // the generation counter (release) and acknowledged by the worker

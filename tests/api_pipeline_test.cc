@@ -328,7 +328,8 @@ TEST(PipelineEquivalenceTest, CustomKeyFunctionsShareLaneGroupByName) {
 /// The acceptance scenario: one pipeline registers a plain query, a
 /// cross-subject query with its own correlation key, and a private query;
 /// the planner-built topology must match the sequential engines for every
-/// lane at 1/2/4 shards.
+/// lane at 1/2/4 shards, driven both batched and per event (the per-event
+/// entry point is a one-element batch).
 TEST(PipelineEquivalenceTest, MixedPlainCrossPrivateMatchesSequentialEngines) {
   constexpr Timestamp kPrivacyWindow = 5;
   constexpr double kEpsilon = 1.0;
@@ -369,53 +370,56 @@ TEST(PipelineEquivalenceTest, MixedPlainCrossPrivateMatchesSequentialEngines) {
     private_reference.emplace(subject, results.value().answers[0]);
   }
 
-  for (size_t shards : {1u, 2u, 4u}) {
-    PipelineBuilder builder;
-    for (size_t t = 0; t < kGroups * kTypesPerGroup; ++t) {
-      (void)builder.InternEventType("t" + std::to_string(t));
+  for (ReplayMode mode : {ReplayMode::kBatchPerTick, ReplayMode::kPerEvent}) {
+    for (size_t shards : {1u, 2u, 4u}) {
+      const std::string run = std::string("mode=") +
+                              (mode == ReplayMode::kPerEvent ? "per-event"
+                                                             : "batched") +
+                              " shards=" + std::to_string(shards);
+      PipelineBuilder builder;
+      for (size_t t = 0; t < kGroups * kTypesPerGroup; ++t) {
+        (void)builder.InternEventType("t" + std::to_string(t));
+      }
+      QueryHandle plain_q = builder.AddQuery(plain_pattern, kQueryWindow);
+      CrossQueryHandle cross_q = builder.AddCrossQuery(
+          cross_pattern, kQueryWindow, CorrelationKey::Global());
+      PrivateQueryHandle private_q =
+          builder.AddPrivateQuery("came_home", target_pattern);
+      builder.AddPrivatePattern(private_pattern);
+      auto pipeline_or = builder.WithShards(shards)
+                             .WithCrossShards(2)
+                             .WithSeed(kSeed)
+                             .WithPrivacyWindow(kPrivacyWindow)
+                             .WithMechanism("uniform")
+                             .WithEpsilon(kEpsilon)
+                             .Build();
+      ASSERT_TRUE(pipeline_or.ok()) << pipeline_or.status().ToString();
+      Pipeline& pipeline = *pipeline_or.value();
+      EXPECT_TRUE(pipeline.plan().has_private);
+
+      StreamReplayer replayer;
+      replayer.Subscribe(&pipeline);
+      ASSERT_TRUE(replayer.Run(stream, mode).ok()) << run;
+      auto finished_or = pipeline.Finish();
+      ASSERT_TRUE(finished_or.ok()) << finished_or.status().ToString();
+      const FinishedPipeline& finished = finished_or.value();
+
+      auto plain_hits = finished.Detections(plain_q);
+      ASSERT_TRUE(plain_hits.ok());
+      EXPECT_EQ(Sorted(plain_hits.value()), reference[0]) << run;
+      auto cross_hits = finished.Detections(cross_q);
+      ASSERT_TRUE(cross_hits.ok());
+      EXPECT_EQ(Sorted(cross_hits.value()), reference[1]) << run;
+
+      ASSERT_EQ(finished.Subjects().size(), private_reference.size()) << run;
+      for (const auto& entry : private_reference) {
+        auto answers = finished.AnswersOf(private_q, entry.first);
+        ASSERT_TRUE(answers.ok()) << "subject=" << entry.first;
+        EXPECT_EQ(answers.value().answers(), entry.second.answers())
+            << run << " subject=" << entry.first;
+      }
+      EXPECT_GT(finished.total_windows(), 0u);
     }
-    QueryHandle plain_q = builder.AddQuery(plain_pattern, kQueryWindow);
-    CrossQueryHandle cross_q = builder.AddCrossQuery(
-        cross_pattern, kQueryWindow, CorrelationKey::Global());
-    PrivateQueryHandle private_q =
-        builder.AddPrivateQuery("came_home", target_pattern);
-    builder.AddPrivatePattern(private_pattern);
-    auto pipeline_or = builder.WithShards(shards)
-                           .WithCrossShards(2)
-                           .WithSeed(kSeed)
-                           .WithPrivacyWindow(kPrivacyWindow)
-                           .WithMechanism("uniform")
-                           .WithEpsilon(kEpsilon)
-                           .Build();
-    ASSERT_TRUE(pipeline_or.ok()) << pipeline_or.status().ToString();
-    Pipeline& pipeline = *pipeline_or.value();
-    EXPECT_TRUE(pipeline.plan().has_private);
-
-    StreamReplayer replayer;
-    replayer.Subscribe(&pipeline);
-    ASSERT_TRUE(replayer.Run(stream, ReplayMode::kBatchPerTick).ok());
-    auto finished_or = pipeline.Finish();
-    ASSERT_TRUE(finished_or.ok()) << finished_or.status().ToString();
-    const FinishedPipeline& finished = finished_or.value();
-
-    auto plain_hits = finished.Detections(plain_q);
-    ASSERT_TRUE(plain_hits.ok());
-    EXPECT_EQ(Sorted(plain_hits.value()), reference[0])
-        << "shards=" << shards;
-    auto cross_hits = finished.Detections(cross_q);
-    ASSERT_TRUE(cross_hits.ok());
-    EXPECT_EQ(Sorted(cross_hits.value()), reference[1])
-        << "shards=" << shards;
-
-    ASSERT_EQ(finished.Subjects().size(), private_reference.size())
-        << "shards=" << shards;
-    for (const auto& entry : private_reference) {
-      auto answers = finished.AnswersOf(private_q, entry.first);
-      ASSERT_TRUE(answers.ok()) << "subject=" << entry.first;
-      EXPECT_EQ(answers.value().answers(), entry.second.answers())
-          << "shards=" << shards << " subject=" << entry.first;
-    }
-    EXPECT_GT(finished.total_windows(), 0u);
   }
 }
 

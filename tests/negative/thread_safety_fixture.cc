@@ -15,9 +15,10 @@
 //   * `thread_safety_producer_token_negative` — with
 //     -DPLDP_SEED_PRODUCER_TOKEN_VIOLATION. Seeds a read of a
 //     ThreadRole-confined member without asserting the role first — the
-//     exact mistake the MPSC ingest handles (IngestProducer) guard
-//     against: touching per-producer stamping state from a thread that
-//     never claimed the producer token. Also WILL_FAIL.
+//     exact mistake the single-thread ingest paths (ParallelStreamingEngine,
+//     AdmissionQueue) guard against: touching ingest-confined stamping
+//     state from a thread that never claimed the ingest token. Also
+//     WILL_FAIL.
 //
 // This file is NOT part of any build target; it is only ever syntax-checked.
 
@@ -48,10 +49,10 @@ class GuardedCounter {
   int value_ PLDP_GUARDED_BY(mu_) = 0;
 };
 
-/// Miniature of the MPSC ingest handle: per-producer stamping state is
-/// confined to the producer's thread by a ThreadRole token, not a mutex.
-/// Every public entry point asserts the role (the caller contract: "I am
-/// this handle's single driving thread"), which lets the analysis check
+/// Miniature of an ingest path: its stamping state is confined to the
+/// ingest thread by a ThreadRole token, not a mutex. Every public entry
+/// point asserts the role (the caller contract: "I am the single driving
+/// thread"), which lets the analysis check
 /// the body and its callees against the confinement with zero runtime
 /// cost.
 class StridedStamper {
@@ -66,7 +67,7 @@ class StridedStamper {
 #if defined(PLDP_SEED_PRODUCER_TOKEN_VIOLATION)
   // Reads producer-confined state without asserting the producer token:
   // -Wthread-safety must reject this — it is exactly the cross-thread
-  // handle misuse the MPSC ingest contract forbids.
+  // misuse the single-thread ingest contract forbids.
   unsigned long long PeekSeq() { return seq_next_; }
 #endif
 

@@ -279,13 +279,17 @@ TEST(ShardTest, PushAfterStopFailsFastInsteadOfSpinning) {
                              /*window=*/10)
                   .ok());
   ASSERT_TRUE(shard.Start().ok());
-  ASSERT_TRUE(shard.Push(Event(0, 1)).ok());
+  StampedEvent first{0, Event(0, 1)};
+  ASSERT_TRUE(shard.PushStampedN(&first, 1).ok());
   ASSERT_TRUE(shard.Stop().ok());
   // If this spun on the dead worker's full queue the test would time out;
   // the contract is an immediate FailedPrecondition.
-  EXPECT_FALSE(shard.Push(Event(1, 2)).ok());
-  Event batch[2] = {Event(0, 3), Event(1, 4)};
-  EXPECT_FALSE(shard.PushN(batch, 2).ok());
+  StampedEvent late{1, Event(1, 2)};
+  EXPECT_FALSE(shard.PushStampedN(&late, 1).ok());
+  StampedEvent batch[2] = {{2, Event(0, 3)}, {3, Event(1, 4)}};
+  size_t accepted = 99;
+  EXPECT_FALSE(shard.PushStampedN(batch, 2, &accepted).ok());
+  EXPECT_EQ(accepted, 0u);
   EXPECT_EQ(shard.stats().events_processed, 1u);
 }
 
@@ -296,13 +300,16 @@ TEST(ShardTest, BulkPushDeliversEverythingInOrder) {
                              /*window=*/10)
                   .ok());
   ASSERT_TRUE(shard.Start().ok());
-  // Larger than the queue: PushN must chunk through backpressure.
-  std::vector<Event> events;
+  // Larger than the queue: PushStampedN must chunk through backpressure.
+  std::vector<StampedEvent> events;
   for (int i = 0; i < 1000; ++i) {
-    events.push_back(Event(static_cast<EventTypeId>(i % 2),
-                           static_cast<Timestamp>(i)));
+    events.push_back({static_cast<uint64_t>(i),
+                      Event(static_cast<EventTypeId>(i % 2),
+                            static_cast<Timestamp>(i))});
   }
-  ASSERT_TRUE(shard.PushN(events.data(), events.size()).ok());
+  size_t accepted = 0;
+  ASSERT_TRUE(shard.PushStampedN(events.data(), events.size(), &accepted).ok());
+  EXPECT_EQ(accepted, 1000u);
   ASSERT_TRUE(shard.Drain().ok());
   EXPECT_EQ(shard.stats().events_processed, 1000u);
   // Alternating 0,1 within window 10 → the sequence completes repeatedly;

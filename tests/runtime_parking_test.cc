@@ -140,13 +140,16 @@ TEST(ParkingTest, IdleWorkersParkAndWakeOnPush) {
 
   // A push into a parked pipeline must ring the worker awake; Drain then
   // proves the event was actually processed (a lost wakeup would leave
-  // pushed > processed and Drain would hang past the ctest timeout).
+  // pushed > processed and Drain would hang past the ctest timeout). The
+  // park count is read before the push: the woken worker may re-park
+  // before Drain returns, and a count read after that would wait for a
+  // park that never comes.
+  const size_t parks_before = TotalParks(engine);
   ASSERT_TRUE(engine.OnEvent(Event(0, 0, 7)).ok());
   ASSERT_TRUE(engine.Drain().ok());
   EXPECT_EQ(engine.events_processed(), 1u);
 
   // Park again, wake again — the escalation must re-arm after work.
-  const size_t parks_before = TotalParks(engine);
   ASSERT_TRUE(Eventually([&] { return TotalParks(engine) > parks_before; }))
       << "workers never re-parked after the first wake";
   ASSERT_TRUE(engine.OnEvent(Event(1, 1, 7)).ok());

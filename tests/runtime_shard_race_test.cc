@@ -70,10 +70,14 @@ TEST(ShardRaceTest, StatsScrapeRacingExchangeRegistration) {
 
 TEST(ShardRaceTest, WorkerSnapshotSurvivesConcurrentScrapes) {
   // A running worker iterates its startup snapshot of the hook list while
-  // scrape threads take the registration mutex — the two must not contend
-  // or race. Sink-driven hooks only (nothing drains the lanes here).
+  // scrape threads take the registration mutex and wait on Drain — none of
+  // them may contend or race. Sink-driven hooks only, and nothing drains
+  // the lane: the idle worker still broadcasts one watermark per distinct
+  // idle bound (at most one per event, so <= kEvents), and the lane must
+  // hold them all or the worker blocks on it and the test hangs.
+  constexpr uint64_t kEvents = 512;
   Shard shard(0, 64, kSeed);
-  ExchangeFabric fabric(1, 1, 64);
+  ExchangeFabric fabric(1, 1, /*lane_capacity=*/2 * kEvents);
   auto emitter =
       std::make_unique<ExchangeEmitter>(fabric.Row(0), nullptr, &fabric);
   ASSERT_TRUE(
@@ -86,19 +90,20 @@ TEST(ShardRaceTest, WorkerSnapshotSurvivesConcurrentScrapes) {
     while (!stop.load(std::memory_order_acquire)) {
       (void)shard.stats();
       (void)shard.exchange_count();
+      ASSERT_TRUE(shard.Drain().ok());
     }
   });
 
-  for (uint64_t i = 0; i < 512; ++i) {
-    ASSERT_TRUE(
-        shard.Push(Event(/*type=*/0, static_cast<Timestamp>(i))).ok());
+  for (uint64_t i = 0; i < kEvents; ++i) {
+    StampedEvent stamped{i, Event(/*type=*/0, static_cast<Timestamp>(i))};
+    ASSERT_TRUE(shard.PushStampedN(&stamped, 1).ok());
   }
   ASSERT_TRUE(shard.Drain().ok());
 
   stop.store(true, std::memory_order_release);
   scraper.join();
 
-  EXPECT_EQ(shard.stats().events_processed, 512u);
+  EXPECT_EQ(shard.stats().events_processed, kEvents);
   ASSERT_TRUE(shard.Stop().ok());
 }
 
