@@ -5,9 +5,11 @@
 // "N+attrs", "NxN"):
 //
 // All workloads are declared through the PipelineBuilder API (the planner
-// compiles the topology: a budget of 1 plans the sequential in-process
-// engine — the honest single-core baseline — and the exchange workload's
-// custom "group" key compiles into one shared lane-group):
+// compiles the topology: a budget of 1 plans a one-worker runtime, so the
+// 1-shard row and the speedup_vs_1 baseline measure the runtime on one
+// worker thread — queue hop included — not the in-process sequential
+// engine; the exchange workload's custom "group" key compiles into one
+// shared lane-group):
 //
 //   1. Subject-local workload: ingest a keyed synthetic stream (many data
 //      subjects, per-subject event-type alphabets, one sequence + one
@@ -230,9 +232,8 @@ double TimedIngest(const EventStream& stream, size_t groups,
                    bool metrics = false,
                    LatencyQuantiles* latency = nullptr) {
   // Declarative construction: the builder plans the topology from the
-  // queries (a shard budget of 1 plans the sequential in-process engine —
-  // the honest single-core baseline; the exchange workload's custom
-  // "group" key compiles into one shared lane-group).
+  // queries (a shard budget of 1 plans a one-worker runtime; the exchange
+  // workload's custom "group" key compiles into one shared lane-group).
   PipelineBuilder builder;
   DeclareAlphabetQueries(builder, groups, window, exchange);
   builder.WithShards(shards)

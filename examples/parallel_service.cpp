@@ -3,8 +3,8 @@
 // Production-flavour deployment of the sharded runtime via the declarative
 // pipeline API: a fleet of smart homes (data subjects) streams events into
 // the trusted CEP middleware. The builder plans the topology — here a
-// subject-sharded runtime (or a sequential engine on a 1-core budget) —
-// and the typed query handle is the only way to read the detections, which
+// subject-sharded runtime with one shard per hardware thread (one worker
+// on a 1-core machine) — and the typed query handle is the only way to read the detections, which
 // are only reachable after Finish()'s drain barrier.
 //
 // This is the concurrency substrate for the paper's system model (Fig. 2):

@@ -65,8 +65,8 @@ pldp::Status Run() {
   }
 
   // --- Online detection --------------------------------------------------------
-  // A single-shard budget makes the planner pick the sequential in-process
-  // engine — same declarative API as the sharded deployments, no threads.
+  // A single-shard budget plans a one-worker runtime — the same declarative
+  // API and the same engine as the sharded deployments, one worker thread.
   pldp::PipelineBuilder builder;
   pldp::QueryHandle came_home_q = builder.AddQuery(came_home, /*window=*/30);
   pldp::QueryHandle evening_q = builder.AddQuery(

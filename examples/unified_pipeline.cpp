@@ -11,8 +11,10 @@
 //     ("vehicle visited a clinic stop", protected per subject by a
 //     uniform pattern-level mechanism with budget ε).
 //
-// The builder plans the topology from the declarations; the typed handles
-// are the only way to read each lane's results, and only after Finish().
+// The builder plans the topology from the declarations — one runtime whose
+// stage-1 shards every lane shares, so each event is routed and queued
+// once; the typed handles are the only way to read each lane's results,
+// and only after Finish().
 //
 // With `--metrics-port=P` the pipeline is built with telemetry enabled and
 // a scrape endpoint serves GET /metrics (Prometheus text), /metrics.json,

@@ -93,28 +93,20 @@ CrossQueryHandle& CrossQueryHandle::OnDetection(
 // PipelinePlan
 
 std::string PipelinePlan::Describe() const {
-  std::string out;
-  if (plain_queries > 0 || !cross_groups.empty()) {
-    if (sequential) {
-      out += StrFormat(
-          "plain/cross lane: sequential in-process engine (%zu plain, ",
-          plain_queries);
-    } else {
-      out += StrFormat("plain/cross lane: %zu shards (%zu plain, ",
-                       shard_count, plain_queries);
-    }
-    size_t cross_total = 0;
-    for (const CrossGroupPlan& g : cross_groups) cross_total += g.query_count;
-    out += StrFormat("%zu cross)\n", cross_total);
-    for (const CrossGroupPlan& g : cross_groups) {
-      out += StrFormat("  lane-group '%s': %zu queries, %zu merge shards\n",
-                       g.key_id.c_str(), g.query_count, g.merge_shards);
-    }
+  size_t cross_total = 0;
+  for (const CrossGroupPlan& g : cross_groups) cross_total += g.query_count;
+  std::string out =
+      StrFormat("stage 1: %zu shards (%zu plain, %zu cross)\n", shard_count,
+                plain_queries, cross_total);
+  for (const CrossGroupPlan& g : cross_groups) {
+    out += StrFormat("  lane-group '%s': %zu queries, %zu merge shards\n",
+                     g.key_id.c_str(), g.query_count, g.merge_shards);
   }
   if (has_private) {
     out += StrFormat(
-        "private lane: %zu shards (%zu target queries, %zu cross)\n",
-        shard_count, private_queries, private_cross_queries);
+        "private lane: sinks on the stage-1 shards (%zu target queries, "
+        "%zu cross)\n",
+        private_queries, private_cross_queries);
   }
   if (pin_threads) {
     out += "affinity: workers pinned round-robin to cores\n";
@@ -127,7 +119,6 @@ std::string PipelinePlan::Describe() const {
     out += StrFormat("exchange reorder credits: %zu per lane\n",
                      reorder_capacity);
   }
-  if (out.empty()) out = "empty plan\n";
   return out;
 }
 
@@ -402,11 +393,7 @@ StatusOr<std::unique_ptr<Pipeline>> PipelineBuilder::Build() {
   plan.private_cross_queries = private_cross_.size();
   plan.reorder_capacity = reorder_capacity_;
   plan.pin_threads = pin_threads_;
-  // The sequential plan has no queues, so the overload policy is moot
-  // there; the plan records kBlock to say "nothing will ever shed".
-  plan.overload_policy = plan.shard_count == 1 && !has_private
-                              ? OverloadPolicy::kBlock
-                              : overload_.policy;
+  plan.overload_policy = overload_.policy;
 
   // Resolve every cross query's correlation key up front: the planner
   // dedupes equal keys into shared lane-groups and validates the rest.
@@ -443,165 +430,76 @@ StatusOr<std::unique_ptr<Pipeline>> PipelineBuilder::Build() {
     }
   }
 
-  // --- Plain/cross lane ----------------------------------------------------
-  if (!plain_.empty() || !cross_.empty()) {
-    plan.sequential = plan.shard_count == 1;
-    if (plan.sequential) {
-      // Budget 1: one in-process engine answers plain AND cross queries
-      // exactly (a single partition sees the whole stream in order) with
-      // no worker threads and no exchange fabric.
-      for (PipelinePlan::CrossGroupPlan& g : plan.cross_groups) {
-        g.merge_shards = 0;
-      }
-      pipeline->sequential_ = std::make_unique<StreamingCepEngine>();
-      for (const PlainDecl& decl : plain_) {
-        PLDP_ASSIGN_OR_RETURN(
-            size_t index,
-            pipeline->sequential_->AddQuery(decl.pattern, decl.window));
-        pipeline->plain_map_.push_back(index);
-      }
-      for (const CrossDecl& decl : cross_) {
-        PLDP_ASSIGN_OR_RETURN(
-            size_t index,
-            pipeline->sequential_->AddQuery(decl.pattern, decl.window));
-        pipeline->cross_map_.push_back(index);
-      }
-      // The sequential engine hosts plain AND cross queries in one index
-      // space; dispatch per-query detection callbacks through one table.
-      bool any_callback = false;
-      for (const PlainDecl& decl : plain_) {
-        any_callback = any_callback || decl.callback != nullptr;
-      }
-      for (const CrossDecl& decl : cross_) {
-        any_callback = any_callback || decl.callback != nullptr;
-      }
-      if (any_callback) {
-        std::vector<std::function<void(Timestamp)>> dispatch(
-            pipeline->sequential_->query_count());
-        for (size_t i = 0; i < plain_.size(); ++i) {
-          if (plain_[i].callback) {
-            dispatch[pipeline->plain_map_[i]] = plain_[i].callback;
-          }
-        }
-        for (size_t i = 0; i < cross_.size(); ++i) {
-          if (cross_[i].callback) {
-            dispatch[pipeline->cross_map_[i]] = cross_[i].callback;
-          }
-        }
-        pipeline->sequential_->SetCallback(
-            [dispatch =
-                 std::move(dispatch)](const StreamingDetection& detection) {
-              if (detection.query_index < dispatch.size() &&
-                  dispatch[detection.query_index]) {
-                dispatch[detection.query_index](detection.at);
-              }
-            });
-      }
-      // No Shard worker exists in this plan, so the pipeline itself
-      // records the shard-level instruments around the in-process engine —
-      // same exposition schema at every shard budget.
-      if (obs::MetricsRegistry* registry = pipeline->metrics_.get()) {
-        obs::ShardInstruments ins;
-        ins.events = registry->AddCounter(
-            "pldp_shard_events_total", "Events popped and processed by a shard",
-            {{"lane", "plain"}, {"shard", "0"}});
-        ins.batch_size = registry->AddHistogram(
-            "pldp_shard_batch_size", "Events per worker pop burst",
-            {{"lane", "plain"}, {"shard", "0"}});
-        ins.process_latency_ns = registry->AddHistogram(
-            "pldp_shard_process_latency_ns",
-            "Per-event shard processing latency (engine + sink + exchange), "
-            "ns",
-            {{"lane", "plain"}, {"shard", "0"}});
-        pipeline->seq_obs_ = ins;
-      }
-    } else {
-      ParallelEngineOptions options;
-      options.shard_count = plan.shard_count;
-      options.queue_capacity = queue_capacity_;
-      options.seed = seed_;
-      options.exchange.shard_count = merge_shards;
-      options.exchange.lane_capacity = exchange_capacity_;
-      options.exchange.reorder_capacity = reorder_capacity_;
-      options.overload = overload_;
-      options.pin_threads = pin_threads_;
-      options.affinity_cores = affinity_cores_;
-      pipeline->runtime_ =
-          std::make_unique<ParallelStreamingEngine>(std::move(options));
-      for (const PlainDecl& decl : plain_) {
-        PLDP_ASSIGN_OR_RETURN(
-            size_t index,
-            pipeline->runtime_->AddQuery(decl.pattern, decl.window));
-        pipeline->plain_map_.push_back(index);
-      }
-      for (size_t i = 0; i < cross_.size(); ++i) {
-        PLDP_ASSIGN_OR_RETURN(
-            size_t index,
-            pipeline->runtime_->AddCrossQueryKeyed(
-                cross_[i].pattern, cross_[i].window, resolved[i].key_id,
-                resolved[i].fn));
-        pipeline->cross_map_.push_back(index);
-      }
-      for (size_t i = 0; i < plain_.size(); ++i) {
-        if (plain_[i].callback) {
-          PLDP_RETURN_IF_ERROR(pipeline->runtime_->SetQueryCallback(
-              pipeline->plain_map_[i], plain_[i].callback));
-        }
-      }
-      for (size_t i = 0; i < cross_.size(); ++i) {
-        if (cross_[i].callback) {
-          PLDP_RETURN_IF_ERROR(pipeline->runtime_->SetCrossQueryCallback(
-              pipeline->cross_map_[i], cross_[i].callback));
-        }
-      }
-      if (pipeline->metrics_ != nullptr) {
-        PLDP_RETURN_IF_ERROR(
-            pipeline->runtime_->EnableMetrics(pipeline->metrics_.get(),
-                                              "plain"));
-      }
-      PLDP_RETURN_IF_ERROR(pipeline->runtime_->Start());
+  // --- The one runtime: plain queries and raw cross lane-groups ----------
+  ParallelEngineOptions options;
+  options.shard_count = plan.shard_count;
+  options.queue_capacity = queue_capacity_;
+  options.exchange.shard_count = merge_shards;
+  options.exchange.lane_capacity = exchange_capacity_;
+  options.exchange.reorder_capacity = reorder_capacity_;
+  options.overload = overload_;
+  options.pin_threads = pin_threads_;
+  options.affinity_cores = affinity_cores_;
+  pipeline->runtime_ =
+      std::make_unique<ParallelStreamingEngine>(std::move(options));
+  ParallelStreamingEngine& runtime = *pipeline->runtime_;
+  for (const PlainDecl& decl : plain_) {
+    PLDP_ASSIGN_OR_RETURN(size_t index,
+                          runtime.AddQuery(decl.pattern, decl.window));
+    pipeline->plain_map_.push_back(index);
+  }
+  for (size_t i = 0; i < cross_.size(); ++i) {
+    PLDP_ASSIGN_OR_RETURN(
+        size_t index,
+        runtime.AddCrossQuery(cross_[i].pattern, cross_[i].window,
+                              resolved[i].key_id, resolved[i].fn,
+                              /*forward_raw_events=*/true));
+    pipeline->cross_map_.push_back(index);
+  }
+  for (size_t i = 0; i < plain_.size(); ++i) {
+    if (plain_[i].callback) {
+      PLDP_RETURN_IF_ERROR(runtime.SetQueryCallback(pipeline->plain_map_[i],
+                                                    plain_[i].callback));
+    }
+  }
+  for (size_t i = 0; i < cross_.size(); ++i) {
+    if (cross_[i].callback) {
+      PLDP_RETURN_IF_ERROR(runtime.SetCrossQueryCallback(
+          pipeline->cross_map_[i], cross_[i].callback));
     }
   }
 
-  // --- Private lane --------------------------------------------------------
+  // --- Private lane: sinks on the same shards -----------------------------
   if (has_private) {
-    ParallelPrivateOptions options;
-    options.shard_count = plan.shard_count;
-    options.queue_capacity = queue_capacity_;
-    options.seed = seed_;
-    options.window_size = window_size_;
-    options.window_origin = window_origin_;
-    options.exchange.shard_count = merge_shards;
-    options.exchange.lane_capacity = exchange_capacity_;
-    options.exchange.reorder_capacity = reorder_capacity_;
-    options.overload = overload_;
-    pipeline->private_engine_ =
-        std::make_unique<ParallelPrivateEngine>(options);
-    ParallelPrivateEngine& engine = *pipeline->private_engine_;
+    pipeline->private_lane_ =
+        std::make_unique<PrivateLane>(window_size_, window_origin_, seed_);
+    PrivateLane& lane = *pipeline->private_lane_;
     for (const std::string& name : event_type_names_) {
-      (void)engine.InternEventType(name);
+      (void)lane.InternEventType(name);
     }
-    engine.SetAlpha(alpha_);
-    if (!history_.empty()) engine.SetHistory(history_);
+    lane.SetAlpha(alpha_);
+    if (!history_.empty()) lane.SetHistory(history_);
     for (const Pattern& pattern : private_patterns_) {
-      PLDP_RETURN_IF_ERROR(engine.RegisterPrivatePattern(pattern).status());
+      PLDP_RETURN_IF_ERROR(lane.RegisterPrivatePattern(pattern));
     }
     for (const PrivateDecl& decl : private_queries_) {
-      PLDP_ASSIGN_OR_RETURN(QueryId id, engine.RegisterTargetQuery(
-                                            decl.name, decl.pattern));
+      PLDP_ASSIGN_OR_RETURN(QueryId id,
+                            lane.RegisterTargetQuery(decl.name, decl.pattern));
       pipeline->private_map_.push_back(id);
     }
+    PLDP_RETURN_IF_ERROR(lane.Attach(&runtime, mechanism_factory_, epsilon_));
     for (const PrivateCrossDecl& decl : private_cross_) {
       PLDP_ASSIGN_OR_RETURN(size_t index,
-                            engine.RegisterCrossTargetQuery(
-                                decl.name, decl.pattern, decl.window));
+                            lane.AddCrossQuery(decl.pattern, decl.window));
       pipeline->private_cross_map_.push_back(index);
     }
-    if (pipeline->metrics_ != nullptr) {
-      PLDP_RETURN_IF_ERROR(engine.EnableMetrics(pipeline->metrics_.get()));
-    }
-    PLDP_RETURN_IF_ERROR(engine.Activate(mechanism_factory_, epsilon_));
   }
+
+  if (obs::MetricsRegistry* registry = pipeline->metrics_.get()) {
+    PLDP_RETURN_IF_ERROR(runtime.EnableMetrics(registry));
+    if (has_private) pipeline->private_lane_->EnableMetrics(registry);
+  }
+  PLDP_RETURN_IF_ERROR(runtime.Start());
 
   // --- Pipeline-level instruments -----------------------------------------
   if (obs::MetricsRegistry* registry = pipeline->metrics_.get()) {
@@ -638,35 +536,7 @@ Status Pipeline::OnEventBatch(EventSpan events) {
   if (finished_) {
     return Status::FailedPrecondition("ingestion after Finish()/OnEnd");
   }
-  if (sequential_ != nullptr) {
-    if (seq_obs_.events != nullptr && !events.empty()) {
-      // Per-event loop (identical semantics to the base-class batch) with
-      // a chained clock: one MonotonicNowNs per event, like Shard does.
-      uint64_t t_prev = seq_obs_.process_latency_ns != nullptr
-                            ? obs::MonotonicNowNs()
-                            : 0;
-      for (const Event& event : events) {
-        PLDP_RETURN_IF_ERROR(sequential_->OnEvent(event));
-        if (seq_obs_.process_latency_ns != nullptr) {
-          const uint64_t t_now = obs::MonotonicNowNs();
-          seq_obs_.process_latency_ns->Record(t_now - t_prev);
-          t_prev = t_now;
-        }
-      }
-      if (seq_obs_.batch_size != nullptr) {
-        seq_obs_.batch_size->Record(events.size());
-      }
-      seq_obs_.events->Inc(events.size());
-    } else {
-      PLDP_RETURN_IF_ERROR(sequential_->OnEventBatch(events));
-    }
-  }
-  if (runtime_ != nullptr) {
-    PLDP_RETURN_IF_ERROR(runtime_->OnEventBatch(events));
-  }
-  if (private_engine_ != nullptr) {
-    PLDP_RETURN_IF_ERROR(private_engine_->OnEventBatch(events));
-  }
+  PLDP_RETURN_IF_ERROR(runtime_->OnEventBatch(events));
   // order: relaxed; standalone telemetry counter, readers tolerate lag.
   events_ingested_.fetch_add(events.size(), std::memory_order_relaxed);
   if (ingest_counter_ != nullptr) ingest_counter_->Inc(events.size());
@@ -676,24 +546,27 @@ Status Pipeline::OnEventBatch(EventSpan events) {
 Status Pipeline::OnEnd() { return FinishInternal(); }
 
 Status Pipeline::Drain() {
-  if (runtime_ != nullptr) return runtime_->Drain();
-  return Status::OK();
+  // A private-only pipeline has no plain/cross lane to drain: its barrier
+  // is Finish(), and closed-loop callers (perfbench's `private` workload)
+  // rely on this call not serializing ingest against the publishers.
+  if (plan_.plain_queries == 0 && plan_.cross_groups.empty()) {
+    return Status::OK();
+  }
+  return runtime_->Drain();
 }
 
 Status Pipeline::FinishInternal() {
   driver_role_.Assert();
   if (finished_) return finish_status_;
   finished_ = true;
-  Status result = Status::OK();
-  if (runtime_ != nullptr) {
-    const Status s = runtime_->Finish();
-    if (result.ok() && !s.ok()) result = s;
+  // The runtime's Finish runs every private publisher's Finalize on its
+  // own worker (forwarding the final views through the exchange) and
+  // seals every lane-group; its barrier orders every worker-side mutation
+  // before the reads below.
+  finish_status_ = runtime_->Finish();
+  if (finish_status_.ok() && private_lane_ != nullptr) {
+    finish_status_ = private_lane_->FinalizeStatus();
   }
-  if (private_engine_ != nullptr) {
-    const Status s = private_engine_->Finish();
-    if (result.ok() && !s.ok()) result = s;
-  }
-  finish_status_ = result;
   return finish_status_;
 }
 
@@ -703,16 +576,8 @@ StatusOr<FinishedPipeline> Pipeline::Finish() {
 }
 
 Status Pipeline::Stop() {
-  Status result = Status::OK();
-  if (runtime_ != nullptr) {
-    const Status s = runtime_->Stop();
-    if (result.ok() && !s.ok()) result = s;
-  }
-  if (private_engine_ != nullptr) {
-    const Status s = private_engine_->Stop();
-    if (result.ok() && !s.ok()) result = s;
-  }
-  return result;
+  // Null only while a failed Build() tears the half-built pipeline down.
+  return runtime_ != nullptr ? runtime_->Stop() : Status::OK();
 }
 
 size_t Pipeline::events_processed() const {
@@ -721,12 +586,7 @@ size_t Pipeline::events_processed() const {
       events_ingested_.load(std::memory_order_relaxed));
 }
 
-uint64_t Pipeline::events_shed() const {
-  uint64_t total = 0;
-  if (runtime_ != nullptr) total += runtime_->events_shed();
-  if (private_engine_ != nullptr) total += private_engine_->events_shed();
-  return total;
-}
+uint64_t Pipeline::events_shed() const { return runtime_->events_shed(); }
 
 SheddingStats Pipeline::shedding_stats() const {
   SheddingStats s;
@@ -741,8 +601,7 @@ SheddingStats Pipeline::shedding_stats() const {
 
 obs::MetricsSnapshot Pipeline::MetricsSnapshot() {
   if (metrics_ == nullptr) return obs::MetricsSnapshot();
-  if (runtime_ != nullptr) runtime_->RefreshMetricGauges();
-  if (private_engine_ != nullptr) private_engine_->RefreshMetricGauges();
+  runtime_->RefreshMetricGauges();
   if (intern_attr_entries_ != nullptr) {
     intern_attr_entries_->Set(static_cast<double>(AttrNames().size()));
     intern_attr_budget_->Set(static_cast<double>(AttrNames().budget()));
@@ -755,30 +614,17 @@ obs::MetricsSnapshot Pipeline::MetricsSnapshot() {
 obs::PipelineHealth Pipeline::Health(
     const obs::HealthThresholds& thresholds) const {
   obs::PipelineHealth health;
-  if (runtime_ != nullptr) runtime_->CollectHealth(&health, "plain");
-  if (private_engine_ != nullptr) private_engine_->CollectHealth(&health);
+  runtime_->CollectHealth(&health);
   obs::FinalizeHealth(&health, thresholds);
   return health;
 }
 
 std::vector<ShardStats> Pipeline::ShardStatsSnapshot() const {
-  if (runtime_ != nullptr) return runtime_->ShardStatsSnapshot();
-  if (private_engine_ != nullptr) return private_engine_->ShardStatsSnapshot();
-  return {};
+  return runtime_->ShardStatsSnapshot();
 }
 
 std::vector<ShardStats> Pipeline::CrossShardStatsSnapshot() const {
-  std::vector<ShardStats> stats;
-  if (runtime_ != nullptr) {
-    const std::vector<ShardStats> part = runtime_->CrossShardStatsSnapshot();
-    stats.insert(stats.end(), part.begin(), part.end());
-  }
-  if (private_engine_ != nullptr) {
-    const std::vector<ShardStats> part =
-        private_engine_->CrossShardStatsSnapshot();
-    stats.insert(stats.end(), part.begin(), part.end());
-  }
-  return stats;
+  return runtime_->CrossShardStatsSnapshot();
 }
 
 // ---------------------------------------------------------------------------
@@ -789,9 +635,8 @@ namespace {
 /// The hard-error replacement for the old facades' unknown-name lookups: a
 /// handle either proves a successful registration on exactly this
 /// pipeline, or the lookup refuses loudly.
-Status CheckHandle(const Pipeline* pipeline, uint64_t pipeline_uid,
-                   const internal::QueryHandleRep& rep, const char* kind) {
-  (void)pipeline;
+Status CheckHandle(uint64_t pipeline_uid, const internal::QueryHandleRep& rep,
+                   const char* kind) {
   if (rep.builder_uid != pipeline_uid) {
     return Status::InvalidArgument(std::string(kind) +
                                    " handle does not belong to this pipeline");
@@ -809,46 +654,39 @@ Status CheckHandle(const Pipeline* pipeline, uint64_t pipeline_uid,
 
 StatusOr<std::vector<Timestamp>> FinishedPipeline::Detections(
     const QueryHandle& handle) const {
-  PLDP_RETURN_IF_ERROR(CheckHandle(pipeline_, pipeline_->builder_uid_,
-                                   handle.rep_, "query"));
-  const size_t index = pipeline_->plain_map_[handle.rep_.index];
-  if (pipeline_->sequential_ != nullptr) {
-    return pipeline_->sequential_->DetectionsOf(index);
-  }
-  return pipeline_->runtime_->DetectionsOf(index);
+  PLDP_RETURN_IF_ERROR(
+      CheckHandle(pipeline_->builder_uid_, handle.rep_, "query"));
+  return pipeline_->runtime_->DetectionsOf(
+      pipeline_->plain_map_[handle.rep_.index]);
 }
 
 StatusOr<std::vector<Timestamp>> FinishedPipeline::Detections(
     const CrossQueryHandle& handle) const {
-  PLDP_RETURN_IF_ERROR(CheckHandle(pipeline_, pipeline_->builder_uid_,
-                                   handle.rep_, "cross query"));
-  const size_t index = pipeline_->cross_map_[handle.rep_.index];
-  if (pipeline_->sequential_ != nullptr) {
-    return pipeline_->sequential_->DetectionsOf(index);
-  }
-  return pipeline_->runtime_->CrossDetectionsOf(index);
+  PLDP_RETURN_IF_ERROR(
+      CheckHandle(pipeline_->builder_uid_, handle.rep_, "cross query"));
+  return pipeline_->runtime_->CrossDetectionsOf(
+      pipeline_->cross_map_[handle.rep_.index]);
 }
 
 StatusOr<std::vector<Timestamp>> FinishedPipeline::Detections(
     const PrivateCrossQueryHandle& handle) const {
-  PLDP_RETURN_IF_ERROR(CheckHandle(pipeline_, pipeline_->builder_uid_,
-                                   handle.rep_, "private cross query"));
-  return pipeline_->private_engine_->CrossDetectionsOf(
+  PLDP_RETURN_IF_ERROR(CheckHandle(pipeline_->builder_uid_, handle.rep_,
+                                   "private cross query"));
+  return pipeline_->runtime_->CrossDetectionsOf(
       pipeline_->private_cross_map_[handle.rep_.index]);
 }
 
 std::vector<StreamId> FinishedPipeline::Subjects() const {
-  if (pipeline_->private_engine_ == nullptr) return {};
-  return pipeline_->private_engine_->SubjectIds();
+  if (pipeline_->private_lane_ == nullptr) return {};
+  return pipeline_->private_lane_->SubjectIds();
 }
 
 StatusOr<AnswerSeries> FinishedPipeline::AnswersOf(
     const PrivateQueryHandle& handle, StreamId subject) const {
-  PLDP_RETURN_IF_ERROR(CheckHandle(pipeline_, pipeline_->builder_uid_,
-                                   handle.rep_, "private query"));
-  PLDP_ASSIGN_OR_RETURN(
-      const SubjectResults* results,
-      pipeline_->private_engine_->ResultsViewFor(subject));
+  PLDP_RETURN_IF_ERROR(
+      CheckHandle(pipeline_->builder_uid_, handle.rep_, "private query"));
+  PLDP_ASSIGN_OR_RETURN(const SubjectResults* results,
+                        pipeline_->private_lane_->ResultsViewFor(subject));
   const QueryId id = pipeline_->private_map_[handle.rep_.index];
   if (id >= results->answers.size()) {
     return Status::Internal("private query id out of range");
@@ -857,45 +695,16 @@ StatusOr<AnswerSeries> FinishedPipeline::AnswersOf(
 }
 
 size_t FinishedPipeline::total_windows() const {
-  if (pipeline_->private_engine_ == nullptr) return 0;
-  return pipeline_->private_engine_->total_windows();
+  if (pipeline_->private_lane_ == nullptr) return 0;
+  return pipeline_->private_lane_->total_windows();
 }
 
 size_t FinishedPipeline::total_detections() const {
-  if (pipeline_->sequential_ != nullptr) {
-    // The sequential engine hosts plain AND cross queries in one index
-    // space; count only the plain ones here (cross queries are reported
-    // by total_cross_detections, matching the sharded topologies).
-    size_t total = 0;
-    for (size_t index : pipeline_->plain_map_) {
-      StatusOr<std::vector<Timestamp>> part =
-          pipeline_->sequential_->DetectionsOf(index);
-      if (part.ok()) total += part.value().size();
-    }
-    return total;
-  }
-  if (pipeline_->runtime_ != nullptr) {
-    return pipeline_->runtime_->total_detections();
-  }
-  return 0;
+  return pipeline_->runtime_->total_detections();
 }
 
 size_t FinishedPipeline::total_cross_detections() const {
-  size_t total = 0;
-  if (pipeline_->sequential_ != nullptr) {
-    for (size_t index : pipeline_->cross_map_) {
-      StatusOr<std::vector<Timestamp>> part =
-          pipeline_->sequential_->DetectionsOf(index);
-      if (part.ok()) total += part.value().size();
-    }
-  }
-  if (pipeline_->runtime_ != nullptr) {
-    total += pipeline_->runtime_->total_cross_detections();
-  }
-  if (pipeline_->private_engine_ != nullptr) {
-    total += pipeline_->private_engine_->total_cross_detections();
-  }
-  return total;
+  return pipeline_->runtime_->total_cross_detections();
 }
 
 size_t FinishedPipeline::events_processed() const {

@@ -2,29 +2,27 @@
 //
 // The declarative pipeline API: one entry point that *plans* the topology.
 //
-// The engines underneath this header — StreamingCepEngine,
-// ParallelStreamingEngine, PrivateCepEngine, ParallelPrivateEngine — grew
-// up as separate facades with divergent registration, drain, and
-// result-lookup contracts. `PipelineBuilder` replaces them at the API
-// boundary: callers declare *what* they want (plain per-subject queries,
+// `PipelineBuilder` is the API boundary over the engines underneath
+// (ParallelStreamingEngine, the private lane of core/private_lane.h):
+// callers declare *what* they want (plain per-subject queries,
 // cross-subject queries with per-query correlation keys, private target
 // queries plus a privacy mechanism) and a shard budget; `Build()` runs a
 // planner that analyzes each query's correlation needs
-// (cep/correlation_key.h) and compiles the minimal topology:
+// (cep/correlation_key.h) and compiles the minimal topology on ONE
+// ParallelStreamingEngine, whose N stage-1 shards every lane shares (each
+// event is routed, stamped, and queued once):
 //
-//   only plain/cross queries, budget 1   -> one in-process sequential
-//                                           engine (no threads, no lanes)
-//   plain queries, budget N              -> sharded ParallelStreamingEngine
-//   cross queries, budget N              -> + one exchange lane-group PER
-//                                           DISTINCT correlation key (a
-//                                           pipeline may correlate one
-//                                           query by "zone" and another by
-//                                           event type simultaneously)
-//   private queries                      -> ParallelPrivateEngine lane
-//                                           (per-subject windows, one
-//                                           mechanism instance per subject;
-//                                           private cross queries ride a
-//                                           protected-view exchange)
+//   plain queries        -> run on the stage-1 shards (N = 1 is a
+//                           one-worker runtime)
+//   cross queries        -> + one exchange lane-group PER DISTINCT
+//                           correlation key (a pipeline may correlate one
+//                           query by "zone" and another by event type
+//                           simultaneously), forwarding every raw event
+//   private queries      -> + a per-shard publisher sink on the same
+//                           shards (per-subject windows, one mechanism
+//                           instance per subject); private cross queries
+//                           ride their own lane-group that carries only
+//                           protected views, never raw events
 //
 // Registration returns *typed handles* (QueryHandle, CrossQueryHandle,
 // PrivateQueryHandle, PrivateCrossQueryHandle). Handles are the only way
@@ -54,12 +52,10 @@
 #include <vector>
 
 #include "cep/correlation_key.h"
-#include "cep/streaming_engine.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "core/parallel_private_engine.h"
+#include "core/private_lane.h"
 #include "obs/health.h"
-#include "obs/instruments.h"
 #include "obs/metrics.h"
 #include "ppm/mechanism.h"
 #include "runtime/parallel_engine.h"
@@ -122,9 +118,9 @@ class QueryHandle {
   /// Registers a streaming detection callback for this query, called with
   /// the completion timestamp of every match the moment it fires. Must be
   /// called before Build() while the builder is alive (later calls are
-  /// ignored). Sequential plans invoke the callback synchronously on the
-  /// ingest thread; sharded plans invoke it on the owning worker thread,
-  /// so the callback must be thread-safe. No-op on invalid handles.
+  /// ignored). It runs on the worker thread of the shard that matched —
+  /// several shards may call it concurrently, so it must be thread-safe.
+  /// No-op on invalid handles.
   QueryHandle& OnDetection(std::function<void(Timestamp)> callback);
 
  private:
@@ -140,8 +136,8 @@ class CrossQueryHandle {
   CrossQueryHandle() = default;
   bool valid() const { return rep_.valid(); }
 
-  /// Streaming detection callback; see QueryHandle::OnDetection. Sharded
-  /// plans invoke it on the query's merge-shard worker thread.
+  /// Streaming detection callback; see QueryHandle::OnDetection. It runs
+  /// on the query's merge-shard worker threads.
   CrossQueryHandle& OnDetection(std::function<void(Timestamp)> callback);
 
  private:
@@ -178,11 +174,9 @@ class PrivateCrossQueryHandle {
 
 /// What the planner decided, for inspection, tests, and logs.
 struct PipelinePlan {
-  /// Resolved stage-1 shard budget (after 0 -> hardware concurrency).
+  /// Resolved stage-1 shard budget (after 0 -> hardware concurrency);
+  /// every lane shares these shards.
   size_t shard_count = 0;
-  /// True when the plain/cross lane runs on one in-process sequential
-  /// engine (budget 1: no worker threads, no exchange).
-  bool sequential = false;
   size_t plain_queries = 0;
 
   /// One exchange lane-group per distinct correlation key.
@@ -203,7 +197,7 @@ struct PipelinePlan {
   bool pin_threads = false;
 
   /// Resolved ingest overload policy (kBlock unless WithOverloadPolicy
-  /// chose a shedding policy; always kBlock for the sequential plan).
+  /// chose a shedding policy).
   OverloadPolicy overload_policy = OverloadPolicy::kBlock;
   /// Per-lane exchange credit budget (0 = engine default).
   size_t reorder_capacity = 0;
@@ -290,11 +284,17 @@ class Pipeline : public StreamSubscriber {
   /// Finish() to obtain the result view.
   Status OnEnd() override;
 
-  /// Non-terminal flow-control barrier: waits until everything ingested so
-  /// far has been processed by the plain/cross lane (workers stay alive,
-  /// ingestion may continue). Deliberately NOT a result gate — results stay
-  /// behind Finish(); this exists for warmup/backpressure checkpoints
-  /// (e.g. the bench harness). The private lane only drains at Finish().
+  /// Non-terminal flow-control barrier of the plain/cross lane: waits
+  /// until everything ingested so far has been processed by the stage-1
+  /// shards and by every exchange lane-group's merge shards (workers stay
+  /// alive, ingestion may continue). The private lane runs on the same
+  /// shards, so in a pipeline with plain or cross queries the barrier
+  /// covers it too: its publishers have absorbed every event, and its
+  /// lane-group has matched every protected view published so far. A
+  /// private-only pipeline has no plain/cross lane and returns at once.
+  /// Deliberately NOT a result gate — results stay behind Finish(), which
+  /// alone publishes the subjects' open privacy windows; this exists for
+  /// warmup/backpressure checkpoints (e.g. the bench harness).
   Status Drain();
 
   /// Terminal drain barrier: drains every lane, finalizes the private
@@ -308,9 +308,10 @@ class Pipeline : public StreamSubscriber {
 
   size_t events_processed() const;
 
-  /// Events deliberately dropped by the overload policy across all lanes
-  /// (always 0 under the default kBlock policy and in sequential plans).
-  /// Safe from any thread, concurrent with ingestion.
+  /// Events deliberately dropped by the overload policy (always 0 under
+  /// the default kBlock policy). One admission layer serves every lane, so
+  /// each offered event is shed at most once. Safe from any thread,
+  /// concurrent with ingestion.
   uint64_t events_shed() const;
 
   /// Admitted/shed roll-up for quality accounting. A
@@ -318,7 +319,9 @@ class Pipeline : public StreamSubscriber {
   /// detections are bit-identical to a kBlock run. Safe from any thread.
   SheddingStats shedding_stats() const;
 
+  /// Per-shard stage-1 counters (the one shard set every lane shares).
   std::vector<ShardStats> ShardStatsSnapshot() const;
+  /// Per-merge-shard counters of every lane-group, plain groups first.
   std::vector<ShardStats> CrossShardStatsSnapshot() const;
 
   // --- Telemetry (PipelineBuilder::EnableMetrics) -------------------------
@@ -348,30 +351,22 @@ class Pipeline : public StreamSubscriber {
   PipelinePlan plan_;
   uint64_t builder_uid_ = 0;
 
-  /// Plain/cross lane: exactly one of these is set when the pipeline has
-  /// plain or cross queries.
-  std::unique_ptr<StreamingCepEngine> sequential_;
+  /// Private lane (null without private queries). Declared before the
+  /// runtime so it outlives the workers whose sinks borrow its registries.
+  std::unique_ptr<PrivateLane> private_lane_;
+  /// The one runtime every lane runs on.
   std::unique_ptr<ParallelStreamingEngine> runtime_;
 
-  /// Private lane.
-  std::unique_ptr<ParallelPrivateEngine> private_engine_;
-
-  /// Handle-index translation: registration index -> engine query index.
-  /// (Sequential mode interleaves plain and cross queries in one engine's
-  /// index space; the maps keep handles stable either way.)
+  /// Handle-index translation: registration index -> runtime query index.
   std::vector<size_t> plain_map_;
   std::vector<size_t> cross_map_;
   std::vector<QueryId> private_map_;
   std::vector<size_t> private_cross_map_;
 
   /// Telemetry (set iff the builder enabled metrics). The registry owns
-  /// every instrument; the raw pointers below are stable borrows. The
-  /// sequential plan has no Shard worker, so the pipeline itself records
-  /// the lane="plain",shard="0" instruments around the in-process engine —
-  /// keeping the exposition schema identical across plans.
+  /// every instrument; the raw pointers below are stable borrows.
   std::unique_ptr<obs::MetricsRegistry> metrics_;
   obs::Counter* ingest_counter_ = nullptr;
-  obs::ShardInstruments seq_obs_;
   obs::Gauge* intern_attr_entries_ = nullptr;
   obs::Gauge* intern_attr_budget_ = nullptr;
   obs::Gauge* intern_symbol_entries_ = nullptr;
@@ -397,8 +392,8 @@ class PipelineBuilder {
 
   // --- Topology budgets --------------------------------------------------
 
-  /// Stage-1 worker budget. 0 (default) = one per hardware thread; 1 plans
-  /// the sequential in-process engine for the plain/cross lane.
+  /// Stage-1 worker budget, shared by every lane. 0 (default) = one per
+  /// hardware thread; 1 = a one-worker runtime.
   PipelineBuilder& WithShards(size_t shard_budget);
   /// Stage-2 merge shards per exchange lane-group. 0 = same as stage-1.
   PipelineBuilder& WithCrossShards(size_t merge_shards);
@@ -422,12 +417,11 @@ class PipelineBuilder {
   /// `pending_capacity` events (0 = queue capacity) also fills; drops are
   /// counted in pldp_shed_events_total and Pipeline::events_shed().
   /// Shedding never reorders admitted events, so a run that sheds nothing
-  /// is bit-identical to kBlock. Ignored by the sequential plan (no
-  /// queues). See runtime/overload.h for the policy semantics.
+  /// is bit-identical to kBlock. A shed event reaches no lane (plain,
+  /// cross, or private). See runtime/overload.h for the policy semantics.
   PipelineBuilder& WithOverloadPolicy(OverloadPolicy policy,
                                       size_t pending_capacity = 0);
-  /// Base seed for every deterministic Rng in the pipeline (per-shard and
-  /// per-subject mechanism Rngs derive from it).
+  /// Base seed of the private lane's per-subject mechanism Rngs.
   PipelineBuilder& WithSeed(uint64_t seed);
   /// Pins worker threads round-robin to cores at start (stage-1 shards
   /// first, then merge shards), capped to `max_cores` distinct cores

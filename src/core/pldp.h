@@ -19,8 +19,8 @@
 //              shards, ParallelStreamingEngine, batched ingest)
 //   obs/       telemetry: metrics registry, per-stage instruments,
 //              Prometheus/JSON exposition, health roll-up, TCP endpoint
-//   core/      PrivateCepEngine facade, ParallelPrivateEngine (sharded
-//              service phase), evaluation pipeline
+//   core/      PrivateCepEngine facade, the pipeline's private lane
+//              (sharded service phase), evaluation pipeline
 
 #ifndef PLDP_CORE_PLDP_H_
 #define PLDP_CORE_PLDP_H_
@@ -41,7 +41,7 @@
 #include "common/status.h"
 #include "common/strings.h"
 #include "core/evaluation.h"
-#include "core/parallel_private_engine.h"
+#include "core/private_lane.h"
 #include "core/private_engine.h"
 #include "datasets/dataset.h"
 #include "datasets/synthetic.h"

@@ -14,8 +14,9 @@
 // DEPRECATED as a user-facing facade for serving: declare private queries
 // through `PipelineBuilder` (api/pipeline_builder.h) instead — the planner
 // compiles the sharded private lane and gates results behind typed
-// handles. This class remains the setup-phase substrate of
-// ParallelPrivateEngine and the evaluation harness's batch entry point.
+// handles. This class remains the setup-phase substrate of the pipeline's
+// private lane (core/private_lane.h), the test oracle of its equivalence
+// suites, and the evaluation harness's batch entry point.
 
 #ifndef PLDP_CORE_PRIVATE_ENGINE_H_
 #define PLDP_CORE_PRIVATE_ENGINE_H_
@@ -87,7 +88,7 @@ class PrivateCepEngine {
   Status Activate(std::unique_ptr<PrivacyMechanism> mechanism, double epsilon);
 
   /// Assembles the MechanismContext Activate hands to the mechanism. Public
-  /// so ParallelPrivateEngine can configure its shard-local mechanism
+  /// so the private lane can configure its shard-local mechanism
   /// instances with the exact same view of the setup phase. The returned
   /// context borrows from this engine (registries, history) and must not
   /// outlive it.

@@ -38,8 +38,8 @@ void FinalizeHealth(PipelineHealth* health, const HealthThresholds& t) {
     if (row.saturation >= t.degraded_saturation) {
       char buf[160];
       std::snprintf(buf, sizeof(buf),
-                    "%s shard %zu queue at %.0f%% capacity (%zu/%zu)",
-                    row.lane.c_str(), row.shard, row.saturation * 100.0,
+                    "shard %zu queue at %.0f%% capacity (%zu/%zu)",
+                    row.shard, row.saturation * 100.0,
                     row.queue_depth, row.queue_capacity);
       health->issues.push_back(buf);
       if (health->state == PipelineHealth::State::kHealthy) {
@@ -92,7 +92,7 @@ std::string RenderHealthJson(const PipelineHealth& health) {
     if (i != 0) out << ",";
     char sat[32];
     std::snprintf(sat, sizeof(sat), "%.4f", row.saturation);
-    out << "{\"lane\":\"" << row.lane << "\",\"shard\":" << row.shard
+    out << "{\"shard\":" << row.shard
         << ",\"queue_depth\":" << row.queue_depth
         << ",\"queue_capacity\":" << row.queue_capacity
         << ",\"saturation\":" << sat << "}";

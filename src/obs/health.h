@@ -29,8 +29,8 @@ struct HealthThresholds {
 struct PipelineHealth {
   enum class State { kHealthy, kDegraded, kStalled };
 
+  /// One stage-1 shard (every lane shares them).
   struct ShardRow {
-    std::string lane;   ///< "plain" or "private"
     size_t shard = 0;
     size_t queue_depth = 0;
     size_t queue_capacity = 0;
@@ -38,8 +38,8 @@ struct PipelineHealth {
   };
 
   struct GroupRow {
-    std::string lane;
-    std::string group;  ///< correlation-key id ("default" for unkeyed)
+    std::string lane;   ///< "plain" (raw-forwarding) or "private"
+    std::string group;  ///< correlation-key id, e.g. "attr:zone"
     size_t merge_shard = 0;
     uint64_t watermark_lag = 0;   ///< ingest frontier − safe watermark
     uint64_t reorder_depth = 0;   ///< events waiting in the reorder buffer

@@ -34,7 +34,7 @@ StatusOr<std::unique_ptr<PrivacyMechanism>> MakeMechanism(
 std::vector<std::string> AllMechanismNames();
 
 /// Wraps MakeMechanism(name, options) as a reusable factory — the form the
-/// per-subject publisher (ppm/subject_publisher.h) and ParallelPrivateEngine
+/// per-subject publisher (ppm/subject_publisher.h) and the private lane
 /// consume.
 MechanismFactory NamedMechanismFactory(const std::string& name,
                                        MechanismFactoryOptions options = {});

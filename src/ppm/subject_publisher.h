@@ -16,7 +16,7 @@
 // from (base seed, subject id) via `SubjectSeed`, and each subject gets a
 // fresh mechanism instance from the factory, so the published answers do
 // not depend on which worker absorbed the subject or on how subjects
-// interleave. This is what lets ParallelPrivateEngine produce identical
+// interleave. This is what lets the private lane produce identical
 // results at any shard count.
 
 #ifndef PLDP_PPM_SUBJECT_PUBLISHER_H_

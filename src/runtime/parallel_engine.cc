@@ -41,11 +41,7 @@ ParallelStreamingEngine::ParallelStreamingEngine(ParallelEngineOptions options)
   // capacity is retained across OnEventBatch calls (clear() keeps it).
   for (auto& buf : staging_) buf.reserve(options.queue_capacity);
   for (size_t i = 0; i < n; ++i) {
-    shards_.push_back(
-        std::make_unique<Shard>(i, options.queue_capacity, options.seed));
-    if (options.sink_factory) {
-      (void)shards_.back()->SetEventSink(options.sink_factory(i));
-    }
+    shards_.push_back(std::make_unique<Shard>(i, options.queue_capacity));
   }
 
   if (overload_options_.policy != OverloadPolicy::kBlock) {
@@ -56,26 +52,6 @@ ParallelStreamingEngine::ParallelStreamingEngine(ParallelEngineOptions options)
     for (auto& shard : shards_) raw.push_back(shard.get());
     admission_ = std::make_unique<AdmissionQueue>(
         overload_options_, std::move(raw), &events_ingested_);
-  }
-
-  if (options.exchange.enabled) {
-    // The default lane-group (key_id ""), configured by options.exchange.
-    // Further groups appear on demand via AddCrossQueryKeyed.
-    ShardKeyFn exchange_key = options.exchange.key_fn;
-    if (!exchange_key) {
-      StatusOr<CorrelationKeyFn> key_or =
-          MakeCorrelationKeyFn(options.exchange.key);
-      if (!key_or.ok()) {
-        init_error_ = key_or.status();
-      } else {
-        exchange_key = std::move(key_or).value();
-      }
-    }
-    if (init_error_.ok()) {
-      StatusOr<size_t> group = GetOrCreateGroup(
-          "", std::move(exchange_key), options.exchange.forward_raw_events);
-      if (!group.ok()) init_error_ = group.status();
-    }
   }
 }
 
@@ -100,7 +76,10 @@ StatusOr<size_t> ParallelStreamingEngine::AddQuery(Pattern pattern,
 StatusOr<size_t> ParallelStreamingEngine::GetOrCreateGroup(
     const std::string& key_id, ShardKeyFn key_fn, bool forward_raw_events) {
   for (size_t g = 0; g < groups_.size(); ++g) {
-    if (groups_[g].key_id == key_id) return g;
+    if (groups_[g].key_id == key_id &&
+        groups_[g].forward_raw_events == forward_raw_events) {
+      return g;
+    }
   }
   if (running_) {
     return Status::FailedPrecondition(
@@ -115,6 +94,7 @@ StatusOr<size_t> ParallelStreamingEngine::GetOrCreateGroup(
                         : n1;
   ExchangeGroup group;
   group.key_id = key_id;
+  group.forward_raw_events = forward_raw_events;
   group.fabric = std::make_unique<ExchangeFabric>(
       n1, n2, exchange_options_.lane_capacity,
       exchange_options_.reorder_capacity);
@@ -133,8 +113,16 @@ StatusOr<size_t> ParallelStreamingEngine::GetOrCreateGroup(
   return groups_.size() - 1;
 }
 
-StatusOr<size_t> ParallelStreamingEngine::AddCrossQueryToGroup(
-    size_t group_index, Pattern pattern, Timestamp window) {
+StatusOr<size_t> ParallelStreamingEngine::AddCrossQuery(
+    Pattern pattern, Timestamp window, const std::string& key_id,
+    ShardKeyFn key_fn, bool forward_raw_events) {
+  if (running_) {
+    return Status::FailedPrecondition(
+        "ParallelStreamingEngine::AddCrossQuery must precede Start()");
+  }
+  PLDP_ASSIGN_OR_RETURN(
+      size_t group_index,
+      GetOrCreateGroup(key_id, std::move(key_fn), forward_raw_events));
   ExchangeGroup& group = groups_[group_index];
   size_t local = 0;
   for (auto& merge_shard : group.merge_shards) {
@@ -147,36 +135,17 @@ StatusOr<size_t> ParallelStreamingEngine::AddCrossQueryToGroup(
   return cross_index_.size() - 1;
 }
 
-StatusOr<size_t> ParallelStreamingEngine::AddCrossQuery(Pattern pattern,
-                                                        Timestamp window) {
-  if (running_) {
-    return Status::FailedPrecondition(
-        "ParallelStreamingEngine::AddCrossQuery must precede Start()");
+Status ParallelStreamingEngine::SetShardSink(
+    size_t shard_index, std::unique_ptr<ShardEventSink> sink) {
+  if (shard_index >= shards_.size()) {
+    return Status::OutOfRange("unknown shard index " +
+                              std::to_string(shard_index));
   }
-  if (!exchange_options_.enabled || groups_.empty()) {
-    return Status::FailedPrecondition(
-        "cross queries need the exchange stage (options.exchange.enabled), "
-        "or a per-query key via AddCrossQueryKeyed");
-  }
-  // The default group is always the first one created (key_id "").
-  return AddCrossQueryToGroup(0, std::move(pattern), window);
+  return shards_[shard_index]->SetEventSink(std::move(sink));
 }
 
-StatusOr<size_t> ParallelStreamingEngine::AddCrossQueryKeyed(
-    Pattern pattern, Timestamp window, const std::string& key_id,
-    ShardKeyFn key_fn) {
-  if (running_) {
-    return Status::FailedPrecondition(
-        "ParallelStreamingEngine::AddCrossQueryKeyed must precede Start()");
-  }
-  PLDP_ASSIGN_OR_RETURN(size_t group_index,
-                        GetOrCreateGroup(key_id, std::move(key_fn),
-                                         exchange_options_.forward_raw_events));
-  return AddCrossQueryToGroup(group_index, std::move(pattern), window);
-}
-
-Status ParallelStreamingEngine::EnableMetrics(obs::MetricsRegistry* registry,
-                                              const std::string& lane) {
+Status ParallelStreamingEngine::EnableMetrics(
+    obs::MetricsRegistry* registry) {
   if (running_) {
     return Status::FailedPrecondition(
         "EnableMetrics must precede Start()");
@@ -188,7 +157,6 @@ Status ParallelStreamingEngine::EnableMetrics(obs::MetricsRegistry* registry,
     return Status::FailedPrecondition("metrics already enabled");
   }
   metrics_ = registry;
-  metrics_lane_ = lane;
 
   shard_queue_gauges_.resize(shards_.size(), nullptr);
   for (size_t i = 0; i < shards_.size(); ++i) {
@@ -196,29 +164,29 @@ Status ParallelStreamingEngine::EnableMetrics(obs::MetricsRegistry* registry,
     obs::ShardInstruments ins;
     ins.events = registry->AddCounter(
         "pldp_shard_events_total", "Events popped and processed by a shard",
-        {{"lane", lane}, {"shard", shard_label}});
+        {{"shard", shard_label}});
     ins.backpressure_waits = registry->AddCounter(
         "pldp_shard_backpressure_waits_total",
         "Full-queue waits a producer spent pushing to a shard",
-        {{"lane", lane}, {"shard", shard_label}});
+        {{"shard", shard_label}});
     ins.batch_size = registry->AddHistogram(
         "pldp_shard_batch_size", "Events per worker pop burst",
-        {{"lane", lane}, {"shard", shard_label}});
+        {{"shard", shard_label}});
     ins.process_latency_ns = registry->AddHistogram(
         "pldp_shard_process_latency_ns",
         "Per-event shard processing latency (engine + sink + exchange), ns",
-        {{"lane", lane}, {"shard", shard_label}});
+        {{"shard", shard_label}});
     ins.parks = registry->AddCounter(
         "pldp_shard_parks_total",
         "Times an idle shard worker parked on its doorbell",
-        {{"lane", lane}, {"shard", shard_label}});
+        {{"shard", shard_label}});
     ins.wakes = registry->AddCounter(
         "pldp_shard_wakes_total",
         "Slow-path doorbell notifies that woke a parked shard worker",
-        {{"lane", lane}, {"shard", shard_label}});
+        {{"shard", shard_label}});
     shard_queue_gauges_[i] = registry->AddGauge(
         "pldp_shard_queue_depth", "Instantaneous shard input-queue depth",
-        {{"lane", lane}, {"shard", shard_label}});
+        {{"shard", shard_label}});
     ins.queue_depth = shard_queue_gauges_[i];
     PLDP_RETURN_IF_ERROR(shards_[i]->SetInstruments(ins));
     if (admission_ != nullptr) {
@@ -226,8 +194,7 @@ Status ParallelStreamingEngine::EnableMetrics(obs::MetricsRegistry* registry,
           i, registry->AddCounter(
                  "pldp_shed_events_total",
                  "Events deliberately dropped by the overload policy",
-                 {{"lane", lane},
-                  {"shard", shard_label},
+                 {{"shard", shard_label},
                   {"policy", OverloadPolicyName(overload_options_.policy)}}));
     }
   }
@@ -238,8 +205,8 @@ Status ParallelStreamingEngine::EnableMetrics(obs::MetricsRegistry* registry,
   merge_capacity_gauges_.assign(groups_.size(), {});
   for (size_t g = 0; g < groups_.size(); ++g) {
     const ExchangeGroup& group = groups_[g];
-    const std::string group_label =
-        group.key_id.empty() ? "default" : group.key_id;
+    const std::string& group_label = group.key_id;
+    const std::string lane = group.forward_raw_events ? "plain" : "private";
     lane_depth_gauges_[g].resize(shards_.size(), nullptr);
     for (size_t p = 0; p < shards_.size(); ++p) {
       const std::string producer_label = std::to_string(p);
@@ -392,7 +359,7 @@ Status ParallelStreamingEngine::SetCrossQueryCallback(
   return Status::OK();
 }
 
-void ParallelStreamingEngine::InstallCallbackDispatchers() {
+Status ParallelStreamingEngine::InstallCallbackDispatchers() {
   bool any_plain = false;
   for (const auto& cb : query_callbacks_) {
     if (cb) any_plain = true;
@@ -402,12 +369,13 @@ void ParallelStreamingEngine::InstallCallbackDispatchers() {
       // One dispatcher per shard; callbacks_ is frozen once Start ran, so
       // worker-thread reads are race-free. The same user callback may fire
       // concurrently from several shards — documented as thread-safe.
-      (void)shard->SetDetectionCallback([this](const StreamingDetection& d) {
-        if (d.query_index < query_callbacks_.size() &&
-            query_callbacks_[d.query_index]) {
-          query_callbacks_[d.query_index](d.at);
-        }
-      });
+      PLDP_RETURN_IF_ERROR(
+          shard->SetDetectionCallback([this](const StreamingDetection& d) {
+            if (d.query_index < query_callbacks_.size() &&
+                query_callbacks_[d.query_index]) {
+              query_callbacks_[d.query_index](d.at);
+            }
+          }));
     }
   }
   bool any_cross = false;
@@ -428,7 +396,7 @@ void ParallelStreamingEngine::InstallCallbackDispatchers() {
     for (size_t g = 0; g < groups_.size(); ++g) {
       auto map = local_to_global[g];
       for (auto& merge_shard : groups_[g].merge_shards) {
-        (void)merge_shard->SetDetectionCallback(
+        PLDP_RETURN_IF_ERROR(merge_shard->SetDetectionCallback(
             [this, map](const StreamingDetection& d) {
               if (d.query_index >= map.size()) return;
               const size_t global = map[d.query_index];
@@ -436,17 +404,17 @@ void ParallelStreamingEngine::InstallCallbackDispatchers() {
                   cross_query_callbacks_[global]) {
                 cross_query_callbacks_[global](d.at);
               }
-            });
+            }));
       }
     }
   }
+  return Status::OK();
 }
 
-void ParallelStreamingEngine::CollectHealth(obs::PipelineHealth* health,
-                                            const std::string& lane) const {
+void ParallelStreamingEngine::CollectHealth(
+    obs::PipelineHealth* health) const {
   for (size_t i = 0; i < shards_.size(); ++i) {
     obs::PipelineHealth::ShardRow row;
-    row.lane = lane;
     row.shard = i;
     row.queue_depth = shards_[i]->queue_depth();
     row.queue_capacity = shards_[i]->queue_capacity();
@@ -461,8 +429,8 @@ void ParallelStreamingEngine::CollectHealth(obs::PipelineHealth* health,
     for (size_t c = 0; c < group.merge_shards.size(); ++c) {
       const MergeShard& merge = *group.merge_shards[c];
       obs::PipelineHealth::GroupRow row;
-      row.lane = lane;
-      row.group = group.key_id.empty() ? "default" : group.key_id;
+      row.lane = group.forward_raw_events ? "plain" : "private";
+      row.group = group.key_id;
       row.merge_shard = c;
       const uint64_t safe = merge.safe_primary();
       row.watermark_lag = safe >= frontier ? 0 : frontier - safe;
@@ -477,8 +445,7 @@ Status ParallelStreamingEngine::Start() {
   if (running_) {
     return Status::FailedPrecondition("engine already running");
   }
-  PLDP_RETURN_IF_ERROR(init_error_);
-  InstallCallbackDispatchers();
+  PLDP_RETURN_IF_ERROR(InstallCallbackDispatchers());
   if (pin_threads_) {
     // Round-robin core assignment, stage-1 shards first so they land on
     // distinct cores before the merge shards start sharing. Purely a
@@ -741,9 +708,6 @@ StatusOr<std::vector<Timestamp>> ParallelStreamingEngine::DetectionsOf(
 
 StatusOr<std::vector<Timestamp>> ParallelStreamingEngine::CrossDetectionsOf(
     size_t cross_query_index) const {
-  if (groups_.empty()) {
-    return Status::FailedPrecondition("exchange stage is not enabled");
-  }
   if (cross_query_index >= cross_index_.size()) {
     return Status::OutOfRange(
         "unknown cross query index " + std::to_string(cross_query_index) +

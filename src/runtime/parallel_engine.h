@@ -17,14 +17,17 @@
 // merge shards (runtime/merge_shard.h) restore global order with a
 // watermark-gated k-way merge before matching the cross-subject queries.
 // Cross queries that need *different* correlation keys get one exchange
-// lane-group each (own fabric + merge shards, see AddCrossQueryKeyed);
-// stage-1 workers fan their output through every group's emitter.
+// lane-group each (own fabric + merge shards, see AddCrossQuery); stage-1
+// workers fan their output through every group's emitter. A group either
+// forwards every raw event (plain cross queries) or carries only what the
+// shards' event sinks emit (the private lane's protected views), so one
+// set of stage-1 shards serves the plain, cross, and private lanes.
 //
 // NOTE: prefer the declarative `PipelineBuilder` (api/pipeline_builder.h)
 // over constructing this engine directly — the builder plans the minimal
 // topology from the registered queries and returns typed query handles
-// whose result accessors encode the drain contract. This class remains the
-// planner's sharded/exchange execution target.
+// whose result accessors encode the drain contract. This class is the
+// planner's one execution target: every pipeline owns exactly one.
 //
 //     caller / StreamReplayer
 //            │ OnEvent / OnEventBatch (stamped with ingest seq,
@@ -78,11 +81,9 @@
 
 namespace pldp {
 
-/// Configuration of the optional repartition/exchange stage.
+/// Shape of every exchange lane-group (created by AddCrossQuery).
 struct RuntimeExchangeOptions {
-  /// Off by default: the engine is the familiar single-stage runtime.
-  bool enabled = false;
-  /// Stage-2 merge shards. 0 = as many as stage-1 shards.
+  /// Stage-2 merge shards per lane-group. 0 = as many as stage-1 shards.
   size_t shard_count = 0;
   /// Capacity of each exchange lane (rounded up to a power of two).
   size_t lane_capacity = 1024;
@@ -91,14 +92,6 @@ struct RuntimeExchangeOptions {
   /// (runtime/exchange.h). 0 = kDefaultExchangeReorderCapacity. A merge
   /// shard's total reorder memory is bounded by N1 × this value.
   size_t reorder_capacity = 0;
-  /// How stage-1 output is re-keyed. Ignored when key_fn is set.
-  CorrelationKeySpec key = CorrelationKeySpec::Global();
-  /// Custom correlation key extractor; overrides `key` when set.
-  ShardKeyFn key_fn;
-  /// When true (default) every stage-1 event is forwarded downstream (the
-  /// plain cross-subject path). When false, emission is sink-driven only —
-  /// the private path, where nothing but protected output may cross.
-  bool forward_raw_events = true;
 };
 
 /// Construction-time knobs of the runtime.
@@ -110,14 +103,6 @@ struct ParallelEngineOptions {
   size_t queue_capacity = 1024;
   /// Partition key; default = subject (Event::stream()).
   ShardKeyFn key_fn;
-  /// Seed for the per-shard Rngs (deterministic per shard).
-  uint64_t seed = 0x51a9d5ULL;
-  /// Optional per-shard event sink factory, called once per shard at
-  /// construction. The sink runs on the shard's worker thread (see
-  /// Shard::SetEventSink) — this is how shard-local PLDP perturbation
-  /// attaches (core/parallel_private_engine.h).
-  std::function<std::unique_ptr<ShardEventSink>(size_t shard_index)>
-      sink_factory;
   /// The cross-subject exchange stage.
   RuntimeExchangeOptions exchange;
   /// What ingestion does when a shard queue is full (runtime/overload.h).
@@ -150,8 +135,6 @@ class ParallelStreamingEngine : public StreamSubscriber {
   size_t shard_count() const { return shards_.size(); }
   const EventRouter& router() const { return router_; }
 
-  bool exchange_enabled() const { return !groups_.empty(); }
-
   /// Stage-2 merge shards across all exchange lane-groups.
   size_t cross_shard_count() const;
 
@@ -159,37 +142,36 @@ class ParallelStreamingEngine : public StreamSubscriber {
   /// everywhere). Must precede Start(). Returns the query index.
   StatusOr<size_t> AddQuery(Pattern pattern, Timestamp window);
 
-  /// Registers a cross-subject query on the default exchange lane-group
-  /// (the one `options.exchange` configures). Requires
-  /// options.exchange.enabled; must precede Start(). Cross queries have
-  /// their own index space, separate from AddQuery's.
-  StatusOr<size_t> AddCrossQuery(Pattern pattern, Timestamp window);
-
-  /// Registers a cross-subject query on its own exchange lane-group,
-  /// selected by `key_id`: queries sharing a key_id share one fabric +
-  /// merge-shard set (the caller guarantees equal key_id implies equal
-  /// key_fn), distinct key_ids get independent lane matrices — this is how
-  /// one pipeline runs several cross queries each under its own
+  /// Registers a cross-subject query on the exchange lane-group selected
+  /// by (`key_id`, `forward_raw_events`): queries sharing both share one
+  /// fabric + merge-shard set (the caller guarantees equal key_id implies
+  /// equal key_fn), anything else gets an independent lane matrix — this
+  /// is how one pipeline runs several cross queries each under its own
   /// correlation key. Groups are created on first use with
-  /// options.exchange's shard_count / lane_capacity / forward defaults
-  /// (options.exchange.enabled is NOT required). Must precede Start().
-  /// Returns the cross query index (same global index space as
-  /// AddCrossQuery).
-  StatusOr<size_t> AddCrossQueryKeyed(Pattern pattern, Timestamp window,
-                                      const std::string& key_id,
-                                      ShardKeyFn key_fn);
+  /// options.exchange's shape. A raw-forwarding group receives every
+  /// stage-1 event (plain cross queries); any other group carries only
+  /// what the shards' event sinks emit (the private lane's protected
+  /// views — see Shard::AddExchange). Must precede Start(). Cross queries
+  /// have their own index space, separate from AddQuery's.
+  StatusOr<size_t> AddCrossQuery(Pattern pattern, Timestamp window,
+                                 const std::string& key_id,
+                                 ShardKeyFn key_fn, bool forward_raw_events);
+
+  /// Installs `sink` on stage-1 shard `shard_index` (see
+  /// Shard::SetEventSink). Must precede Start().
+  Status SetShardSink(size_t shard_index,
+                      std::unique_ptr<ShardEventSink> sink);
 
   size_t query_count() const { return query_count_; }
   size_t cross_query_count() const { return cross_index_.size(); }
 
   /// Registers this engine's instruments in `registry` and wires them into
-  /// every stage (shards, exchange emitters, merge shards). `lane` labels
-  /// every metric ("plain" for the raw runtime, "private" for the PLDP
-  /// lane) so two runtimes can share one registry. Call after all queries
-  /// and lane-groups are registered and before Start(); at most once.
+  /// every stage (shards, exchange emitters, merge shards). Exchange and
+  /// merge families carry `lane="plain"` for raw-forwarding groups and
+  /// `lane="private"` for sink-driven ones. Call after all queries and
+  /// lane-groups are registered and before Start(); at most once.
   /// `registry` must outlive the engine.
-  Status EnableMetrics(obs::MetricsRegistry* registry,
-                       const std::string& lane = "plain");
+  Status EnableMetrics(obs::MetricsRegistry* registry);
 
   /// Refreshes the snapshot-time gauges (queue depths, lane depths,
   /// reorder occupancy, watermark lag) from the live atomics. Safe from
@@ -209,10 +191,10 @@ class ParallelStreamingEngine : public StreamSubscriber {
 
   /// Appends this engine's health rows (per-shard queue saturation,
   /// per-group merge lag/occupancy) to `health`. Safe while running.
-  void CollectHealth(obs::PipelineHealth* health,
-                     const std::string& lane) const;
+  void CollectHealth(obs::PipelineHealth* health) const;
 
-  /// Launches all workers (stage-2 consumers first, then stage-1).
+  /// Installs the detection-callback dispatchers and launches all workers
+  /// (stage-2 consumers first, then stage-1).
   Status Start();
 
   /// Waits until every ingested event has been fully processed — through
@@ -298,22 +280,18 @@ class ParallelStreamingEngine : public StreamSubscriber {
   std::vector<ShardStats> ShardStatsSnapshot() const;
 
   /// Per-shard stage-2 counters (events_processed = events released by the
-  /// merge). Empty without the exchange.
+  /// merge), in lane-group creation order. Empty without cross queries.
   std::vector<ShardStats> CrossShardStatsSnapshot() const;
-
-  /// The sink attached to a shard (nullptr when none); index < shard_count.
-  ShardEventSink* shard_sink(size_t shard_index) const {
-    return shards_[shard_index]->event_sink();
-  }
 
  private:
   /// One exchange lane-group: a correlation key's fabric plus the merge
   /// shards consuming it. The fabric is declared before the merge shards so
   /// it is destroyed after them (their threads touch the lanes).
   struct ExchangeGroup {
-    /// Dedupe token of the group's correlation key ("" = the default group
-    /// configured by options.exchange).
+    /// Dedupe token of the group's correlation key.
     std::string key_id;
+    /// Raw-forwarding (plain) vs sink-driven (private) group.
+    bool forward_raw_events = true;
     std::unique_ptr<ExchangeFabric> fabric;
     std::vector<std::unique_ptr<MergeShard>> merge_shards;
     /// Cross queries registered on this group (local index space).
@@ -321,20 +299,15 @@ class ParallelStreamingEngine : public StreamSubscriber {
   };
 
   /// Creates a lane-group for `key_fn` (or finds the existing one with
-  /// this key_id) and wires one emitter per stage-1 shard. Returns the
-  /// group's index into groups_ (stable across later growth, unlike a
-  /// pointer).
+  /// this key_id and forwarding mode) and wires one emitter per stage-1
+  /// shard. Returns the group's index into groups_ (stable across later
+  /// growth, unlike a pointer).
   StatusOr<size_t> GetOrCreateGroup(const std::string& key_id,
                                     ShardKeyFn key_fn,
                                     bool forward_raw_events);
-  StatusOr<size_t> AddCrossQueryToGroup(size_t group_index, Pattern pattern,
-                                        Timestamp window);
 
   EventRouter router_;
-  /// Latched construction error (e.g. malformed correlation spec);
-  /// surfaced by Start().
-  Status init_error_ = Status::OK();
-  /// Exchange defaults applied to lane-groups created after construction.
+  /// Shape of every lane-group created by AddCrossQuery.
   RuntimeExchangeOptions exchange_options_;
   /// Overload policy (kBlock = admission_ stays null, historic path).
   OverloadOptions overload_options_;
@@ -376,7 +349,6 @@ class ParallelStreamingEngine : public StreamSubscriber {
   // Invariant used below: shard hook index g == groups_[g] (every group
   // adds exactly one emitter to every shard, in group-creation order).
   obs::MetricsRegistry* metrics_ = nullptr;
-  std::string metrics_lane_;
   std::vector<obs::Gauge*> shard_queue_gauges_;
   std::vector<std::vector<obs::Gauge*>> lane_depth_gauges_;    // [grp][prod]
   std::vector<std::vector<obs::Gauge*>> merge_reorder_gauges_;  // [grp][cons]
@@ -390,7 +362,7 @@ class ParallelStreamingEngine : public StreamSubscriber {
 
   Status FinishInternal();
   void PublishProducerFloor(uint64_t floor);
-  void InstallCallbackDispatchers();
+  Status InstallCallbackDispatchers();
   /// Snapshot of the ingest frontier: every stamped sequence number is
   /// strictly below it. Safe from any thread (best-effort while the
   /// producer races, exact once it is quiescent — same as Drain).

@@ -19,10 +19,8 @@ constexpr size_t kPopBatch = 256;
 
 }  // namespace
 
-Shard::Shard(size_t index, size_t queue_capacity, uint64_t seed)
-    : index_(index),
-      queue_(queue_capacity),
-      rng_(SplitMix64(seed ^ (0xdecaf000ULL + index)).Next()) {
+Shard::Shard(size_t index, size_t queue_capacity)
+    : index_(index), queue_(queue_capacity) {
   queue_.SetWaker(&doorbell_);
   engine_.SetCallback([this](const StreamingDetection& d) {
     // order: relaxed; telemetry only.
@@ -50,10 +48,12 @@ Status Shard::SetEventSink(std::unique_ptr<ShardEventSink> sink) {
   }
   sink_ = std::move(sink);
   if (sink_ != nullptr) {
-    // Emitters wired in before the sink existed still reach it.
+    // Sink-driven emitters wired in before the sink existed still reach it.
     MutexLock lock(reg_mu_);
     for (ExchangeHook& hook : hooks_) {
-      sink_->AttachExchangeEmitter(hook.emitter.get());
+      if (!hook.forward_raw_events) {
+        sink_->AttachExchangeEmitter(hook.emitter.get());
+      }
     }
   }
   return Status::OK();
@@ -98,7 +98,9 @@ Status Shard::AddExchange(std::unique_ptr<ExchangeEmitter> emitter,
   hook.emitter = std::move(emitter);
   hook.forward_raw_events = forward_raw_events;
   hooks_.push_back(std::move(hook));
-  if (sink_ != nullptr) {
+  // Only sink-driven emitters reach the sink: raw events and sink output
+  // never share a lane-group.
+  if (sink_ != nullptr && !forward_raw_events) {
     sink_->AttachExchangeEmitter(hooks_.back().emitter.get());
   }
   return Status::OK();
@@ -240,17 +242,10 @@ Status Shard::WaitCommandAck(uint64_t token) {
   return Status::OK();
 }
 
-Status Shard::RequestCommand(uint32_t kind, uint64_t payload) {
-  PLDP_ASSIGN_OR_RETURN(uint64_t token, PostCommand(kind, payload));
-  return WaitCommandAck(token);
-}
-
 Status Shard::RequestFlushWatermark(uint64_t bound) {
-  return RequestCommand(kCmdFlushWatermark, bound);
-}
-
-Status Shard::RequestFinish(uint64_t finish_seq) {
-  return RequestCommand(kCmdFinish, finish_seq);
+  PLDP_ASSIGN_OR_RETURN(uint64_t token,
+                        PostCommand(kCmdFlushWatermark, bound));
+  return WaitCommandAck(token);
 }
 
 StatusOr<uint64_t> Shard::PostFinish(uint64_t finish_seq) {

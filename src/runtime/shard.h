@@ -4,14 +4,15 @@
 //
 // A shard owns a worker thread, a bounded SPSC queue feeding it, a private
 // `StreamingCepEngine` (never touched by any other thread while running),
-// a deterministic per-shard `Rng`, optionally a `ShardEventSink` the worker
-// feeds every event to after the engine — the hook the shard-local PLDP
-// perturbation pipeline (core/parallel_private_engine.h) plugs into — and
-// any number of `ExchangeEmitter`s (runtime/exchange.h) through which the
-// worker re-keys its output into stage-2 fabrics. Each emitter belongs to
-// one exchange lane-group (one correlation key); a pipeline with per-query
-// correlation keys attaches one emitter per distinct key, and the worker
-// fans every processed event out through all of them.
+// optionally a `ShardEventSink` the worker feeds every event to after the
+// engine — the hook the shard-local PLDP perturbation pipeline
+// (core/private_lane.h) plugs into — and any number of `ExchangeEmitter`s
+// (runtime/exchange.h) through which the worker re-keys its output into
+// stage-2 fabrics. Each emitter belongs to one exchange lane-group (one
+// correlation key). A raw-forwarding emitter receives every processed
+// event; any other emitter is the sink's alone (only the sink emits
+// through it), so a pipeline's plain and private lanes share one shard
+// without either seeing the other's exchange traffic.
 //
 // Every queued event carries its global ingest sequence number
 // (`StampedEvent`); the worker opens an exchange trigger scope per event so
@@ -31,12 +32,12 @@
 //     so the calls are race-free. A Drain that races a producer waits for
 //     the events pushed at the moment it reads `pushed_` (best effort by
 //     construction).
-//   - RequestFlushWatermark / RequestFinish are issued by one orchestrator
-//     thread after a Drain; they run on the worker and return once it
-//     acknowledged. The orchestrator's claim that the shard has seen every
-//     event below the given bound inherits Drain's best-effort semantics
-//     under racing producers.
-//   - engine() and event_sink() contents are safe to read after Drain() or
+//   - RequestFlushWatermark / PostFinish + WaitCommandAck are issued by one
+//     orchestrator thread after a Drain; they run on the worker and return
+//     once it acknowledged. The orchestrator's claim that the shard has
+//     seen every event below the given bound inherits Drain's best-effort
+//     semantics under racing producers.
+//   - engine() and the sink's state are safe to read after Drain() or
 //     Stop() returned: the worker publishes each processed batch with a
 //     release store that Drain observes with an acquire load, which orders
 //     all engine/sink mutations before the caller's reads. Command
@@ -52,7 +53,6 @@
 
 #include "cep/streaming_engine.h"
 #include "common/atomic.h"
-#include "common/random.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "event/event.h"
@@ -101,13 +101,14 @@ class ShardEventSink {
   virtual ~ShardEventSink() = default;
   virtual void OnShardEvent(const Event& event) = 0;
 
-  /// Called once per exchange fabric the shard is wired into, before
-  /// Start (in AddExchange order). Sinks that emit downstream (e.g.
-  /// protected views) keep the pointer; it outlives the sink. Default:
-  /// ignore.
+  /// Called once per exchange fabric the shard is wired into with raw
+  /// forwarding off, before Start (in AddExchange order): such a fabric
+  /// carries only what the sink emits (e.g. protected views). Raw-
+  /// forwarding fabrics are never attached, so sink output cannot mix
+  /// with raw events. The pointer outlives the sink. Default: ignore.
   virtual void AttachExchangeEmitter(ExchangeEmitter* /*emitter*/) {}
 
-  /// End-of-stream, delivered on the worker thread by RequestFinish after
+  /// End-of-stream, delivered on the worker thread by PostFinish after
   /// every event. `finish_seq` is the sequence bound of the stream (all
   /// processed events have seq < finish_seq); finalize-time emissions must
   /// use it as their trigger. Default: no-op.
@@ -118,9 +119,8 @@ class ShardEventSink {
 class Shard {
  public:
   /// `queue_capacity` is rounded up to a power of two (and clamped to
-  /// kMaxSpscCapacity). `seed` derives the per-shard Rng (deterministic per
-  /// shard across runs).
-  Shard(size_t index, size_t queue_capacity, uint64_t seed);
+  /// kMaxSpscCapacity).
+  Shard(size_t index, size_t queue_capacity);
   ~Shard();
 
   Shard(const Shard&) = delete;
@@ -131,7 +131,8 @@ class Shard {
   /// Registers a query on this shard's engine. Must precede Start().
   StatusOr<size_t> AddQuery(Pattern pattern, Timestamp window);
 
-  /// Installs the worker-side event sink. Must precede Start().
+  /// Installs the worker-side event sink and attaches it to every
+  /// exchange emitter added with raw forwarding off. Must precede Start().
   Status SetEventSink(std::unique_ptr<ShardEventSink> sink);
 
   /// Binds telemetry instruments (obs/instruments.h). Null fields are
@@ -144,8 +145,6 @@ class Shard {
   /// detection counter. Must precede Start().
   Status SetDetectionCallback(DetectionCallback callback);
 
-  ShardEventSink* event_sink() const { return sink_.get(); }
-
   /// Pins the worker thread to `core` at startup (no-op when negative or
   /// unsupported on this platform). Must precede Start().
   void SetAffinityCore(int core) { affinity_core_ = core; }
@@ -154,8 +153,8 @@ class Shard {
   /// `forward_raw_events` is set the worker emits every processed event
   /// through this emitter (the plain cross-subject path); otherwise this
   /// emitter's emission is entirely sink-driven (the private path, where
-  /// only protected views may cross). May be called once per lane-group;
-  /// must precede Start().
+  /// only protected views may cross) and the emitter is attached to the
+  /// sink. May be called once per lane-group; must precede Start().
   Status AddExchange(std::unique_ptr<ExchangeEmitter> emitter,
                      bool forward_raw_events) PLDP_EXCLUDES(reg_mu_);
 
@@ -204,14 +203,11 @@ class Shard {
   /// holds. No-op without an emitter (still acknowledged).
   Status RequestFlushWatermark(uint64_t bound);
 
-  /// Delivers end-of-stream on the worker: the sink's OnShardFinish runs
-  /// (emitting any finalize-time output), then the exchange row is closed
-  /// with terminal watermarks. Call after Drain, with ingestion stopped.
-  Status RequestFinish(uint64_t finish_seq);
-
-  /// Split finish for multi-shard orchestration: posts the end-of-stream
-  /// command without waiting and returns the acknowledgement token for
-  /// WaitCommandAck. Under bounded exchange credits one shard's finalize
+  /// Posts end-of-stream without waiting and returns the acknowledgement
+  /// token for WaitCommandAck. On the worker, the sink's OnShardFinish
+  /// runs (emitting any finalize-time output), then every exchange row is
+  /// closed with terminal watermarks. Call after Drain, with ingestion
+  /// stopped. Under bounded exchange credits one shard's finalize
   /// emissions may only be releasable once every other shard's terminal
   /// watermark is in flight — so the orchestrator must post finish to ALL
   /// shards before waiting on ANY (see ParallelStreamingEngine::Finish).
@@ -232,9 +228,6 @@ class Shard {
   /// The shard-local engine. Read-only access for the orchestrator; only
   /// valid when the shard is stopped or drained (see threading contract).
   const StreamingCepEngine& engine() const { return engine_; }
-
-  /// Shard-local deterministic Rng (shard-local stochastic work).
-  Rng& rng() { return rng_; }
 
   /// Safe from any thread at any time: the counters are atomics, and the
   /// attached-hook list is read under the registration mutex so a scrape
@@ -302,7 +295,6 @@ class Shard {
   void ExecuteCommand(const std::vector<ExchangeHookRef>& hooks)
       PLDP_REQUIRES(worker_role_);
   StatusOr<uint64_t> PostCommand(uint32_t kind, uint64_t payload);
-  Status RequestCommand(uint32_t kind, uint64_t payload);
 
   const size_t index_;
   SpscQueue<StampedEvent> queue_;
@@ -312,7 +304,6 @@ class Shard {
   /// Worker thread CPU affinity (-1 = unpinned).
   int affinity_core_ = -1;
   StreamingCepEngine engine_;
-  Rng rng_;
   std::unique_ptr<ShardEventSink> sink_;
   /// Guards the hook list: AddExchange (orchestrator, pre-Start) can race
   /// a stats()/exchange_count() scrape, and vector growth is not atomic.
@@ -333,28 +324,33 @@ class Shard {
   /// documented handoff).
   ThreadRole worker_role_;
 
+  // The hot atomics below sit on three cache lines by writer, so the
+  // producer's per-push stores and the worker's per-event stores never
+  // share a line, whatever the members before them add up to.
+  static constexpr size_t kCacheLine = 64;
+
   // Producer-side state. The counters are written by the producer thread
   // only (relaxed) but read from arbitrary threads by Drain()/stats(),
   // hence atomic.
-  Atomic<uint64_t> pushed_{0};
+  alignas(kCacheLine) Atomic<uint64_t> pushed_{0};
   Atomic<uint64_t> backpressure_waits_{0};
   Atomic<uint64_t> producer_floor_{0};
 
   // Orchestrator → worker command channel: payload/kind are published by
   // the generation counter (release) and acknowledged by the worker
-  // (release on cmd_ack_).
-  Atomic<uint64_t> cmd_gen_{0};
+  // (release on cmd_ack_). Read-mostly, like the stop flag.
+  alignas(kCacheLine) Atomic<uint64_t> cmd_gen_{0};
   Atomic<uint64_t> cmd_ack_{0};
   Atomic<uint64_t> cmd_payload_{0};
   Atomic<uint32_t> cmd_kind_{kCmdNone};
+  Atomic<bool> stop_requested_{false};
 
   // Worker → producer publication point: incremented (release) after the
   // engine has absorbed a batch; Drain spins on it (acquire).
-  Atomic<uint64_t> processed_{0};
+  alignas(kCacheLine) Atomic<uint64_t> processed_{0};
   // Worker-side detection counter (fed by the engine callback) so stats()
   // never has to touch the non-atomic engine internals.
   Atomic<uint64_t> detections_{0};
-  Atomic<bool> stop_requested_{false};
 
   // Worker-local: sequence of the last processed event, for idle-time
   // progress watermarks.

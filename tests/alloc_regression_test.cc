@@ -148,7 +148,7 @@ TEST(AllocRegressionTest, MetricsEnabledSteadyStateIsAllocationFree) {
     ASSERT_TRUE(engine.AddQuery(std::move(pattern).value(), kWindow).ok());
   }
   obs::MetricsRegistry registry;
-  ASSERT_TRUE(engine.EnableMetrics(&registry, "plain").ok());
+  ASSERT_TRUE(engine.EnableMetrics(&registry).ok());
   ASSERT_TRUE(engine.Start().ok());
 
   const EventStream warmup =
@@ -228,18 +228,20 @@ TEST(AllocRegressionTest, ExchangePipelineSteadyStateIsAllocationFree) {
   ParallelEngineOptions options;
   options.shard_count = 2;
   options.queue_capacity = 4096;
-  options.exchange.enabled = true;
   options.exchange.shard_count = 2;
   options.exchange.lane_capacity = 1024;
-  options.exchange.key = CorrelationKeySpec::ByAttribute("grp");
+  const CorrelationKeyFn key =
+      MakeCorrelationKeyFn(CorrelationKeySpec::ByAttribute("grp")).value();
   ParallelStreamingEngine engine(options);
   for (size_t k = 0; k < kSubjects; ++k) {
     const auto base = static_cast<EventTypeId>(k * kTypesPerSubject);
     auto pattern = Pattern::Create("seq", {base, base + 1, base + 2},
                                    DetectionMode::kSequence);
     ASSERT_TRUE(pattern.ok());
-    ASSERT_TRUE(
-        engine.AddCrossQuery(std::move(pattern).value(), kWindow).ok());
+    ASSERT_TRUE(engine
+                    .AddCrossQuery(std::move(pattern).value(), kWindow, "grp",
+                                   key, /*forward_raw_events=*/true)
+                    .ok());
   }
   ASSERT_TRUE(engine.Start().ok());
 

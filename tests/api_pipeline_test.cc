@@ -1,10 +1,10 @@
 // Copyright 2026 The PLDP Authors.
 //
 // Planner equivalence pinning for the declarative PipelineBuilder API:
-// every topology the planner can choose — sequential, sharded,
-// exchange (including two cross queries with *different* correlation keys
-// in one pipeline), and private — must produce detections identical to
-// the hand-wired engines under fixed seeds, at 1/2/4 shards. Also pins
+// every topology the planner can choose — sharded, exchange (including two
+// cross queries with *different* correlation keys in one pipeline), and
+// private — must produce detections identical to the sequential engines
+// under fixed seeds, at 1/2/4 shards. Also pins
 // the typed-handle contract: results are only reachable through
 // FinishedPipeline, and invalid/foreign handles are hard errors rather
 // than silently empty results.
@@ -113,26 +113,6 @@ std::vector<Timestamp> Sorted(std::vector<Timestamp> v) {
 
 // --- Planner decisions -----------------------------------------------------
 
-TEST(PipelinePlannerTest, BudgetOnePlansSequential) {
-  PipelineBuilder builder;
-  QueryHandle q = builder.AddQuery(GroupPattern(0, DetectionMode::kSequence),
-                                   kQueryWindow);
-  CrossQueryHandle c = builder.AddCrossQuery(
-      GroupPattern(1, DetectionMode::kConjunction), kQueryWindow);
-  auto pipeline_or = builder.WithShards(1).Build();
-  ASSERT_TRUE(pipeline_or.ok()) << pipeline_or.status().ToString();
-  const PipelinePlan& plan = pipeline_or.value()->plan();
-  EXPECT_TRUE(plan.sequential);
-  EXPECT_EQ(plan.shard_count, 1u);
-  EXPECT_EQ(plan.plain_queries, 1u);
-  ASSERT_EQ(plan.cross_groups.size(), 1u);
-  // Sequential topology spins up no merge shards at all.
-  EXPECT_EQ(plan.cross_groups[0].merge_shards, 0u);
-  EXPECT_TRUE(q.valid());
-  EXPECT_TRUE(c.valid());
-  EXPECT_FALSE(plan.Describe().empty());
-}
-
 TEST(PipelinePlannerTest, DistinctKeysGetDistinctLaneGroups) {
   PipelineBuilder builder;
   (void)builder.AddCrossQuery(GroupPattern(0, DetectionMode::kConjunction),
@@ -146,7 +126,6 @@ TEST(PipelinePlannerTest, DistinctKeysGetDistinctLaneGroups) {
   auto pipeline_or = builder.WithShards(2).WithCrossShards(2).Build();
   ASSERT_TRUE(pipeline_or.ok()) << pipeline_or.status().ToString();
   const PipelinePlan& plan = pipeline_or.value()->plan();
-  EXPECT_FALSE(plan.sequential);
   ASSERT_EQ(plan.cross_groups.size(), 2u);
   EXPECT_EQ(plan.cross_groups[0].key_id, "attr:zone");
   EXPECT_EQ(plan.cross_groups[0].query_count, 2u);
@@ -195,6 +174,15 @@ TEST(PipelinePlannerTest, ValidationErrors) {
     EXPECT_FALSE(builder.Build().ok());
   }
   {
+    // A key error after planning started tears the half-built pipeline
+    // down cleanly.
+    PipelineBuilder builder;
+    (void)builder.AddCrossQuery(GroupPattern(0, DetectionMode::kConjunction),
+                                kQueryWindow,
+                                CorrelationKey::Custom("broken", nullptr));
+    EXPECT_TRUE(builder.Build().status().IsInvalidArgument());
+  }
+  {
     // Builders are single-use.
     PipelineBuilder builder;
     (void)builder.AddQuery(GroupPattern(0, DetectionMode::kSequence),
@@ -204,7 +192,7 @@ TEST(PipelinePlannerTest, ValidationErrors) {
   }
 }
 
-// --- Equivalence: plain (sequential + sharded topologies) ------------------
+// --- Equivalence: plain ----------------------------------------------------
 
 TEST(PipelineEquivalenceTest, PlainQueriesMatchSequentialEngine) {
   const EventStream stream = SubjectStream(20000, 7);
@@ -223,7 +211,7 @@ TEST(PipelineEquivalenceTest, PlainQueriesMatchSequentialEngine) {
     auto pipeline_or = builder.WithShards(shards).WithSeed(kSeed).Build();
     ASSERT_TRUE(pipeline_or.ok()) << pipeline_or.status().ToString();
     Pipeline& pipeline = *pipeline_or.value();
-    EXPECT_EQ(pipeline.plan().sequential, shards == 1);
+    EXPECT_EQ(pipeline.plan().shard_count, shards);
 
     StreamReplayer replayer;
     replayer.Subscribe(&pipeline);
@@ -326,10 +314,14 @@ TEST(PipelineEquivalenceTest, CustomKeyFunctionsShareLaneGroupByName) {
 // --- Equivalence: the full mixed workload ----------------------------------
 
 /// The acceptance scenario: one pipeline registers a plain query, a
-/// cross-subject query with its own correlation key, and a private query;
-/// the planner-built topology must match the sequential engines for every
-/// lane at 1/2/4 shards, driven both batched and per event (the per-event
-/// entry point is a one-element batch).
+/// cross-subject query with its own correlation key, a private query, and a
+/// private cross-subject query; the planner-built topology must match the
+/// sequential engines for every lane at 1/2/4 shards, driven both batched
+/// and per event (the per-event entry point is a one-element batch). The
+/// raw and protected-view lane-groups share the stage-1 shards: neither
+/// may see the other's traffic, so the raw cross query still matches the
+/// sequential reference and the private cross query matches a private-only
+/// pipeline.
 TEST(PipelineEquivalenceTest, MixedPlainCrossPrivateMatchesSequentialEngines) {
   constexpr Timestamp kPrivacyWindow = 5;
   constexpr double kEpsilon = 1.0;
@@ -370,6 +362,42 @@ TEST(PipelineEquivalenceTest, MixedPlainCrossPrivateMatchesSequentialEngines) {
     private_reference.emplace(subject, results.value().answers[0]);
   }
 
+  // Private cross query over the protected-view stream; its reference is a
+  // private-only pipeline with the same seed.
+  const Pattern private_cross_pattern =
+      MakePattern("x_home", {0, 2}, DetectionMode::kConjunction);
+  constexpr Timestamp kPrivateCrossWindow = 2 * kPrivacyWindow;
+  const auto declare_private = [&](PipelineBuilder& builder) {
+    for (size_t t = 0; t < kGroups * kTypesPerGroup; ++t) {
+      (void)builder.InternEventType("t" + std::to_string(t));
+    }
+    builder.AddPrivatePattern(private_pattern);
+    PrivateQueryHandle q = builder.AddPrivateQuery("came_home", target_pattern);
+    PrivateCrossQueryHandle x = builder.AddPrivateCrossQuery(
+        "x_home", private_cross_pattern, kPrivateCrossWindow);
+    builder.WithSeed(kSeed)
+        .WithPrivacyWindow(kPrivacyWindow)
+        .WithMechanism("uniform")
+        .WithEpsilon(kEpsilon);
+    return std::make_pair(q, x);
+  };
+  std::vector<Timestamp> private_cross_reference;
+  {
+    PipelineBuilder builder;
+    const auto handles = declare_private(builder);
+    auto pipeline_or = builder.WithShards(2).Build();
+    ASSERT_TRUE(pipeline_or.ok()) << pipeline_or.status().ToString();
+    StreamReplayer replayer;
+    replayer.Subscribe(pipeline_or.value().get());
+    ASSERT_TRUE(replayer.Run(stream, ReplayMode::kBatchPerTick).ok());
+    auto finished_or = pipeline_or.value()->Finish();
+    ASSERT_TRUE(finished_or.ok());
+    private_cross_reference =
+        finished_or.value().Detections(handles.second).value();
+  }
+  ASSERT_FALSE(private_cross_reference.empty())
+      << "degenerate test: the private cross query detected nothing";
+
   for (ReplayMode mode : {ReplayMode::kBatchPerTick, ReplayMode::kPerEvent}) {
     for (size_t shards : {1u, 2u, 4u}) {
       const std::string run = std::string("mode=") +
@@ -377,22 +405,12 @@ TEST(PipelineEquivalenceTest, MixedPlainCrossPrivateMatchesSequentialEngines) {
                                                              : "batched") +
                               " shards=" + std::to_string(shards);
       PipelineBuilder builder;
-      for (size_t t = 0; t < kGroups * kTypesPerGroup; ++t) {
-        (void)builder.InternEventType("t" + std::to_string(t));
-      }
       QueryHandle plain_q = builder.AddQuery(plain_pattern, kQueryWindow);
       CrossQueryHandle cross_q = builder.AddCrossQuery(
           cross_pattern, kQueryWindow, CorrelationKey::Global());
-      PrivateQueryHandle private_q =
-          builder.AddPrivateQuery("came_home", target_pattern);
-      builder.AddPrivatePattern(private_pattern);
-      auto pipeline_or = builder.WithShards(shards)
-                             .WithCrossShards(2)
-                             .WithSeed(kSeed)
-                             .WithPrivacyWindow(kPrivacyWindow)
-                             .WithMechanism("uniform")
-                             .WithEpsilon(kEpsilon)
-                             .Build();
+      const auto [private_q, private_cross_q] = declare_private(builder);
+      auto pipeline_or =
+          builder.WithShards(shards).WithCrossShards(2).Build();
       ASSERT_TRUE(pipeline_or.ok()) << pipeline_or.status().ToString();
       Pipeline& pipeline = *pipeline_or.value();
       EXPECT_TRUE(pipeline.plan().has_private);
@@ -419,6 +437,10 @@ TEST(PipelineEquivalenceTest, MixedPlainCrossPrivateMatchesSequentialEngines) {
             << run << " subject=" << entry.first;
       }
       EXPECT_GT(finished.total_windows(), 0u);
+
+      auto private_cross_hits = finished.Detections(private_cross_q);
+      ASSERT_TRUE(private_cross_hits.ok());
+      EXPECT_EQ(private_cross_hits.value(), private_cross_reference) << run;
     }
   }
 }
@@ -455,40 +477,14 @@ TEST(PipelineHandleTest, ForeignAndInvalidHandlesAreHardErrors) {
 
 // --- Detection callbacks (QueryHandle::OnDetection) ------------------------
 
-TEST(PipelineCallbackTest, SequentialCallbacksFireSynchronously) {
-  const EventStream stream = SubjectStream(8000, 19);
-  const Pattern pattern = GroupPattern(0, DetectionMode::kSequence);
-  const auto reference = SequentialDetections(stream, {pattern});
-
-  PipelineBuilder builder;
-  std::vector<Timestamp> fired;
-  QueryHandle q = builder.AddQuery(pattern, kQueryWindow);
-  q.OnDetection([&fired](Timestamp at) { fired.push_back(at); });
-  auto pipeline_or = builder.WithShards(1).WithSeed(kSeed).Build();
-  ASSERT_TRUE(pipeline_or.ok()) << pipeline_or.status().ToString();
-  Pipeline& pipeline = *pipeline_or.value();
-  ASSERT_TRUE(pipeline.plan().sequential);
-
-  StreamReplayer replayer;
-  replayer.Subscribe(&pipeline);
-  ASSERT_TRUE(replayer.Run(stream, ReplayMode::kBatchPerTick).ok());
-  auto finished_or = pipeline.Finish();
-  ASSERT_TRUE(finished_or.ok());
-
-  ASSERT_FALSE(reference[0].empty());
-  EXPECT_EQ(Sorted(fired), reference[0]);
-  EXPECT_EQ(Sorted(fired),
-            Sorted(finished_or.value().Detections(q).value()));
-}
-
 TEST(PipelineCallbackTest, ShardedPlainAndCrossCallbacksSeeEveryDetection) {
   const EventStream stream = CrossStream(12000, 31);
   const Pattern plain_pattern = GroupPattern(0, DetectionMode::kSequence);
   const Pattern cross_pattern = GroupPattern(1, DetectionMode::kConjunction);
 
-  for (size_t shards : {2u, 4u}) {
+  for (size_t shards : {1u, 2u, 4u}) {
     PipelineBuilder builder;
-    // Sharded plans dispatch on worker threads, so the sinks take a lock.
+    // Callbacks run on worker threads, so the sinks take a lock.
     std::mutex mu;
     std::vector<Timestamp> plain_fired;
     std::vector<Timestamp> cross_fired;
@@ -507,7 +503,6 @@ TEST(PipelineCallbackTest, ShardedPlainAndCrossCallbacksSeeEveryDetection) {
         builder.WithShards(shards).WithCrossShards(2).WithSeed(kSeed).Build();
     ASSERT_TRUE(pipeline_or.ok()) << pipeline_or.status().ToString();
     Pipeline& pipeline = *pipeline_or.value();
-    ASSERT_FALSE(pipeline.plan().sequential);
 
     StreamReplayer replayer;
     replayer.Subscribe(&pipeline);

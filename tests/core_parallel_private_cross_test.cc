@@ -1,7 +1,7 @@
 // Copyright 2026 The PLDP Authors.
 //
-// Fixed-seed equivalence of the private cross-subject path: cross-subject
-// target queries registered on ParallelPrivateEngine are matched over the
+// Fixed-seed equivalence of the private cross-subject path: private
+// cross-subject queries declared on a PipelineBuilder are matched over the
 // exchanged *protected-view* stream (presence events derived from each
 // published view), and must produce — at every shard count — exactly the
 // detections of a sequential reference: one SubjectViewPublisher over the
@@ -14,12 +14,13 @@
 // subject) — so the merged processing order equals the sequential
 // publication order, and the per-seed detection sets match exactly.
 
-#include "core/parallel_private_engine.h"
+#include "api/pipeline_builder.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/private_engine.h"
@@ -41,8 +42,7 @@ Pattern MakePattern(const char* name, std::vector<EventTypeId> elems,
 
 /// Same setup phase as the per-subject equivalence test: 3 types, one
 /// private pattern, two per-subject target queries.
-template <typename EngineT>
-void RegisterSetup(EngineT& engine) {
+void RegisterSetup(PrivateCepEngine& engine) {
   const EventTypeId a = engine.InternEventType("door");
   const EventTypeId b = engine.InternEventType("motion");
   const EventTypeId c = engine.InternEventType("kettle");
@@ -139,7 +139,43 @@ std::vector<std::vector<Timestamp>> SequentialCrossReference(
   return detections;
 }
 
-TEST(ParallelPrivateCrossTest, FixedSeedEquivalenceAtEveryShardCount) {
+/// Declares the same setup phase on a builder; returns the target query
+/// handles (q0, q1).
+std::vector<PrivateQueryHandle> DeclareSetup(PipelineBuilder& builder) {
+  const EventTypeId a = builder.InternEventType("door");
+  const EventTypeId b = builder.InternEventType("motion");
+  const EventTypeId c = builder.InternEventType("kettle");
+  builder.AddPrivatePattern(
+      MakePattern("private", {a, b}, DetectionMode::kConjunction));
+  return {builder.AddPrivateQuery(
+              "q0", MakePattern("t0", {a, b}, DetectionMode::kConjunction)),
+          builder.AddPrivateQuery(
+              "q1", MakePattern("t1", {b, c}, DetectionMode::kSequence))};
+}
+
+std::vector<PrivateCrossQueryHandle> DeclareCrossQueries(
+    PipelineBuilder& builder) {
+  std::vector<PrivateCrossQueryHandle> handles;
+  for (auto& [pattern, window] : CrossQueries()) {
+    handles.push_back(
+        builder.AddPrivateCrossQuery(pattern.name(), pattern, window));
+  }
+  return handles;
+}
+
+StatusOr<std::unique_ptr<Pipeline>> BuildPrivate(PipelineBuilder& builder,
+                                                 size_t shards,
+                                                 size_t cross_shards) {
+  return builder.WithShards(shards)
+      .WithCrossShards(cross_shards)
+      .WithSeed(kSeed)
+      .WithPrivacyWindow(kWindowSize)
+      .WithMechanism("uniform")
+      .WithEpsilon(kEpsilon)
+      .Build();
+}
+
+TEST(PrivateCrossTest, FixedSeedEquivalenceAtEveryShardCount) {
   constexpr size_t kSubjects = 9;
   const EventStream stream = InterleavedStream(kSubjects, 6000, /*seed=*/31);
   const auto reference = SequentialCrossReference(stream, "uniform");
@@ -149,110 +185,86 @@ TEST(ParallelPrivateCrossTest, FixedSeedEquivalenceAtEveryShardCount) {
       << "degenerate test: the reference detected nothing";
 
   for (size_t shards : {1u, 2u, 4u}) {
-    ParallelPrivateOptions options;
-    options.shard_count = shards;
-    options.window_size = kWindowSize;
-    options.seed = kSeed;
+    PipelineBuilder builder;
+    (void)DeclareSetup(builder);
+    const std::vector<PrivateCrossQueryHandle> cross =
+        DeclareCrossQueries(builder);
     // Global correlation key: all protected views meet on one merge shard,
     // the always-sound default for multi-type cross patterns.
-    options.exchange.shard_count = shards;
-    ParallelPrivateEngine parallel(options);
-    RegisterSetup(parallel);
-    for (auto& [pattern, window] : CrossQueries()) {
-      ASSERT_TRUE(
-          parallel.RegisterCrossTargetQuery(pattern.name(), pattern, window)
-              .ok());
-    }
-    ASSERT_TRUE(
-        parallel.Activate(NamedMechanismFactory("uniform"), kEpsilon).ok());
+    auto pipeline_or = BuildPrivate(builder, shards, shards);
+    ASSERT_TRUE(pipeline_or.ok()) << pipeline_or.status().ToString();
+    Pipeline& pipeline = *pipeline_or.value();
 
     StreamReplayer replayer;
-    replayer.Subscribe(&parallel);
+    replayer.Subscribe(&pipeline);
     // Run's OnEnd finishes the service phase: worker-side Finalize forwards
     // the last views through the exchange before the terminal watermark.
     ASSERT_TRUE(replayer.Run(stream, ReplayMode::kBatchPerTick).ok());
+    auto finished_or = pipeline.Finish();
+    ASSERT_TRUE(finished_or.ok());
+    const FinishedPipeline& finished = finished_or.value();
 
-    ASSERT_EQ(parallel.cross_query_count(), reference.size());
+    ASSERT_EQ(cross.size(), reference.size());
     for (size_t q = 0; q < reference.size(); ++q) {
-      EXPECT_EQ(parallel.CrossDetectionsOf(q).value(), reference[q])
+      EXPECT_EQ(finished.Detections(cross[q]).value(), reference[q])
           << "shards=" << shards << " cross query=" << q;
     }
-    EXPECT_EQ(parallel.total_cross_detections(), reference_total)
+    EXPECT_EQ(finished.total_cross_detections(), reference_total)
         << "shards=" << shards;
-    ASSERT_TRUE(parallel.Stop().ok());
+    ASSERT_TRUE(pipeline.Stop().ok());
   }
 }
 
-TEST(ParallelPrivateCrossTest, PerSubjectAnswersUnaffectedByExchange) {
+TEST(PrivateCrossTest, PerSubjectAnswersUnaffectedByExchange) {
   constexpr size_t kSubjects = 6;
   const EventStream stream = InterleavedStream(kSubjects, 3000, /*seed=*/53);
 
-  // One engine with the exchange, one without; the per-subject protected
+  // One pipeline with the exchange, one without; the per-subject protected
   // answers must be identical (the exchange only observes, never perturbs).
   std::vector<std::vector<std::vector<bool>>> answers(2);
   for (int with_cross = 0; with_cross < 2; ++with_cross) {
-    ParallelPrivateOptions options;
-    options.shard_count = 2;
-    options.window_size = kWindowSize;
-    options.seed = kSeed;
-    ParallelPrivateEngine engine(options);
-    RegisterSetup(engine);
-    if (with_cross == 1) {
-      for (auto& [pattern, window] : CrossQueries()) {
-        ASSERT_TRUE(
-            engine.RegisterCrossTargetQuery(pattern.name(), pattern, window)
-                .ok());
-      }
-    }
-    ASSERT_TRUE(
-        engine.Activate(NamedMechanismFactory("uniform"), kEpsilon).ok());
+    PipelineBuilder builder;
+    const std::vector<PrivateQueryHandle> handles = DeclareSetup(builder);
+    if (with_cross == 1) (void)DeclareCrossQueries(builder);
+    auto pipeline_or = BuildPrivate(builder, 2, 2);
+    ASSERT_TRUE(pipeline_or.ok()) << pipeline_or.status().ToString();
+    Pipeline& pipeline = *pipeline_or.value();
     StreamReplayer replayer;
-    replayer.Subscribe(&engine);
+    replayer.Subscribe(&pipeline);
     ASSERT_TRUE(replayer.Run(stream, ReplayMode::kBatchPerTick).ok());
+    auto finished_or = pipeline.Finish();
+    ASSERT_TRUE(finished_or.ok());
+    const FinishedPipeline& finished = finished_or.value();
 
-    for (StreamId subject : engine.SubjectIds()) {
-      StatusOr<SubjectResults> results = engine.ResultsFor(subject);
-      ASSERT_TRUE(results.ok());
-      for (const AnswerSeries& series : results.value().answers) {
-        answers[with_cross].push_back(series.answers());
+    for (StreamId subject : finished.Subjects()) {
+      for (const PrivateQueryHandle& handle : handles) {
+        StatusOr<AnswerSeries> series = finished.AnswersOf(handle, subject);
+        ASSERT_TRUE(series.ok());
+        answers[with_cross].push_back(series.value().answers());
       }
     }
-    ASSERT_TRUE(engine.Stop().ok());
+    ASSERT_TRUE(pipeline.Stop().ok());
   }
   EXPECT_EQ(answers[0], answers[1]);
 }
 
-TEST(ParallelPrivateCrossTest, EmptyStreamAndLifecycle) {
-  ParallelPrivateOptions options;
-  options.shard_count = 2;
-  options.window_size = kWindowSize;
-  options.seed = kSeed;
-  ParallelPrivateEngine engine(options);
-  RegisterSetup(engine);
-  for (auto& [pattern, window] : CrossQueries()) {
-    ASSERT_TRUE(
-        engine.RegisterCrossTargetQuery(pattern.name(), pattern, window)
-            .ok());
+TEST(PrivateCrossTest, EmptyStreamAndLifecycle) {
+  PipelineBuilder builder;
+  (void)DeclareSetup(builder);
+  const std::vector<PrivateCrossQueryHandle> cross =
+      DeclareCrossQueries(builder);
+  auto pipeline_or = BuildPrivate(builder, 2, 2);
+  ASSERT_TRUE(pipeline_or.ok()) << pipeline_or.status().ToString();
+  Pipeline& pipeline = *pipeline_or.value();
+  ASSERT_TRUE(pipeline.Finish().ok());
+  auto finished_or = pipeline.Finish();  // idempotent
+  ASSERT_TRUE(finished_or.ok());
+  for (const PrivateCrossQueryHandle& handle : cross) {
+    EXPECT_TRUE(finished_or.value().Detections(handle).value().empty());
   }
-  // Cross registration after Activate is refused.
-  ASSERT_TRUE(
-      engine.Activate(NamedMechanismFactory("uniform"), kEpsilon).ok());
-  EXPECT_FALSE(engine
-                   .RegisterCrossTargetQuery(
-                       "late", MakePattern("late", {0},
-                                           DetectionMode::kDisjunction),
-                       kCrossWindow)
-                   .ok());
-  // Cross results are gated on Finish.
-  EXPECT_FALSE(engine.CrossDetectionsOf(0).ok());
-  ASSERT_TRUE(engine.Finish().ok());
-  ASSERT_TRUE(engine.Finish().ok());  // idempotent
-  for (size_t q = 0; q < engine.cross_query_count(); ++q) {
-    EXPECT_TRUE(engine.CrossDetectionsOf(q).value().empty());
-  }
-  EXPECT_EQ(engine.total_cross_detections(), 0u);
-  EXPECT_EQ(engine.CrossShardStatsSnapshot().size(), 2u);
-  ASSERT_TRUE(engine.Stop().ok());
+  EXPECT_EQ(finished_or.value().total_cross_detections(), 0u);
+  EXPECT_EQ(pipeline.CrossShardStatsSnapshot().size(), 2u);
+  ASSERT_TRUE(pipeline.Stop().ok());
 }
 
 }  // namespace

@@ -1,19 +1,22 @@
 // Copyright 2026 The PLDP Authors.
 //
-// Fixed-seed equivalence of the sharded service phase: ParallelPrivateEngine
-// must produce, for every data subject and every shard count, exactly the
-// protected answers a sequential PrivateCepEngine produces on that
-// subject's substream with the same per-subject seed (SubjectSeed) and the
-// same mechanism configuration. Perturbation happens shard-locally, so this
-// pins both the per-subject windowing state machine and the deterministic
-// per-subject Rng derivation.
+// Fixed-seed equivalence of the sharded service phase: a private-only
+// pipeline (PipelineBuilder; the private lane of core/private_lane.h on the
+// pipeline's runtime) must produce, for every data subject and every shard
+// count, exactly the protected answers a sequential PrivateCepEngine
+// produces on that subject's substream with the same per-subject seed
+// (SubjectSeed) and the same mechanism configuration. Perturbation happens
+// shard-locally, so this pins both the per-subject windowing state machine
+// and the deterministic per-subject Rng derivation.
 
-#include "core/parallel_private_engine.h"
+#include "api/pipeline_builder.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/private_engine.h"
@@ -33,10 +36,9 @@ Pattern MakePattern(const char* name, std::vector<EventTypeId> elems,
   return Pattern::Create(name, std::move(elems), mode).value();
 }
 
-/// Registers the same setup phase on any engine with the PrivateCepEngine
-/// registration surface: 3 types, one private pattern, two target queries.
-template <typename EngineT>
-void RegisterSetup(EngineT& engine) {
+/// Registers the setup phase on the sequential oracle: 3 types, one private
+/// pattern, two target queries.
+void RegisterSetup(PrivateCepEngine& engine) {
   const EventTypeId a = engine.InternEventType("door");
   const EventTypeId b = engine.InternEventType("motion");
   const EventTypeId c = engine.InternEventType("kettle");
@@ -104,73 +106,93 @@ std::map<StreamId, PrivateQueryResults> SequentialReference(
   return reference;
 }
 
+/// Declares the same setup phase on a builder; returns the target query
+/// handles in registration order (q0, q1).
+std::vector<PrivateQueryHandle> DeclareSetup(PipelineBuilder& builder) {
+  const EventTypeId a = builder.InternEventType("door");
+  const EventTypeId b = builder.InternEventType("motion");
+  const EventTypeId c = builder.InternEventType("kettle");
+  builder.AddPrivatePattern(
+      MakePattern("private", {a, b}, DetectionMode::kConjunction));
+  return {builder.AddPrivateQuery(
+              "q0", MakePattern("t0", {a, b}, DetectionMode::kConjunction)),
+          builder.AddPrivateQuery(
+              "q1", MakePattern("t1", {b, c}, DetectionMode::kSequence))};
+}
+
+StatusOr<std::unique_ptr<Pipeline>> BuildPrivate(
+    PipelineBuilder& builder, size_t shards, const std::string& mechanism) {
+  return builder.WithShards(shards)
+      .WithSeed(kSeed)
+      .WithPrivacyWindow(kWindowSize)
+      .WithMechanism(mechanism)
+      .WithEpsilon(kEpsilon)
+      .Build();
+}
+
 void ExpectMatchesReference(
-    const ParallelPrivateEngine& parallel,
+    const FinishedPipeline& finished,
+    const std::vector<PrivateQueryHandle>& handles,
     const std::map<StreamId, PrivateQueryResults>& reference,
-    const char* label) {
+    const std::string& label) {
   std::vector<StreamId> expected_ids;
   for (const auto& entry : reference) expected_ids.push_back(entry.first);
-  EXPECT_EQ(parallel.SubjectIds(), expected_ids) << label;
+  EXPECT_EQ(finished.Subjects(), expected_ids) << label;
   for (const auto& entry : reference) {
-    StatusOr<SubjectResults> got_or = parallel.ResultsFor(entry.first);
-    ASSERT_TRUE(got_or.ok()) << label << " subject=" << entry.first;
-    const SubjectResults& got = got_or.value();
-    EXPECT_EQ(got.window_count, entry.second.window_count)
-        << label << " subject=" << entry.first;
-    ASSERT_EQ(got.answers.size(), entry.second.answers.size());
-    for (size_t q = 0; q < got.answers.size(); ++q) {
-      EXPECT_EQ(got.answers[q].answers(), entry.second.answers[q].answers())
+    ASSERT_EQ(handles.size(), entry.second.answers.size());
+    for (size_t q = 0; q < handles.size(); ++q) {
+      StatusOr<AnswerSeries> got_or =
+          finished.AnswersOf(handles[q], entry.first);
+      ASSERT_TRUE(got_or.ok()) << label << " subject=" << entry.first;
+      EXPECT_EQ(got_or.value().answers().size(), entry.second.window_count)
+          << label << " subject=" << entry.first;
+      EXPECT_EQ(got_or.value().answers(), entry.second.answers[q].answers())
           << label << " subject=" << entry.first << " query=" << q;
     }
   }
 }
 
-TEST(ParallelPrivateEngineTest, FixedSeedEquivalenceWithSequentialEngine) {
+TEST(PrivateLaneTest, FixedSeedEquivalenceWithSequentialEngine) {
   constexpr size_t kSubjects = 10;
   const EventStream stream = InterleavedStream(kSubjects, 6000, /*seed=*/17);
   const auto reference = SequentialReference(stream, kSubjects, "uniform");
   ASSERT_FALSE(reference.empty());
 
   for (size_t shards : {1u, 2u, 4u}) {
-    ParallelPrivateOptions options;
-    options.shard_count = shards;
-    options.window_size = kWindowSize;
-    options.seed = kSeed;
-    ParallelPrivateEngine parallel(options);
-    RegisterSetup(parallel);
-    ASSERT_TRUE(
-        parallel.Activate(NamedMechanismFactory("uniform"), kEpsilon).ok());
+    PipelineBuilder builder;
+    const std::vector<PrivateQueryHandle> handles = DeclareSetup(builder);
+    auto pipeline_or = BuildPrivate(builder, shards, "uniform");
+    ASSERT_TRUE(pipeline_or.ok()) << pipeline_or.status().ToString();
+    Pipeline& pipeline = *pipeline_or.value();
 
     StreamReplayer replayer;
-    replayer.Subscribe(&parallel);
+    replayer.Subscribe(&pipeline);
     // Batched per-tick ingestion; Run's OnEnd finishes the service phase.
     ASSERT_TRUE(replayer.Run(stream, ReplayMode::kBatchPerTick).ok());
+    auto finished_or = pipeline.Finish();
+    ASSERT_TRUE(finished_or.ok());
 
-    EXPECT_EQ(parallel.events_processed(), stream.size());
-    ExpectMatchesReference(parallel, reference,
-                           shards == 1   ? "shards=1"
-                           : shards == 2 ? "shards=2"
-                                         : "shards=4");
-    ASSERT_TRUE(parallel.Stop().ok());
+    EXPECT_EQ(finished_or.value().events_processed(), stream.size());
+    ExpectMatchesReference(finished_or.value(), handles, reference,
+                           "shards=" + std::to_string(shards));
+    ASSERT_TRUE(pipeline.Stop().ok());
   }
 }
 
-TEST(ParallelPrivateEngineTest, PassthroughEqualsGroundTruthPerSubject) {
+TEST(PrivateLaneTest, PassthroughEqualsGroundTruthPerSubject) {
   constexpr size_t kSubjects = 6;
   const EventStream stream = InterleavedStream(kSubjects, 3000, /*seed=*/23);
 
-  ParallelPrivateOptions options;
-  options.shard_count = 3;
-  options.window_size = kWindowSize;
-  options.seed = kSeed;
-  ParallelPrivateEngine parallel(options);
-  RegisterSetup(parallel);
-  ASSERT_TRUE(
-      parallel.Activate(NamedMechanismFactory("passthrough"), kEpsilon).ok());
+  PipelineBuilder builder;
+  const std::vector<PrivateQueryHandle> handles = DeclareSetup(builder);
+  auto pipeline_or = BuildPrivate(builder, 3, "passthrough");
+  ASSERT_TRUE(pipeline_or.ok()) << pipeline_or.status().ToString();
+  Pipeline& pipeline = *pipeline_or.value();
 
   // Per-event ingestion this time (both ingest paths must agree).
-  for (const Event& e : stream) ASSERT_TRUE(parallel.OnEvent(e).ok());
-  ASSERT_TRUE(parallel.Finish().ok());
+  for (const Event& e : stream) ASSERT_TRUE(pipeline.OnEvent(e).ok());
+  auto finished_or = pipeline.Finish();
+  ASSERT_TRUE(finished_or.ok());
 
   for (StreamId subject = 0; subject < kSubjects; ++subject) {
     const EventStream sub = SubstreamOf(stream, subject);
@@ -182,42 +204,42 @@ TEST(ParallelPrivateEngineTest, PassthroughEqualsGroundTruthPerSubject) {
     auto truth = seq.GroundTruth(windows.value());
     ASSERT_TRUE(truth.ok());
 
-    StatusOr<SubjectResults> got_or = parallel.ResultsFor(subject);
-    ASSERT_TRUE(got_or.ok());
-    const SubjectResults& got = got_or.value();
-    ASSERT_EQ(got.answers.size(), truth.value().answers.size());
-    for (size_t q = 0; q < got.answers.size(); ++q) {
-      EXPECT_EQ(got.answers[q].answers(), truth.value().answers[q].answers())
+    ASSERT_EQ(handles.size(), truth.value().answers.size());
+    for (size_t q = 0; q < handles.size(); ++q) {
+      StatusOr<AnswerSeries> got_or =
+          finished_or.value().AnswersOf(handles[q], subject);
+      ASSERT_TRUE(got_or.ok());
+      EXPECT_EQ(got_or.value().answers(), truth.value().answers[q].answers())
           << "subject=" << subject << " query=" << q;
     }
   }
-  ASSERT_TRUE(parallel.Stop().ok());
+  ASSERT_TRUE(pipeline.Stop().ok());
 }
 
-TEST(ParallelPrivateEngineTest, ResultsIdenticalAcrossShardCounts) {
+TEST(PrivateLaneTest, ResultsIdenticalAcrossShardCounts) {
   constexpr size_t kSubjects = 7;
   const EventStream stream = InterleavedStream(kSubjects, 4000, /*seed=*/41);
 
   std::map<StreamId, std::vector<std::vector<bool>>> first;
   for (size_t shards : {1u, 3u}) {
-    ParallelPrivateOptions options;
-    options.shard_count = shards;
-    options.window_size = kWindowSize;
-    options.seed = kSeed;
-    ParallelPrivateEngine engine(options);
-    RegisterSetup(engine);
-    ASSERT_TRUE(
-        engine.Activate(NamedMechanismFactory("uniform"), kEpsilon).ok());
+    PipelineBuilder builder;
+    const std::vector<PrivateQueryHandle> handles = DeclareSetup(builder);
+    auto pipeline_or = BuildPrivate(builder, shards, "uniform");
+    ASSERT_TRUE(pipeline_or.ok()) << pipeline_or.status().ToString();
+    Pipeline& pipeline = *pipeline_or.value();
     StreamReplayer replayer;
-    replayer.Subscribe(&engine);
+    replayer.Subscribe(&pipeline);
     ASSERT_TRUE(replayer.Run(stream, ReplayMode::kBatchPerTick).ok());
+    auto finished_or = pipeline.Finish();
+    ASSERT_TRUE(finished_or.ok());
+    const FinishedPipeline& finished = finished_or.value();
 
-    for (StreamId subject : engine.SubjectIds()) {
-      StatusOr<SubjectResults> results = engine.ResultsFor(subject);
-      ASSERT_TRUE(results.ok());
+    for (StreamId subject : finished.Subjects()) {
       std::vector<std::vector<bool>> answers;
-      for (const AnswerSeries& series : results.value().answers) {
-        answers.push_back(series.answers());
+      for (const PrivateQueryHandle& handle : handles) {
+        StatusOr<AnswerSeries> series = finished.AnswersOf(handle, subject);
+        ASSERT_TRUE(series.ok());
+        answers.push_back(series.value().answers());
       }
       if (shards == 1) {
         first.emplace(subject, std::move(answers));
@@ -226,82 +248,53 @@ TEST(ParallelPrivateEngineTest, ResultsIdenticalAcrossShardCounts) {
         EXPECT_EQ(answers, first[subject]) << "subject=" << subject;
       }
     }
-    ASSERT_TRUE(engine.Stop().ok());
+    ASSERT_TRUE(pipeline.Stop().ok());
   }
 }
 
-TEST(ParallelPrivateEngineTest, LifecycleErrors) {
+TEST(PrivateLaneTest, LifecycleErrors) {
   {
-    // Activate without registrations is refused.
-    ParallelPrivateOptions options;
-    options.window_size = kWindowSize;
-    ParallelPrivateEngine engine(options);
-    EXPECT_FALSE(
-        engine.Activate(NamedMechanismFactory("uniform"), kEpsilon).ok());
+    // Private queries without private patterns are refused.
+    PipelineBuilder builder;
+    (void)builder.AddPrivateQuery(
+        "q0", MakePattern("t0", {0, 1}, DetectionMode::kConjunction));
+    EXPECT_FALSE(BuildPrivate(builder, 2, "uniform").ok());
   }
   {
-    // window_size is mandatory.
-    ParallelPrivateOptions options;
-    ParallelPrivateEngine engine(options);
-    RegisterSetup(engine);
-    EXPECT_FALSE(
-        engine.Activate(NamedMechanismFactory("uniform"), kEpsilon).ok());
+    // The privacy window is mandatory.
+    PipelineBuilder builder;
+    (void)DeclareSetup(builder);
+    EXPECT_FALSE(builder.WithShards(2).WithMechanism("uniform").Build().ok());
   }
   {
-    ParallelPrivateOptions options;
-    options.shard_count = 2;
-    options.window_size = kWindowSize;
-    ParallelPrivateEngine engine(options);
-    // Ingest before Activate is refused.
-    EXPECT_FALSE(engine.OnEvent(Event(0, 0)).ok());
-    RegisterSetup(engine);
-    ASSERT_TRUE(
-        engine.Activate(NamedMechanismFactory("uniform"), kEpsilon).ok());
-    // Second Activate and post-Activate registration are refused.
-    EXPECT_FALSE(
-        engine.Activate(NamedMechanismFactory("uniform"), kEpsilon).ok());
-    EXPECT_FALSE(engine
-                     .RegisterTargetQuery(
-                         "late", MakePattern("late", {0},
-                                             DetectionMode::kConjunction))
-                     .ok());
-    ASSERT_TRUE(engine.OnEvent(Event(0, 0, /*stream=*/1)).ok());
-    ASSERT_TRUE(engine.Finish().ok());
-    ASSERT_TRUE(engine.Finish().ok());  // idempotent
+    PipelineBuilder builder;
+    const std::vector<PrivateQueryHandle> handles = DeclareSetup(builder);
+    auto pipeline_or = BuildPrivate(builder, 2, "uniform");
+    ASSERT_TRUE(pipeline_or.ok()) << pipeline_or.status().ToString();
+    Pipeline& pipeline = *pipeline_or.value();
+    ASSERT_TRUE(pipeline.OnEvent(Event(0, 0, /*stream=*/1)).ok());
+    ASSERT_TRUE(pipeline.Finish().ok());
+    auto finished_or = pipeline.Finish();  // idempotent
+    ASSERT_TRUE(finished_or.ok());
     // Ingest after Finish is refused; results for unseen subjects NotFound.
-    EXPECT_FALSE(engine.OnEvent(Event(0, 1)).ok());
-    EXPECT_FALSE(engine.ResultsFor(/*subject=*/999).ok());
-    EXPECT_TRUE(engine.ResultsFor(/*subject=*/1).ok());
-    ASSERT_TRUE(engine.Stop().ok());
+    EXPECT_FALSE(pipeline.OnEvent(Event(0, 1)).ok());
+    EXPECT_FALSE(finished_or.value().AnswersOf(handles[0], 999).ok());
+    EXPECT_TRUE(finished_or.value().AnswersOf(handles[0], 1).ok());
+    ASSERT_TRUE(pipeline.Stop().ok());
   }
 }
 
-TEST(ParallelPrivateEngineTest, UnknownQueryNameLookupsAreHardErrors) {
-  ParallelPrivateOptions options;
-  options.shard_count = 2;
-  options.window_size = kWindowSize;
-  ParallelPrivateEngine engine(options);
-  RegisterSetup(engine);
-  // Known names resolve; unknown names are NotFound, never a silent
-  // default id or empty result.
-  EXPECT_EQ(engine.TargetQueryIdOf("q0").value(), 0u);
-  EXPECT_EQ(engine.TargetQueryIdOf("q1").value(), 1u);
-  EXPECT_TRUE(engine.TargetQueryIdOf("no-such-query").status().IsNotFound());
-  EXPECT_TRUE(engine.CrossQueryIndexOf("no-such-cross").status().IsNotFound());
-}
-
-TEST(ParallelPrivateEngineTest, EmptyStreamHasNoSubjects) {
-  ParallelPrivateOptions options;
-  options.shard_count = 2;
-  options.window_size = kWindowSize;
-  ParallelPrivateEngine engine(options);
-  RegisterSetup(engine);
-  ASSERT_TRUE(
-      engine.Activate(NamedMechanismFactory("uniform"), kEpsilon).ok());
-  ASSERT_TRUE(engine.Finish().ok());
-  EXPECT_TRUE(engine.SubjectIds().empty());
-  EXPECT_EQ(engine.total_windows(), 0u);
-  ASSERT_TRUE(engine.Stop().ok());
+TEST(PrivateLaneTest, EmptyStreamHasNoSubjects) {
+  PipelineBuilder builder;
+  (void)DeclareSetup(builder);
+  auto pipeline_or = BuildPrivate(builder, 2, "uniform");
+  ASSERT_TRUE(pipeline_or.ok()) << pipeline_or.status().ToString();
+  Pipeline& pipeline = *pipeline_or.value();
+  auto finished_or = pipeline.Finish();
+  ASSERT_TRUE(finished_or.ok());
+  EXPECT_TRUE(finished_or.value().Subjects().empty());
+  EXPECT_EQ(finished_or.value().total_windows(), 0u);
+  ASSERT_TRUE(pipeline.Stop().ok());
 }
 
 }  // namespace

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "cep/predicate.h"
-#include "core/parallel_private_engine.h"
+#include "api/pipeline_builder.h"
 #include "core/private_engine.h"
 #include "event/symbol_table.h"
 #include "ppm/factory.h"
@@ -104,14 +104,16 @@ std::vector<Timestamp> ZoneKeyedCrossDetections(const EventStream& stream,
                                                 size_t stage1_shards) {
   ParallelEngineOptions options;
   options.shard_count = stage1_shards;
-  options.exchange.enabled = true;
   options.exchange.shard_count = 2;
-  options.exchange.key = CorrelationKeySpec::ByAttribute("equiv_zone");
   ParallelStreamingEngine engine(options);
+  const CorrelationKeyFn zone_key =
+      MakeCorrelationKeyFn(CorrelationKeySpec::ByAttribute("equiv_zone"))
+          .value();
   EXPECT_TRUE(
       engine
           .AddCrossQuery(
-              MakePattern("xseq", {0, 1}, DetectionMode::kSequence), kWindow)
+              MakePattern("xseq", {0, 1}, DetectionMode::kSequence), kWindow,
+              "attr:equiv_zone", zone_key, /*forward_raw_events=*/true)
           .ok());
   EXPECT_TRUE(engine.Start().ok());
   StreamReplayer replayer;
@@ -157,39 +159,35 @@ TEST(InternEquivalenceTest, PrivateServicePhaseMatchesAcrossStyles) {
   for (size_t shards : {1u, 2u, 4u}) {
     std::vector<std::vector<std::vector<bool>>> answers_by_style;
     for (const EventStream* stream : {&legacy, &interned}) {
-      ParallelPrivateOptions options;
-      options.shard_count = shards;
-      options.window_size = kWindow;
-      options.seed = 0xfeedULL;
-      ParallelPrivateEngine engine(options);
-      const EventTypeId a = engine.InternEventType("equiv_a");
-      const EventTypeId b = engine.InternEventType("equiv_b");
-      ASSERT_TRUE(engine
-                      .RegisterPrivatePattern(MakePattern(
-                          "private", {a, b}, DetectionMode::kConjunction))
-                      .ok());
-      ASSERT_TRUE(engine
-                      .RegisterTargetQuery(
-                          "q0", MakePattern("t0", {a, b},
-                                            DetectionMode::kSequence))
-                      .ok());
-      ASSERT_TRUE(
-          engine.Activate(NamedMechanismFactory("uniform"), /*epsilon=*/1.0)
-              .ok());
+      PipelineBuilder builder;
+      const EventTypeId a = builder.InternEventType("equiv_a");
+      const EventTypeId b = builder.InternEventType("equiv_b");
+      builder.AddPrivatePattern(
+          MakePattern("private", {a, b}, DetectionMode::kConjunction));
+      const PrivateQueryHandle q0 = builder.AddPrivateQuery(
+          "q0", MakePattern("t0", {a, b}, DetectionMode::kSequence));
+      auto pipeline_or = builder.WithShards(shards)
+                             .WithSeed(0xfeedULL)
+                             .WithPrivacyWindow(kWindow)
+                             .WithMechanism("uniform")
+                             .WithEpsilon(1.0)
+                             .Build();
+      ASSERT_TRUE(pipeline_or.ok()) << pipeline_or.status().ToString();
+      Pipeline& pipeline = *pipeline_or.value();
       StreamReplayer replayer;
-      replayer.Subscribe(&engine);
+      replayer.Subscribe(&pipeline);
       ASSERT_TRUE(replayer.Run(*stream, ReplayMode::kBatchPerTick).ok());
+      auto finished_or = pipeline.Finish();
+      ASSERT_TRUE(finished_or.ok());
+      const FinishedPipeline& finished = finished_or.value();
 
       std::vector<std::vector<bool>> answers;
-      for (StreamId subject : engine.SubjectIds()) {
-        const SubjectResults results = engine.ResultsFor(subject).value();
-        for (const AnswerSeries& series : results.answers) {
-          answers.push_back(series.answers());
-        }
+      for (StreamId subject : finished.Subjects()) {
+        answers.push_back(finished.AnswersOf(q0, subject).value().answers());
       }
       ASSERT_FALSE(answers.empty());
       answers_by_style.push_back(std::move(answers));
-      ASSERT_TRUE(engine.Stop().ok());
+      ASSERT_TRUE(pipeline.Stop().ok());
     }
     EXPECT_EQ(answers_by_style[0], answers_by_style[1])
         << "shards=" << shards;

@@ -120,42 +120,40 @@ TEST(MetricsConsistencyTest, PlainAndCrossReconcileExactly) {
                   snapshot.Find("pldp_pipeline_events_ingested_total")),
               n)
         << "shards=" << shards;
-    EXPECT_EQ(SumWhere(snapshot.Find("pldp_shard_events_total"), "lane",
-                       "plain"),
-              n)
+    EXPECT_EQ(obs::SumSamples(snapshot.Find("pldp_shard_events_total")), n)
         << "shards=" << shards;
     // Every processed event recorded exactly one latency sample, and the
     // pop-burst histogram accounted for every event once.
-    EXPECT_EQ(HistCountWhere(snapshot.Find("pldp_shard_process_latency_ns"),
-                             "lane", "plain"),
+    EXPECT_EQ(obs::AggregateHistogram(
+                  snapshot.Find("pldp_shard_process_latency_ns"))
+                  .count,
               stream.size())
         << "shards=" << shards;
     const obs::HistogramData bursts = obs::AggregateHistogram(
         snapshot.Find("pldp_shard_batch_size"));
     EXPECT_EQ(bursts.sum, stream.size()) << "shards=" << shards;
 
-    if (shards > 1) {
-      // Conservation across the exchange: everything forwarded was
-      // received, and after Finish everything received was released.
-      const double forwarded = SumWhere(
-          snapshot.Find("pldp_exchange_forwarded_total"), "lane", "plain");
-      const double received = SumWhere(
-          snapshot.Find("pldp_merge_events_received_total"), "lane", "plain");
-      const double merged = SumWhere(snapshot.Find("pldp_merge_events_total"),
-                                     "lane", "plain");
-      EXPECT_EQ(forwarded, n) << "shards=" << shards;
-      EXPECT_EQ(received, forwarded) << "shards=" << shards;
-      EXPECT_EQ(merged, received) << "shards=" << shards;
-      EXPECT_EQ(HistCountWhere(snapshot.Find("pldp_merge_latency_ns"), "lane",
-                               "plain"),
-                static_cast<uint64_t>(merged))
-          << "shards=" << shards;
-      // Watermark broadcasts happened (producer floors + the end seal).
-      EXPECT_GT(SumWhere(snapshot.Find("pldp_exchange_watermarks_total"),
-                         "lane", "plain"),
-                0.0)
-          << "shards=" << shards;
-    }
+    // Conservation across the exchange (a 1-shard pipeline has one too):
+    // everything forwarded was received, and after Finish everything
+    // received was released.
+    const double forwarded = SumWhere(
+        snapshot.Find("pldp_exchange_forwarded_total"), "lane", "plain");
+    const double received = SumWhere(
+        snapshot.Find("pldp_merge_events_received_total"), "lane", "plain");
+    const double merged = SumWhere(snapshot.Find("pldp_merge_events_total"),
+                                   "lane", "plain");
+    EXPECT_EQ(forwarded, n) << "shards=" << shards;
+    EXPECT_EQ(received, forwarded) << "shards=" << shards;
+    EXPECT_EQ(merged, received) << "shards=" << shards;
+    EXPECT_EQ(HistCountWhere(snapshot.Find("pldp_merge_latency_ns"), "lane",
+                             "plain"),
+              static_cast<uint64_t>(merged))
+        << "shards=" << shards;
+    // Watermark broadcasts happened (producer floors + the end seal).
+    EXPECT_GT(SumWhere(snapshot.Find("pldp_exchange_watermarks_total"),
+                       "lane", "plain"),
+              0.0)
+        << "shards=" << shards;
 
     // Drained pipeline: every occupancy gauge reads empty.
     EXPECT_EQ(obs::SumSamples(snapshot.Find("pldp_shard_queue_depth")), 0.0)
@@ -177,52 +175,71 @@ TEST(MetricsConsistencyTest, PrivateLaneReconcilesExactly) {
   constexpr double kEpsilon = 1.0;
   const EventStream stream = MakeStream(8000, 23);
 
-  for (size_t shards : {1u, 2u, 4u}) {
-    PipelineBuilder builder;
-    for (size_t t = 0; t < kTypes; ++t) {
-      (void)builder.InternEventType("t" + std::to_string(t));
+  // Private-only, and mixed: plain + cross + private on one set of shards,
+  // where every event is still processed exactly once.
+  for (const bool mixed : {false, true}) {
+    for (size_t shards : {1u, 2u, 4u}) {
+      const std::string run = std::string(mixed ? "mixed" : "private-only") +
+                              " shards=" + std::to_string(shards);
+      PipelineBuilder builder;
+      for (size_t t = 0; t < kTypes; ++t) {
+        (void)builder.InternEventType("t" + std::to_string(t));
+      }
+      if (mixed) {
+        (void)builder.AddQuery(
+            MakePattern("seq", {0, 1, 2}, DetectionMode::kSequence),
+            kQueryWindow);
+        (void)builder.AddCrossQuery(
+            MakePattern("conj", {0, 1, 2}, DetectionMode::kConjunction),
+            kQueryWindow, CorrelationKey::Global());
+      }
+      builder.AddPrivatePattern(
+          MakePattern("meds", {0, 1}, DetectionMode::kConjunction));
+      PrivateQueryHandle q = builder.AddPrivateQuery(
+          "came_home",
+          MakePattern("home", {0, 2}, DetectionMode::kConjunction));
+      auto pipeline_or = builder.WithShards(shards)
+                             .WithSeed(kSeed)
+                             .WithPrivacyWindow(kPrivacyWindow)
+                             .WithMechanism("uniform")
+                             .WithEpsilon(kEpsilon)
+                             .EnableMetrics()
+                             .Build();
+      ASSERT_TRUE(pipeline_or.ok()) << pipeline_or.status().ToString();
+      Pipeline& pipeline = *pipeline_or.value();
+
+      StreamReplayer replayer;
+      replayer.Subscribe(&pipeline);
+      ASSERT_TRUE(replayer.Run(stream, ReplayMode::kBatchPerTick).ok());
+      auto finished_or = pipeline.Finish();
+      ASSERT_TRUE(finished_or.ok()) << finished_or.status().ToString();
+      const FinishedPipeline& finished = finished_or.value();
+      ASSERT_TRUE(finished.AnswersOf(q, finished.Subjects().front()).ok());
+
+      const obs::MetricsSnapshot snapshot = pipeline.MetricsSnapshot();
+      EXPECT_EQ(obs::SumSamples(snapshot.Find("pldp_shard_events_total")),
+                static_cast<double>(stream.size()))
+          << run;
+      size_t processed = 0;
+      for (const ShardStats& s : pipeline.ShardStatsSnapshot()) {
+        processed += s.events_processed;
+      }
+      EXPECT_EQ(processed, stream.size()) << run;
+      EXPECT_EQ(obs::SumSamples(snapshot.Find("pldp_private_windows_total")),
+                static_cast<double>(finished.total_windows()))
+          << run;
+      EXPECT_EQ(obs::SumSamples(snapshot.Find("pldp_private_subjects")),
+                static_cast<double>(finished.Subjects().size()))
+          << run;
+      // The budget ledger granted ε to the one private pattern and charged
+      // the activation against it in full.
+      EXPECT_EQ(obs::SumSamples(snapshot.Find("pldp_dp_budget_granted")),
+                kEpsilon)
+          << run;
+      EXPECT_EQ(obs::SumSamples(snapshot.Find("pldp_dp_budget_spent")),
+                kEpsilon)
+          << run;
     }
-    builder.AddPrivatePattern(
-        MakePattern("meds", {0, 1}, DetectionMode::kConjunction));
-    PrivateQueryHandle q = builder.AddPrivateQuery(
-        "came_home", MakePattern("home", {0, 2}, DetectionMode::kConjunction));
-    auto pipeline_or = builder.WithShards(shards)
-                           .WithSeed(kSeed)
-                           .WithPrivacyWindow(kPrivacyWindow)
-                           .WithMechanism("uniform")
-                           .WithEpsilon(kEpsilon)
-                           .EnableMetrics()
-                           .Build();
-    ASSERT_TRUE(pipeline_or.ok()) << pipeline_or.status().ToString();
-    Pipeline& pipeline = *pipeline_or.value();
-
-    StreamReplayer replayer;
-    replayer.Subscribe(&pipeline);
-    ASSERT_TRUE(replayer.Run(stream, ReplayMode::kBatchPerTick).ok());
-    auto finished_or = pipeline.Finish();
-    ASSERT_TRUE(finished_or.ok()) << finished_or.status().ToString();
-    const FinishedPipeline& finished = finished_or.value();
-    ASSERT_TRUE(finished.AnswersOf(q, finished.Subjects().front()).ok());
-
-    const obs::MetricsSnapshot snapshot = pipeline.MetricsSnapshot();
-    EXPECT_EQ(SumWhere(snapshot.Find("pldp_shard_events_total"), "lane",
-                       "private"),
-              static_cast<double>(stream.size()))
-        << "shards=" << shards;
-    EXPECT_EQ(obs::SumSamples(snapshot.Find("pldp_private_windows_total")),
-              static_cast<double>(finished.total_windows()))
-        << "shards=" << shards;
-    EXPECT_EQ(obs::SumSamples(snapshot.Find("pldp_private_subjects")),
-              static_cast<double>(finished.Subjects().size()))
-        << "shards=" << shards;
-    // The budget ledger granted ε to the one private pattern and charged
-    // the activation against it in full.
-    EXPECT_EQ(obs::SumSamples(snapshot.Find("pldp_dp_budget_granted")),
-              kEpsilon)
-        << "shards=" << shards;
-    EXPECT_EQ(obs::SumSamples(snapshot.Find("pldp_dp_budget_spent")),
-              kEpsilon)
-        << "shards=" << shards;
   }
 }
 
@@ -289,9 +306,7 @@ TEST(MetricsConsistencyTest, ConcurrentScrapeWhileIngesting) {
   EXPECT_EQ(
       obs::SumSamples(snapshot.Find("pldp_pipeline_events_ingested_total")),
       n);
-  EXPECT_EQ(SumWhere(snapshot.Find("pldp_shard_events_total"), "lane",
-                     "plain"),
-            n);
+  EXPECT_EQ(obs::SumSamples(snapshot.Find("pldp_shard_events_total")), n);
   EXPECT_EQ(SumWhere(snapshot.Find("pldp_merge_events_total"), "lane",
                      "plain"),
             SumWhere(snapshot.Find("pldp_exchange_forwarded_total"), "lane",

@@ -188,14 +188,14 @@ TEST(RenderTest, AggregateAndSumHelpers) {
 TEST(HealthTest, ThresholdClassification) {
   {
     PipelineHealth health;
-    health.shards.push_back({"plain", 0, 10, 1024, 10.0 / 1024});
+    health.shards.push_back({0, 10, 1024, 10.0 / 1024});
     FinalizeHealth(&health, HealthThresholds());
     EXPECT_EQ(health.state, PipelineHealth::State::kHealthy);
     EXPECT_TRUE(health.issues.empty());
   }
   {
     PipelineHealth health;
-    health.shards.push_back({"plain", 0, 1000, 1024, 1000.0 / 1024});
+    health.shards.push_back({0, 1000, 1024, 1000.0 / 1024});
     FinalizeHealth(&health, HealthThresholds());
     EXPECT_EQ(health.state, PipelineHealth::State::kDegraded);
     ASSERT_EQ(health.issues.size(), 1u);

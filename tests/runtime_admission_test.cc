@@ -20,6 +20,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -66,7 +67,7 @@ TEST(OverloadPolicyTest, NamesRoundTripThroughTheParser) {
 // --- AdmissionQueue unit tests (deterministic: worker not running) ---------
 
 TEST(AdmissionQueueTest, ShedOldestDropsOldestParkedEventDeterministically) {
-  Shard shard(0, /*queue_capacity=*/8, /*seed=*/1);
+  Shard shard(0, /*queue_capacity=*/8);
   OverloadOptions options;
   options.policy = OverloadPolicy::kShedOldest;
   options.pending_capacity = 4;
@@ -104,7 +105,7 @@ TEST(AdmissionQueueTest, ShedOldestDropsOldestParkedEventDeterministically) {
 }
 
 TEST(AdmissionQueueTest, ShedBySubjectQuarantinesOverflowingSubjects) {
-  Shard shard(0, /*queue_capacity=*/8, /*seed=*/1);
+  Shard shard(0, /*queue_capacity=*/8);
   OverloadOptions options;
   options.policy = OverloadPolicy::kShedBySubject;
   options.pending_capacity = 2;
@@ -146,7 +147,7 @@ TEST(AdmissionQueueTest, ShedBySubjectQuarantinesOverflowingSubjects) {
 }
 
 TEST(AdmissionQueueTest, BlockPolicyParksWithoutCapAndShedsNothing) {
-  Shard shard(0, /*queue_capacity=*/8, /*seed=*/1);
+  Shard shard(0, /*queue_capacity=*/8);
   OverloadOptions options;
   options.policy = OverloadPolicy::kBlock;
   options.pending_capacity = 2;
@@ -166,7 +167,7 @@ TEST(AdmissionQueueTest, BlockPolicyParksWithoutCapAndShedsNothing) {
 }
 
 TEST(AdmissionQueueTest, PumpFlushesOpportunisticallyOnceTheQueueHasRoom) {
-  Shard shard(0, /*queue_capacity=*/8, /*seed=*/1);
+  Shard shard(0, /*queue_capacity=*/8);
   OverloadOptions options;
   options.policy = OverloadPolicy::kShedOldest;
   options.pending_capacity = 4;
@@ -348,50 +349,111 @@ TEST(AdmissionEngineTest, StalledShardShedsAndAccountsForEveryEvent) {
 
 TEST(AdmissionBuilderTest, OverloadPolicyRidesThroughTheBuilder) {
   const EventStream stream = SubjectStream(4, 5000, /*seed=*/23);
+  // A 1-shard budget is a one-worker runtime with a queue like any other,
+  // so the policy rides through there too.
+  for (size_t shards : {1u, 2u}) {
+    PipelineBuilder builder;
+    QueryHandle q = builder.AddQuery(
+        MakePattern("seq", {0, 1, 2}, DetectionMode::kSequence), kWindow);
+    auto pipeline_or = builder.WithShards(shards)
+                           .WithOverloadPolicy(OverloadPolicy::kShedOldest,
+                                               /*pending_capacity=*/64)
+                           .Build();
+    ASSERT_TRUE(pipeline_or.ok()) << pipeline_or.status().ToString();
+    Pipeline& pipeline = *pipeline_or.value();
+    EXPECT_EQ(pipeline.plan().overload_policy, OverloadPolicy::kShedOldest);
+    EXPECT_NE(pipeline.plan().Describe().find("shed-oldest"),
+              std::string::npos);
+
+    // Paced feed (see RunWithPolicy): this run must be lossless so the
+    // recall floor below can certify exactly that.
+    const std::vector<Event>& events = stream.events();
+    for (size_t i = 0; i < events.size(); i += 64) {
+      const size_t n = std::min<size_t>(64, events.size() - i);
+      ASSERT_TRUE(
+          pipeline.OnEventBatch(EventSpan(events.data() + i, n)).ok());
+      ASSERT_TRUE(pipeline.Drain().ok());
+    }
+    auto finished_or = pipeline.Finish();
+    ASSERT_TRUE(finished_or.ok());
+    ASSERT_TRUE(finished_or.value().Detections(q).ok());
+
+    // Ample capacity: a lossless run, certified by the recall floor.
+    EXPECT_EQ(pipeline.events_shed(), 0u) << "shards=" << shards;
+    EXPECT_EQ(pipeline.shedding_stats().RecallLowerBound(), 1.0)
+        << "shards=" << shards;
+  }
+}
+
+TEST(AdmissionBuilderTest, MixedPipelineShedsEachEventOnce) {
+  // Plain, cross, and private lanes on one stalled stage-1 shard: a plain
+  // detection callback blocks the worker, the queue and the pending buffer
+  // fill, and kShedOldest drops. One admission layer serves every lane, so
+  // each offered event is admitted or shed exactly once.
   PipelineBuilder builder;
-  QueryHandle q = builder.AddQuery(
-      MakePattern("seq", {0, 1, 2}, DetectionMode::kSequence), kWindow);
-  auto pipeline_or = builder.WithShards(2)
+  for (size_t t = 0; t < 3; ++t) {
+    (void)builder.InternEventType("t" + std::to_string(t));
+  }
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::atomic<bool> blocked{false};
+  builder.AddQuery(MakePattern("seq", {0, 1}, DetectionMode::kSequence),
+                   kWindow)
+      .OnDetection([&](Timestamp) {
+        std::unique_lock<std::mutex> lock(mu);
+        blocked.store(true);
+        cv.wait(lock, [&] { return release; });
+      });
+  (void)builder.AddCrossQuery(
+      MakePattern("cross", {0, 2}, DetectionMode::kConjunction), kWindow,
+      CorrelationKey::Global());
+  builder.AddPrivatePattern(
+      MakePattern("private", {0, 1}, DetectionMode::kConjunction));
+  (void)builder.AddPrivateQuery(
+      "q", MakePattern("target", {1, 2}, DetectionMode::kConjunction));
+  auto pipeline_or = builder.WithShards(1)
+                         .WithQueueCapacity(8)
                          .WithOverloadPolicy(OverloadPolicy::kShedOldest,
-                                             /*pending_capacity=*/64)
+                                             /*pending_capacity=*/4)
+                         .WithPrivacyWindow(5)
+                         .WithMechanism("uniform")
+                         .WithEpsilon(1.0)
                          .Build();
   ASSERT_TRUE(pipeline_or.ok()) << pipeline_or.status().ToString();
   Pipeline& pipeline = *pipeline_or.value();
-  EXPECT_EQ(pipeline.plan().overload_policy, OverloadPolicy::kShedOldest);
-  EXPECT_NE(pipeline.plan().Describe().find("shed-oldest"),
-            std::string::npos);
 
-  // Paced feed (see RunWithPolicy): this run must be lossless so the
-  // recall floor below can certify exactly that.
-  const std::vector<Event>& events = stream.events();
-  for (size_t i = 0; i < events.size(); i += 64) {
-    const size_t n = std::min<size_t>(64, events.size() - i);
-    ASSERT_TRUE(pipeline.OnEventBatch(EventSpan(events.data() + i, n)).ok());
-    ASSERT_TRUE(pipeline.Drain().ok());
+  // Trigger the detection, then wait until the worker is provably stuck.
+  ASSERT_TRUE(pipeline.OnEvent(Event(0, 0, /*subject=*/1)).ok());
+  ASSERT_TRUE(pipeline.OnEvent(Event(1, 1, /*subject=*/1)).ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!blocked.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  auto finished_or = pipeline.Finish();
-  ASSERT_TRUE(finished_or.ok());
-  ASSERT_TRUE(finished_or.value().Detections(q).ok());
+  ASSERT_TRUE(blocked.load()) << "worker never reached the callback";
 
-  // Ample capacity: a lossless run, certified by the recall floor.
-  EXPECT_EQ(pipeline.events_shed(), 0u);
-  EXPECT_EQ(pipeline.shedding_stats().RecallLowerBound(), 1.0);
-}
+  constexpr size_t kFlood = 2000;
+  for (size_t i = 0; i < kFlood; ++i) {
+    ASSERT_TRUE(
+        pipeline.OnEvent(Event(2, static_cast<Timestamp>(2 + i), 1)).ok());
+  }
+  EXPECT_GT(pipeline.events_shed(), 0u);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  ASSERT_TRUE(pipeline.Drain().ok());
 
-TEST(AdmissionBuilderTest, SequentialPlanForcesBlockingPolicy) {
-  PipelineBuilder builder;
-  (void)builder.AddQuery(
-      MakePattern("seq", {0, 1, 2}, DetectionMode::kSequence), kWindow);
-  auto pipeline_or =
-      builder.WithShards(1)
-          .WithOverloadPolicy(OverloadPolicy::kShedBySubject)
-          .Build();
-  ASSERT_TRUE(pipeline_or.ok());
-  // A pure-sequential plan has no shard queues to overflow; the planner
-  // pins the policy back to the lossless default.
-  EXPECT_TRUE(pipeline_or.value()->plan().sequential);
-  EXPECT_EQ(pipeline_or.value()->plan().overload_policy,
-            OverloadPolicy::kBlock);
+  const SheddingStats stats = pipeline.shedding_stats();
+  EXPECT_EQ(stats.offered(), 2 + kFlood);
+  size_t processed = 0;
+  for (const ShardStats& s : pipeline.ShardStatsSnapshot()) {
+    processed += s.events_processed;
+  }
+  EXPECT_EQ(stats.admitted, processed);
+  ASSERT_TRUE(pipeline.Finish().ok());
 }
 
 }  // namespace

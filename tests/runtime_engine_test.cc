@@ -273,7 +273,7 @@ TEST(ParallelEngineTest, ShardStatsAccountForEveryEvent) {
 }
 
 TEST(ShardTest, PushAfterStopFailsFastInsteadOfSpinning) {
-  Shard shard(/*index=*/0, /*queue_capacity=*/16, /*seed=*/1);
+  Shard shard(/*index=*/0, /*queue_capacity=*/16);
   ASSERT_TRUE(shard.AddQuery(MakePattern("p", {0, 1},
                                          DetectionMode::kSequence),
                              /*window=*/10)
@@ -294,7 +294,7 @@ TEST(ShardTest, PushAfterStopFailsFastInsteadOfSpinning) {
 }
 
 TEST(ShardTest, BulkPushDeliversEverythingInOrder) {
-  Shard shard(/*index=*/0, /*queue_capacity=*/8, /*seed=*/1);
+  Shard shard(/*index=*/0, /*queue_capacity=*/8);
   ASSERT_TRUE(shard.AddQuery(MakePattern("p", {0, 1},
                                          DetectionMode::kSequence),
                              /*window=*/10)
@@ -342,7 +342,6 @@ TEST(ParallelEngineTest, IngestionMayContinueAfterDrain) {
 TEST(ParallelEngineTest, UnknownQueryLookupsAreHardErrors) {
   ParallelEngineOptions options;
   options.shard_count = 2;
-  options.exchange.enabled = true;
   options.exchange.shard_count = 1;
   ParallelStreamingEngine engine(options);
   ASSERT_TRUE(engine
@@ -355,7 +354,11 @@ TEST(ParallelEngineTest, UnknownQueryLookupsAreHardErrors) {
                   .AddCrossQuery(Pattern::Create("c", {0, 1},
                                                  DetectionMode::kConjunction)
                                      .value(),
-                                 /*window=*/4)
+                                 /*window=*/4, "global",
+                                 MakeCorrelationKeyFn(
+                                     CorrelationKeySpec::Global())
+                                     .value(),
+                                 /*forward_raw_events=*/true)
                   .ok());
   ASSERT_TRUE(engine.Start().ok());
   ASSERT_TRUE(engine.Drain().ok());

@@ -89,16 +89,31 @@ StreamingCepEngine MakeReference(const EventStream& stream, size_t groups) {
   return reference;
 }
 
-ParallelEngineOptions ExchangeConfig(size_t stage1, size_t stage2,
-                                     CorrelationKeySpec key) {
+/// A two-stage engine configuration plus the correlation key its cross
+/// queries are registered under.
+struct ExchangeSetup {
   ParallelEngineOptions options;
-  options.shard_count = stage1;
-  options.queue_capacity = 128;
-  options.exchange.enabled = true;
-  options.exchange.shard_count = stage2;
-  options.exchange.lane_capacity = 64;  // small: exercise lane backpressure
-  options.exchange.key = std::move(key);
-  return options;
+  CorrelationKeySpec key;
+
+  /// Registers a cross query on the raw-forwarding lane-group of `key`.
+  StatusOr<size_t> AddCrossQuery(ParallelStreamingEngine& engine, Pattern p,
+                                 Timestamp w) const {
+    PLDP_ASSIGN_OR_RETURN(CorrelationKeyFn fn, MakeCorrelationKeyFn(key));
+    return engine.AddCrossQuery(std::move(p), w, "key", std::move(fn),
+                                /*forward_raw_events=*/true);
+  }
+};
+
+ExchangeSetup ExchangeConfig(size_t stage1, size_t stage2,
+                             CorrelationKeySpec key) {
+  ExchangeSetup setup;
+  setup.options.shard_count = stage1;
+  setup.options.queue_capacity = 128;
+  setup.options.exchange.shard_count = stage2;
+  // Small lanes: exercise lane backpressure.
+  setup.options.exchange.lane_capacity = 64;
+  setup.key = std::move(key);
+  return setup;
 }
 
 TEST(ExchangeEngineTest, CrossDetectionsEqualSequentialEngine) {
@@ -112,12 +127,12 @@ TEST(ExchangeEngineTest, CrossDetectionsEqualSequentialEngine) {
   for (const auto& [stage1, stage2] :
        std::vector<std::pair<size_t, size_t>>{
            {1, 1}, {2, 2}, {4, 4}, {1, 4}, {4, 1}, {2, 3}}) {
-    ParallelEngineOptions options = ExchangeConfig(
+    const ExchangeSetup setup = ExchangeConfig(
         stage1, stage2, CorrelationKeySpec::ByAttribute("grp"));
-    ParallelStreamingEngine engine(options);
+    ParallelStreamingEngine engine(setup.options);
     RegisterGroupQueries(
-        [&engine](Pattern p, Timestamp w) {
-          return engine.AddCrossQuery(std::move(p), w);
+        [&engine, &setup](Pattern p, Timestamp w) {
+          return setup.AddCrossQuery(engine, std::move(p), w);
         },
         kGroups);
     ASSERT_TRUE(engine.Start().ok());
@@ -163,12 +178,12 @@ TEST(ExchangeEngineTest, GlobalKeySkewsToSingleMergeShard) {
       CrossSubjectStream(kGroups, /*subjects=*/16, 8000, /*seed=*/13);
   const StreamingCepEngine reference = MakeReference(stream, kGroups);
 
-  ParallelEngineOptions options =
+  const ExchangeSetup setup =
       ExchangeConfig(/*stage1=*/3, /*stage2=*/4, CorrelationKeySpec::Global());
-  ParallelStreamingEngine engine(options);
+  ParallelStreamingEngine engine(setup.options);
   RegisterGroupQueries(
-      [&engine](Pattern p, Timestamp w) {
-        return engine.AddCrossQuery(std::move(p), w);
+      [&engine, &setup](Pattern p, Timestamp w) {
+        return setup.AddCrossQuery(engine, std::move(p), w);
       },
       kGroups);
   ASSERT_TRUE(engine.Start().ok());
@@ -202,12 +217,12 @@ TEST(ExchangeEngineTest, EmptyStageOneShardsDoNotStallTheMerge) {
   const StreamingCepEngine reference = MakeReference(stream, kGroups);
   ASSERT_GT(reference.total_detections(), 0u);
 
-  ParallelEngineOptions options = ExchangeConfig(
+  const ExchangeSetup setup = ExchangeConfig(
       /*stage1=*/6, /*stage2=*/2, CorrelationKeySpec::ByAttribute("grp"));
-  ParallelStreamingEngine engine(options);
+  ParallelStreamingEngine engine(setup.options);
   RegisterGroupQueries(
-      [&engine](Pattern p, Timestamp w) {
-        return engine.AddCrossQuery(std::move(p), w);
+      [&engine, &setup](Pattern p, Timestamp w) {
+        return setup.AddCrossQuery(engine, std::move(p), w);
       },
       kGroups);
   ASSERT_TRUE(engine.Start().ok());
@@ -237,12 +252,12 @@ TEST(ExchangeEngineTest, SilentShardsDoNotStallMergeBetweenBarriers) {
   const EventStream stream =
       CrossSubjectStream(kGroups, /*subjects=*/1, 6000, /*seed=*/59);
 
-  ParallelEngineOptions options = ExchangeConfig(
+  const ExchangeSetup setup = ExchangeConfig(
       /*stage1=*/6, /*stage2=*/2, CorrelationKeySpec::ByAttribute("grp"));
-  ParallelStreamingEngine engine(options);
+  ParallelStreamingEngine engine(setup.options);
   RegisterGroupQueries(
-      [&engine](Pattern p, Timestamp w) {
-        return engine.AddCrossQuery(std::move(p), w);
+      [&engine, &setup](Pattern p, Timestamp w) {
+        return setup.AddCrossQuery(engine, std::move(p), w);
       },
       kGroups);
   ASSERT_TRUE(engine.Start().ok());
@@ -267,11 +282,11 @@ TEST(ExchangeEngineTest, SilentShardsDoNotStallMergeBetweenBarriers) {
 // Satellite edge case: a zero-event stream must flow end-of-stream through
 // both stages (replayer OnEnd → drain barrier at bound 0) without hanging.
 TEST(ExchangeEngineTest, ZeroEventStream) {
-  ParallelEngineOptions options = ExchangeConfig(
+  const ExchangeSetup setup = ExchangeConfig(
       /*stage1=*/2, /*stage2=*/2, CorrelationKeySpec::ByAttribute("grp"));
-  ParallelStreamingEngine engine(options);
-  ASSERT_TRUE(engine
-                  .AddCrossQuery(MakePattern("p", {0, 1},
+  ParallelStreamingEngine engine(setup.options);
+  ASSERT_TRUE(setup
+                  .AddCrossQuery(engine, MakePattern("p", {0, 1},
                                              DetectionMode::kSequence),
                                  kWindow)
                   .ok());
@@ -310,12 +325,12 @@ TEST(ExchangeEngineTest, DrainWithInFlightExchangeLanes) {
   }
   const StreamingCepEngine full_reference = MakeReference(stream, kGroups);
 
-  ParallelEngineOptions options = ExchangeConfig(
+  const ExchangeSetup setup = ExchangeConfig(
       /*stage1=*/2, /*stage2=*/3, CorrelationKeySpec::ByAttribute("grp"));
-  ParallelStreamingEngine engine(options);
+  ParallelStreamingEngine engine(setup.options);
   RegisterGroupQueries(
-      [&engine](Pattern p, Timestamp w) {
-        return engine.AddCrossQuery(std::move(p), w);
+      [&engine, &setup](Pattern p, Timestamp w) {
+        return setup.AddCrossQuery(engine, std::move(p), w);
       },
       kGroups);
   ASSERT_TRUE(engine.Start().ok());
@@ -386,9 +401,9 @@ TEST(ExchangeEngineTest, StageOneAndCrossQueriesCoexist) {
   ASSERT_GT(subject_reference.total_detections(), 0u);
   ASSERT_GT(cross_reference.total_detections(), 0u);
 
-  ParallelEngineOptions options = ExchangeConfig(
+  const ExchangeSetup setup = ExchangeConfig(
       /*stage1=*/4, /*stage2=*/2, CorrelationKeySpec::ByEventType());
-  ParallelStreamingEngine engine(options);
+  ParallelStreamingEngine engine(setup.options);
   for (size_t k = 0; k < kSubjects; ++k) {
     const auto base = static_cast<EventTypeId>(k * kTypesPerGroup);
     ASSERT_TRUE(engine
@@ -397,7 +412,7 @@ TEST(ExchangeEngineTest, StageOneAndCrossQueriesCoexist) {
                               kWindow)
                     .ok());
   }
-  ASSERT_TRUE(engine.AddCrossQuery(watch, kWindow).ok());
+  ASSERT_TRUE(setup.AddCrossQuery(engine, watch, kWindow).ok());
   ASSERT_TRUE(engine.Start().ok());
 
   StreamReplayer replayer;
@@ -421,12 +436,12 @@ TEST(ExchangeEngineTest, DeterministicAcrossRuns) {
 
   std::vector<std::vector<Timestamp>> first;
   for (int run = 0; run < 2; ++run) {
-    ParallelEngineOptions options = ExchangeConfig(
+    const ExchangeSetup setup = ExchangeConfig(
         /*stage1=*/3, /*stage2=*/2, CorrelationKeySpec::ByAttribute("grp"));
-    ParallelStreamingEngine engine(options);
+    ParallelStreamingEngine engine(setup.options);
     RegisterGroupQueries(
-        [&engine](Pattern p, Timestamp w) {
-          return engine.AddCrossQuery(std::move(p), w);
+        [&engine, &setup](Pattern p, Timestamp w) {
+          return setup.AddCrossQuery(engine, std::move(p), w);
         },
         kGroups);
     ASSERT_TRUE(engine.Start().ok());
@@ -447,11 +462,11 @@ TEST(ExchangeEngineTest, DeterministicAcrossRuns) {
 }
 
 TEST(ExchangeEngineTest, FinishSealsThePipeline) {
-  ParallelEngineOptions options = ExchangeConfig(
+  const ExchangeSetup setup = ExchangeConfig(
       /*stage1=*/2, /*stage2=*/2, CorrelationKeySpec::ByEventType());
-  ParallelStreamingEngine engine(options);
-  ASSERT_TRUE(engine
-                  .AddCrossQuery(MakePattern("watch", {0},
+  ParallelStreamingEngine engine(setup.options);
+  ASSERT_TRUE(setup
+                  .AddCrossQuery(engine, MakePattern("watch", {0},
                                              DetectionMode::kDisjunction),
                                  kWindow)
                   .ok());
@@ -466,25 +481,17 @@ TEST(ExchangeEngineTest, FinishSealsThePipeline) {
 }
 
 TEST(ExchangeEngineTest, LifecycleErrors) {
-  {
-    // Cross queries without the exchange stage are refused.
-    ParallelEngineOptions options;
-    options.shard_count = 2;
-    ParallelStreamingEngine engine(options);
-    EXPECT_FALSE(engine
-                     .AddCrossQuery(MakePattern("p", {0},
-                                                DetectionMode::kDisjunction),
-                                    kWindow)
-                     .ok());
-    EXPECT_FALSE(engine.CrossDetectionsOf(0).ok());
-  }
-  {
-    // A malformed correlation spec surfaces at Start.
-    ParallelEngineOptions options = ExchangeConfig(
-        /*stage1=*/2, /*stage2=*/2, CorrelationKeySpec::ByAttribute(""));
-    ParallelStreamingEngine engine(options);
-    EXPECT_FALSE(engine.Start().ok());
-  }
+  ParallelEngineOptions options;
+  options.shard_count = 2;
+  ParallelStreamingEngine engine(options);
+  // A lane-group needs a key extractor; unknown cross indices are refused.
+  EXPECT_FALSE(engine
+                   .AddCrossQuery(MakePattern("p", {0},
+                                              DetectionMode::kDisjunction),
+                                  kWindow, "key", nullptr,
+                                  /*forward_raw_events=*/true)
+                   .ok());
+  EXPECT_FALSE(engine.CrossDetectionsOf(0).ok());
 }
 
 }  // namespace

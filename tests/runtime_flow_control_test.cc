@@ -277,17 +277,18 @@ TEST(FlowControlTest, DrainUnderCreditStarvationMatchesSequentialEngine) {
     ParallelEngineOptions options;
     options.shard_count = stage1;
     options.queue_capacity = 128;
-    options.exchange.enabled = true;
     options.exchange.shard_count = stage2;
     options.exchange.lane_capacity = 64;
     // A starvation-sized budget: every producer exhausts its credits
     // constantly, so the whole run exercises the slow path + liveness.
     options.exchange.reorder_capacity = 4;
-    options.exchange.key = CorrelationKeySpec::ByAttribute("grp");
+    const CorrelationKeyFn key =
+        MakeCorrelationKeyFn(CorrelationKeySpec::ByAttribute("grp")).value();
     ParallelStreamingEngine engine(options);
     RegisterGroupQueries(
-        [&engine](Pattern p, Timestamp w) {
-          return engine.AddCrossQuery(std::move(p), w);
+        [&engine, &key](Pattern p, Timestamp w) {
+          return engine.AddCrossQuery(std::move(p), w, "grp", key,
+                                      /*forward_raw_events=*/true);
         },
         kGroups);
     ASSERT_TRUE(engine.Start().ok());
@@ -327,15 +328,16 @@ TEST(FlowControlTest, FinishUnderCreditStarvationSealsThePipeline) {
   ParallelEngineOptions options;
   options.shard_count = 4;
   options.queue_capacity = 128;
-  options.exchange.enabled = true;
   options.exchange.shard_count = 1;
   options.exchange.lane_capacity = 16;
   options.exchange.reorder_capacity = 2;
-  options.exchange.key = CorrelationKeySpec::Global();
+  const CorrelationKeyFn key =
+      MakeCorrelationKeyFn(CorrelationKeySpec::Global()).value();
   ParallelStreamingEngine engine(options);
   RegisterGroupQueries(
-      [&engine](Pattern p, Timestamp w) {
-        return engine.AddCrossQuery(std::move(p), w);
+      [&engine, &key](Pattern p, Timestamp w) {
+        return engine.AddCrossQuery(std::move(p), w, "global", key,
+                                    /*forward_raw_events=*/true);
       },
       1);
   ASSERT_TRUE(engine.Start().ok());
@@ -360,15 +362,17 @@ TEST(FlowControlTest, StalledMergeShardBackpressuresIngestNotMemory) {
   ParallelEngineOptions options;
   options.shard_count = 1;
   options.queue_capacity = 8;
-  options.exchange.enabled = true;
   options.exchange.shard_count = 1;
   options.exchange.lane_capacity = 8;
   options.exchange.reorder_capacity = 4;
-  options.exchange.key = CorrelationKeySpec::Global();
   ParallelStreamingEngine engine(options);
   ASSERT_TRUE(
-      engine.AddCrossQuery(MakePattern("seq", {0, 1}, DetectionMode::kSequence),
-                           kWindow)
+      engine
+          .AddCrossQuery(MakePattern("seq", {0, 1}, DetectionMode::kSequence),
+                         kWindow, "global",
+                         MakeCorrelationKeyFn(CorrelationKeySpec::Global())
+                             .value(),
+                         /*forward_raw_events=*/true)
           .ok());
 
   std::mutex mu;
@@ -389,7 +393,7 @@ TEST(FlowControlTest, StalledMergeShardBackpressuresIngestNotMemory) {
 
   // CollectHealth must report the hard reorder bound (1 lane x 4 credits).
   obs::PipelineHealth wired;
-  engine.CollectHealth(&wired, "plain");
+  engine.CollectHealth(&wired);
   ASSERT_EQ(wired.groups.size(), 1u);
   EXPECT_EQ(wired.groups[0].reorder_capacity, 4u);
 

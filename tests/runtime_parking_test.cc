@@ -169,14 +169,18 @@ TEST(ParkingTest, ExchangePipelineBarriersCompleteFromParkedState) {
   ParallelEngineOptions options;
   options.shard_count = 2;
   options.queue_capacity = 256;
-  options.exchange.enabled = true;
   options.exchange.shard_count = 2;
   options.exchange.lane_capacity = 64;
-  options.exchange.key = CorrelationKeySpec::ByEventType();
   ParallelStreamingEngine engine(options);
   auto pattern = Pattern::Create("p", {0, 1}, DetectionMode::kSequence);
   ASSERT_TRUE(pattern.ok());
-  ASSERT_TRUE(engine.AddCrossQuery(std::move(pattern).value(), 10).ok());
+  ASSERT_TRUE(engine
+                  .AddCrossQuery(std::move(pattern).value(), 10, "event-type",
+                                 MakeCorrelationKeyFn(
+                                     CorrelationKeySpec::ByEventType())
+                                     .value(),
+                                 /*forward_raw_events=*/true)
+                  .ok());
   ASSERT_TRUE(engine.Start().ok());
 
   // Let both stages go fully idle (parked), then run the barrier.
@@ -205,7 +209,7 @@ TEST(ParkingTest, ParkAndWakeCountersSurfaceThroughMetrics) {
   ASSERT_TRUE(pattern.ok());
   ASSERT_TRUE(engine.AddQuery(std::move(pattern).value(), 10).ok());
   obs::MetricsRegistry registry;
-  ASSERT_TRUE(engine.EnableMetrics(&registry, "plain").ok());
+  ASSERT_TRUE(engine.EnableMetrics(&registry).ok());
   ASSERT_TRUE(engine.Start().ok());
 
   ASSERT_TRUE(Eventually([&] { return TotalParks(engine) >= 2; }));

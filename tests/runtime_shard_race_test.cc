@@ -23,14 +23,12 @@
 namespace pldp {
 namespace {
 
-constexpr uint64_t kSeed = 0x5eedc0deULL;
-
 TEST(ShardRaceTest, StatsScrapeRacingExchangeRegistration) {
   constexpr size_t kRounds = 32;
   constexpr size_t kHooks = 4;
 
   for (size_t round = 0; round < kRounds; ++round) {
-    Shard shard(0, 64, kSeed + round);
+    Shard shard(0, 64);
     std::vector<std::unique_ptr<ExchangeFabric>> fabrics;
 
     std::atomic<bool> stop{false};
@@ -76,7 +74,7 @@ TEST(ShardRaceTest, WorkerSnapshotSurvivesConcurrentScrapes) {
   // idle bound (at most one per event, so <= kEvents), and the lane must
   // hold them all or the worker blocks on it and the test hangs.
   constexpr uint64_t kEvents = 512;
-  Shard shard(0, 64, kSeed);
+  Shard shard(0, 64);
   ExchangeFabric fabric(1, 1, /*lane_capacity=*/2 * kEvents);
   auto emitter =
       std::make_unique<ExchangeEmitter>(fabric.Row(0), nullptr, &fabric);
