@@ -91,10 +91,10 @@ PredicatePtr MakeOr(std::vector<PredicatePtr> operands);
 PredicatePtr MakeNot(PredicatePtr operand);
 
 /// Set-membership over event types — the shard pop loop's engine-relevance
-/// prefilter (one vectorizable type-compare pass per burst instead of a
-/// per-event matcher dispatch). Exposed as a concrete class because the
-/// runtime needs the strided entry point below; everything else should go
-/// through MakeTypeAnyOf.
+/// prefilter (one vectorizable type-compare pass per burst, so events no
+/// pattern references skip the engine call). Exposed as a concrete class
+/// because the runtime needs the strided entry point below; everything
+/// else should go through MakeTypeAnyOf.
 class TypeAnyOfPredicate final : public Predicate {
  public:
   /// Duplicates are fine; the set is sorted/deduped at bind time. Small

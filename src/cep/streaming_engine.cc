@@ -15,9 +15,26 @@ StatusOr<size_t> StreamingCepEngine::AddQuery(Pattern pattern,
   if (matcher == nullptr) {
     return Status::Internal("no matcher for detection mode");
   }
+  const auto q = static_cast<uint32_t>(matchers_.size());
   matchers_.push_back(std::move(matcher));
-  patterns_.push_back(std::move(pattern));
+  for (EventTypeId type : pattern.elements()) IndexQuery(type, q);
   return matchers_.size() - 1;
+}
+
+void StreamingCepEngine::IndexQuery(EventTypeId type, uint32_t q) {
+  auto it = std::lower_bound(types_.begin(), types_.end(), type);
+  const auto slot = static_cast<size_t>(it - types_.begin());
+  if (it == types_.end() || *it != type) {
+    types_.insert(it, type);
+    offsets_.insert(offsets_.begin() + slot + 1, offsets_[slot]);
+  }
+  // `q` is the newest query, so appending at the slot's end keeps the
+  // slot's list ascending, and a repeated element type finds `q` already
+  // last.
+  const uint32_t end = offsets_[slot + 1];
+  if (end > offsets_[slot] && query_ids_[end - 1] == q) return;
+  query_ids_.insert(query_ids_.begin() + end, q);
+  for (size_t s = slot + 1; s < offsets_.size(); ++s) ++offsets_[s];
 }
 
 StatusOr<std::vector<Timestamp>> StreamingCepEngine::DetectionsOf(
@@ -29,26 +46,19 @@ StatusOr<std::vector<Timestamp>> StreamingCepEngine::DetectionsOf(
   return matchers_[query_index]->detections();
 }
 
-std::vector<EventTypeId> StreamingCepEngine::RelevantEventTypes() const {
-  std::vector<EventTypeId> types;
-  for (const Pattern& pattern : patterns_) {
-    const std::vector<EventTypeId>& elements = pattern.elements();
-    types.insert(types.end(), elements.begin(), elements.end());
-  }
-  std::sort(types.begin(), types.end());
-  types.erase(std::unique(types.begin(), types.end()), types.end());
-  return types;
-}
-
 void StreamingCepEngine::ResetState() {
   for (auto& m : matchers_) m->Reset();
   total_detections_ = 0;
   events_processed_ = 0;
 }
 
-Status StreamingCepEngine::OnEvent(const Event& event) {
+PLDP_HOT Status StreamingCepEngine::OnEvent(const Event& event) {
   ++events_processed_;
-  for (size_t q = 0; q < matchers_.size(); ++q) {
+  const uint32_t slot = SlotOf(event.type());
+  if (slot == kNoSlot) return Status::OK();
+  const uint32_t end = offsets_[slot + 1];
+  for (uint32_t i = offsets_[slot]; i < end; ++i) {
+    const uint32_t q = query_ids_[i];
     if (matchers_[q]->OnEvent(event)) {
       ++total_detections_;
       if (callback_) {

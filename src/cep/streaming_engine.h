@@ -2,8 +2,16 @@
 //
 // Online CEP engine: the production-style counterpart to the window-batch
 // evaluation path. It subscribes to a stream replay (stream/replay.h) and
-// feeds every event to one incremental matcher per registered query,
-// emitting detections the moment they complete — no window materialization.
+// runs one incremental matcher per registered query, emitting detections
+// the moment they complete — no window materialization.
+//
+// Dispatch is type-indexed: `AddQuery` files each query under every
+// distinct event type its pattern names, and `OnEvent` steps only the
+// matchers listed under the event's type. A matcher is a no-op for a type
+// outside its pattern, so this is observably identical to stepping every
+// matcher on every event (pinned by tests/streaming_engine_index_test.cc):
+// per event, the queries that can fire are visited in ascending query
+// index, each exactly once, and callbacks fire in that order.
 //
 // The window-batch engine (engine.h) is what the paper's evaluation uses
 // (per-window binary answers); this engine exists because a deployed
@@ -12,14 +20,15 @@
 // on tumbling windows.
 //
 // DEPRECATED as a user-facing facade: new serving code should declare its
-// queries through `PipelineBuilder` (api/pipeline_builder.h) — a 1-shard
-// budget plans exactly this engine, with typed handles and the Finish()
-// result gate. This class remains the planner's sequential execution
-// target and the per-shard engine of the runtime.
+// queries through `PipelineBuilder` (api/pipeline_builder.h). This class
+// is the engine every runtime `Shard` and `MergeShard` runs, and the
+// sequential reference the equivalence suites compare the runtime against.
 
 #ifndef PLDP_CEP_STREAMING_ENGINE_H_
 #define PLDP_CEP_STREAMING_ENGINE_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -28,6 +37,7 @@
 #include "cep/matcher.h"
 #include "cep/pattern.h"
 #include "common/status.h"
+#include "common/thread_annotations.h"
 #include "stream/replay.h"
 
 namespace pldp {
@@ -50,6 +60,8 @@ class StreamingCepEngine : public StreamSubscriber {
 
   /// Registers a continuous query: detect `pattern` with all elements within
   /// `window` time units (<= 0: unbounded). Returns the query index.
+  /// Updates the type index in place (O(index size) per call); queries may
+  /// be added after events have flowed.
   StatusOr<size_t> AddQuery(Pattern pattern, Timestamp window);
 
   /// Registers a detection callback (called synchronously from OnEvent).
@@ -69,10 +81,12 @@ class StreamingCepEngine : public StreamSubscriber {
   size_t events_processed() const { return events_processed_; }
 
   /// Sorted distinct union of the event types any registered pattern
-  /// references. An event whose type is absent from this set is a no-op
-  /// for every matcher — the contract the shard pop loop's batch
-  /// prefilter (cep/predicate.h TypeAnyOfPredicate) relies on.
-  std::vector<EventTypeId> RelevantEventTypes() const;
+  /// references: the keys of the type index. An event whose type is absent
+  /// from this set steps no matcher — the contract the shard pop loop's
+  /// batch prefilter (cep/predicate.h TypeAnyOfPredicate) relies on.
+  const std::vector<EventTypeId>& RelevantEventTypes() const {
+    return types_;
+  }
 
   /// Clears all matcher state and counters (queries stay registered).
   void ResetState();
@@ -81,8 +95,28 @@ class StreamingCepEngine : public StreamSubscriber {
   Status OnEvent(const Event& event) override;
 
  private:
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+
+  /// Index slot of `type` (its position in `types_`), or kNoSlot.
+  PLDP_HOT uint32_t SlotOf(EventTypeId type) const {
+    auto it = std::lower_bound(types_.begin(), types_.end(), type);
+    return it != types_.end() && *it == type
+               ? static_cast<uint32_t>(it - types_.begin())
+               : kNoSlot;
+  }
+
+  /// Files query `q` (the newest) under `type` unless already filed there,
+  /// opening a slot if needed.
+  void IndexQuery(EventTypeId type, uint32_t q);
+
   std::vector<std::unique_ptr<IncrementalMatcher>> matchers_;
-  std::vector<Pattern> patterns_;
+  // Type index in CSR form. Slot s holds type types_[s]; the queries whose
+  // pattern names it are query_ids_[offsets_[s] .. offsets_[s + 1]), in
+  // ascending order, each once. SlotOf binary-searches types_, so no
+  // table is sized by the largest type id (perfbench registers 1u << 30).
+  std::vector<EventTypeId> types_;  // sorted, distinct
+  std::vector<uint32_t> offsets_{0};
+  std::vector<uint32_t> query_ids_;
   DetectionCallback callback_;
   size_t total_detections_ = 0;
   size_t events_processed_ = 0;

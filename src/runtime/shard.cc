@@ -350,9 +350,9 @@ void Shard::ProcessOne(const StampedEvent& stamped,
   }
   // The engine's status is always OK today (OnEvent cannot fail); if
   // a future engine surfaces errors we will carry them to Drain().
-  // `engine_relevant` is the batch prefilter's verdict: an event whose
-  // type no pattern references is a matcher no-op, so the call is skipped
-  // wholesale (pinned equivalent by the EvalBatch fixed-seed tests).
+  // The engine dispatches by type itself; `engine_relevant` is the batch
+  // prefilter's verdict and only saves the call for an event whose type no
+  // pattern references (the engine would step no matcher for it).
   if (engine_relevant) (void)engine_.OnEvent(stamped.event);
   if (sink_ != nullptr) sink_->OnShardEvent(stamped.event);
   for (const ExchangeHookRef& hook : hooks) {
@@ -370,8 +370,10 @@ void Shard::RunLoop() {
   // the registration mutex.
   const std::vector<ExchangeHookRef> hooks = SnapshotHooks();
   // Engine-relevance prefilter: one vectorizable type-compare pass per pop
-  // burst replaces a per-event engine dispatch for every event whose type
-  // no registered pattern references (cep/predicate.h).
+  // burst. The engine already steps only the queries whose pattern names
+  // the event's type; the prefilter saves the call itself for events no
+  // pattern references — every event, when the engine has no queries
+  // (cep/predicate.h).
   const std::shared_ptr<const TypeAnyOfPredicate> prefilter =
       MakeTypeAnyOf(engine_.RelevantEventTypes());
   uint64_t relevance[kPopBatch / 64];

@@ -286,7 +286,8 @@ class Shard {
   /// the per-event section of the worker loop (also used by Stop's
   /// post-join leftover absorption, under the role handoff). When
   /// `engine_relevant` is false the engine call is skipped (the batch
-  /// prefilter proved no pattern references this event's type); the sink,
+  /// prefilter proved no pattern references this event's type, so the
+  /// engine's type index would step no matcher); the sink,
   /// raw forwards, and ordering bookkeeping are unconditional.
   PLDP_HOT void ProcessOne(const StampedEvent& stamped,
                            const std::vector<ExchangeHookRef>& hooks,
