@@ -3,7 +3,6 @@
 #include "api/pipeline_builder.h"
 
 #include <atomic>
-#include <thread>
 #include <utility>
 
 #include "common/strings.h"
@@ -14,12 +13,6 @@ namespace pldp {
 namespace {
 
 std::atomic<uint64_t> g_next_builder_uid{1};
-
-size_t ResolveShardBudget(size_t requested) {
-  if (requested > 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<size_t>(hw);
-}
 
 std::string SpecKeyId(const CorrelationKeySpec& spec) {
   switch (spec.kind) {
@@ -115,10 +108,6 @@ std::string PipelinePlan::Describe() const {
     out += StrFormat("overload policy: %s\n",
                      OverloadPolicyName(overload_policy));
   }
-  if (reorder_capacity > 0) {
-    out += StrFormat("exchange reorder credits: %zu per lane\n",
-                     reorder_capacity);
-  }
   return out;
 }
 
@@ -130,35 +119,29 @@ PipelineBuilder::PipelineBuilder()
     : uid_(g_next_builder_uid.fetch_add(1, std::memory_order_relaxed)) {}
 
 PipelineBuilder& PipelineBuilder::WithShards(size_t shard_budget) {
-  shard_budget_ = shard_budget;
+  options_.shard_count = shard_budget;
   return *this;
 }
 
 PipelineBuilder& PipelineBuilder::WithCrossShards(size_t merge_shards) {
-  cross_shards_ = merge_shards;
+  options_.exchange.shard_count = merge_shards;
   return *this;
 }
 
 PipelineBuilder& PipelineBuilder::WithQueueCapacity(size_t capacity) {
-  queue_capacity_ = capacity;
+  options_.queue_capacity = capacity;
   return *this;
 }
 
 PipelineBuilder& PipelineBuilder::WithExchangeCapacity(size_t lane_capacity) {
-  exchange_capacity_ = lane_capacity;
-  return *this;
-}
-
-PipelineBuilder& PipelineBuilder::WithReorderCapacity(
-    size_t credits_per_lane) {
-  reorder_capacity_ = credits_per_lane;
+  options_.exchange.lane_capacity = lane_capacity;
   return *this;
 }
 
 PipelineBuilder& PipelineBuilder::WithOverloadPolicy(OverloadPolicy policy,
                                                      size_t pending_capacity) {
-  overload_.policy = policy;
-  overload_.pending_capacity = pending_capacity;
+  options_.overload.policy = policy;
+  options_.overload.pending_capacity = pending_capacity;
   return *this;
 }
 
@@ -168,8 +151,8 @@ PipelineBuilder& PipelineBuilder::WithSeed(uint64_t seed) {
 }
 
 PipelineBuilder& PipelineBuilder::WithCoreAffinity(size_t max_cores) {
-  pin_threads_ = true;
-  affinity_cores_ = max_cores;
+  options_.pin_threads = true;
+  options_.affinity_cores = max_cores;
   return *this;
 }
 
@@ -386,14 +369,12 @@ StatusOr<std::unique_ptr<Pipeline>> PipelineBuilder::Build() {
     pipeline->metrics_ = std::make_unique<obs::MetricsRegistry>();
   }
   PipelinePlan& plan = pipeline->plan_;
-  plan.shard_count = ResolveShardBudget(shard_budget_);
   plan.plain_queries = plain_.size();
   plan.has_private = has_private;
   plan.private_queries = private_queries_.size();
   plan.private_cross_queries = private_cross_.size();
-  plan.reorder_capacity = reorder_capacity_;
-  plan.pin_threads = pin_threads_;
-  plan.overload_policy = overload_.policy;
+  plan.pin_threads = options_.pin_threads;
+  plan.overload_policy = options_.overload.policy;
 
   // Resolve every cross query's correlation key up front: the planner
   // dedupes equal keys into shared lane-groups and validates the rest.
@@ -410,8 +391,13 @@ StatusOr<std::unique_ptr<Pipeline>> PipelineBuilder::Build() {
     r.fn = std::move(key.second);
     resolved.push_back(std::move(r));
   }
-  const size_t merge_shards =
-      cross_shards_ > 0 ? cross_shards_ : plan.shard_count;
+  // --- The one runtime every lane attaches to ----------------------------
+  pipeline->runtime_ = std::make_unique<ParallelStreamingEngine>(options_);
+  ParallelStreamingEngine& runtime = *pipeline->runtime_;
+  plan.shard_count = runtime.shard_count();
+  const size_t merge_shards = options_.exchange.shard_count > 0
+                                  ? options_.exchange.shard_count
+                                  : plan.shard_count;
   for (const ResolvedCross& r : resolved) {
     bool found = false;
     for (PipelinePlan::CrossGroupPlan& g : plan.cross_groups) {
@@ -430,43 +416,23 @@ StatusOr<std::unique_ptr<Pipeline>> PipelineBuilder::Build() {
     }
   }
 
-  // --- The one runtime: plain queries and raw cross lane-groups ----------
-  ParallelEngineOptions options;
-  options.shard_count = plan.shard_count;
-  options.queue_capacity = queue_capacity_;
-  options.exchange.shard_count = merge_shards;
-  options.exchange.lane_capacity = exchange_capacity_;
-  options.exchange.reorder_capacity = reorder_capacity_;
-  options.overload = overload_;
-  options.pin_threads = pin_threads_;
-  options.affinity_cores = affinity_cores_;
-  pipeline->runtime_ =
-      std::make_unique<ParallelStreamingEngine>(std::move(options));
-  ParallelStreamingEngine& runtime = *pipeline->runtime_;
-  for (const PlainDecl& decl : plain_) {
-    PLDP_ASSIGN_OR_RETURN(size_t index,
-                          runtime.AddQuery(decl.pattern, decl.window));
-    pipeline->plain_map_.push_back(index);
+  // --- Plain queries and raw cross lane-groups --------------------------
+  // The runtime hands out indices in registration order, so a handle's
+  // registration index is its runtime query index.
+  for (PlainDecl& decl : plain_) {
+    PLDP_RETURN_IF_ERROR(runtime
+                             .AddQuery(std::move(decl.pattern), decl.window,
+                                       std::move(decl.callback))
+                             .status());
   }
   for (size_t i = 0; i < cross_.size(); ++i) {
-    PLDP_ASSIGN_OR_RETURN(
-        size_t index,
-        runtime.AddCrossQuery(cross_[i].pattern, cross_[i].window,
-                              resolved[i].key_id, resolved[i].fn,
-                              /*forward_raw_events=*/true));
-    pipeline->cross_map_.push_back(index);
-  }
-  for (size_t i = 0; i < plain_.size(); ++i) {
-    if (plain_[i].callback) {
-      PLDP_RETURN_IF_ERROR(runtime.SetQueryCallback(pipeline->plain_map_[i],
-                                                    plain_[i].callback));
-    }
-  }
-  for (size_t i = 0; i < cross_.size(); ++i) {
-    if (cross_[i].callback) {
-      PLDP_RETURN_IF_ERROR(runtime.SetCrossQueryCallback(
-          pipeline->cross_map_[i], cross_[i].callback));
-    }
+    PLDP_RETURN_IF_ERROR(
+        runtime
+            .AddCrossQuery(std::move(cross_[i].pattern), cross_[i].window,
+                           resolved[i].key_id, resolved[i].fn,
+                           /*forward_raw_events=*/true,
+                           std::move(cross_[i].callback))
+            .status());
   }
 
   // --- Private lane: sinks on the same shards -----------------------------
@@ -532,10 +498,6 @@ Status Pipeline::OnEvent(const Event& event) {
 }
 
 Status Pipeline::OnEventBatch(EventSpan events) {
-  driver_role_.Assert();
-  if (finished_) {
-    return Status::FailedPrecondition("ingestion after Finish()/OnEnd");
-  }
   PLDP_RETURN_IF_ERROR(runtime_->OnEventBatch(events));
   // order: relaxed; standalone telemetry counter, readers tolerate lag.
   events_ingested_.fetch_add(events.size(), std::memory_order_relaxed);
@@ -556,18 +518,14 @@ Status Pipeline::Drain() {
 }
 
 Status Pipeline::FinishInternal() {
-  driver_role_.Assert();
-  if (finished_) return finish_status_;
-  finished_ = true;
-  // The runtime's Finish runs every private publisher's Finalize on its
-  // own worker (forwarding the final views through the exchange) and
-  // seals every lane-group; its barrier orders every worker-side mutation
-  // before the reads below.
-  finish_status_ = runtime_->Finish();
-  if (finish_status_.ok() && private_lane_ != nullptr) {
-    finish_status_ = private_lane_->FinalizeStatus();
-  }
-  return finish_status_;
+  // The runtime's Finish is one-shot and latched; it runs every private
+  // publisher's Finalize on its own worker (forwarding the final views
+  // through the exchange) and seals every lane-group; its barrier orders
+  // every worker-side mutation before the reads below. FinalizeStatus only
+  // collects the errors the publishers latched there.
+  PLDP_RETURN_IF_ERROR(runtime_->Finish());
+  return private_lane_ != nullptr ? private_lane_->FinalizeStatus()
+                                  : Status::OK();
 }
 
 StatusOr<FinishedPipeline> Pipeline::Finish() {
@@ -656,16 +614,14 @@ StatusOr<std::vector<Timestamp>> FinishedPipeline::Detections(
     const QueryHandle& handle) const {
   PLDP_RETURN_IF_ERROR(
       CheckHandle(pipeline_->builder_uid_, handle.rep_, "query"));
-  return pipeline_->runtime_->DetectionsOf(
-      pipeline_->plain_map_[handle.rep_.index]);
+  return pipeline_->runtime_->DetectionsOf(handle.rep_.index);
 }
 
 StatusOr<std::vector<Timestamp>> FinishedPipeline::Detections(
     const CrossQueryHandle& handle) const {
   PLDP_RETURN_IF_ERROR(
       CheckHandle(pipeline_->builder_uid_, handle.rep_, "cross query"));
-  return pipeline_->runtime_->CrossDetectionsOf(
-      pipeline_->cross_map_[handle.rep_.index]);
+  return pipeline_->runtime_->CrossDetectionsOf(handle.rep_.index);
 }
 
 StatusOr<std::vector<Timestamp>> FinishedPipeline::Detections(

@@ -53,7 +53,6 @@
 
 #include "cep/correlation_key.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "core/private_lane.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
@@ -199,8 +198,6 @@ struct PipelinePlan {
   /// Resolved ingest overload policy (kBlock unless WithOverloadPolicy
   /// chose a shedding policy).
   OverloadPolicy overload_policy = OverloadPolicy::kBlock;
-  /// Per-lane exchange credit budget (0 = engine default).
-  size_t reorder_capacity = 0;
 
   /// Multi-line rendering of the plan.
   std::string Describe() const;
@@ -261,7 +258,7 @@ class Pipeline : public StreamSubscriber {
 
   const PipelinePlan& plan() const { return plan_; }
 
-  // Ingest (single producer thread; the driver-role contract below).
+  // Ingest (single producer thread; the runtime asserts it).
 
   /// Feeds a batch of events to every lane. Thread contract: one thread
   /// drives all of OnEvent/OnEventBatch/OnEnd/Finish (a StreamReplayer
@@ -346,6 +343,8 @@ class Pipeline : public StreamSubscriber {
   friend class FinishedPipeline;
 
   Pipeline() = default;
+  /// Runtime Finish() (one-shot, latched; refuses ingest afterwards) plus
+  /// the private publishers' latched finalize errors.
   Status FinishInternal();
 
   PipelinePlan plan_;
@@ -357,9 +356,9 @@ class Pipeline : public StreamSubscriber {
   /// The one runtime every lane runs on.
   std::unique_ptr<ParallelStreamingEngine> runtime_;
 
-  /// Handle-index translation: registration index -> runtime query index.
-  std::vector<size_t> plain_map_;
-  std::vector<size_t> cross_map_;
+  /// Private handle-index translation: registration index -> private-lane
+  /// query id / runtime cross query index. (Plain and cross handles index
+  /// the runtime directly: it hands out indices in registration order.)
   std::vector<QueryId> private_map_;
   std::vector<size_t> private_cross_map_;
 
@@ -371,14 +370,6 @@ class Pipeline : public StreamSubscriber {
   obs::Gauge* intern_attr_budget_ = nullptr;
   obs::Gauge* intern_symbol_entries_ = nullptr;
   obs::Gauge* intern_symbol_budget_ = nullptr;
-
-  /// Single-driver contract: one thread drives ingest and the terminal
-  /// finish (a StreamReplayer calls OnEvent*/OnEnd from its one thread).
-  /// Scrape-side entry points (MetricsSnapshot, Health, events_processed)
-  /// deliberately touch only atomics and engine-internal synchronization.
-  ThreadRole driver_role_;
-  bool finished_ PLDP_GUARDED_BY(driver_role_) = false;
-  Status finish_status_ PLDP_GUARDED_BY(driver_role_) = Status::OK();
   /// Atomic so a scrape thread may read events_processed() mid-ingest.
   std::atomic<uint64_t> events_ingested_{0};
 };
@@ -403,13 +394,6 @@ class PipelineBuilder {
   PipelineBuilder& WithQueueCapacity(size_t capacity);
   /// Capacity of each exchange lane (rounded up to a power of two).
   PipelineBuilder& WithExchangeCapacity(size_t lane_capacity);
-  /// Per-lane flow-control credit budget of the exchange: a hard bound on
-  /// how many events one stage-1 producer may have waiting in one merge
-  /// shard's reorder buffer. A merge shard's reorder memory is bounded by
-  /// shards × this value; exhausted credit backpressures the producer
-  /// (counted by pldp_exchange_credit_exhausted_waits_total). 0 (default)
-  /// = kDefaultExchangeReorderCapacity.
-  PipelineBuilder& WithReorderCapacity(size_t credits_per_lane);
   /// What ingestion does when a shard queue is full. kBlock (default)
   /// blocks the ingest thread until the worker catches up — lossless.
   /// kShedOldest / kShedBySubject bound ingest latency instead by
@@ -535,15 +519,10 @@ class PipelineBuilder {
   bool built_ = false;
   bool metrics_enabled_ = false;
 
-  size_t shard_budget_ = 0;
-  size_t cross_shards_ = 0;
-  size_t queue_capacity_ = 1024;
-  size_t exchange_capacity_ = 1024;
-  size_t reorder_capacity_ = 0;
-  OverloadOptions overload_;
+  /// Runtime settings: the topology setters write them, Build() hands
+  /// them to the runtime unchanged.
+  ParallelEngineOptions options_;
   uint64_t seed_ = 0x9111bea5ULL;
-  bool pin_threads_ = false;
-  size_t affinity_cores_ = 0;
 
   Timestamp window_size_ = 0;
   Timestamp window_origin_ = 0;

@@ -90,11 +90,10 @@ PredicatePtr MakeAnd(std::vector<PredicatePtr> operands);
 PredicatePtr MakeOr(std::vector<PredicatePtr> operands);
 PredicatePtr MakeNot(PredicatePtr operand);
 
-/// Set-membership over event types — the shard pop loop's engine-relevance
-/// prefilter (one vectorizable type-compare pass per burst, so events no
-/// pattern references skip the engine call). Exposed as a concrete class
-/// because the runtime needs the strided entry point below; everything
-/// else should go through MakeTypeAnyOf.
+/// Set-membership over event types, evaluated as one vectorizable
+/// type-compare pass per batch. Exposed as a concrete class for the
+/// strided entry point below; everything else should go through
+/// MakeTypeAnyOf.
 class TypeAnyOfPredicate final : public Predicate {
  public:
   /// Duplicates are fine; the set is sorted/deduped at bind time. Small

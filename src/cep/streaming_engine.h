@@ -82,8 +82,7 @@ class StreamingCepEngine : public StreamSubscriber {
 
   /// Sorted distinct union of the event types any registered pattern
   /// references: the keys of the type index. An event whose type is absent
-  /// from this set steps no matcher — the contract the shard pop loop's
-  /// batch prefilter (cep/predicate.h TypeAnyOfPredicate) relies on.
+  /// from this set steps no matcher.
   const std::vector<EventTypeId>& RelevantEventTypes() const {
     return types_;
   }

@@ -7,6 +7,13 @@
 #include "runtime/backoff.h"
 
 namespace pldp {
+namespace {
+
+uint64_t SubjectKey(const Event& event) {
+  return static_cast<uint64_t>(event.stream());
+}
+
+}  // namespace
 
 ExchangeFabric::ExchangeFabric(size_t producers, size_t consumers,
                                size_t lane_capacity,
@@ -41,7 +48,8 @@ std::vector<ExchangeLane*> ExchangeFabric::Column(size_t consumer) {
 ExchangeEmitter::ExchangeEmitter(std::vector<ExchangeLane*> row,
                                  ShardKeyFn key_fn, ExchangeFabric* fabric)
     : row_(std::move(row)),
-      router_(row_.size(), std::move(key_fn)),
+      router_(row_.size()),
+      key_fn_(key_fn ? std::move(key_fn) : ShardKeyFn(SubjectKey)),
       fabric_(fabric) {}
 
 Status ExchangeEmitter::PushToLane(size_t consumer, ExchangeItem item) {
@@ -91,7 +99,7 @@ Status ExchangeEmitter::Emit(const Event& event) {
   ExchangeItem item;
   item.key = ExchangeKey{trigger_, sub_next_++};
   item.event = event;
-  const size_t consumer = router_.ShardOf(item.event);
+  const size_t consumer = router_.ShardOfKey(key_fn_(item.event));
   ExchangeLane& lane = *row_[consumer];
   // One credit per event. Only this thread decrements (single producer
   // per lane), so a non-zero read cannot underflow on the fetch_sub.

@@ -182,7 +182,7 @@ struct ExchangeEmitterStats {
 class ExchangeEmitter {
  public:
   /// `row` is the producer's lane row (one lane per consumer); `key_fn`
-  /// extracts the correlation key (nullptr = subject key, see EventRouter).
+  /// extracts the correlation key (nullptr = the subject, Event::stream()).
   ExchangeEmitter(std::vector<ExchangeLane*> row, ShardKeyFn key_fn,
                   ExchangeFabric* fabric);
 
@@ -247,6 +247,7 @@ class ExchangeEmitter {
 
   std::vector<ExchangeLane*> row_;
   EventRouter router_;
+  ShardKeyFn key_fn_;
   ExchangeFabric* fabric_;
 
   /// Single-driver contract: BeginTrigger/Emit/Broadcast are driven by one

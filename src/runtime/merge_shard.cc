@@ -47,19 +47,24 @@ MergeShard::MergeShard(size_t index, std::vector<ExchangeLane*> inputs)
   engine_.SetCallback([this](const StreamingDetection& d) {
     // order: relaxed; telemetry only.
     detections_.fetch_add(1, std::memory_order_relaxed);
-    if (user_callback_) user_callback_(d);
+    if (callbacks_[d.query_index]) callbacks_[d.query_index](d.at);
   });
 }
 
 MergeShard::~MergeShard() { (void)Stop(); }
 
-StatusOr<size_t> MergeShard::AddQuery(Pattern pattern, Timestamp window) {
+StatusOr<size_t> MergeShard::AddQuery(
+    Pattern pattern, Timestamp window,
+    std::function<void(Timestamp)> callback) {
   // order: relaxed; pre-start guard, orchestrator-serialized.
   if (running_.load(std::memory_order_relaxed)) {
     return Status::FailedPrecondition(
         "MergeShard::AddQuery must precede Start()");
   }
-  return engine_.AddQuery(std::move(pattern), window);
+  PLDP_ASSIGN_OR_RETURN(size_t index,
+                        engine_.AddQuery(std::move(pattern), window));
+  callbacks_.push_back(std::move(callback));
+  return index;
 }
 
 Status MergeShard::SetInstruments(const obs::MergeInstruments& instruments) {
@@ -69,16 +74,6 @@ Status MergeShard::SetInstruments(const obs::MergeInstruments& instruments) {
         "MergeShard::SetInstruments must precede Start()");
   }
   obs_ = instruments;
-  return Status::OK();
-}
-
-Status MergeShard::SetDetectionCallback(DetectionCallback callback) {
-  // order: relaxed; pre-start guard, orchestrator-serialized.
-  if (running_.load(std::memory_order_relaxed)) {
-    return Status::FailedPrecondition(
-        "MergeShard::SetDetectionCallback must precede Start()");
-  }
-  user_callback_ = std::move(callback);
   return Status::OK();
 }
 

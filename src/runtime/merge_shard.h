@@ -47,6 +47,7 @@
 #define PLDP_RUNTIME_MERGE_SHARD_H_
 
 #include <cstdint>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -75,16 +76,16 @@ class MergeShard {
 
   size_t index() const { return index_; }
 
-  /// Registers a cross-partition query. Must precede Start().
-  StatusOr<size_t> AddQuery(Pattern pattern, Timestamp window);
+  /// Registers a cross-partition query, with an optional detection
+  /// callback invoked on the worker thread with the completion timestamp of
+  /// every match. The returned index is the query's position in this
+  /// shard's engine (its lane-group-local index). Must precede Start().
+  StatusOr<size_t> AddQuery(Pattern pattern, Timestamp window,
+                            std::function<void(Timestamp)> callback = nullptr);
 
   /// Binds telemetry instruments (null fields are skipped). Must precede
   /// Start().
   Status SetInstruments(const obs::MergeInstruments& instruments);
-
-  /// Installs a user detection callback (worker thread) invoked for every
-  /// detection of this partition's engine. Must precede Start().
-  Status SetDetectionCallback(DetectionCallback callback);
 
   /// Pins the worker thread to `core` at startup (no-op when negative or
   /// unsupported). Must precede Start().
@@ -221,9 +222,10 @@ class MergeShard {
   /// worker-local ring buffers.
   Atomic<uint64_t> buffered_{0};
 
-  // Telemetry bundle and optional user callback, fixed before Start.
+  // Telemetry bundle and per-query detection callbacks (indexed by local
+  // query index, empty = none), fixed before Start.
   obs::MergeInstruments obs_;
-  DetectionCallback user_callback_;
+  std::vector<std::function<void(Timestamp)>> callbacks_;
 };
 
 }  // namespace pldp

@@ -27,7 +27,7 @@ constexpr uint64_t kProducerFloorPeriod = 1024;
 }  // namespace
 
 ParallelStreamingEngine::ParallelStreamingEngine(ParallelEngineOptions options)
-    : router_(ResolveShardCount(options.shard_count), options.key_fn),
+    : router_(ResolveShardCount(options.shard_count)),
       exchange_options_(options.exchange),
       overload_options_(options.overload),
       pin_threads_(options.pin_threads),
@@ -57,15 +57,16 @@ ParallelStreamingEngine::ParallelStreamingEngine(ParallelEngineOptions options)
 
 ParallelStreamingEngine::~ParallelStreamingEngine() { (void)Stop(); }
 
-StatusOr<size_t> ParallelStreamingEngine::AddQuery(Pattern pattern,
-                                                   Timestamp window) {
+StatusOr<size_t> ParallelStreamingEngine::AddQuery(
+    Pattern pattern, Timestamp window,
+    std::function<void(Timestamp)> callback) {
   if (running_) {
     return Status::FailedPrecondition(
         "ParallelStreamingEngine::AddQuery must precede Start()");
   }
   size_t index = 0;
   for (auto& shard : shards_) {
-    StatusOr<size_t> result = shard->AddQuery(pattern, window);
+    StatusOr<size_t> result = shard->AddQuery(pattern, window, callback);
     if (!result.ok()) return result;
     index = result.value();
   }
@@ -115,7 +116,8 @@ StatusOr<size_t> ParallelStreamingEngine::GetOrCreateGroup(
 
 StatusOr<size_t> ParallelStreamingEngine::AddCrossQuery(
     Pattern pattern, Timestamp window, const std::string& key_id,
-    ShardKeyFn key_fn, bool forward_raw_events) {
+    ShardKeyFn key_fn, bool forward_raw_events,
+    std::function<void(Timestamp)> callback) {
   if (running_) {
     return Status::FailedPrecondition(
         "ParallelStreamingEngine::AddCrossQuery must precede Start()");
@@ -126,11 +128,11 @@ StatusOr<size_t> ParallelStreamingEngine::AddCrossQuery(
   ExchangeGroup& group = groups_[group_index];
   size_t local = 0;
   for (auto& merge_shard : group.merge_shards) {
-    StatusOr<size_t> result = merge_shard->AddQuery(pattern, window);
+    StatusOr<size_t> result =
+        merge_shard->AddQuery(pattern, window, callback);
     if (!result.ok()) return result;
     local = result.value();
   }
-  group.query_count = local + 1;
   cross_index_.emplace_back(group_index, local);
   return cross_index_.size() - 1;
 }
@@ -325,92 +327,6 @@ void ParallelStreamingEngine::RefreshMetricGauges() {
   }
 }
 
-Status ParallelStreamingEngine::SetQueryCallback(
-    size_t query_index, std::function<void(Timestamp)> callback) {
-  if (running_) {
-    return Status::FailedPrecondition(
-        "SetQueryCallback must precede Start()");
-  }
-  if (query_index >= query_count_) {
-    return Status::OutOfRange("unknown stage-1 query index " +
-                              std::to_string(query_index));
-  }
-  if (query_callbacks_.size() < query_count_) {
-    query_callbacks_.resize(query_count_);
-  }
-  query_callbacks_[query_index] = std::move(callback);
-  return Status::OK();
-}
-
-Status ParallelStreamingEngine::SetCrossQueryCallback(
-    size_t cross_query_index, std::function<void(Timestamp)> callback) {
-  if (running_) {
-    return Status::FailedPrecondition(
-        "SetCrossQueryCallback must precede Start()");
-  }
-  if (cross_query_index >= cross_index_.size()) {
-    return Status::OutOfRange("unknown cross query index " +
-                              std::to_string(cross_query_index));
-  }
-  if (cross_query_callbacks_.size() < cross_index_.size()) {
-    cross_query_callbacks_.resize(cross_index_.size());
-  }
-  cross_query_callbacks_[cross_query_index] = std::move(callback);
-  return Status::OK();
-}
-
-Status ParallelStreamingEngine::InstallCallbackDispatchers() {
-  bool any_plain = false;
-  for (const auto& cb : query_callbacks_) {
-    if (cb) any_plain = true;
-  }
-  if (any_plain) {
-    for (auto& shard : shards_) {
-      // One dispatcher per shard; callbacks_ is frozen once Start ran, so
-      // worker-thread reads are race-free. The same user callback may fire
-      // concurrently from several shards — documented as thread-safe.
-      PLDP_RETURN_IF_ERROR(
-          shard->SetDetectionCallback([this](const StreamingDetection& d) {
-            if (d.query_index < query_callbacks_.size() &&
-                query_callbacks_[d.query_index]) {
-              query_callbacks_[d.query_index](d.at);
-            }
-          }));
-    }
-  }
-  bool any_cross = false;
-  for (const auto& cb : cross_query_callbacks_) {
-    if (cb) any_cross = true;
-  }
-  if (any_cross) {
-    // Merge-shard engines use group-local indices; invert cross_index_
-    // into one local->global map per group for the dispatchers.
-    std::vector<std::vector<size_t>> local_to_global(groups_.size());
-    for (size_t g = 0; g < groups_.size(); ++g) {
-      local_to_global[g].resize(groups_[g].query_count, SIZE_MAX);
-    }
-    for (size_t global = 0; global < cross_index_.size(); ++global) {
-      const auto [g, local] = cross_index_[global];
-      local_to_global[g][local] = global;
-    }
-    for (size_t g = 0; g < groups_.size(); ++g) {
-      auto map = local_to_global[g];
-      for (auto& merge_shard : groups_[g].merge_shards) {
-        PLDP_RETURN_IF_ERROR(merge_shard->SetDetectionCallback(
-            [this, map](const StreamingDetection& d) {
-              if (d.query_index >= map.size()) return;
-              const size_t global = map[d.query_index];
-              if (global < cross_query_callbacks_.size() &&
-                  cross_query_callbacks_[global]) {
-                cross_query_callbacks_[global](d.at);
-              }
-            }));
-      }
-    }
-  }
-  return Status::OK();
-}
-
 void ParallelStreamingEngine::CollectHealth(
     obs::PipelineHealth* health) const {
   for (size_t i = 0; i < shards_.size(); ++i) {
@@ -445,7 +361,6 @@ Status ParallelStreamingEngine::Start() {
   if (running_) {
     return Status::FailedPrecondition("engine already running");
   }
-  PLDP_RETURN_IF_ERROR(InstallCallbackDispatchers());
   if (pin_threads_) {
     // Round-robin core assignment, stage-1 shards first so they land on
     // distinct cores before the merge shards start sharing. Purely a
@@ -518,14 +433,15 @@ Status ParallelStreamingEngine::Drain() {
 }
 
 Status ParallelStreamingEngine::Finish() {
+  // One-shot: a failed finish leaves the pipeline in an undefined terminal
+  // state, so the first outcome — success or error — latches and is
+  // re-returned forever (even after Stop) instead of a retry silently
+  // reporting OK.
+  // order: relaxed; see the Start() rationale on the finished_ latch.
+  if (finished_.load(std::memory_order_relaxed)) return finish_status_;
   if (!running_) {
     return Status::FailedPrecondition("engine not running");
   }
-  // One-shot: a failed finish leaves the pipeline in an undefined terminal
-  // state, so the first outcome — success or error — latches and is
-  // re-returned forever instead of a retry silently reporting OK.
-  // order: relaxed; see the Start() rationale on the finished_ latch.
-  if (finished_.load(std::memory_order_relaxed)) return finish_status_;
   // Close the ingest gate before any worker finalizes: OnEvent after this
   // point is refused, so finalize-time output is really last.
   // order: relaxed; see the Start() rationale on the finished_ latch.

@@ -101,8 +101,6 @@ struct ParallelEngineOptions {
   /// Per-shard queue capacity (rounded up to a power of two). Bounds
   /// memory and converts overload into router-side backpressure.
   size_t queue_capacity = 1024;
-  /// Partition key; default = subject (Event::stream()).
-  ShardKeyFn key_fn;
   /// The cross-subject exchange stage.
   RuntimeExchangeOptions exchange;
   /// What ingestion does when a shard queue is full (runtime/overload.h).
@@ -139,8 +137,13 @@ class ParallelStreamingEngine : public StreamSubscriber {
   size_t cross_shard_count() const;
 
   /// Registers a continuous query on every stage-1 shard (same index
-  /// everywhere). Must precede Start(). Returns the query index.
-  StatusOr<size_t> AddQuery(Pattern pattern, Timestamp window);
+  /// everywhere) and returns that index, handed out in registration order.
+  /// `callback`, when set, receives the completion timestamp of every
+  /// detection on the worker thread of the shard that matched — each shard
+  /// calls its own copy, concurrently with the others, so it must be
+  /// thread-safe. Must precede Start().
+  StatusOr<size_t> AddQuery(Pattern pattern, Timestamp window,
+                            std::function<void(Timestamp)> callback = nullptr);
 
   /// Registers a cross-subject query on the exchange lane-group selected
   /// by (`key_id`, `forward_raw_events`): queries sharing both share one
@@ -151,11 +154,14 @@ class ParallelStreamingEngine : public StreamSubscriber {
   /// options.exchange's shape. A raw-forwarding group receives every
   /// stage-1 event (plain cross queries); any other group carries only
   /// what the shards' event sinks emit (the private lane's protected
-  /// views — see Shard::AddExchange). Must precede Start(). Cross queries
-  /// have their own index space, separate from AddQuery's.
-  StatusOr<size_t> AddCrossQuery(Pattern pattern, Timestamp window,
-                                 const std::string& key_id,
-                                 ShardKeyFn key_fn, bool forward_raw_events);
+  /// views — see Shard::AddExchange). `callback`, when set, runs on the
+  /// group's merge-shard workers for every detection (see AddQuery). Must
+  /// precede Start(). Cross queries have their own index space, separate
+  /// from AddQuery's, handed out in registration order.
+  StatusOr<size_t> AddCrossQuery(
+      Pattern pattern, Timestamp window, const std::string& key_id,
+      ShardKeyFn key_fn, bool forward_raw_events,
+      std::function<void(Timestamp)> callback = nullptr);
 
   /// Installs `sink` on stage-1 shard `shard_index` (see
   /// Shard::SetEventSink). Must precede Start().
@@ -178,23 +184,11 @@ class ParallelStreamingEngine : public StreamSubscriber {
   /// any thread; no-op when metrics are off.
   void RefreshMetricGauges();
 
-  /// Per-query detection callback (stage-1 index space), invoked on the
-  /// worker thread that matched — so implementations must be thread-safe
-  /// across shards. Must precede Start().
-  Status SetQueryCallback(size_t query_index,
-                          std::function<void(Timestamp)> callback);
-
-  /// Per-cross-query detection callback (global cross index space),
-  /// invoked on the matching merge-shard worker. Must precede Start().
-  Status SetCrossQueryCallback(size_t cross_query_index,
-                               std::function<void(Timestamp)> callback);
-
   /// Appends this engine's health rows (per-shard queue saturation,
   /// per-group merge lag/occupancy) to `health`. Safe while running.
   void CollectHealth(obs::PipelineHealth* health) const;
 
-  /// Installs the detection-callback dispatchers and launches all workers
-  /// (stage-2 consumers first, then stage-1).
+  /// Launches all workers (stage-2 consumers first, then stage-1).
   Status Start();
 
   /// Waits until every ingested event has been fully processed — through
@@ -294,8 +288,6 @@ class ParallelStreamingEngine : public StreamSubscriber {
     bool forward_raw_events = true;
     std::unique_ptr<ExchangeFabric> fabric;
     std::vector<std::unique_ptr<MergeShard>> merge_shards;
-    /// Cross queries registered on this group (local index space).
-    size_t query_count = 0;
   };
 
   /// Creates a lane-group for `key_fn` (or finds the existing one with
@@ -355,14 +347,8 @@ class ParallelStreamingEngine : public StreamSubscriber {
   std::vector<std::vector<obs::Gauge*>> merge_lag_gauges_;      // [grp][cons]
   std::vector<std::vector<obs::Gauge*>> merge_capacity_gauges_;  // [grp][cons]
 
-  // Per-query user detection callbacks (set before Start; dispatched on
-  // worker threads via one dispatcher per shard / merge shard).
-  std::vector<std::function<void(Timestamp)>> query_callbacks_;
-  std::vector<std::function<void(Timestamp)>> cross_query_callbacks_;
-
   Status FinishInternal();
   void PublishProducerFloor(uint64_t floor);
-  Status InstallCallbackDispatchers();
   /// Snapshot of the ingest frontier: every stamped sequence number is
   /// strictly below it. Safe from any thread (best-effort while the
   /// producer races, exact once it is quiescent — same as Drain).

@@ -6,17 +6,11 @@
 
 namespace pldp {
 
-EventRouter::EventRouter(size_t shard_count, ShardKeyFn key_fn)
-    : shard_count_(shard_count < 1 ? 1 : shard_count),
-      key_fn_(std::move(key_fn)) {}
-
-uint64_t EventRouter::KeyOf(const Event& event) const {
-  if (key_fn_) return key_fn_(event);
-  return static_cast<uint64_t>(event.stream());
-}
+EventRouter::EventRouter(size_t shard_count)
+    : shard_count_(shard_count < 1 ? 1 : shard_count) {}
 
 size_t EventRouter::ShardOf(const Event& event) const {
-  return ShardOfKey(KeyOf(event));
+  return ShardOfKey(static_cast<uint64_t>(event.stream()));
 }
 
 size_t EventRouter::ShardOfKey(uint64_t key) const {

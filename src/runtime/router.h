@@ -24,24 +24,21 @@
 
 namespace pldp {
 
-/// Extracts the partition key from an event. The default extracts the
-/// subject (stream id); workloads keyed differently (e.g. by a tenant
-/// attribute) supply their own.
+/// Extracts a routing key from an event — the correlation key an exchange
+/// emitter re-partitions stage-1 output by (runtime/exchange.h).
 using ShardKeyFn = std::function<uint64_t(const Event&)>;
 
 /// Hash-partitions events onto `shard_count` shards by subject key.
 class EventRouter {
  public:
-  /// `shard_count` must be >= 1 (clamped). Default key: Event::stream().
-  explicit EventRouter(size_t shard_count, ShardKeyFn key_fn = nullptr);
+  /// `shard_count` must be >= 1 (clamped).
+  explicit EventRouter(size_t shard_count);
 
   size_t shard_count() const { return shard_count_; }
 
-  /// The partition key of `event`.
-  PLDP_HOT uint64_t KeyOf(const Event& event) const;
-
-  /// Deterministic shard assignment: MixKey(KeyOf(event)) mapped onto
-  /// [0, shard_count) by multiply-shift range reduction (see ShardOfKey).
+  /// Deterministic shard assignment of the event's subject: ShardOfKey of
+  /// Event::stream(). Always the subject — a subject's privacy windows
+  /// must never be split across shards.
   PLDP_HOT size_t ShardOf(const Event& event) const;
 
   /// Shard assignment for a raw key (exposed so tests and capacity planners
@@ -54,7 +51,6 @@ class EventRouter {
 
  private:
   size_t shard_count_;
-  ShardKeyFn key_fn_;
 };
 
 }  // namespace pldp

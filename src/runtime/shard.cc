@@ -4,7 +4,6 @@
 
 #include <utility>
 
-#include "cep/predicate.h"
 #include "common/logging.h"
 #include "runtime/affinity.h"
 #include "runtime/backoff.h"
@@ -25,19 +24,23 @@ Shard::Shard(size_t index, size_t queue_capacity)
   engine_.SetCallback([this](const StreamingDetection& d) {
     // order: relaxed; telemetry only.
     detections_.fetch_add(1, std::memory_order_relaxed);
-    if (user_callback_) user_callback_(d);
+    if (callbacks_[d.query_index]) callbacks_[d.query_index](d.at);
   });
 }
 
 Shard::~Shard() { (void)Stop(); }
 
-StatusOr<size_t> Shard::AddQuery(Pattern pattern, Timestamp window) {
+StatusOr<size_t> Shard::AddQuery(Pattern pattern, Timestamp window,
+                                 std::function<void(Timestamp)> callback) {
   // order: relaxed; pre-start guard, orchestrator-serialized.
   if (running_.load(std::memory_order_relaxed)) {
     return Status::FailedPrecondition(
         "Shard::AddQuery must precede Start()");
   }
-  return engine_.AddQuery(std::move(pattern), window);
+  PLDP_ASSIGN_OR_RETURN(size_t index,
+                        engine_.AddQuery(std::move(pattern), window));
+  callbacks_.push_back(std::move(callback));
+  return index;
 }
 
 Status Shard::SetEventSink(std::unique_ptr<ShardEventSink> sink) {
@@ -66,16 +69,6 @@ Status Shard::SetInstruments(const obs::ShardInstruments& instruments) {
         "Shard::SetInstruments must precede Start()");
   }
   obs_ = instruments;
-  return Status::OK();
-}
-
-Status Shard::SetDetectionCallback(DetectionCallback callback) {
-  // order: relaxed; pre-start guard, orchestrator-serialized.
-  if (running_.load(std::memory_order_relaxed)) {
-    return Status::FailedPrecondition(
-        "Shard::SetDetectionCallback must precede Start()");
-  }
-  user_callback_ = std::move(callback);
   return Status::OK();
 }
 
@@ -339,8 +332,7 @@ void Shard::ExecuteCommand(const std::vector<ExchangeHookRef>& hooks) {
 }
 
 void Shard::ProcessOne(const StampedEvent& stamped,
-                       const std::vector<ExchangeHookRef>& hooks,
-                       bool engine_relevant) {
+                       const std::vector<ExchangeHookRef>& hooks) {
   // One exchange trigger scope per event and per lane-group: everything
   // emitted while processing it — raw forwards and sink-driven output
   // alike — is stamped (seq, 0), (seq, 1), ... independently on every
@@ -350,10 +342,7 @@ void Shard::ProcessOne(const StampedEvent& stamped,
   }
   // The engine's status is always OK today (OnEvent cannot fail); if
   // a future engine surfaces errors we will carry them to Drain().
-  // The engine dispatches by type itself; `engine_relevant` is the batch
-  // prefilter's verdict and only saves the call for an event whose type no
-  // pattern references (the engine would step no matcher for it).
-  if (engine_relevant) (void)engine_.OnEvent(stamped.event);
+  (void)engine_.OnEvent(stamped.event);
   if (sink_ != nullptr) sink_->OnShardEvent(stamped.event);
   for (const ExchangeHookRef& hook : hooks) {
     if (hook.forward_raw_events) (void)hook.emitter->Emit(stamped.event);
@@ -369,14 +358,6 @@ void Shard::RunLoop() {
   // shard runs, so the list is frozen and the per-event path stays off
   // the registration mutex.
   const std::vector<ExchangeHookRef> hooks = SnapshotHooks();
-  // Engine-relevance prefilter: one vectorizable type-compare pass per pop
-  // burst. The engine already steps only the queries whose pattern names
-  // the event's type; the prefilter saves the call itself for events no
-  // pattern references — every event, when the engine has no queries
-  // (cep/predicate.h).
-  const std::shared_ptr<const TypeAnyOfPredicate> prefilter =
-      MakeTypeAnyOf(engine_.RelevantEventTypes());
-  uint64_t relevance[kPopBatch / 64];
   // Sequence bound of the last idle watermark this loop broadcast — the
   // park predicate watches the producer floor against it.
   uint64_t last_idle_bound = 0;
@@ -385,15 +366,11 @@ void Shard::RunLoop() {
     if (n > 0) {
       backoff.Reset();
       if (obs_.batch_size) obs_.batch_size->Record(n);
-      prefilter->EvalTypesStrided(&batch[0].event, sizeof(StampedEvent), n,
-                                  relevance);
       // Chained clock reads: one MonotonicNowNs per event, each delta is
       // that event's full processing latency (engine + sink + exchange).
       uint64_t t_prev = obs_.process_latency_ns ? obs::MonotonicNowNs() : 0;
       for (size_t i = 0; i < n; ++i) {
-        const bool relevant =
-            ((relevance[i >> 6] >> (i & 63)) & uint64_t{1}) != 0;
-        ProcessOne(batch[i], hooks, relevant);
+        ProcessOne(batch[i], hooks);
         if (obs_.process_latency_ns) {
           const uint64_t t_now = obs::MonotonicNowNs();
           obs_.process_latency_ns->Record(t_now - t_prev);

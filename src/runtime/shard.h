@@ -47,6 +47,7 @@
 #define PLDP_RUNTIME_SHARD_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -128,8 +129,11 @@ class Shard {
 
   size_t index() const { return index_; }
 
-  /// Registers a query on this shard's engine. Must precede Start().
-  StatusOr<size_t> AddQuery(Pattern pattern, Timestamp window);
+  /// Registers a query on this shard's engine, with an optional detection
+  /// callback invoked on the worker thread with the completion timestamp of
+  /// every match. Must precede Start().
+  StatusOr<size_t> AddQuery(Pattern pattern, Timestamp window,
+                            std::function<void(Timestamp)> callback = nullptr);
 
   /// Installs the worker-side event sink and attaches it to every
   /// exchange emitter added with raw forwarding off. Must precede Start().
@@ -139,11 +143,6 @@ class Shard {
   /// skipped at update sites; copy-by-value, the registry owns the
   /// instruments. Must precede Start().
   Status SetInstruments(const obs::ShardInstruments& instruments);
-
-  /// Installs a user detection callback invoked on the worker thread for
-  /// every detection this shard's engine fires, in addition to the internal
-  /// detection counter. Must precede Start().
-  Status SetDetectionCallback(DetectionCallback callback);
 
   /// Pins the worker thread to `core` at startup (no-op when negative or
   /// unsupported on this platform). Must precede Start().
@@ -284,14 +283,9 @@ class Shard {
   void RunLoop() PLDP_REQUIRES(worker_role_);
   /// Delivers one event to the engine, the sink, and every exchange hook —
   /// the per-event section of the worker loop (also used by Stop's
-  /// post-join leftover absorption, under the role handoff). When
-  /// `engine_relevant` is false the engine call is skipped (the batch
-  /// prefilter proved no pattern references this event's type, so the
-  /// engine's type index would step no matcher); the sink,
-  /// raw forwards, and ordering bookkeeping are unconditional.
+  /// post-join leftover absorption, under the role handoff).
   PLDP_HOT void ProcessOne(const StampedEvent& stamped,
-                           const std::vector<ExchangeHookRef>& hooks,
-                           bool engine_relevant = true)
+                           const std::vector<ExchangeHookRef>& hooks)
       PLDP_REQUIRES(worker_role_);
   void ExecuteCommand(const std::vector<ExchangeHookRef>& hooks)
       PLDP_REQUIRES(worker_role_);
@@ -311,10 +305,11 @@ class Shard {
   /// The worker never takes it (see SnapshotHooks).
   mutable Mutex reg_mu_;
   std::vector<ExchangeHook> hooks_ PLDP_GUARDED_BY(reg_mu_);
-  // Telemetry bundle (null fields = un-instrumented) and the optional user
-  // detection callback; both fixed before Start, read on the worker.
+  // Telemetry bundle (null fields = un-instrumented) and the per-query
+  // detection callbacks (indexed by query, empty = none); both fixed
+  // before Start, read on the worker.
   obs::ShardInstruments obs_;
-  DetectionCallback user_callback_;
+  std::vector<std::function<void(Timestamp)>> callbacks_;
   std::thread worker_;
   // Written only by Start/Stop; atomic so Drain/stats from other threads
   // read it race-free.

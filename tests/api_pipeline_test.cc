@@ -479,30 +479,44 @@ TEST(PipelineHandleTest, ForeignAndInvalidHandlesAreHardErrors) {
 
 TEST(PipelineCallbackTest, ShardedPlainAndCrossCallbacksSeeEveryDetection) {
   const EventStream stream = CrossStream(12000, 31);
-  const Pattern plain_pattern = GroupPattern(0, DetectionMode::kSequence);
-  const Pattern cross_pattern = GroupPattern(1, DetectionMode::kConjunction);
 
   for (size_t shards : {1u, 2u, 4u}) {
     PipelineBuilder builder;
     // Callbacks run on worker threads, so the sinks take a lock.
     std::mutex mu;
-    std::vector<Timestamp> plain_fired;
-    std::vector<Timestamp> cross_fired;
-    QueryHandle plain_q = builder.AddQuery(plain_pattern, kQueryWindow);
-    plain_q.OnDetection([&](Timestamp at) {
-      std::lock_guard<std::mutex> lock(mu);
-      plain_fired.push_back(at);
-    });
-    CrossQueryHandle cross_q = builder.AddCrossQuery(
-        cross_pattern, kQueryWindow, CorrelationKey::Global());
-    cross_q.OnDetection([&](Timestamp at) {
-      std::lock_guard<std::mutex> lock(mu);
-      cross_fired.push_back(at);
-    });
+    std::vector<std::vector<Timestamp>> fired(4);
+    auto sink = [&](size_t slot) {
+      return [&, slot](Timestamp at) {
+        std::lock_guard<std::mutex> lock(mu);
+        fired[slot].push_back(at);
+      };
+    };
+    // Plain queries 0 and 2 have callbacks, query 1 between them has none.
+    QueryHandle plain_a =
+        builder.AddQuery(GroupPattern(0, DetectionMode::kSequence),
+                         kQueryWindow);
+    plain_a.OnDetection(sink(0));
+    QueryHandle plain_silent = builder.AddQuery(
+        GroupPattern(2, DetectionMode::kConjunction), kQueryWindow);
+    QueryHandle plain_b =
+        builder.AddQuery(GroupPattern(3, DetectionMode::kSequence),
+                         kQueryWindow);
+    plain_b.OnDetection(sink(1));
+    // Two cross queries on different keys: each is query 0 of its own
+    // lane-group, while their pipeline-wide indices are 0 and 1.
+    CrossQueryHandle cross_global = builder.AddCrossQuery(
+        GroupPattern(1, DetectionMode::kConjunction), kQueryWindow,
+        CorrelationKey::Global());
+    cross_global.OnDetection(sink(2));
+    CrossQueryHandle cross_zone = builder.AddCrossQuery(
+        GroupPattern(0, DetectionMode::kConjunction), kQueryWindow,
+        CorrelationKey::ByAttribute("zone"));
+    cross_zone.OnDetection(sink(3));
     auto pipeline_or =
         builder.WithShards(shards).WithCrossShards(2).WithSeed(kSeed).Build();
     ASSERT_TRUE(pipeline_or.ok()) << pipeline_or.status().ToString();
     Pipeline& pipeline = *pipeline_or.value();
+    ASSERT_EQ(pipeline.plan().cross_groups.size(), 2u);
 
     StreamReplayer replayer;
     replayer.Subscribe(&pipeline);
@@ -511,15 +525,61 @@ TEST(PipelineCallbackTest, ShardedPlainAndCrossCallbacksSeeEveryDetection) {
     ASSERT_TRUE(finished_or.ok());
     const FinishedPipeline& finished = finished_or.value();
 
+    const std::vector<std::vector<Timestamp>> expected = {
+        Sorted(finished.Detections(plain_a).value()),
+        Sorted(finished.Detections(plain_b).value()),
+        Sorted(finished.Detections(cross_global).value()),
+        Sorted(finished.Detections(cross_zone).value()),
+    };
     std::lock_guard<std::mutex> lock(mu);
-    EXPECT_FALSE(plain_fired.empty()) << "shards=" << shards;
-    EXPECT_EQ(Sorted(plain_fired),
-              Sorted(finished.Detections(plain_q).value()))
-        << "shards=" << shards;
-    EXPECT_EQ(Sorted(cross_fired),
-              Sorted(finished.Detections(cross_q).value()))
+    for (size_t slot = 0; slot < fired.size(); ++slot) {
+      EXPECT_FALSE(expected[slot].empty())
+          << "shards=" << shards << " slot=" << slot;
+      EXPECT_EQ(Sorted(fired[slot]), expected[slot])
+          << "shards=" << shards << " slot=" << slot;
+    }
+    EXPECT_FALSE(finished.Detections(plain_silent).value().empty())
         << "shards=" << shards;
   }
+}
+
+TEST(PipelineAffinityTest, PinnedOversubscribedRunMatchesUnpinned) {
+  const EventStream stream = CrossStream(12000, 37);
+  // Plain then cross detections of one run.
+  auto run = [&](bool pinned, std::vector<std::vector<Timestamp>>* out) {
+    PipelineBuilder builder;
+    QueryHandle plain =
+        builder.AddQuery(GroupPattern(0, DetectionMode::kSequence),
+                         kQueryWindow);
+    CrossQueryHandle cross = builder.AddCrossQuery(
+        GroupPattern(1, DetectionMode::kConjunction), kQueryWindow,
+        CorrelationKey::Global());
+    // 3 stage-1 shards + 2 merge shards on at most 2 cores: the
+    // round-robin placement wraps around.
+    builder.WithShards(3).WithCrossShards(2).WithSeed(kSeed);
+    if (pinned) builder.WithCoreAffinity(2);
+    auto pipeline_or = builder.Build();
+    ASSERT_TRUE(pipeline_or.ok()) << pipeline_or.status().ToString();
+    Pipeline& pipeline = *pipeline_or.value();
+    EXPECT_EQ(pipeline.plan().pin_threads, pinned);
+
+    StreamReplayer replayer;
+    replayer.Subscribe(&pipeline);
+    ASSERT_TRUE(replayer.Run(stream, ReplayMode::kBatchPerTick).ok());
+    auto finished_or = pipeline.Finish();
+    ASSERT_TRUE(finished_or.ok());
+    const FinishedPipeline& finished = finished_or.value();
+    out->push_back(Sorted(finished.Detections(plain).value()));
+    out->push_back(Sorted(finished.Detections(cross).value()));
+  };
+  std::vector<std::vector<Timestamp>> unpinned;
+  std::vector<std::vector<Timestamp>> pinned;
+  run(false, &unpinned);
+  run(true, &pinned);
+  ASSERT_EQ(unpinned.size(), 2u);
+  EXPECT_FALSE(unpinned[0].empty());
+  EXPECT_FALSE(unpinned[1].empty());
+  EXPECT_EQ(pinned, unpinned);
 }
 
 TEST(PipelineCallbackTest, InvalidHandleCallbackIsIgnored) {

@@ -15,7 +15,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -255,6 +258,63 @@ TEST(MetricsConsistencyTest, DisabledMetricsExposeNothing) {
   // Health still works without metrics (it reads live runtime state).
   EXPECT_EQ(pipeline.Health().state, obs::PipelineHealth::State::kHealthy);
   ASSERT_TRUE(pipeline.Finish().ok());
+}
+
+/// The shed counter reconciles with Pipeline::events_shed(): a worker
+/// stalled inside a detection callback makes kShedOldest drop part of a
+/// flood, and every drop is counted once, on its shard's series.
+TEST(MetricsConsistencyTest, ShedCounterMatchesEventsShed) {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::atomic<bool> blocked{false};
+  PipelineBuilder builder;
+  builder
+      .AddQuery(MakePattern("seq", {0, 1}, DetectionMode::kSequence),
+                kQueryWindow)
+      .OnDetection([&](Timestamp) {
+        std::unique_lock<std::mutex> lock(mu);
+        blocked.store(true);
+        cv.wait(lock, [&] { return release; });
+      });
+  auto pipeline_or = builder.WithShards(2)
+                         .WithQueueCapacity(8)
+                         .WithOverloadPolicy(OverloadPolicy::kShedOldest, 4)
+                         .EnableMetrics()
+                         .Build();
+  ASSERT_TRUE(pipeline_or.ok()) << pipeline_or.status().ToString();
+  Pipeline& pipeline = *pipeline_or.value();
+
+  // Complete the pattern on subject 1, then wait until its worker is stuck.
+  ASSERT_TRUE(pipeline.OnEvent(Event(0, 0, /*subject=*/1)).ok());
+  ASSERT_TRUE(pipeline.OnEvent(Event(1, 1, /*subject=*/1)).ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!blocked.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(blocked.load()) << "worker never reached the callback";
+
+  // Flood the stalled shard (and the other one) without blocking ingest.
+  for (size_t i = 0; i < 2000; ++i) {
+    const auto subject = static_cast<StreamId>(i % kSubjects);
+    ASSERT_TRUE(
+        pipeline.OnEvent(Event(2, static_cast<Timestamp>(2 + i), subject))
+            .ok());
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  ASSERT_TRUE(pipeline.Finish().ok());
+
+  const obs::MetricsSnapshot snapshot = pipeline.MetricsSnapshot();
+  const double shed = SumWhere(snapshot.Find("pldp_shed_events_total"),
+                               "policy", "shed-oldest");
+  EXPECT_GT(pipeline.events_shed(), 0u);
+  EXPECT_EQ(shed, static_cast<double>(pipeline.events_shed()));
+  EXPECT_EQ(obs::SumSamples(snapshot.Find("pldp_shed_events_total")), shed);
 }
 
 /// Scrapes (snapshot + both renderings + health) race ingestion. Exactness

@@ -283,23 +283,20 @@ TEST(AdmissionEngineTest, StalledShardShedsAndAccountsForEveryEvent) {
   options.overload.policy = OverloadPolicy::kShedOldest;
   options.overload.pending_capacity = 4;
   ParallelStreamingEngine engine(options);
-  ASSERT_TRUE(
-      engine.AddQuery(MakePattern("seq", {0, 1}, DetectionMode::kSequence),
-                      kWindow)
-          .ok());
-
   std::mutex mu;
   std::condition_variable cv;
   bool release = false;
   std::atomic<bool> blocked{false};
-  ASSERT_TRUE(engine
-                  .SetQueryCallback(0,
-                                    [&](Timestamp) {
-                                      std::unique_lock<std::mutex> lock(mu);
-                                      blocked.store(true);
-                                      cv.wait(lock, [&] { return release; });
-                                    })
-                  .ok());
+  ASSERT_TRUE(
+      engine
+          .AddQuery(MakePattern("seq", {0, 1}, DetectionMode::kSequence),
+                    kWindow,
+                    [&](Timestamp) {
+                      std::unique_lock<std::mutex> lock(mu);
+                      blocked.store(true);
+                      cv.wait(lock, [&] { return release; });
+                    })
+          .ok());
   ASSERT_TRUE(engine.Start().ok());
 
   // Trigger the detection, then wait until the worker is provably stuck.

@@ -98,15 +98,6 @@ TEST(EventRouterTest, SpreadsDenseKeys) {
   }
 }
 
-TEST(EventRouterTest, CustomKeyFunction) {
-  EventRouter router(4, [](const Event& e) {
-    return static_cast<uint64_t>(e.type());  // partition by type instead
-  });
-  Event a(3, 0, 1);
-  Event b(3, 50, 2);  // different subject, same type
-  EXPECT_EQ(router.ShardOf(a), router.ShardOf(b));
-}
-
 TEST(ParallelEngineTest, LifecycleErrors) {
   ParallelEngineOptions options;
   options.shard_count = 2;

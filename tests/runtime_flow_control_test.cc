@@ -366,29 +366,23 @@ TEST(FlowControlTest, StalledMergeShardBackpressuresIngestNotMemory) {
   options.exchange.lane_capacity = 8;
   options.exchange.reorder_capacity = 4;
   ParallelStreamingEngine engine(options);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::atomic<bool> stalled{false};
   ASSERT_TRUE(
       engine
           .AddCrossQuery(MakePattern("seq", {0, 1}, DetectionMode::kSequence),
                          kWindow, "global",
                          MakeCorrelationKeyFn(CorrelationKeySpec::Global())
                              .value(),
-                         /*forward_raw_events=*/true)
+                         /*forward_raw_events=*/true,
+                         [&](Timestamp) {
+                           std::unique_lock<std::mutex> lock(mu);
+                           stalled.store(true);
+                           cv.wait(lock, [&] { return release; });
+                         })
           .ok());
-
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  std::atomic<bool> stalled{false};
-  ASSERT_TRUE(engine
-                  .SetCrossQueryCallback(0,
-                                         [&](Timestamp) {
-                                           std::unique_lock<std::mutex> lock(
-                                               mu);
-                                           stalled.store(true);
-                                           cv.wait(lock,
-                                                   [&] { return release; });
-                                         })
-                  .ok());
   ASSERT_TRUE(engine.Start().ok());
 
   // CollectHealth must report the hard reorder bound (1 lane x 4 credits).
