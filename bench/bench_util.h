@@ -1,11 +1,9 @@
 // Copyright 2026 The PLDP Authors.
 //
 // Shared helpers for the experiment harnesses: flag parsing (--quick /
-// --full / --out=... / --json ...), result persistence, and an opt-in
-// operator-new counting hook. Every harness prints the paper-style series
-// to stdout, optionally writes a CSV next to it, and optionally emits a
-// machine-readable JSON document — the format CI archives as an artifact
-// so the performance trajectory of a branch is diffable run over run.
+// --full / --out=...), result persistence, and an opt-in operator-new
+// counting hook. Every harness prints the paper-style series to stdout and
+// optionally writes a CSV next to it.
 //
 // Allocation tracking: define PLDP_ENABLE_ALLOC_HOOK before including this
 // header in the main translation unit of a binary (exactly one TU per
@@ -103,23 +101,14 @@ struct HarnessArgs {
   Effort effort = Effort::kDefault;
   /// CSV output path; empty = stdout only.
   std::string csv_out;
-  /// JSON output path; empty = no JSON.
-  std::string json_out;
-  /// Pin worker threads round-robin to this many cores (0 = no pinning).
-  /// Harnesses that build pipelines forward this via WithCoreAffinity.
-  size_t cores = 0;
 };
 
 inline void PrintUsage(std::FILE* out, const char* argv0) {
-  std::fprintf(out,
-               "usage: %s [--quick | --full] [--out=F.csv] [--json F] "
-               "[--cores N]\n",
-               argv0);
+  std::fprintf(out, "usage: %s [--quick | --full] [--out=F.csv]\n", argv0);
 }
 
-/// Strict: `--help` prints the usage and exits 0; an unknown flag (or a
-/// flag missing its value) prints the usage and exits 2, before any
-/// benchmark work starts.
+/// Strict: `--help` prints the usage and exits 0; an unknown flag prints
+/// the usage and exits 2, before any benchmark work starts.
 inline HarnessArgs ParseArgs(int argc, char** argv) {
   HarnessArgs args;
   for (int i = 1; i < argc; ++i) {
@@ -129,14 +118,6 @@ inline HarnessArgs ParseArgs(int argc, char** argv) {
       args.effort = Effort::kFull;
     } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
       args.csv_out = argv[i] + 6;
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      args.json_out = argv[i] + 7;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      args.json_out = argv[++i];
-    } else if (std::strncmp(argv[i], "--cores=", 8) == 0) {
-      args.cores = static_cast<size_t>(std::strtoul(argv[i] + 8, nullptr, 10));
-    } else if (std::strcmp(argv[i], "--cores") == 0 && i + 1 < argc) {
-      args.cores = static_cast<size_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--help") == 0) {
       PrintUsage(stdout, argv[0]);
       std::exit(0);
@@ -149,72 +130,8 @@ inline HarnessArgs ParseArgs(int argc, char** argv) {
   return args;
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-inline std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-/// A cell that fully parses as a finite double is emitted as a bare JSON
-/// number; everything else is emitted as a string.
-inline std::string JsonCell(const std::string& cell) {
-  if (!cell.empty()) {
-    char* end = nullptr;
-    std::strtod(cell.c_str(), &end);
-    if (end != nullptr && *end == '\0' &&
-        cell.find_first_of("nN") == std::string::npos) {  // no nan/inf
-      return cell;
-    }
-  }
-  return "\"" + JsonEscape(cell) + "\"";
-}
-
-/// Writes {"schema_version":2,"title":...,"columns":[...],"rows":[[...]]}.
-/// Schema history: v1 had no affinity columns; v2 adds `cores` (the
-/// --cores pinning budget, 0 = unpinned) and park counters to the
-/// runtime-throughput table.
-inline Status WriteJson(const ResultTable& table, const std::string& path,
-                        const std::string& title) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::Internal("cannot open JSON output file: " + path);
-  }
-  std::fprintf(f, "{\n  \"schema_version\": 2,\n  \"title\": \"%s\",\n",
-               JsonEscape(title).c_str());
-  std::fprintf(f, "  \"columns\": [");
-  for (size_t i = 0; i < table.headers().size(); ++i) {
-    std::fprintf(f, "%s\"%s\"", i == 0 ? "" : ", ",
-                 JsonEscape(table.headers()[i]).c_str());
-  }
-  std::fprintf(f, "],\n  \"rows\": [\n");
-  for (size_t r = 0; r < table.rows().size(); ++r) {
-    std::fprintf(f, "    [");
-    const auto& row = table.rows()[r];
-    for (size_t i = 0; i < row.size(); ++i) {
-      std::fprintf(f, "%s%s", i == 0 ? "" : ", ", JsonCell(row[i]).c_str());
-    }
-    std::fprintf(f, "]%s\n", r + 1 == table.rows().size() ? "" : ",");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  return Status::OK();
-}
-
-/// Prints the table and writes the CSV/JSON when requested. Returns 0/1
-/// for main().
+/// Prints the table and writes the CSV when requested. Returns 0/1 for
+/// main().
 inline int EmitTable(const ResultTable& table, const HarnessArgs& args,
                      const std::string& title) {
   std::printf("== %s ==\n%s\n", title.c_str(), table.ToString().c_str());
@@ -225,14 +142,6 @@ inline int EmitTable(const ResultTable& table, const HarnessArgs& args,
       return 1;
     }
     std::printf("(written to %s)\n", args.csv_out.c_str());
-  }
-  if (!args.json_out.empty()) {
-    Status s = WriteJson(table, args.json_out, title);
-    if (!s.ok()) {
-      std::fprintf(stderr, "JSON write failed: %s\n", s.ToString().c_str());
-      return 1;
-    }
-    std::printf("(JSON written to %s)\n", args.json_out.c_str());
   }
   return 0;
 }

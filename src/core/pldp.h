@@ -15,8 +15,9 @@
 //              BD/BA/landmark baselines, factory
 //   quality/   precision/recall/Q/MRE metrics, report tables
 //   datasets/  Algorithm-2 synthetic generator, taxi simulator
-//   runtime/   sharded parallel streaming runtime (SPSC queues, router,
-//              shards, ParallelStreamingEngine, batched ingest)
+//   runtime/   internal: the sharded streaming runtime the planner
+//              executes on (SPSC queues, router, shards, exchange); not
+//              included here, reached only through api/
 //   obs/       telemetry: metrics registry, per-stage instruments,
 //              Prometheus/JSON exposition, health roll-up, TCP endpoint
 //   core/      PrivateCepEngine facade, the pipeline's private lane
@@ -72,10 +73,6 @@
 #include "ppm/w_event.h"
 #include "quality/metrics.h"
 #include "quality/report.h"
-#include "runtime/parallel_engine.h"
-#include "runtime/router.h"
-#include "runtime/shard.h"
-#include "runtime/spsc_queue.h"
 #include "stream/event_stream.h"
 #include "stream/replay.h"
 #include "stream/stream_io.h"

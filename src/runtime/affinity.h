@@ -5,11 +5,11 @@
 // Pinning shard and merge workers to distinct cores removes scheduler
 // migrations from the latency tail and keeps each worker's queue and
 // engine state warm in its own cache hierarchy. It is strictly opt-in
-// (WithCoreAffinity on the builder, --cores on the bench harness): the
-// default remains fully scheduler-managed, and on platforms without
-// pthread_setaffinity_np pinning degrades to a no-op rather than an
-// error, as does asking for more workers than cores (assignments wrap
-// round-robin — oversubscribed, but deterministic).
+// (WithCoreAffinity on the builder): the default remains fully
+// scheduler-managed, and on platforms without pthread_setaffinity_np
+// pinning degrades to a no-op rather than an error, as does asking for
+// more workers than cores (assignments wrap round-robin — oversubscribed,
+// but deterministic).
 
 #ifndef PLDP_RUNTIME_AFFINITY_H_
 #define PLDP_RUNTIME_AFFINITY_H_

@@ -28,6 +28,7 @@
 // topology from the registered queries and returns typed query handles
 // whose result accessors encode the drain contract. This class is the
 // planner's one execution target: every pipeline owns exactly one.
+// Internal: not part of the public API in core/pldp.h; tests include it.
 //
 //     caller / StreamReplayer
 //            │ OnEvent / OnEventBatch (stamped with ingest seq,

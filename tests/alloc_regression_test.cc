@@ -216,15 +216,13 @@ EventStream MakeCrossStream(size_t num_events, bool full_alphabet,
 // contract as the plain pipeline: after warmup, batched ingest through a
 // 2x2 topology (2 stage-1 shards emitting over the lane matrix into 2
 // watermark-gated merge shards) stays allocation-free up to a small
-// drain-barrier allowance. This pins the merge-shard reorder-ring
+// drain-barrier allowance, with metrics off and with every exchange and
+// merge instrument wired. This pins the merge-shard reorder-ring
 // pre-sizing: before the rings were pre-sized from the per-lane credit
 // budget, every reorder past the initial capacity grew a heap ring —
 // a per-event cost this assertion would catch immediately.
-TEST(AllocRegressionTest, ExchangePipelineSteadyStateIsAllocationFree) {
-  if (!bench::kAllocHookActive) {
-    GTEST_SKIP() << "allocation hook inactive under sanitizers";
-  }
-
+void ExpectExchangeSteadyStateAllocationFree(bool metrics) {
+  SCOPED_TRACE(metrics ? "metrics on" : "metrics off");
   ParallelEngineOptions options;
   options.shard_count = 2;
   options.queue_capacity = 4096;
@@ -242,6 +240,10 @@ TEST(AllocRegressionTest, ExchangePipelineSteadyStateIsAllocationFree) {
                     .AddCrossQuery(std::move(pattern).value(), kWindow, "grp",
                                    key, /*forward_raw_events=*/true)
                     .ok());
+  }
+  obs::MetricsRegistry registry;
+  if (metrics) {
+    ASSERT_TRUE(engine.EnableMetrics(&registry).ok());
   }
   ASSERT_TRUE(engine.Start().ok());
 
@@ -272,7 +274,27 @@ TEST(AllocRegressionTest, ExchangePipelineSteadyStateIsAllocationFree) {
       << "exchange steady state allocated " << counters.allocs << " times ("
       << counters.bytes << " bytes) across " << batched.size() << " events";
 
+  if (metrics) {
+    // The exchange and merge instruments were live: every event crossed
+    // the lane matrix and reached a merge shard.
+    engine.RefreshMetricGauges();
+    const obs::MetricsSnapshot snapshot = registry.Snapshot();
+    const double total = static_cast<double>(warmup.size() + batched.size());
+    EXPECT_EQ(obs::SumSamples(snapshot.Find("pldp_exchange_forwarded_total")),
+              total);
+    EXPECT_EQ(obs::SumSamples(snapshot.Find("pldp_merge_events_total")),
+              total);
+  }
   ASSERT_TRUE(engine.Stop().ok());
+}
+
+TEST(AllocRegressionTest, ExchangePipelineSteadyStateIsAllocationFree) {
+  if (!bench::kAllocHookActive) {
+    GTEST_SKIP() << "allocation hook inactive under sanitizers";
+  }
+  for (bool metrics : {false, true}) {
+    ExpectExchangeSteadyStateAllocationFree(metrics);
+  }
 }
 
 TEST(AllocRegressionTest, EventCopyWithInlineInternedAttrsIsAllocationFree) {

@@ -14,10 +14,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/private_engine.h"
@@ -109,6 +111,19 @@ std::vector<std::vector<Timestamp>> SequentialDetections(
 std::vector<Timestamp> Sorted(std::vector<Timestamp> v) {
   std::sort(v.begin(), v.end());
   return v;
+}
+
+/// Polls `pred` until it holds or 20 s pass.
+template <typename Pred>
+bool Eventually(Pred&& pred) {
+  const auto start = std::chrono::steady_clock::now();
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() - start > std::chrono::seconds(20)) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
 }
 
 // --- Planner decisions -----------------------------------------------------
@@ -566,6 +581,18 @@ TEST(PipelineAffinityTest, PinnedOversubscribedRunMatchesUnpinned) {
     StreamReplayer replayer;
     replayer.Subscribe(&pipeline);
     ASSERT_TRUE(replayer.Run(stream, ReplayMode::kBatchPerTick).ok());
+    if (pinned) {
+      // Five workers on two cores run out of input once the replay ends:
+      // the spin -> yield -> park escalation (runtime/backoff.h) must
+      // carry some stage-1 shard all the way to a park.
+      EXPECT_TRUE(Eventually([&] {
+        size_t parks = 0;
+        for (const ShardStats& s : pipeline.ShardStatsSnapshot()) {
+          parks += s.parks;
+        }
+        return parks > 0;
+      })) << "no stage-1 shard parked under oversubscription";
+    }
     auto finished_or = pipeline.Finish();
     ASSERT_TRUE(finished_or.ok());
     const FinishedPipeline& finished = finished_or.value();

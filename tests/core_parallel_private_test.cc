@@ -5,9 +5,11 @@
 // pipeline's runtime) must produce, for every data subject and every shard
 // count, exactly the protected answers a sequential PrivateCepEngine
 // produces on that subject's substream with the same per-subject seed
-// (SubjectSeed) and the same mechanism configuration. Perturbation happens
-// shard-locally, so this pins both the per-subject windowing state machine
-// and the deterministic per-subject Rng derivation.
+// (SubjectSeed) and the same mechanism configuration (mechanism, α and
+// history). Perturbation happens shard-locally, so this pins the
+// per-subject windowing state machine, the deterministic per-subject Rng
+// derivation, and the builder's hand-off of every privacy knob to the
+// shards' publishers.
 
 #include "api/pipeline_builder.h"
 
@@ -17,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/private_engine.h"
@@ -85,18 +88,35 @@ EventStream SubstreamOf(const EventStream& stream, StreamId subject) {
   return sub;
 }
 
+/// The mechanism configuration both sides get: a named mechanism, its α
+/// and its history windows (empty: none).
+struct MechanismSetup {
+  MechanismSetup(std::string name_in, double alpha_in = 0.5,
+                 std::vector<Window> history_in = {})
+      : name(std::move(name_in)),
+        alpha(alpha_in),
+        history(std::move(history_in)) {}
+
+  std::string name;
+  double alpha;
+  std::vector<Window> history;
+};
+
 /// Sequential reference: per-subject PrivateCepEngine runs with the
 /// per-subject seed the sharded engine derives internally.
 std::map<StreamId, PrivateQueryResults> SequentialReference(
-    const EventStream& stream, size_t subjects, const std::string& mechanism) {
+    const EventStream& stream, size_t subjects,
+    const MechanismSetup& mechanism) {
   std::map<StreamId, PrivateQueryResults> reference;
   for (StreamId subject = 0; subject < subjects; ++subject) {
     const EventStream sub = SubstreamOf(stream, subject);
     if (sub.empty()) continue;
     PrivateCepEngine seq;
     RegisterSetup(seq);
+    seq.SetAlpha(mechanism.alpha);
+    seq.SetHistory(mechanism.history);
     EXPECT_TRUE(
-        seq.Activate(MakeMechanism(mechanism).value(), kEpsilon).ok());
+        seq.Activate(MakeMechanism(mechanism.name).value(), kEpsilon).ok());
     Rng rng(SubjectSeed(kSeed, subject));
     auto results =
         seq.ProcessStream(sub, TumblingWindower(kWindowSize), &rng);
@@ -121,13 +141,27 @@ std::vector<PrivateQueryHandle> DeclareSetup(PipelineBuilder& builder) {
 }
 
 StatusOr<std::unique_ptr<Pipeline>> BuildPrivate(
-    PipelineBuilder& builder, size_t shards, const std::string& mechanism) {
+    PipelineBuilder& builder, size_t shards, const MechanismSetup& mechanism) {
   return builder.WithShards(shards)
       .WithSeed(kSeed)
       .WithPrivacyWindow(kWindowSize)
-      .WithMechanism(mechanism)
+      .WithMechanismFactory(NamedMechanismFactory(mechanism.name))
+      .WithAlpha(mechanism.alpha)
+      .WithHistory(mechanism.history)
       .WithEpsilon(kEpsilon)
       .Build();
+}
+
+/// Answers only, for comparing two references.
+std::map<StreamId, std::vector<std::vector<bool>>> AnswersOf(
+    const std::map<StreamId, PrivateQueryResults>& reference) {
+  std::map<StreamId, std::vector<std::vector<bool>>> answers;
+  for (const auto& entry : reference) {
+    for (const AnswerSeries& series : entry.second.answers) {
+      answers[entry.first].push_back(series.answers());
+    }
+  }
+  return answers;
 }
 
 void ExpectMatchesReference(
@@ -155,27 +189,51 @@ void ExpectMatchesReference(
 TEST(PrivateLaneTest, FixedSeedEquivalenceWithSequentialEngine) {
   constexpr size_t kSubjects = 10;
   const EventStream stream = InterleavedStream(kSubjects, 6000, /*seed=*/17);
-  const auto reference = SequentialReference(stream, kSubjects, "uniform");
-  ASSERT_FALSE(reference.empty());
 
-  for (size_t shards : {1u, 2u, 4u}) {
-    PipelineBuilder builder;
-    const std::vector<PrivateQueryHandle> handles = DeclareSetup(builder);
-    auto pipeline_or = BuildPrivate(builder, shards, "uniform");
-    ASSERT_TRUE(pipeline_or.ok()) << pipeline_or.status().ToString();
-    Pipeline& pipeline = *pipeline_or.value();
+  // The adaptive mechanism tunes its allocation on the history at α. The
+  // data must make both knobs matter: without history it falls back to a
+  // uniform allocation, and the default α tunes a different one.
+  const MechanismSetup adaptive{
+      "adaptive", 0.1,
+      TumblingWindower(kWindowSize)
+          .Apply(InterleavedStream(1, 1200, /*seed=*/43))
+          .value()};
+  const auto adaptive_reference =
+      SequentialReference(stream, kSubjects, adaptive);
+  ASSERT_TRUE(AnswersOf(adaptive_reference) !=
+              AnswersOf(SequentialReference(stream, kSubjects,
+                                            {"adaptive", adaptive.alpha})))
+      << "degenerate test: history does not change the answers";
+  ASSERT_TRUE(AnswersOf(adaptive_reference) !=
+              AnswersOf(SequentialReference(
+                  stream, kSubjects, {"adaptive", 0.5, adaptive.history})))
+      << "degenerate test: alpha does not change the answers";
 
-    StreamReplayer replayer;
-    replayer.Subscribe(&pipeline);
-    // Batched per-tick ingestion; Run's OnEnd finishes the service phase.
-    ASSERT_TRUE(replayer.Run(stream, ReplayMode::kBatchPerTick).ok());
-    auto finished_or = pipeline.Finish();
-    ASSERT_TRUE(finished_or.ok());
+  for (const MechanismSetup& mechanism :
+       {MechanismSetup{"uniform"}, adaptive}) {
+    const auto reference = SequentialReference(stream, kSubjects, mechanism);
+    ASSERT_FALSE(reference.empty());
 
-    EXPECT_EQ(finished_or.value().events_processed(), stream.size());
-    ExpectMatchesReference(finished_or.value(), handles, reference,
-                           "shards=" + std::to_string(shards));
-    ASSERT_TRUE(pipeline.Stop().ok());
+    for (size_t shards : {1u, 2u, 4u}) {
+      PipelineBuilder builder;
+      const std::vector<PrivateQueryHandle> handles = DeclareSetup(builder);
+      auto pipeline_or = BuildPrivate(builder, shards, mechanism);
+      ASSERT_TRUE(pipeline_or.ok()) << pipeline_or.status().ToString();
+      Pipeline& pipeline = *pipeline_or.value();
+
+      StreamReplayer replayer;
+      replayer.Subscribe(&pipeline);
+      // Batched per-tick ingestion; Run's OnEnd finishes the service phase.
+      ASSERT_TRUE(replayer.Run(stream, ReplayMode::kBatchPerTick).ok());
+      auto finished_or = pipeline.Finish();
+      ASSERT_TRUE(finished_or.ok());
+
+      EXPECT_EQ(finished_or.value().events_processed(), stream.size());
+      ExpectMatchesReference(
+          finished_or.value(), handles, reference,
+          mechanism.name + " shards=" + std::to_string(shards));
+      ASSERT_TRUE(pipeline.Stop().ok());
+    }
   }
 }
 
@@ -185,7 +243,7 @@ TEST(PrivateLaneTest, PassthroughEqualsGroundTruthPerSubject) {
 
   PipelineBuilder builder;
   const std::vector<PrivateQueryHandle> handles = DeclareSetup(builder);
-  auto pipeline_or = BuildPrivate(builder, 3, "passthrough");
+  auto pipeline_or = BuildPrivate(builder, 3, {"passthrough"});
   ASSERT_TRUE(pipeline_or.ok()) << pipeline_or.status().ToString();
   Pipeline& pipeline = *pipeline_or.value();
 
@@ -224,7 +282,7 @@ TEST(PrivateLaneTest, ResultsIdenticalAcrossShardCounts) {
   for (size_t shards : {1u, 3u}) {
     PipelineBuilder builder;
     const std::vector<PrivateQueryHandle> handles = DeclareSetup(builder);
-    auto pipeline_or = BuildPrivate(builder, shards, "uniform");
+    auto pipeline_or = BuildPrivate(builder, shards, {"uniform"});
     ASSERT_TRUE(pipeline_or.ok()) << pipeline_or.status().ToString();
     Pipeline& pipeline = *pipeline_or.value();
     StreamReplayer replayer;
@@ -258,7 +316,7 @@ TEST(PrivateLaneTest, LifecycleErrors) {
     PipelineBuilder builder;
     (void)builder.AddPrivateQuery(
         "q0", MakePattern("t0", {0, 1}, DetectionMode::kConjunction));
-    EXPECT_FALSE(BuildPrivate(builder, 2, "uniform").ok());
+    EXPECT_FALSE(BuildPrivate(builder, 2, {"uniform"}).ok());
   }
   {
     // The privacy window is mandatory.
@@ -269,7 +327,7 @@ TEST(PrivateLaneTest, LifecycleErrors) {
   {
     PipelineBuilder builder;
     const std::vector<PrivateQueryHandle> handles = DeclareSetup(builder);
-    auto pipeline_or = BuildPrivate(builder, 2, "uniform");
+    auto pipeline_or = BuildPrivate(builder, 2, {"uniform"});
     ASSERT_TRUE(pipeline_or.ok()) << pipeline_or.status().ToString();
     Pipeline& pipeline = *pipeline_or.value();
     ASSERT_TRUE(pipeline.OnEvent(Event(0, 0, /*stream=*/1)).ok());
@@ -287,7 +345,7 @@ TEST(PrivateLaneTest, LifecycleErrors) {
 TEST(PrivateLaneTest, EmptyStreamHasNoSubjects) {
   PipelineBuilder builder;
   (void)DeclareSetup(builder);
-  auto pipeline_or = BuildPrivate(builder, 2, "uniform");
+  auto pipeline_or = BuildPrivate(builder, 2, {"uniform"});
   ASSERT_TRUE(pipeline_or.ok()) << pipeline_or.status().ToString();
   Pipeline& pipeline = *pipeline_or.value();
   auto finished_or = pipeline.Finish();

@@ -14,9 +14,10 @@ not
     `.lock()` / `->lock()`).
 
 Amortized container growth (push_back on a pre-reserved vector / ring) is
-deliberately NOT banned here — the runtime's allocation-counting bench
-(bench/runtime_throughput, the CI allocation gate) owns that boundary; this
-lint catches the categorical mistakes a reviewer can miss in a diff.
+deliberately NOT banned here — tests/alloc_regression_test.cc (exact zero
+in steady state) and perfbench's traced `allocs_per_event` (the CI
+allocation gate) own that boundary; this lint catches the categorical
+mistakes a reviewer can miss in a diff.
 
 On top of the direct-body scan, the lint is one level call-graph aware:
 a call from a PLDP_HOT body to a function DEFINED in the scanned files
