@@ -42,13 +42,6 @@ CorrelationKey CorrelationKey::Global() {
   return key;
 }
 
-CorrelationKey CorrelationKey::ByEventType() {
-  CorrelationKey key;
-  key.mode_ = Mode::kSpec;
-  key.spec_ = CorrelationKeySpec::ByEventType();
-  return key;
-}
-
 CorrelationKey CorrelationKey::ByAttribute(std::string attribute) {
   CorrelationKey key;
   key.mode_ = Mode::kSpec;
@@ -653,10 +646,6 @@ StatusOr<AnswerSeries> FinishedPipeline::AnswersOf(
 size_t FinishedPipeline::total_windows() const {
   if (pipeline_->private_lane_ == nullptr) return 0;
   return pipeline_->private_lane_->total_windows();
-}
-
-size_t FinishedPipeline::total_detections() const {
-  return pipeline_->runtime_->total_detections();
 }
 
 size_t FinishedPipeline::total_cross_detections() const {

@@ -76,7 +76,6 @@ class CorrelationKey {
  public:
   static CorrelationKey Auto();
   static CorrelationKey Global();
-  static CorrelationKey ByEventType();
   static CorrelationKey ByAttribute(std::string attribute);
   static CorrelationKey Custom(std::string name, CorrelationKeyFn fn);
 
@@ -235,7 +234,6 @@ class FinishedPipeline {
   /// Protected windows published across all subjects (0 without privacy).
   size_t total_windows() const;
 
-  size_t total_detections() const;
   size_t total_cross_detections() const;
   size_t events_processed() const;
 

@@ -24,29 +24,4 @@ StatusOr<QueryId> CepEngine::RegisterQuery(const std::string& name,
   return q.id;
 }
 
-StatusOr<AnswerSeries> CepEngine::EvaluateQuery(
-    const std::vector<Window>& windows, QueryId query) const {
-  if (query >= queries_.size()) {
-    return Status::NotFound("unknown query id " + std::to_string(query));
-  }
-  const Pattern& target = patterns_.Get(queries_[query].target);
-  AnswerSeries series;
-  for (const Window& w : windows) {
-    PLDP_ASSIGN_OR_RETURN(bool hit, PatternOccursInWindow(w, target));
-    series.Append(hit);
-  }
-  return series;
-}
-
-StatusOr<std::vector<AnswerSeries>> CepEngine::EvaluateAll(
-    const std::vector<Window>& windows) const {
-  std::vector<AnswerSeries> out;
-  out.reserve(queries_.size());
-  for (const BinaryQuery& q : queries_) {
-    PLDP_ASSIGN_OR_RETURN(auto series, EvaluateQuery(windows, q.id));
-    out.push_back(std::move(series));
-  }
-  return out;
-}
-
 }  // namespace pldp

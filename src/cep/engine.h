@@ -1,14 +1,13 @@
 // Copyright 2026 The PLDP Authors.
 //
-// The plain (non-private) CEP engine.
+// The plain (non-private) CEP engine's registries.
 //
-// `CepEngine` owns the event-type and pattern registries, accepts query
-// registrations, and evaluates streams window-by-window into binary answer
-// series. It is the substrate that both ground-truth evaluation and the
-// privacy-preserving engine (core/private_engine.h) build on.
+// `CepEngine` owns the event-type and pattern registries and the binary
+// query registrations. The privacy-preserving engine
+// (core/private_engine.h) builds on it and answers the queries window by
+// window.
 //
-// For *serving* workloads prefer `PipelineBuilder` (api/pipeline_builder.h);
-// this window-batch engine stays the evaluation-path substrate.
+// For *serving* workloads use `PipelineBuilder` (api/pipeline_builder.h).
 
 #ifndef PLDP_CEP_ENGINE_H_
 #define PLDP_CEP_ENGINE_H_
@@ -19,7 +18,6 @@
 
 #include "cep/matcher.h"
 #include "cep/pattern.h"
-#include "cep/pattern_stream.h"
 #include "cep/query.h"
 #include "common/status.h"
 #include "stream/event_stream.h"
@@ -27,7 +25,7 @@
 
 namespace pldp {
 
-/// Window-based CEP engine with binary continuous queries.
+/// Event types, patterns and binary continuous queries.
 class CepEngine {
  public:
   CepEngine() = default;
@@ -52,20 +50,6 @@ class CepEngine {
   StatusOr<QueryId> RegisterQuery(const std::string& name, PatternId target);
 
   const std::vector<BinaryQuery>& queries() const { return queries_; }
-
-  /// Evaluates one query over a window sequence: answer[w] = "target
-  /// pattern occurs in window w".
-  StatusOr<AnswerSeries> EvaluateQuery(const std::vector<Window>& windows,
-                                       QueryId query) const;
-
-  /// Evaluates every registered query; result is indexed by QueryId.
-  StatusOr<std::vector<AnswerSeries>> EvaluateAll(
-      const std::vector<Window>& windows) const;
-
-  /// Abstraction of the windows into the detected pattern stream.
-  StatusOr<PatternStream> Abstract(const std::vector<Window>& windows) const {
-    return BuildPatternStream(windows, patterns_);
-  }
 
  private:
   EventTypeRegistry event_types_;

@@ -106,47 +106,6 @@ StatusOr<bool> PatternOccursInWindow(const Window& window,
   return match.has_value();
 }
 
-StatusOr<size_t> CountMatchesInWindow(const Window& window,
-                                      const Pattern& pattern) {
-  if (pattern.length() == 0) {
-    return Status::InvalidArgument("empty pattern");
-  }
-  switch (pattern.mode()) {
-    case DetectionMode::kSequence: {
-      // Greedy non-overlapping subsequence scans.
-      size_t count = 0;
-      size_t next = 0;
-      for (const Event& e : window.events) {
-        if (e.type() == pattern.elements()[next]) {
-          if (++next == pattern.length()) {
-            ++count;
-            next = 0;
-          }
-        }
-      }
-      return count;
-    }
-    case DetectionMode::kConjunction: {
-      // Bottleneck multiplicity across required types.
-      std::unordered_map<EventTypeId, size_t> need;
-      for (EventTypeId t : pattern.elements()) ++need[t];
-      size_t count = std::numeric_limits<size_t>::max();
-      for (const auto& [type, mult] : need) {
-        count = std::min(count, window.CountType(type) / mult);
-      }
-      return count == std::numeric_limits<size_t>::max() ? 0 : count;
-    }
-    case DetectionMode::kDisjunction: {
-      size_t count = 0;
-      for (EventTypeId t : pattern.DistinctTypes()) {
-        count += window.CountType(t);
-      }
-      return count;
-    }
-  }
-  return Status::Internal("unreachable");
-}
-
 namespace {
 
 /// Frontier-based online SEQ matcher (see header).

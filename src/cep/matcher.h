@@ -45,11 +45,6 @@ StatusOr<std::optional<PatternMatch>> FindMatchInWindow(
 StatusOr<bool> PatternOccursInWindow(const Window& window,
                                      const Pattern& pattern);
 
-/// Counts non-overlapping occurrences (each window event used at most once)
-/// — used by count-based baselines.
-StatusOr<size_t> CountMatchesInWindow(const Window& window,
-                                      const Pattern& pattern);
-
 /// Online matcher: feed events in temporal order; emits a detection per
 /// completed match. `window` is the maximum allowed span between the first
 /// and last element of one match (<= 0 means unbounded).

@@ -45,12 +45,6 @@ std::vector<EventTypeId> Pattern::DistinctTypes() const {
   return out;
 }
 
-bool Pattern::TypeOverlaps(const Pattern& other) const {
-  std::unordered_set<EventTypeId> mine(elements_.begin(), elements_.end());
-  return std::any_of(other.elements_.begin(), other.elements_.end(),
-                     [&mine](EventTypeId t) { return mine.count(t) > 0; });
-}
-
 std::string Pattern::ToString(const EventTypeRegistry* registry) const {
   std::vector<std::string> parts;
   parts.reserve(elements_.size());
@@ -77,26 +71,6 @@ StatusOr<PatternId> PatternRegistry::Register(Pattern pattern) {
   PatternId id = static_cast<PatternId>(patterns_.size());
   patterns_.push_back(std::move(pattern));
   return id;
-}
-
-StatusOr<PatternId> PatternRegistry::LookupByName(
-    const std::string& name) const {
-  for (size_t i = 0; i < patterns_.size(); ++i) {
-    if (patterns_[i].name() == name) return static_cast<PatternId>(i);
-  }
-  return Status::NotFound("unknown pattern: " + name);
-}
-
-std::vector<PatternId> PatternRegistry::TypeOverlapping(PatternId id) const {
-  std::vector<PatternId> out;
-  if (!Contains(id)) return out;
-  for (size_t i = 0; i < patterns_.size(); ++i) {
-    if (i == id) continue;
-    if (patterns_[id].TypeOverlaps(patterns_[i])) {
-      out.push_back(static_cast<PatternId>(i));
-    }
-  }
-  return out;
 }
 
 }  // namespace pldp

@@ -67,11 +67,6 @@ class Pattern {
   /// Distinct element types (an element type may repeat in a sequence).
   std::vector<EventTypeId> DistinctTypes() const;
 
-  /// True if this pattern and `other` share at least one element type —
-  /// the static notion behind "overlapping patterns" (paper §III-A):
-  /// instances of type-overlapping patterns can share events.
-  bool TypeOverlaps(const Pattern& other) const;
-
   std::string ToString(const EventTypeRegistry* registry = nullptr) const;
 
  private:
@@ -104,16 +99,9 @@ class PatternRegistry {
   /// Registers a pattern, returning its id. Duplicate names are rejected.
   StatusOr<PatternId> Register(Pattern pattern);
 
-  StatusOr<PatternId> LookupByName(const std::string& name) const;
-
   const Pattern& Get(PatternId id) const { return patterns_[id]; }
   bool Contains(PatternId id) const { return id < patterns_.size(); }
   size_t size() const { return patterns_.size(); }
-
-  /// All pattern ids whose element sets intersect the given pattern's —
-  /// used by mechanisms to find which events correlate with private
-  /// patterns.
-  std::vector<PatternId> TypeOverlapping(PatternId id) const;
 
  private:
   std::vector<Pattern> patterns_;

@@ -11,18 +11,4 @@ size_t AnswerSeries::PositiveCount() const {
       std::count(answers_.begin(), answers_.end(), true));
 }
 
-StatusOr<size_t> AnswerSeries::HammingDistance(
-    const AnswerSeries& other) const {
-  if (size() != other.size()) {
-    return Status::InvalidArgument("answer series length mismatch: " +
-                                   std::to_string(size()) + " vs " +
-                                   std::to_string(other.size()));
-  }
-  size_t d = 0;
-  for (size_t i = 0; i < size(); ++i) {
-    if (answers_[i] != other.answers_[i]) ++d;
-  }
-  return d;
-}
-
 }  // namespace pldp

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "cep/pattern.h"
-#include "common/status.h"
 
 namespace pldp {
 
@@ -42,9 +41,6 @@ class AnswerSeries {
 
   /// Number of positive answers.
   size_t PositiveCount() const;
-
-  /// Hamming distance to another series of the same length (error count).
-  StatusOr<size_t> HammingDistance(const AnswerSeries& other) const;
 
  private:
   std::vector<bool> answers_;

@@ -46,12 +46,6 @@ StatusOr<std::vector<Timestamp>> StreamingCepEngine::DetectionsOf(
   return matchers_[query_index]->detections();
 }
 
-void StreamingCepEngine::ResetState() {
-  for (auto& m : matchers_) m->Reset();
-  total_detections_ = 0;
-  events_processed_ = 0;
-}
-
 PLDP_HOT Status StreamingCepEngine::OnEvent(const Event& event) {
   ++events_processed_;
   const uint32_t slot = SlotOf(event.type());

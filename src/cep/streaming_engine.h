@@ -87,9 +87,6 @@ class StreamingCepEngine : public StreamSubscriber {
     return types_;
   }
 
-  /// Clears all matcher state and counters (queries stay registered).
-  void ResetState();
-
   // StreamSubscriber:
   Status OnEvent(const Event& event) override;
 

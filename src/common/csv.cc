@@ -3,7 +3,6 @@
 #include "common/csv.h"
 
 #include <cstdio>
-#include <fstream>
 
 namespace pldp {
 
@@ -33,43 +32,6 @@ std::string CsvEncodeRow(const std::vector<std::string>& fields, char sep) {
     }
   }
   return out;
-}
-
-StatusOr<std::vector<std::string>> CsvDecodeRow(const std::string& line,
-                                                char sep) {
-  std::vector<std::string> fields;
-  std::string cur;
-  bool in_quotes = false;
-  for (size_t i = 0; i < line.size(); ++i) {
-    char c = line[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          cur.push_back('"');
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        cur.push_back(c);
-      }
-    } else if (c == '"') {
-      if (!cur.empty()) {
-        return Status::InvalidArgument("quote inside unquoted field");
-      }
-      in_quotes = true;
-    } else if (c == sep) {
-      fields.push_back(std::move(cur));
-      cur.clear();
-    } else if (c == '\r') {
-      // Tolerate CRLF line endings.
-    } else {
-      cur.push_back(c);
-    }
-  }
-  if (in_quotes) return Status::InvalidArgument("unterminated quoted field");
-  fields.push_back(std::move(cur));
-  return fields;
 }
 
 CsvWriter::CsvWriter(const std::string& path, char sep) : sep_(sep) {
@@ -102,28 +64,6 @@ Status CsvWriter::Close() {
   }
   if (status_.ok()) return Status::OK();
   return status_;
-}
-
-StatusOr<std::vector<std::vector<std::string>>> ReadCsvFile(
-    const std::string& path, bool skip_header, char sep) {
-  std::ifstream in(path);
-  if (!in.is_open()) {
-    return Status::IoError("cannot open for reading: " + path);
-  }
-  std::vector<std::vector<std::string>> rows;
-  std::string line;
-  bool first = true;
-  while (std::getline(in, line)) {
-    if (first && skip_header) {
-      first = false;
-      continue;
-    }
-    first = false;
-    if (line.empty()) continue;
-    PLDP_ASSIGN_OR_RETURN(auto fields, CsvDecodeRow(line, sep));
-    rows.push_back(std::move(fields));
-  }
-  return rows;
 }
 
 }  // namespace pldp

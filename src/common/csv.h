@@ -1,9 +1,7 @@
 // Copyright 2026 The PLDP Authors.
 //
-// Minimal CSV reading/writing for dataset export and experiment reports.
-// Supports quoting of fields that contain the separator, quotes, or
-// newlines (RFC 4180 subset; no embedded CR/LF round-tripping needed by
-// PLDP's fixed schemas, but quoted fields are parsed correctly).
+// Minimal CSV writing for experiment reports. Quotes fields that contain
+// the separator, quotes, or newlines (RFC 4180).
 
 #ifndef PLDP_COMMON_CSV_H_
 #define PLDP_COMMON_CSV_H_
@@ -18,10 +16,6 @@ namespace pldp {
 /// Serializes one CSV row, quoting fields where required.
 std::string CsvEncodeRow(const std::vector<std::string>& fields,
                          char sep = ',');
-
-/// Parses one CSV line (no embedded newlines) into fields.
-StatusOr<std::vector<std::string>> CsvDecodeRow(const std::string& line,
-                                                char sep = ',');
 
 /// Streaming CSV writer bound to a file path.
 class CsvWriter {
@@ -46,10 +40,6 @@ class CsvWriter {
   char sep_;
   Status status_;
 };
-
-/// Loads a whole CSV file into memory. `skip_header` drops the first row.
-StatusOr<std::vector<std::vector<std::string>>> ReadCsvFile(
-    const std::string& path, bool skip_header = false, char sep = ',');
 
 }  // namespace pldp
 

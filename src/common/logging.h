@@ -25,9 +25,6 @@ enum class LogLevel : int {
 /// Sets the process-global minimum level that is emitted.
 void SetLogLevel(LogLevel level);
 
-/// Current process-global minimum level.
-LogLevel GetLogLevel();
-
 namespace internal {
 
 /// Collects one log line and emits it on destruction (RAII), matching the

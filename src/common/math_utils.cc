@@ -49,26 +49,8 @@ double StableSum(const std::vector<double>& xs) {
   return sum + c;
 }
 
-double Mean(const std::vector<double>& xs) {
-  if (xs.empty()) return 0.0;
-  return StableSum(xs) / static_cast<double>(xs.size());
-}
-
 double Clamp(double x, double lo, double hi) {
   return std::max(lo, std::min(hi, x));
-}
-
-bool Near(double a, double b, double tol) { return std::abs(a - b) <= tol; }
-
-double Percentile(std::vector<double> xs, double p) {
-  if (xs.empty()) return 0.0;
-  std::sort(xs.begin(), xs.end());
-  p = Clamp(p, 0.0, 100.0);
-  double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
-  size_t lo = static_cast<size_t>(std::floor(rank));
-  size_t hi = static_cast<size_t>(std::ceil(rank));
-  double frac = rank - static_cast<double>(lo);
-  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
 }
 
 }  // namespace pldp

@@ -37,18 +37,8 @@ class RunningStats {
 /// Kahan-compensated sum of a vector.
 double StableSum(const std::vector<double>& xs);
 
-/// Arithmetic mean; 0 for empty input.
-double Mean(const std::vector<double>& xs);
-
 /// Clamps x to [lo, hi].
 double Clamp(double x, double lo, double hi);
-
-/// True if |a-b| <= tol (absolute tolerance).
-bool Near(double a, double b, double tol);
-
-/// p-th percentile (p in [0,100]) with linear interpolation; input is copied
-/// and sorted. Returns 0 for empty input.
-double Percentile(std::vector<double> xs, double p);
 
 }  // namespace pldp
 

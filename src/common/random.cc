@@ -50,13 +50,6 @@ uint64_t Rng::UniformUint64(uint64_t bound) {
   return static_cast<uint64_t>(m >> 64);
 }
 
-int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
-  uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-  // span == 0 means the full 2^64 range (lo = INT64_MIN, hi = INT64_MAX).
-  uint64_t draw = (span == 0) ? NextUint64() : UniformUint64(span);
-  return lo + static_cast<int64_t>(draw);
-}
-
 double Rng::UniformDouble() {
   return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
 }
@@ -81,28 +74,6 @@ double Rng::Laplace(double scale) {
   // the latter impossible; clamp to avoid -inf.
   double arg = std::max(1.0 - 2.0 * mag, std::numeric_limits<double>::min());
   return -scale * sign * std::log(arg);
-}
-
-double Rng::Exponential(double rate) {
-  double u = UniformDouble();
-  // log(1-u): u in [0,1) so 1-u in (0,1].
-  return -std::log1p(-u) / rate;
-}
-
-double Rng::Gaussian(double mean, double stddev) {
-  // Box-Muller; avoid u1 == 0.
-  double u1 = UniformDouble();
-  if (u1 <= 0.0) u1 = std::numeric_limits<double>::min();
-  double u2 = UniformDouble();
-  double r = std::sqrt(-2.0 * std::log(u1));
-  return mean + stddev * r * std::cos(2.0 * M_PI * u2);
-}
-
-uint64_t Rng::Geometric(double p) {
-  if (p >= 1.0) return 0;
-  double u = UniformDouble();
-  if (u <= 0.0) u = std::numeric_limits<double>::min();
-  return static_cast<uint64_t>(std::floor(std::log(u) / std::log1p(-p)));
 }
 
 Rng Rng::Fork() { return Rng(NextUint64()); }

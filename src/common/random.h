@@ -39,8 +39,7 @@ class SplitMix64 {
 };
 
 /// Deterministic RNG (xoshiro256++) with convenience samplers for the
-/// distributions PLDP needs: uniform, Bernoulli, Laplace, exponential,
-/// geometric, and Gaussian.
+/// distributions PLDP needs: uniform, Bernoulli, and Laplace.
 ///
 /// Not thread-safe; use one Rng per thread (see `Fork()`).
 class Rng {
@@ -56,9 +55,6 @@ class Rng {
   /// sampling (Lemire) so the result is exactly uniform.
   uint64_t UniformUint64(uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  int64_t UniformInt(int64_t lo, int64_t hi);
-
   /// Uniform double in [0, 1) with 53 bits of precision.
   double UniformDouble();
 
@@ -70,16 +66,6 @@ class Rng {
 
   /// Laplace(0, scale) sample. `scale` must be > 0.
   double Laplace(double scale);
-
-  /// Exponential(rate) sample, rate > 0.
-  double Exponential(double rate);
-
-  /// Standard normal via Box-Muller (deterministic given the draw stream).
-  double Gaussian(double mean, double stddev);
-
-  /// Geometric: number of failures before the first success, success
-  /// probability p in (0, 1].
-  uint64_t Geometric(double p);
 
   /// Deterministically derives an independent child generator. Used to give
   /// each worker / repetition its own stream without correlation.

@@ -43,10 +43,6 @@ std::string_view Trim(std::string_view s) {
   return s.substr(b, e - b);
 }
 
-bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
 StatusOr<double> ParseDouble(std::string_view s) {
   std::string buf(Trim(s));
   if (buf.empty()) return Status::InvalidArgument("empty number");

@@ -24,9 +24,6 @@ std::string Join(const std::vector<std::string>& parts, char sep);
 /// Strips ASCII whitespace from both ends.
 std::string_view Trim(std::string_view s);
 
-/// True if `s` starts with `prefix`.
-bool StartsWith(std::string_view s, std::string_view prefix);
-
 /// Parses a double; rejects trailing junk and empty input.
 StatusOr<double> ParseDouble(std::string_view s);
 

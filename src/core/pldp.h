@@ -7,10 +7,10 @@
 //              minimal topology from the declared queries, typed handles
 //   common/    Status/StatusOr, deterministic Rng, logging, CSV, math
 //   event/     Value, Event, EventTypeRegistry
-//   stream/    EventStream, windowing, merge, replay, CSV persistence
-//   cep/       Pattern, predicates, matchers, queries, CepEngine
-//   dp/        budgets, randomized response, Laplace, composition,
-//              budget conversion, neighbor models
+//   stream/    EventStream, tumbling windows, merge, replay
+//   cep/       Pattern, event-type set filter, matchers, queries, CepEngine
+//   dp/        budgets, randomized response, Laplace, budget conversion,
+//              neighbor models
 //   ppm/       PrivacyMechanism: uniform/adaptive pattern-level PPMs,
 //              BD/BA/landmark baselines, factory
 //   quality/   precision/recall/Q/MRE metrics, report tables
@@ -31,7 +31,6 @@
 #include "cep/matcher.h"
 #include "cep/pattern.h"
 #include "cep/correlation.h"
-#include "cep/pattern_stream.h"
 #include "cep/predicate.h"
 #include "cep/query.h"
 #include "cep/streaming_engine.h"
@@ -50,8 +49,6 @@
 #include "datasets/tdrive_loader.h"
 #include "dp/budget.h"
 #include "dp/budget_conversion.h"
-#include "dp/composition.h"
-#include "dp/exponential.h"
 #include "dp/laplace.h"
 #include "dp/ledger.h"
 #include "dp/neighbors.h"
@@ -67,7 +64,6 @@
 #include "ppm/factory.h"
 #include "ppm/landmark.h"
 #include "ppm/mechanism.h"
-#include "ppm/numeric.h"
 #include "ppm/pattern_level.h"
 #include "ppm/subject_publisher.h"
 #include "ppm/w_event.h"
@@ -75,7 +71,6 @@
 #include "quality/report.h"
 #include "stream/event_stream.h"
 #include "stream/replay.h"
-#include "stream/stream_io.h"
 #include "stream/window.h"
 
 #endif  // PLDP_CORE_PLDP_H_

@@ -62,7 +62,7 @@ MechanismContext PrivateCepEngine::BuildContext(double epsilon) const {
 }
 
 StatusOr<PrivateQueryResults> PrivateCepEngine::ProcessStream(
-    const EventStream& stream, const Windower& windower, Rng* rng) {
+    const EventStream& stream, const TumblingWindower& windower, Rng* rng) {
   PLDP_ASSIGN_OR_RETURN(auto windows, windower.Apply(stream));
   return ProcessWindows(windows, rng);
 }

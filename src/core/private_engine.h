@@ -100,9 +100,8 @@ class PrivateCepEngine {
 
   /// Windows a raw stream and answers every registered query from the
   /// mechanism's protected views.
-  StatusOr<PrivateQueryResults> ProcessStream(const EventStream& stream,
-                                              const Windower& windower,
-                                              Rng* rng);
+  StatusOr<PrivateQueryResults> ProcessStream(
+      const EventStream& stream, const TumblingWindower& windower, Rng* rng);
 
   /// Same, over pre-built windows.
   StatusOr<PrivateQueryResults> ProcessWindows(

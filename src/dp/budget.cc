@@ -104,8 +104,4 @@ Status BudgetAccountant::Spend(double epsilon) {
   return Status::OK();
 }
 
-bool BudgetAccountant::Exhausted() const {
-  return spent_ >= total_ * (1.0 - 1e-12);
-}
-
 }  // namespace pldp

@@ -70,9 +70,6 @@ class BudgetAccountant {
   /// relative tolerance for floating-point accumulation).
   Status Spend(double epsilon);
 
-  /// True when no further positive spend is possible.
-  bool Exhausted() const;
-
  private:
   explicit BudgetAccountant(double total) : total_(total) {}
 

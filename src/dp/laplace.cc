@@ -25,19 +25,4 @@ double LaplaceMechanism::AddNoise(double value, Rng* rng) const {
   return value + rng->Laplace(scale());
 }
 
-namespace {
-// Laplace(v, b) CDF at x.
-double LaplaceCdf(double x, double v, double b) {
-  double z = (x - v) / b;
-  return z < 0.0 ? 0.5 * std::exp(z) : 1.0 - 0.5 * std::exp(-z);
-}
-}  // namespace
-
-double LaplaceMechanism::IntervalProbability(double value, double a,
-                                             double b) const {
-  if (b <= a) return 0.0;
-  double s = scale();
-  return LaplaceCdf(b, value, s) - LaplaceCdf(a, value, s);
-}
-
 }  // namespace pldp

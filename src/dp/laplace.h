@@ -27,10 +27,6 @@ class LaplaceMechanism {
   /// value + Laplace(0, Δ/ε).
   double AddNoise(double value, Rng* rng) const;
 
-  /// Pr[output in (a,b)] for a true value v — the Laplace CDF difference.
-  /// Used by tests to check calibration.
-  double IntervalProbability(double value, double a, double b) const;
-
  private:
   LaplaceMechanism(double sensitivity, double epsilon)
       : sensitivity_(sensitivity), epsilon_(epsilon) {}

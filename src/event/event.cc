@@ -112,15 +112,6 @@ std::optional<Value> Event::GetAttribute(std::string_view name) const {
   return *v;
 }
 
-StatusOr<Value> Event::RequireAttribute(std::string_view name) const {
-  const Value* v = FindAttribute(name);
-  if (v == nullptr) {
-    return Status::NotFound("event has no attribute '" + std::string(name) +
-                            "'");
-  }
-  return *v;
-}
-
 bool Event::operator==(const Event& other) const {
   if (type_ != other.type_ || timestamp_ != other.timestamp_ ||
       stream_ != other.stream_ || attr_count_ != other.attr_count_) {

@@ -96,8 +96,8 @@ class Event {
   void SetAttribute(std::string_view name, Value value);
 
   /// Non-copying attribute lookup by pre-bound id: integer compares over
-  /// the inline buffer, nullptr when absent. The per-event call predicates
-  /// and correlation keys make after their bind step.
+  /// the inline buffer, nullptr when absent. The per-event call
+  /// correlation keys make after their bind step.
   const Value* FindAttribute(AttrId id) const;
 
   /// Non-copying lookup by name. Never interns: an unknown name is simply
@@ -107,9 +107,6 @@ class Event {
   /// Attribute lookup; nullopt when absent. Copies — prefer FindAttribute
   /// on hot paths.
   std::optional<Value> GetAttribute(std::string_view name) const;
-
-  /// Attribute lookup that errors when absent (for predicate evaluation).
-  StatusOr<Value> RequireAttribute(std::string_view name) const;
 
   size_t attribute_count() const { return attr_count_; }
 
@@ -150,10 +147,9 @@ class Event {
 };
 
 /// Non-owning view of a contiguous run of events (C++17 stand-in for
-/// std::span<const Event>). Batched ingest and batch predicate evaluation
-/// hand these out so bulk paths never copy. Lives here rather than the
-/// stream layer because both the replay machinery and the CEP predicate
-/// layer consume it.
+/// std::span<const Event>). Batched ingest and replay hand these out so
+/// bulk paths never copy. Lives here rather than the stream layer because
+/// both the replay machinery and cep/predicate.h consume it.
 class EventSpan {
  public:
   constexpr EventSpan() = default;

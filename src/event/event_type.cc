@@ -4,17 +4,6 @@
 
 namespace pldp {
 
-StatusOr<EventTypeId> EventTypeRegistry::Register(const std::string& name) {
-  auto it = ids_.find(name);
-  if (it != ids_.end()) {
-    return Status::AlreadyExists("event type already registered: " + name);
-  }
-  EventTypeId id = static_cast<EventTypeId>(names_.size());
-  names_.push_back(name);
-  ids_.emplace(name, id);
-  return id;
-}
-
 EventTypeId EventTypeRegistry::Intern(const std::string& name) {
   auto it = ids_.find(name);
   if (it != ids_.end()) return it->second;

@@ -35,10 +35,6 @@ class EventTypeRegistry {
  public:
   EventTypeRegistry() = default;
 
-  /// Registers `name`, returning its new id, or AlreadyExists with the
-  /// existing id unavailable (use `Intern` for get-or-create semantics).
-  StatusOr<EventTypeId> Register(const std::string& name);
-
   /// Get-or-create: returns the existing id or registers a new one.
   EventTypeId Intern(const std::string& name);
 

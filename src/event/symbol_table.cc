@@ -48,19 +48,6 @@ uint32_t InternTable::Intern(std::string_view name) {
   return static_cast<uint32_t>(id);
 }
 
-StatusOr<uint32_t> InternTable::TryIntern(std::string_view name) {
-  const uint32_t id = Intern(name);
-  if (id == kInvalidInternId) {
-    // order: relaxed; diagnostic read of the isolated budget knob.
-    return Status::ResourceExhausted(
-        "intern table budget exhausted (" +
-        std::to_string(budget_.load(std::memory_order_relaxed)) +
-        " entries); raise it with SetBudget or stop interning unbounded "
-        "payload cardinalities");
-  }
-  return id;
-}
-
 void InternTable::SetBudget(size_t max_entries) {
   MutexLock lock(mu_);
   if (max_entries == 0 || max_entries > kMaxEntries) {

@@ -5,11 +5,11 @@
 //
 // Events used to carry `std::string` attribute names and `Value` carried
 // `std::string` payloads, so every copy through an SPSC lane, exchange
-// lane, or staging buffer heap-allocated, and every predicate evaluation
-// did string compares. Interning replaces both with dense integer ids, the
-// same flyweight move `EventTypeRegistry` makes for event types: names are
-// registered once (query registration, dataset construction) and the
-// steady-state event path only ever touches ids.
+// lane, or staging buffer heap-allocated, and every attribute-keyed
+// correlation did string compares. Interning replaces both with dense
+// integer ids, the same flyweight move `EventTypeRegistry` makes for event
+// types: names are registered once (query registration, dataset
+// construction) and the steady-state event path only ever touches ids.
 //
 // Two tables exist, both process-wide and append-only:
 //
@@ -17,11 +17,11 @@
 //   SymbolNames() string payloads ("downtown")      -> SymbolId
 //
 // Why process-wide: `Event` is a value type that crosses threads and
-// stages; binding at query-registration time (cep/predicate.h,
-// cep/correlation_key.h) and at event-construction time must meet in one
-// id space without plumbing a registry through every call site. Event-type
-// registries stay per-dataset; the attribute vocabulary is program-global
-// by nature (a handful of names for the program's lifetime).
+// stages; binding at query-registration time (cep/correlation_key.h) and
+// at event-construction time must meet in one id space without plumbing a
+// registry through every call site. Event-type registries stay
+// per-dataset; the attribute vocabulary is program-global by nature (a
+// handful of names for the program's lifetime).
 //
 // Concurrency: `Intern`/`Find` serialize on a mutex — they run at
 // registration/construction time, off the engine hot path. `NameOf` and
@@ -74,13 +74,6 @@ class InternTable {
   /// Returns kInvalidInternId only when the table is full (the configured
   /// budget, or kMaxEntries).
   uint32_t Intern(std::string_view name) PLDP_EXCLUDES(mu_);
-
-  /// Get-or-create with a loud failure mode: like Intern, but exhaustion
-  /// (the budget or kMaxEntries) is a ResourceExhausted error naming the
-  /// limit instead of a sentinel id. The right call for inputs of
-  /// unbounded cardinality — e.g. string payloads arriving off the wire
-  /// (stream/stream_io.h's intern-on-decode path).
-  StatusOr<uint32_t> TryIntern(std::string_view name) PLDP_EXCLUDES(mu_);
 
   /// Caps the table at `max_entries` interned names (clamped to
   /// kMaxEntries; 0 restores the default). Already-interned names stay

@@ -52,22 +52,6 @@ StatusOr<std::string_view> Value::AsStringView() const {
   return KindMismatch(ValueKind::kString, kind());
 }
 
-StatusOr<std::string> Value::AsString() const {
-  PLDP_ASSIGN_OR_RETURN(std::string_view view, AsStringView());
-  return std::string(view);
-}
-
-StatusOr<SymbolId> Value::AsSymbol() const {
-  if (!is_symbol()) return KindMismatch(ValueKind::kSymbol, kind());
-  return std::get<Symbol>(rep_).id;
-}
-
-StatusOr<double> Value::AsNumeric() const {
-  if (is_int()) return static_cast<double>(std::get<int64_t>(rep_));
-  if (is_double()) return std::get<double>(rep_);
-  return Status::InvalidArgument("value is not numeric");
-}
-
 bool Value::operator==(const Value& other) const {
   if (rep_.index() == other.rep_.index()) return rep_ == other.rep_;
   // Cross-kind text equality: an interned symbol equals an owned string

@@ -1,8 +1,9 @@
 // Copyright 2026 The PLDP Authors.
 //
 // Attribute values carried by data tuples and events. A small closed
-// variant (bool / int64 / double / string / symbol) is enough for the CEP
-// predicates PLDP supports, and keeps events cheap to copy.
+// variant (bool / int64 / double / string / symbol) is enough for the
+// attributes PLDP's datasets and correlation keys read, and keeps events
+// cheap to copy.
 //
 // The two text kinds exist for different regimes: `kString` owns its
 // payload (decoding, ad-hoc construction), `kSymbol` is a flyweight id
@@ -88,20 +89,9 @@ class Value {
   StatusOr<int64_t> AsInt() const;
   StatusOr<double> AsDouble() const;
 
-  /// Materializes a copy; accepts both text kinds. Prefer AsStringView on
-  /// hot paths.
-  StatusOr<std::string> AsString() const;
-
   /// Non-copying text accessor; accepts both text kinds. The view is valid
   /// as long as this Value lives (kString) or forever (kSymbol).
   StatusOr<std::string_view> AsStringView() const;
-
-  /// The interned id; kSymbol only.
-  StatusOr<SymbolId> AsSymbol() const;
-
-  /// Numeric view: int and double both convert; others error. Used by
-  /// comparison predicates so `speed > 30` works for either numeric kind.
-  StatusOr<double> AsNumeric() const;
 
   /// Equality: same-kind payloads compare directly; the two text kinds
   /// compare by content (Value("a") == Value::Sym("a")), so interned and

@@ -4,9 +4,11 @@
 
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 #include "common/logging.h"
@@ -15,12 +17,19 @@ namespace pldp {
 namespace obs {
 namespace {
 
-/// Reads until the end of the request headers (or the buffer cap) and
-/// returns the request line's path, empty on malformed input.
+/// Reads until the end of the request headers (or the buffer cap, or the
+/// client I/O deadline) and returns the request line's path, empty on
+/// malformed or incomplete input. With the socket's receive timeout, a
+/// client that trickles bytes holds the caller at most about twice the
+/// deadline.
 std::string ReadRequestPath(int fd) {
+  const auto deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::seconds(TextEndpoint::kClientIoTimeoutSeconds);
   char buf[2048];
   size_t used = 0;
-  while (used < sizeof(buf) - 1) {
+  while (used < sizeof(buf) - 1 &&
+         std::chrono::steady_clock::now() < deadline) {
     const ssize_t n = ::recv(fd, buf + used, sizeof(buf) - 1 - used, 0);
     if (n <= 0) break;
     used += static_cast<size_t>(n);
@@ -40,13 +49,18 @@ std::string ReadRequestPath(int fd) {
   return std::string(sp1 + 1, sp2);
 }
 
-void WriteAll(int fd, const std::string& data) {
+/// Sends all of `data`; false once the peer is gone or stalls past the
+/// send timeout. MSG_NOSIGNAL: a write to a reset connection must fail
+/// with EPIPE, not raise SIGPIPE in the serving process.
+bool WriteAll(int fd, const std::string& data) {
   size_t off = 0;
   while (off < data.size()) {
-    const ssize_t n = ::send(fd, data.data() + off, data.size() - off, 0);
-    if (n <= 0) return;
+    const ssize_t n =
+        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
+    if (n <= 0) return false;
     off += static_cast<size_t>(n);
   }
+  return true;
 }
 
 void WriteResponse(int fd, int status, const char* status_text,
@@ -55,8 +69,17 @@ void WriteResponse(int fd, int status, const char* status_text,
                      "\r\nContent-Type: " + content_type +
                      "\r\nContent-Length: " + std::to_string(body.size()) +
                      "\r\nConnection: close\r\n\r\n";
-  WriteAll(fd, head);
-  WriteAll(fd, body);
+  if (WriteAll(fd, head)) WriteAll(fd, body);
+}
+
+/// Bounds every recv and send on an accepted socket, so one client cannot
+/// hold the single serve thread indefinitely.
+void SetClientIoTimeouts(int fd) {
+  timeval tv;
+  tv.tv_sec = TextEndpoint::kClientIoTimeoutSeconds;
+  tv.tv_usec = 0;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
 }
 
 }  // namespace
@@ -147,6 +170,7 @@ void TextEndpoint::Serve() {
       if (!running_.load(std::memory_order_acquire)) break;
       continue;
     }
+    SetClientIoTimeouts(client);
     HandleConnection(client);
     ::close(client);
   }

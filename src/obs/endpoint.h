@@ -12,6 +12,12 @@
 // The payload producers are caller-supplied callbacks invoked per request
 // on the accept thread; they must be thread-safe against the running
 // pipeline (Pipeline::MetricsSnapshot and Health are).
+//
+// A client cannot take the endpoint down: every accepted socket gets
+// receive and send timeouts of kClientIoTimeoutSeconds, so an idle or
+// stalled client holds the single serve thread (and Stop()) for a bounded
+// time, and writes use MSG_NOSIGNAL, so a peer that resets mid-response
+// costs one failed send instead of a SIGPIPE in the serving process.
 
 #ifndef PLDP_OBS_ENDPOINT_H_
 #define PLDP_OBS_ENDPOINT_H_
@@ -33,6 +39,10 @@ class TextEndpoint {
   /// Route payload producer; returns the response body.
   using Producer = std::function<std::string()>;
 
+  /// Per-call recv/send timeout on each accepted socket; reading one
+  /// request also stops at this deadline.
+  static constexpr int kClientIoTimeoutSeconds = 2;
+
   struct Routes {
     Producer metrics_text;  ///< /metrics (required)
     Producer metrics_json;  ///< /metrics.json (optional; 404 when absent)
@@ -51,6 +61,8 @@ class TextEndpoint {
   Status Start(uint16_t port);
 
   /// Joins the accept thread, then closes the listener. Idempotent.
+  /// Returns within about kClientIoTimeoutSeconds even while a client
+  /// holds a connection open without sending.
   void Stop();
 
   /// The bound port; 0 before Start.

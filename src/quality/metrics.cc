@@ -16,13 +16,6 @@ void ConfusionMatrix::Add(bool truth, bool predicted) {
   }
 }
 
-void ConfusionMatrix::Merge(const ConfusionMatrix& other) {
-  tp_ += other.tp_;
-  fp_ += other.fp_;
-  fn_ += other.fn_;
-  tn_ += other.tn_;
-}
-
 double ConfusionMatrix::Precision() const {
   if (tp_ + fp_ == 0) return fn_ == 0 ? 1.0 : 0.0;
   return static_cast<double>(tp_) / static_cast<double>(tp_ + fp_);
@@ -31,13 +24,6 @@ double ConfusionMatrix::Precision() const {
 double ConfusionMatrix::Recall() const {
   if (tp_ + fn_ == 0) return 1.0;
   return static_cast<double>(tp_) / static_cast<double>(tp_ + fn_);
-}
-
-double ConfusionMatrix::F1() const {
-  double p = Precision();
-  double r = Recall();
-  if (p + r == 0.0) return 0.0;
-  return 2.0 * p * r / (p + r);
 }
 
 StatusOr<double> ConfusionMatrix::Quality(double alpha) const {
@@ -55,26 +41,6 @@ std::string ConfusionMatrix::ToString() const {
                    static_cast<unsigned long long>(fn_),
                    static_cast<unsigned long long>(tn_), Precision(),
                    Recall());
-}
-
-StatusOr<ConfusionMatrix> CompareSeries(const AnswerSeries& truth,
-                                        const AnswerSeries& observed) {
-  if (truth.size() != observed.size()) {
-    return Status::InvalidArgument(
-        StrFormat("series length mismatch: %zu vs %zu", truth.size(),
-                  observed.size()));
-  }
-  ConfusionMatrix cm;
-  for (size_t i = 0; i < truth.size(); ++i) {
-    cm.Add(truth[i], observed[i]);
-  }
-  return cm;
-}
-
-double SheddingStats::ShedFraction() const {
-  const uint64_t total = offered();
-  if (total == 0) return 0.0;
-  return static_cast<double>(shed) / static_cast<double>(total);
 }
 
 double SheddingStats::RecallLowerBound() const {

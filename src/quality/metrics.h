@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <string>
 
-#include "cep/query.h"
 #include "common/status.h"
 
 namespace pldp {
@@ -28,7 +27,6 @@ class ConfusionMatrix {
   ConfusionMatrix() = default;
 
   void Add(bool truth, bool predicted);
-  void Merge(const ConfusionMatrix& other);
 
   uint64_t tp() const { return tp_; }
   uint64_t fp() const { return fp_; }
@@ -45,9 +43,6 @@ class ConfusionMatrix {
   /// truth): returns 1.
   double Recall() const;
 
-  /// F1 = harmonic mean of precision and recall (0 when both are 0).
-  double F1() const;
-
   /// Q = α·Prec + (1 − α)·Rec; α must be in [0, 1].
   StatusOr<double> Quality(double alpha) const;
 
@@ -59,10 +54,6 @@ class ConfusionMatrix {
   uint64_t fn_ = 0;
   uint64_t tn_ = 0;
 };
-
-/// Builds the confusion matrix of `observed` against `truth` (same length).
-StatusOr<ConfusionMatrix> CompareSeries(const AnswerSeries& truth,
-                                        const AnswerSeries& observed);
 
 /// MRE (eq. 4): relative quality loss of a PPM. `q_ordinary` must be > 0.
 /// Negative results (the PPM accidentally scored higher) are kept — the
@@ -79,9 +70,6 @@ struct SheddingStats {
   uint64_t shed = 0;      ///< events deliberately dropped at admission
 
   uint64_t offered() const { return admitted + shed; }
-
-  /// Fraction of offered events dropped (0 when nothing was offered).
-  double ShedFraction() const;
 
   /// Worst-case recall floor under the (pessimistic) assumption that every
   /// shed event would have completed a distinct match: admitted / offered.

@@ -641,14 +641,6 @@ StatusOr<std::vector<Timestamp>> ParallelStreamingEngine::CrossDetectionsOf(
   return merged;
 }
 
-size_t ParallelStreamingEngine::total_detections() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->engine().total_detections();
-  }
-  return total;
-}
-
 size_t ParallelStreamingEngine::total_cross_detections() const {
   size_t total = 0;
   for (const auto& group : groups_) {

@@ -238,9 +238,6 @@ class ParallelStreamingEngine : public StreamSubscriber {
   StatusOr<std::vector<Timestamp>> CrossDetectionsOf(
       size_t cross_query_index) const;
 
-  /// Total stage-1 detections across queries and shards.
-  size_t total_detections() const;
-
   /// Total stage-2 detections across cross queries and merge shards.
   size_t total_cross_detections() const;
 

@@ -8,18 +8,6 @@
 
 namespace pldp {
 
-StatusOr<EventStream> EventStream::FromEvents(std::vector<Event> events) {
-  for (size_t i = 1; i < events.size(); ++i) {
-    if (events[i].timestamp() < events[i - 1].timestamp()) {
-      return Status::InvalidArgument(
-          "events not in temporal order at index " + std::to_string(i));
-    }
-  }
-  EventStream s;
-  s.events_ = std::move(events);
-  return s;
-}
-
 Status EventStream::Append(Event event) {
   if (!events_.empty() && event.timestamp() < events_.back().timestamp()) {
     return Status::InvalidArgument(
@@ -40,23 +28,6 @@ bool EventStream::IsTemporallyOrdered() const {
     if (events_[i].timestamp() < events_[i - 1].timestamp()) return false;
   }
   return true;
-}
-
-size_t EventStream::CountType(EventTypeId type) const {
-  return static_cast<size_t>(
-      std::count_if(events_.begin(), events_.end(),
-                    [type](const Event& e) { return e.type() == type; }));
-}
-
-std::vector<Event> EventStream::Slice(Timestamp from, Timestamp to) const {
-  // Events are sorted by timestamp, so binary-search the boundaries.
-  auto lo = std::lower_bound(
-      events_.begin(), events_.end(), from,
-      [](const Event& e, Timestamp t) { return e.timestamp() < t; });
-  auto hi = std::lower_bound(
-      lo, events_.end(), to,
-      [](const Event& e, Timestamp t) { return e.timestamp() < t; });
-  return std::vector<Event>(lo, hi);
 }
 
 EventStream MergeStreams(const std::vector<EventStream>& streams) {

@@ -24,10 +24,6 @@ class EventStream {
  public:
   EventStream() = default;
 
-  /// Takes ownership of pre-built events. Returns InvalidArgument if the
-  /// events are not in non-decreasing timestamp order.
-  static StatusOr<EventStream> FromEvents(std::vector<Event> events);
-
   /// Appends an event. Returns InvalidArgument if `event` would violate
   /// non-decreasing timestamp order.
   Status Append(Event event);
@@ -55,12 +51,6 @@ class EventStream {
 
   /// True if every adjacent pair is in non-decreasing timestamp order.
   bool IsTemporallyOrdered() const;
-
-  /// Counts events of the given type.
-  size_t CountType(EventTypeId type) const;
-
-  /// Events whose timestamp lies in [from, to).
-  std::vector<Event> Slice(Timestamp from, Timestamp to) const;
 
   void Clear() { events_.clear(); }
 

@@ -19,9 +19,6 @@
 
 namespace pldp {
 
-// EventSpan moved to event/event.h (the predicate layer's batch evaluation
-// consumes it too); re-exported here via the include chain.
-
 /// Receives replayed events. Implementations: the CEP engine, stream-DP
 /// baseline mechanisms, statistics collectors.
 class StreamSubscriber {

@@ -4,19 +4,11 @@
 
 #include <algorithm>
 
-#include "common/strings.h"
-
 namespace pldp {
 
 bool Window::ContainsType(EventTypeId type) const {
   return std::any_of(events.begin(), events.end(),
                      [type](const Event& e) { return e.type() == type; });
-}
-
-size_t Window::CountType(EventTypeId type) const {
-  return static_cast<size_t>(
-      std::count_if(events.begin(), events.end(),
-                    [type](const Event& e) { return e.type() == type; }));
 }
 
 TumblingWindower::TumblingWindower(Timestamp size, Timestamp origin)
@@ -46,73 +38,6 @@ StatusOr<std::vector<Window>> TumblingWindower::Apply(
     windows.push_back(std::move(w));
   }
   return windows;
-}
-
-std::string TumblingWindower::ToString() const {
-  return StrFormat("tumbling(size=%lld)", static_cast<long long>(size_));
-}
-
-SlidingWindower::SlidingWindower(Timestamp size, Timestamp slide,
-                                 Timestamp origin)
-    : size_(size), slide_(slide), origin_(origin) {}
-
-StatusOr<std::vector<Window>> SlidingWindower::Apply(
-    const EventStream& stream) const {
-  if (size_ <= 0 || slide_ <= 0) {
-    return Status::InvalidArgument("window size and slide must be > 0");
-  }
-  std::vector<Window> windows;
-  if (stream.empty()) return windows;
-
-  Timestamp first = stream.min_timestamp();
-  Timestamp last = stream.max_timestamp();
-  // Smallest aligned start whose window [start, start+size) still covers the
-  // first event, i.e. the smallest origin_ + k*slide_ with start + size_ >
-  // first. k = ceil((first - size_ + 1 - origin_) / slide_).
-  Timestamp num = first - size_ + 1 - origin_;
-  Timestamp k = num / slide_;
-  if (origin_ + k * slide_ + size_ <= first) ++k;  // floor -> ceil fixup
-  Timestamp start = origin_ + k * slide_;
-
-  for (; start <= last; start += slide_) {
-    Window w;
-    w.start = start;
-    w.end = start + size_;
-    w.events = stream.Slice(w.start, w.end);
-    windows.push_back(std::move(w));
-  }
-  return windows;
-}
-
-std::string SlidingWindower::ToString() const {
-  return StrFormat("sliding(size=%lld,slide=%lld)",
-                   static_cast<long long>(size_),
-                   static_cast<long long>(slide_));
-}
-
-CountWindower::CountWindower(size_t count, bool drop_partial)
-    : count_(count), drop_partial_(drop_partial) {}
-
-StatusOr<std::vector<Window>> CountWindower::Apply(
-    const EventStream& stream) const {
-  if (count_ == 0) return Status::InvalidArgument("window count must be > 0");
-  std::vector<Window> windows;
-  for (size_t i = 0; i < stream.size(); i += count_) {
-    size_t n = std::min(count_, stream.size() - i);
-    if (n < count_ && drop_partial_) break;
-    Window w;
-    w.events.assign(stream.events().begin() + static_cast<ptrdiff_t>(i),
-                    stream.events().begin() + static_cast<ptrdiff_t>(i + n));
-    w.start = w.events.front().timestamp();
-    w.end = w.events.back().timestamp() + 1;
-    windows.push_back(std::move(w));
-  }
-  return windows;
-}
-
-std::string CountWindower::ToString() const {
-  return StrFormat("count(n=%zu%s)", count_,
-                   drop_partial_ ? ",drop_partial" : "");
 }
 
 }  // namespace pldp

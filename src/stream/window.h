@@ -2,20 +2,17 @@
 //
 // Windowing over event streams.
 //
-// CEP queries are evaluated per window. PLDP supports the three classical
-// policies:
-//   - tumbling time windows (the synthetic dataset: one window per
-//     Algorithm-2 list),
-//   - sliding time windows (the taxi experiment),
-//   - count windows (every N events).
+// CEP queries are evaluated per tumbling time window: the synthetic
+// dataset has one window per Algorithm-2 list, the taxi and T-Drive
+// datasets one per sampling interval, and the private lane closes each
+// subject's windows on the same grid (ppm/subject_publisher.h).
 //
-// A `Window` holds copies of the member events plus its bounds; the
-// `Windower` interface turns a finite stream into a window sequence.
+// A `Window` holds copies of the member events plus its bounds;
+// `TumblingWindower` turns a finite stream into a window sequence.
 
 #ifndef PLDP_STREAM_WINDOW_H_
 #define PLDP_STREAM_WINDOW_H_
 
-#include <memory>
 #include <vector>
 
 #include "common/status.h"
@@ -31,9 +28,6 @@ struct Window {
 
   /// True if any member event has the given type.
   bool ContainsType(EventTypeId type) const;
-
-  /// Number of member events with the given type.
-  size_t CountType(EventTypeId type) const;
 };
 
 /// Largest window start aligned to `origin + k*size` at or before `ts`
@@ -48,68 +42,21 @@ inline Timestamp AlignWindowStart(Timestamp ts, Timestamp origin,
   return origin + k * size;
 }
 
-/// Strategy interface: slices a stream into windows.
-class Windower {
- public:
-  virtual ~Windower() = default;
-
-  /// Produces the full window sequence for `stream`. Windows are emitted in
-  /// order of their start bound.
-  virtual StatusOr<std::vector<Window>> Apply(
-      const EventStream& stream) const = 0;
-
-  /// Human-readable description for reports.
-  virtual std::string ToString() const = 0;
-};
-
 /// Non-overlapping windows of fixed duration, aligned to `origin`.
 /// Emits all windows between the stream's first and last event, including
 /// empty ones (a window with no events is still a query evaluation point).
-class TumblingWindower : public Windower {
+class TumblingWindower {
  public:
   /// `size` must be > 0.
   explicit TumblingWindower(Timestamp size, Timestamp origin = 0);
 
-  StatusOr<std::vector<Window>> Apply(const EventStream& stream) const override;
-  std::string ToString() const override;
-
-  Timestamp size() const { return size_; }
+  /// Produces the full window sequence for `stream`, in order of start
+  /// bound.
+  StatusOr<std::vector<Window>> Apply(const EventStream& stream) const;
 
  private:
   Timestamp size_;
   Timestamp origin_;
-};
-
-/// Overlapping windows of fixed duration emitted every `slide` time units.
-class SlidingWindower : public Windower {
- public:
-  /// `size` and `slide` must be > 0; `slide` <= `size` gives overlap.
-  SlidingWindower(Timestamp size, Timestamp slide, Timestamp origin = 0);
-
-  StatusOr<std::vector<Window>> Apply(const EventStream& stream) const override;
-  std::string ToString() const override;
-
-  Timestamp size() const { return size_; }
-  Timestamp slide() const { return slide_; }
-
- private:
-  Timestamp size_;
-  Timestamp slide_;
-  Timestamp origin_;
-};
-
-/// Windows of exactly `count` consecutive events (the final partial window
-/// is emitted too unless `drop_partial` is set).
-class CountWindower : public Windower {
- public:
-  explicit CountWindower(size_t count, bool drop_partial = false);
-
-  StatusOr<std::vector<Window>> Apply(const EventStream& stream) const override;
-  std::string ToString() const override;
-
- private:
-  size_t count_;
-  bool drop_partial_;
 };
 
 }  // namespace pldp

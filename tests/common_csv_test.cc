@@ -6,12 +6,21 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 
 namespace pldp {
 namespace {
 
 std::string TempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
 }
 
 TEST(CsvEncodeTest, PlainFields) {
@@ -30,51 +39,6 @@ TEST(CsvEncodeTest, CustomSeparator) {
   EXPECT_EQ(CsvEncodeRow({"a", "b;c"}, ';'), "a;\"b;c\"");
 }
 
-TEST(CsvDecodeTest, PlainFields) {
-  auto f = CsvDecodeRow("a,b,c").value();
-  ASSERT_EQ(f.size(), 3u);
-  EXPECT_EQ(f[2], "c");
-}
-
-TEST(CsvDecodeTest, QuotedFieldWithSeparator) {
-  auto f = CsvDecodeRow("\"a,b\",c").value();
-  ASSERT_EQ(f.size(), 2u);
-  EXPECT_EQ(f[0], "a,b");
-}
-
-TEST(CsvDecodeTest, EscapedQuotes) {
-  auto f = CsvDecodeRow("\"say \"\"hi\"\"\"").value();
-  ASSERT_EQ(f.size(), 1u);
-  EXPECT_EQ(f[0], "say \"hi\"");
-}
-
-TEST(CsvDecodeTest, EmptyFields) {
-  auto f = CsvDecodeRow(",,").value();
-  ASSERT_EQ(f.size(), 3u);
-  for (const auto& x : f) EXPECT_TRUE(x.empty());
-}
-
-TEST(CsvDecodeTest, ToleratesCarriageReturn) {
-  auto f = CsvDecodeRow("a,b\r").value();
-  ASSERT_EQ(f.size(), 2u);
-  EXPECT_EQ(f[1], "b");
-}
-
-TEST(CsvDecodeTest, RejectsUnterminatedQuote) {
-  EXPECT_FALSE(CsvDecodeRow("\"abc").ok());
-}
-
-TEST(CsvDecodeTest, RejectsQuoteMidField) {
-  EXPECT_FALSE(CsvDecodeRow("ab\"c\"").ok());
-}
-
-TEST(CsvRoundTripTest, EncodeDecodeIdentity) {
-  std::vector<std::string> fields{"plain", "with,comma", "with\"quote",
-                                  "", "multi word"};
-  auto decoded = CsvDecodeRow(CsvEncodeRow(fields)).value();
-  EXPECT_EQ(decoded, fields);
-}
-
 TEST(CsvWriterTest, WritesAndReadsBack) {
   std::string path = TempPath("pldp_csv_test.csv");
   {
@@ -84,23 +48,7 @@ TEST(CsvWriterTest, WritesAndReadsBack) {
     ASSERT_TRUE(w.WriteRow({"1", "x,y"}).ok());
     ASSERT_TRUE(w.Close().ok());
   }
-  auto rows = ReadCsvFile(path).value();
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[1][1], "x,y");
-  std::remove(path.c_str());
-}
-
-TEST(CsvWriterTest, SkipHeaderOption) {
-  std::string path = TempPath("pldp_csv_header.csv");
-  {
-    CsvWriter w(path);
-    ASSERT_TRUE(w.WriteRow({"header"}).ok());
-    ASSERT_TRUE(w.WriteRow({"data"}).ok());
-    ASSERT_TRUE(w.Close().ok());
-  }
-  auto rows = ReadCsvFile(path, /*skip_header=*/true).value();
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0][0], "data");
+  EXPECT_EQ(ReadFile(path), "h1,h2\n1,\"x,y\"\n");
   std::remove(path.c_str());
 }
 
@@ -108,10 +56,6 @@ TEST(CsvWriterTest, OpenFailureReportsIoError) {
   CsvWriter w("/nonexistent_dir_xyz/file.csv");
   EXPECT_TRUE(w.status().IsIoError());
   EXPECT_TRUE(w.WriteRow({"a"}).IsIoError());
-}
-
-TEST(ReadCsvFileTest, MissingFileReportsIoError) {
-  EXPECT_TRUE(ReadCsvFile("/no/such/file.csv").status().IsIoError());
 }
 
 }  // namespace

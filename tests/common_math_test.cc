@@ -65,40 +65,10 @@ TEST(StableSumTest, EmptyIsZero) {
   EXPECT_DOUBLE_EQ(StableSum({}), 0.0);
 }
 
-TEST(MeanTest, Basic) {
-  EXPECT_DOUBLE_EQ(Mean({1.0, 2.0, 3.0}), 2.0);
-  EXPECT_DOUBLE_EQ(Mean({}), 0.0);
-}
-
 TEST(ClampTest, Basic) {
   EXPECT_DOUBLE_EQ(Clamp(5.0, 0.0, 1.0), 1.0);
   EXPECT_DOUBLE_EQ(Clamp(-5.0, 0.0, 1.0), 0.0);
   EXPECT_DOUBLE_EQ(Clamp(0.5, 0.0, 1.0), 0.5);
-}
-
-TEST(NearTest, Basic) {
-  EXPECT_TRUE(Near(1.0, 1.0001, 0.001));
-  EXPECT_FALSE(Near(1.0, 1.01, 0.001));
-}
-
-TEST(PercentileTest, MedianAndExtremes) {
-  std::vector<double> xs{5, 1, 3, 2, 4};
-  EXPECT_DOUBLE_EQ(Percentile(xs, 50), 3.0);
-  EXPECT_DOUBLE_EQ(Percentile(xs, 0), 1.0);
-  EXPECT_DOUBLE_EQ(Percentile(xs, 100), 5.0);
-}
-
-TEST(PercentileTest, Interpolates) {
-  std::vector<double> xs{0.0, 10.0};
-  EXPECT_DOUBLE_EQ(Percentile(xs, 25), 2.5);
-  EXPECT_DOUBLE_EQ(Percentile(xs, 75), 7.5);
-}
-
-TEST(PercentileTest, EmptyAndClamping) {
-  EXPECT_DOUBLE_EQ(Percentile({}, 50), 0.0);
-  std::vector<double> xs{1.0, 2.0};
-  EXPECT_DOUBLE_EQ(Percentile(xs, -10), 1.0);
-  EXPECT_DOUBLE_EQ(Percentile(xs, 200), 2.0);
 }
 
 }  // namespace

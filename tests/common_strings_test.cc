@@ -45,13 +45,6 @@ TEST(TrimTest, StripsBothEnds) {
   EXPECT_EQ(Trim("nowhitespace"), "nowhitespace");
 }
 
-TEST(StartsWithTest, Basic) {
-  EXPECT_TRUE(StartsWith("pattern", "pat"));
-  EXPECT_TRUE(StartsWith("pattern", ""));
-  EXPECT_FALSE(StartsWith("pat", "pattern"));
-  EXPECT_FALSE(StartsWith("pattern", "att"));
-}
-
 TEST(ParseDoubleTest, ValidNumbers) {
   EXPECT_DOUBLE_EQ(ParseDouble("3.5").value(), 3.5);
   EXPECT_DOUBLE_EQ(ParseDouble("-1e3").value(), -1000.0);

@@ -107,7 +107,6 @@ TEST(BudgetAccountantTest, SpendTracksRemaining) {
   ASSERT_TRUE(acc.Spend(0.4).ok());
   EXPECT_DOUBLE_EQ(acc.spent(), 0.4);
   EXPECT_NEAR(acc.remaining(), 0.6, 1e-12);
-  EXPECT_FALSE(acc.Exhausted());
 }
 
 TEST(BudgetAccountantTest, OverdraftRejected) {
@@ -122,7 +121,7 @@ TEST(BudgetAccountantTest, OverdraftRejected) {
 TEST(BudgetAccountantTest, ExactExhaustion) {
   auto acc = BudgetAccountant::Create(1.0).value();
   ASSERT_TRUE(acc.Spend(1.0).ok());
-  EXPECT_TRUE(acc.Exhausted());
+  EXPECT_DOUBLE_EQ(acc.remaining(), 0.0);
   EXPECT_TRUE(acc.Spend(0.001).IsPrivacyBudgetExceeded());
 }
 
@@ -132,7 +131,7 @@ TEST(BudgetAccountantTest, ManySmallSpendsTolerateRounding) {
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(acc.Spend(0.1).ok()) << "spend " << i;
   }
-  EXPECT_TRUE(acc.Exhausted());
+  EXPECT_NEAR(acc.remaining(), 0.0, 1e-12);
 }
 
 TEST(BudgetAccountantTest, SpendValidatesInput) {

@@ -7,8 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "core/pldp.h"
 
 namespace pldp {
@@ -135,32 +133,6 @@ TEST(IntegrationTest, PrivateEngineMatchesEvaluationPath) {
   auto published = engine.ProcessWindows(windows, &rng).value();
   auto truth = engine.GroundTruth(windows).value();
   EXPECT_EQ(published.answers[q].answers(), truth.answers[q].answers());
-}
-
-TEST(IntegrationTest, StreamRoundTripFeedsPipeline) {
-  // Persist a taxi stream to CSV, reload it, re-window, and verify the
-  // evaluation still runs — exercising the IO path end-to-end.
-  TaxiOptions opt;
-  opt.grid_width = 6;
-  opt.grid_height = 6;
-  opt.num_taxis = 10;
-  opt.num_ticks = 40;
-  TaxiDataset taxi = GenerateTaxi(opt, 41).value();
-
-  std::string path =
-      (std::filesystem::temp_directory_path() / "pldp_integration.csv")
-          .string();
-  ASSERT_TRUE(
-      WriteStreamCsv(path, taxi.merged_stream, taxi.dataset.event_types)
-          .ok());
-  EventTypeRegistry reloaded_types;
-  EventStream reloaded = ReadStreamCsv(path, &reloaded_types).value();
-  ASSERT_EQ(reloaded.size(), taxi.merged_stream.size());
-
-  TumblingWindower windower(opt.sampling_interval_s);
-  auto windows = windower.Apply(reloaded).value();
-  EXPECT_EQ(windows.size(), taxi.dataset.windows.size());
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -6,15 +6,12 @@
 // symbols must produce identical detections — plain (stage-1), across the
 // attribute-keyed exchange (stage-2, where the correlation key hashes the
 // payload), and through the private service phase — at 1, 2, and 4 shards.
-// Plus the predicate layer: bound predicates must evaluate identically
-// against both construction styles.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "cep/predicate.h"
 #include "api/pipeline_builder.h"
 #include "core/private_engine.h"
 #include "event/symbol_table.h"
@@ -192,39 +189,6 @@ TEST(InternEquivalenceTest, PrivateServicePhaseMatchesAcrossStyles) {
     EXPECT_EQ(answers_by_style[0], answers_by_style[1])
         << "shards=" << shards;
   }
-}
-
-TEST(InternEquivalenceTest, BoundPredicatesEvaluateBothStylesAlike) {
-  Event legacy(0, 1);
-  legacy.SetAttribute("equiv_cell", Value(int64_t{7}));
-  legacy.SetAttribute("equiv_zone", Value(ZoneName(2)));
-  Event interned(0, 1);
-  interned.SetAttribute(AttrNames().Intern("equiv_cell"), Value(int64_t{7}));
-  interned.SetAttribute(AttrNames().Intern("equiv_zone"),
-                        Value::Sym(ZoneName(2)));
-
-  const std::vector<PredicatePtr> predicates = {
-      MakeNumericCompare("equiv_cell", CompareOp::kGt, 5.0),
-      MakeNumericCompare("equiv_cell", CompareOp::kLt, 5.0),
-      MakeStringCompare("equiv_zone", CompareOp::kEq, ZoneName(2)),
-      MakeStringCompare("equiv_zone", CompareOp::kEq, ZoneName(3)),
-      MakeStringCompare("equiv_zone", CompareOp::kNe, ZoneName(3)),
-      MakeIntSetMember("equiv_cell", {1, 7, 9}),
-      MakeIntSetMember("equiv_cell", {2, 4}),
-      MakeStringCompare("equiv_absent", CompareOp::kEq, "x"),
-  };
-  for (const PredicatePtr& p : predicates) {
-    const auto on_legacy = p->Eval(legacy);
-    const auto on_interned = p->Eval(interned);
-    ASSERT_TRUE(on_legacy.ok()) << p->ToString();
-    ASSERT_TRUE(on_interned.ok()) << p->ToString();
-    EXPECT_EQ(on_legacy.value(), on_interned.value()) << p->ToString();
-  }
-  // Kind-mismatch errors propagate identically too.
-  const PredicatePtr mismatched =
-      MakeStringCompare("equiv_cell", CompareOp::kEq, "not-a-number");
-  EXPECT_FALSE(mismatched->Eval(legacy).ok());
-  EXPECT_FALSE(mismatched->Eval(interned).ok());
 }
 
 }  // namespace

@@ -105,26 +105,6 @@ TEST(DisjunctionMatchTest, WitnessIsFirstOccurrence) {
   EXPECT_EQ(m->event_positions, (std::vector<size_t>{1}));
 }
 
-// --- counting ---------------------------------------------------------------------
-
-TEST(CountMatchesTest, SequenceGreedyNonOverlapping) {
-  Window w = MakeWindow({{0, 1}, {1, 2}, {0, 3}, {1, 4}, {0, 5}});
-  EXPECT_EQ(CountMatchesInWindow(w, Seq({0, 1})).value(), 2u);
-}
-
-TEST(CountMatchesTest, ConjunctionBottleneck) {
-  Window w = MakeWindow({{0, 1}, {0, 2}, {0, 3}, {1, 4}});
-  EXPECT_EQ(CountMatchesInWindow(w, Conj({0, 1})).value(), 1u);
-  EXPECT_EQ(CountMatchesInWindow(w, Conj({0})).value(), 3u);
-  EXPECT_EQ(CountMatchesInWindow(w, Conj({0, 0})).value(), 1u);
-}
-
-TEST(CountMatchesTest, DisjunctionSumsOccurrences) {
-  Window w = MakeWindow({{0, 1}, {1, 2}, {0, 3}});
-  EXPECT_EQ(CountMatchesInWindow(w, Disj({0, 1})).value(), 3u);
-  EXPECT_EQ(CountMatchesInWindow(w, Disj({2})).value(), 0u);
-}
-
 // --- incremental: sequence ----------------------------------------------------------
 
 TEST(IncrementalSequenceTest, DetectsWithinTimeWindow) {

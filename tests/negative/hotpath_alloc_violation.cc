@@ -20,9 +20,9 @@ PLDP_HOT int* HotButAllocates() {
   return new int(42);  // the violation the lint must flag
 }
 
-/// Shaped like Predicate::EvalBatch / the shard's batched pop loop: a
-/// PLDP_HOT bulk kernel over a span writing a result bitmask. The lint
-/// must flag allocation inside such bodies too — the batch path is the
+/// Shaped like TypeAnyOfPredicate::EvalBatch / the shard's batched pop
+/// loop: a PLDP_HOT bulk kernel over a span writing a result bitmask. The
+/// lint must flag allocation inside such bodies too — the batch path is the
 /// highest-traffic code in the runtime, and a per-batch scratch vector is
 /// precisely the regression the zero-allocation contract exists to stop.
 PLDP_HOT size_t HotBatchKernelButAllocates(const uint16_t* types, size_t n,

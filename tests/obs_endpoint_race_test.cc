@@ -9,6 +9,12 @@
 // thread, joins it, and only then closes the fd. These loops turn that
 // window into a reliably exercised path — rapid Start/Stop cycles with
 // client traffic in flight — and double as a TSan check in CI.
+//
+// It also pins what a misbehaving client may cost the serving process:
+// a peer that resets before the reply is written must not raise SIGPIPE
+// (the test process would die), and a peer that connects and sends
+// nothing may hold the single serve thread, and Stop(), only for about
+// TextEndpoint::kClientIoTimeoutSeconds.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +24,9 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,19 +37,26 @@ namespace pldp {
 namespace obs {
 namespace {
 
-/// Minimal HTTP client: one GET, full response; "" on any socket failure
-/// (connection refusals while the endpoint restarts are expected here).
-std::string HttpGet(uint16_t port, const std::string& path) {
+/// Connects to the endpoint on loopback; -1 on failure.
+int Connect(uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
+  if (fd < 0) return -1;
   sockaddr_in addr = {};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     ::close(fd);
-    return "";
+    return -1;
   }
+  return fd;
+}
+
+/// Minimal HTTP client: one GET, full response; "" on any socket failure
+/// (connection refusals while the endpoint restarts are expected here).
+std::string HttpGet(uint16_t port, const std::string& path) {
+  const int fd = Connect(port);
+  if (fd < 0) return "";
   const std::string request =
       "GET " + path + " HTTP/1.0\r\nHost: localhost\r\n\r\n";
   (void)::send(fd, request.data(), request.size(), 0);
@@ -54,6 +69,38 @@ std::string HttpGet(uint16_t port, const std::string& path) {
   ::close(fd);
   return response;
 }
+
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+constexpr double kIoTimeout = TextEndpoint::kClientIoTimeoutSeconds;
+
+/// A client that connects and sends nothing. It hangs up when destroyed,
+/// or after 5x the timeout at the latest, so an endpoint without client
+/// timeouts fails the timing checks below instead of hanging the test.
+class IdleClient {
+ public:
+  explicit IdleClient(uint16_t port) : fd_(Connect(port)) {
+    hangup_ = std::thread([this, done = released_.get_future()] {
+      done.wait_for(std::chrono::duration<double>(5 * kIoTimeout));
+      if (fd_ >= 0) ::close(fd_);
+    });
+  }
+  ~IdleClient() {
+    released_.set_value();
+    hangup_.join();
+  }
+
+  bool connected() const { return fd_ >= 0; }
+
+ private:
+  std::promise<void> released_;
+  const int fd_;
+  std::thread hangup_;
+};
 
 TEST(EndpointRaceTest, StopRacingInFlightRequests) {
   TextEndpoint::Routes routes;
@@ -122,6 +169,69 @@ TEST(EndpointRaceTest, RapidStartStopCyclesWithTraffic) {
 
   stop.store(true, std::memory_order_release);
   client.join();
+}
+
+TEST(EndpointRaceTest, PeerResetDoesNotKillTheServer) {
+  // A body far larger than the socket buffers, so the serve thread is
+  // still writing when the reset lands. Without MSG_NOSIGNAL the write to
+  // the reset connection raises SIGPIPE and this test process dies.
+  const std::string body(4 << 20, 'x');
+  TextEndpoint::Routes routes;
+  routes.metrics_text = [&body] { return body; };
+  TextEndpoint endpoint(std::move(routes));
+  ASSERT_TRUE(endpoint.Start(0).ok());
+
+  for (int i = 0; i < 8; ++i) {
+    const int fd = Connect(endpoint.port());
+    ASSERT_GE(fd, 0);
+    const std::string request = "GET /metrics HTTP/1.0\r\n\r\n";
+    ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
+              static_cast<ssize_t>(request.size()));
+    // Linger {on, 0}: close() sends RST instead of FIN.
+    linger reset = {1, 0};
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset)),
+              0);
+    ::close(fd);
+  }
+
+  const std::string response = HttpGet(endpoint.port(), "/metrics");
+  EXPECT_NE(response.find("200 OK"), std::string::npos);
+  EXPECT_NE(response.find(body), std::string::npos);
+  endpoint.Stop();
+}
+
+TEST(EndpointRaceTest, IdleClientDelaysQueuedScrapeOnlyByTheTimeout) {
+  TextEndpoint::Routes routes;
+  routes.metrics_text = [] { return std::string("queued_metric 1\n"); };
+  TextEndpoint endpoint(std::move(routes));
+  ASSERT_TRUE(endpoint.Start(0).ok());
+
+  // The serve thread accepts the idle client first; the scrape queues
+  // behind it.
+  IdleClient idle(endpoint.port());
+  ASSERT_TRUE(idle.connected());
+
+  const auto start = std::chrono::steady_clock::now();
+  const std::string response = HttpGet(endpoint.port(), "/metrics");
+  EXPECT_LT(SecondsSince(start), kIoTimeout + 1.5);
+  EXPECT_NE(response.find("queued_metric 1"), std::string::npos);
+  endpoint.Stop();
+}
+
+TEST(EndpointRaceTest, StopReturnsWhileAClientIdles) {
+  TextEndpoint::Routes routes;
+  routes.metrics_text = [] { return std::string("idle_metric 1\n"); };
+  TextEndpoint endpoint(std::move(routes));
+  ASSERT_TRUE(endpoint.Start(0).ok());
+
+  IdleClient idle(endpoint.port());
+  ASSERT_TRUE(idle.connected());
+  // Let the serve thread accept the idle connection and block reading it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  const auto start = std::chrono::steady_clock::now();
+  endpoint.Stop();
+  EXPECT_LT(SecondsSince(start), 2 * kIoTimeout);
 }
 
 }  // namespace

@@ -32,17 +32,6 @@ TEST(PatternTest, DistinctTypesPreservesFirstSeenOrder) {
   EXPECT_EQ(p.DistinctTypes(), (std::vector<EventTypeId>{3, 1, 2}));
 }
 
-TEST(PatternTest, TypeOverlapIsSymmetricOnSharedTypes) {
-  Pattern a = Make("a", {1, 2});
-  Pattern b = Make("b", {2, 3});
-  Pattern c = Make("c", {4, 5});
-  EXPECT_TRUE(a.TypeOverlaps(b));
-  EXPECT_TRUE(b.TypeOverlaps(a));
-  EXPECT_FALSE(a.TypeOverlaps(c));
-  EXPECT_FALSE(c.TypeOverlaps(a));
-  EXPECT_TRUE(a.TypeOverlaps(a));
-}
-
 TEST(PatternTest, ToStringRendersModeAndElements) {
   EventTypeRegistry reg;
   EventTypeId a = reg.Intern("a");
@@ -71,24 +60,6 @@ TEST(PatternRegistryTest, RejectsDuplicateNames) {
   PatternRegistry reg;
   ASSERT_TRUE(reg.Register(Make("a", {0})).ok());
   EXPECT_TRUE(reg.Register(Make("a", {1})).status().IsAlreadyExists());
-}
-
-TEST(PatternRegistryTest, LookupByName) {
-  PatternRegistry reg;
-  ASSERT_TRUE(reg.Register(Make("x", {0})).ok());
-  EXPECT_EQ(reg.LookupByName("x").value(), 0u);
-  EXPECT_TRUE(reg.LookupByName("y").status().IsNotFound());
-}
-
-TEST(PatternRegistryTest, TypeOverlappingFindsPeers) {
-  PatternRegistry reg;
-  PatternId a = reg.Register(Make("a", {1, 2})).value();
-  PatternId b = reg.Register(Make("b", {2, 3})).value();
-  PatternId c = reg.Register(Make("c", {7})).value();
-  EXPECT_EQ(reg.TypeOverlapping(a), (std::vector<PatternId>{b}));
-  EXPECT_EQ(reg.TypeOverlapping(b), (std::vector<PatternId>{a}));
-  EXPECT_TRUE(reg.TypeOverlapping(c).empty());
-  EXPECT_TRUE(reg.TypeOverlapping(99).empty());
 }
 
 }  // namespace

@@ -1,134 +1,75 @@
 // Copyright 2026 The PLDP Authors.
 //
-// Eval ↔ EvalBatch equivalence for the predicate layer (cep/predicate.h).
-// EvalBatch is the SIMD-ready bulk entry point the shard pop loop uses as
-// its relevance prefilter; its contract is bit i of the mask == Eval on
-// event i (with Eval errors mapping to "not matching" — batch callers use
-// the mask as a prefilter, never for error reporting), and every
-// remaining bit of each touched mask word cleared. Fixed seeds pin the
-// agreement on the same streams every run, across:
-//
-//   * the base-class scalar fallback (composites: And/Or/Not),
-//   * the vectorizable leaf overrides (TypeIs),
-//   * both TypeAnyOf forms — the bitmap (max type < 2^16) and the sorted
-//     binary search (sparse huge type ids) — plus its strided variant
-//     over StampedEvent-embedded events, the shard pop loop's actual
-//     call shape.
+// TypeAnyOfPredicate::EvalBatch (cep/predicate.h) against a plain
+// set-membership reference: bit i of the mask is set iff event i's type is
+// in the set, and every remaining bit of each touched mask word is
+// cleared. Fixed seeds pin both forms on the same streams every run: the
+// bitmap (max type < 2^16) and the sorted binary search (sparse huge type
+// ids).
 
 #include "cep/predicate.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <vector>
 
 #include "common/random.h"
-#include "runtime/shard.h"
 
 namespace pldp {
 namespace {
 
 std::vector<Event> RandomEvents(size_t count, EventTypeId type_span,
-                                uint64_t seed, bool with_attr = false) {
-  const AttrId cell = AttrNames().Intern("batch_test_cell");
+                                uint64_t seed) {
   Rng rng(seed);
   std::vector<Event> events;
   events.reserve(count);
   for (size_t i = 0; i < count; ++i) {
-    Event e(static_cast<EventTypeId>(rng.UniformUint64(type_span)),
-            static_cast<Timestamp>(i), static_cast<StreamId>(i % 7));
-    // Half the events carry the attribute: exercises the "absent data
-    // cannot satisfy a filter" mapping inside the batch path too.
-    if (with_attr && i % 2 == 0) {
-      e.SetAttribute(cell, Value(static_cast<int64_t>(i % 100)));
-    }
-    events.push_back(std::move(e));
+    events.emplace_back(static_cast<EventTypeId>(rng.UniformUint64(type_span)),
+                        static_cast<Timestamp>(i));
   }
   return events;
 }
 
-/// Asserts mask == per-event Eval over `events`, including cleared tail
-/// bits in the last touched word.
-void ExpectMaskMatchesEval(const Predicate& pred,
-                           const std::vector<Event>& events) {
+/// Asserts the mask of MakeTypeAnyOf(`types`) over `events` equals
+/// set membership, including cleared tail bits in the last touched word.
+void ExpectMaskIsMembership(const std::vector<EventTypeId>& types,
+                            const std::vector<Event>& events) {
+  const std::set<EventTypeId> reference(types.begin(), types.end());
+  const auto pred = MakeTypeAnyOf(types);
+  EXPECT_EQ(pred->type_count(), reference.size());
   const size_t words = (events.size() + 63) / 64;
   // Poison: EvalBatch must fully overwrite every touched word.
   std::vector<uint64_t> mask(words, ~uint64_t{0});
-  pred.EvalBatch(EventSpan(events.data(), events.size()), mask.data());
+  pred->EvalBatch(EventSpan(events.data(), events.size()), mask.data());
   for (size_t i = 0; i < events.size(); ++i) {
-    const auto eval = pred.Eval(events[i]);
-    const bool expected = eval.ok() && eval.value();
+    const bool expected = reference.count(events[i].type()) > 0;
     const bool got = ((mask[i / 64] >> (i % 64)) & 1) != 0;
-    ASSERT_EQ(got, expected) << "event " << i << " of " << events.size()
-                             << " under " << pred.ToString();
+    ASSERT_EQ(got, expected) << "event " << i << " of " << events.size();
   }
   for (size_t i = events.size(); i < words * 64; ++i) {
     ASSERT_EQ((mask[i / 64] >> (i % 64)) & 1, 0u)
-        << "tail bit " << i << " not cleared under " << pred.ToString();
+        << "tail bit " << i << " not cleared";
   }
 }
 
-TEST(PredicateBatchTest, ScalarFallbackMatchesEval) {
+TEST(PredicateBatchTest, TypeAnyOfBitmapFormMatchesMembership) {
   // 1000 is deliberately not a multiple of 64: exercises the tail word.
-  const std::vector<Event> events =
-      RandomEvents(1000, /*type_span=*/16, /*seed=*/3, /*with_attr=*/true);
-  ExpectMaskMatchesEval(*MakeTrue(), events);
-  ExpectMaskMatchesEval(
-      *MakeNumericCompare("batch_test_cell", CompareOp::kLt, 50.0), events);
-  ExpectMaskMatchesEval(
-      *MakeAnd({MakeTypeIs(3),
-                MakeNumericCompare("batch_test_cell", CompareOp::kGe, 10.0)}),
-      events);
-  ExpectMaskMatchesEval(*MakeOr({MakeTypeIs(1), MakeTypeIs(5)}), events);
-  ExpectMaskMatchesEval(*MakeNot(MakeTypeIs(0)), events);
-}
-
-TEST(PredicateBatchTest, TypeIsOverrideMatchesEval) {
-  const std::vector<Event> events =
-      RandomEvents(777, /*type_span=*/8, /*seed=*/5);
-  for (EventTypeId t : {0, 3, 7, 9 /* absent from the stream */}) {
-    ExpectMaskMatchesEval(*MakeTypeIs(t), events);
-  }
-}
-
-TEST(PredicateBatchTest, TypeAnyOfBitmapFormMatchesEval) {
   const std::vector<Event> events =
       RandomEvents(1000, /*type_span=*/64, /*seed=*/7);
   // Small ids → bitmap form (duplicates must be tolerated).
-  const auto pred = MakeTypeAnyOf({1, 5, 5, 9, 30, 63});
-  EXPECT_EQ(pred->type_count(), 5u);
-  ExpectMaskMatchesEval(*pred, events);
-  ExpectMaskMatchesEval(*MakeTypeAnyOf({}), events);  // empty set: all false
+  ExpectMaskIsMembership({1, 5, 5, 9, 30, 63}, events);
+  ExpectMaskIsMembership({}, events);  // empty set: all false
 }
 
-TEST(PredicateBatchTest, TypeAnyOfBinarySearchFormMatchesEval) {
+TEST(PredicateBatchTest, TypeAnyOfBinarySearchFormMatchesMembership) {
   // One member above 2^16 forces the sorted binary-search form for the
   // whole set; the events still draw small ids, so membership decisions
   // hit both inside and outside the set.
   const std::vector<Event> events =
       RandomEvents(1000, /*type_span=*/64, /*seed=*/9);
-  ExpectMaskMatchesEval(*MakeTypeAnyOf({1, 5, 9, 30, 70000}), events);
-}
-
-TEST(PredicateBatchTest, StridedVariantMatchesContiguous) {
-  const std::vector<Event> events =
-      RandomEvents(500, /*type_span=*/32, /*seed=*/11);
-  // Embed the events in StampedEvent records — the shard pop loop's
-  // actual memory layout (runtime/shard.h).
-  std::vector<StampedEvent> stamped;
-  stamped.reserve(events.size());
-  for (size_t i = 0; i < events.size(); ++i) {
-    stamped.push_back(StampedEvent{i, events[i]});
-  }
-  const auto pred = MakeTypeAnyOf({2, 4, 8, 16});
-
-  const size_t words = (events.size() + 63) / 64;
-  std::vector<uint64_t> contiguous(words, ~uint64_t{0});
-  pred->EvalBatch(EventSpan(events.data(), events.size()), contiguous.data());
-  std::vector<uint64_t> strided(words, 0);
-  pred->EvalTypesStrided(&stamped[0].event, sizeof(StampedEvent),
-                         stamped.size(), strided.data());
-  EXPECT_EQ(strided, contiguous);
+  ExpectMaskIsMembership({1, 5, 9, 30, 70000}, events);
 }
 
 }  // namespace

@@ -50,15 +50,6 @@ TEST(ConfusionMatrixTest, DegenerateCases) {
   EXPECT_DOUBLE_EQ(empty.Recall(), 1.0);
 }
 
-TEST(ConfusionMatrixTest, F1HarmonicMean) {
-  ConfusionMatrix cm;
-  for (int i = 0; i < 6; ++i) cm.Add(true, true);
-  for (int i = 0; i < 2; ++i) cm.Add(false, true);
-  for (int i = 0; i < 4; ++i) cm.Add(true, false);
-  double p = 0.75, r = 0.6;
-  EXPECT_DOUBLE_EQ(cm.F1(), 2 * p * r / (p + r));
-}
-
 TEST(ConfusionMatrixTest, QualityInterpolatesPrecisionRecall) {
   ConfusionMatrix cm;
   for (int i = 0; i < 6; ++i) cm.Add(true, true);
@@ -76,40 +67,11 @@ TEST(ConfusionMatrixTest, QualityValidatesAlpha) {
   EXPECT_FALSE(cm.Quality(1.1).ok());
 }
 
-TEST(ConfusionMatrixTest, MergeAccumulates) {
-  ConfusionMatrix a;
-  a.Add(true, true);
-  ConfusionMatrix b;
-  b.Add(false, true);
-  b.Add(true, false);
-  a.Merge(b);
-  EXPECT_EQ(a.tp(), 1u);
-  EXPECT_EQ(a.fp(), 1u);
-  EXPECT_EQ(a.fn(), 1u);
-  EXPECT_EQ(a.total(), 3u);
-}
-
 TEST(ConfusionMatrixTest, ToStringContainsCounts) {
   ConfusionMatrix cm;
   cm.Add(true, true);
   std::string s = cm.ToString();
   EXPECT_NE(s.find("tp=1"), std::string::npos);
-}
-
-TEST(CompareSeriesTest, BuildsConfusionFromAnswerSeries) {
-  AnswerSeries truth({true, true, false, false});
-  AnswerSeries observed({true, false, true, false});
-  ConfusionMatrix cm = CompareSeries(truth, observed).value();
-  EXPECT_EQ(cm.tp(), 1u);
-  EXPECT_EQ(cm.fn(), 1u);
-  EXPECT_EQ(cm.fp(), 1u);
-  EXPECT_EQ(cm.tn(), 1u);
-}
-
-TEST(CompareSeriesTest, RejectsLengthMismatch) {
-  AnswerSeries a({true});
-  AnswerSeries b({true, false});
-  EXPECT_FALSE(CompareSeries(a, b).ok());
 }
 
 TEST(MeanRelativeErrorTest, PaperFormula) {

@@ -1,6 +1,6 @@
 // Copyright 2026 The PLDP Authors.
 //
-// Tests for AnswerSeries, the plain CepEngine, and pattern streams.
+// Tests for AnswerSeries and the plain CepEngine.
 
 #include "cep/engine.h"
 
@@ -18,15 +18,6 @@ TEST(AnswerSeriesTest, AppendAndAccess) {
   EXPECT_TRUE(s[0]);
   EXPECT_FALSE(s[1]);
   EXPECT_EQ(s.PositiveCount(), 2u);
-}
-
-TEST(AnswerSeriesTest, HammingDistance) {
-  AnswerSeries a({true, false, true});
-  AnswerSeries b({true, true, false});
-  EXPECT_EQ(a.HammingDistance(b).value(), 2u);
-  EXPECT_EQ(a.HammingDistance(a).value(), 0u);
-  AnswerSeries shorter({true});
-  EXPECT_FALSE(a.HammingDistance(shorter).ok());
 }
 
 class CepEngineTest : public ::testing::Test {
@@ -49,23 +40,6 @@ class CepEngineTest : public ::testing::Test {
                    .value();
   }
 
-  std::vector<Window> MakeWindows() {
-    // w0: a then b (seq_ab yes, conj_bc no)
-    // w1: c then b (seq_ab no, conj_bc yes)
-    // w2: b then a (seq_ab no, conj_bc no)
-    std::vector<Window> ws(3);
-    ws[0].start = 0;
-    ws[0].end = 10;
-    ws[0].events = {Event(a_, 1), Event(b_, 5)};
-    ws[1].start = 10;
-    ws[1].end = 20;
-    ws[1].events = {Event(c_, 11), Event(b_, 15)};
-    ws[2].start = 20;
-    ws[2].end = 30;
-    ws[2].events = {Event(b_, 21), Event(a_, 25)};
-    return ws;
-  }
-
   CepEngine engine_;
   EventTypeId a_ = 0, b_ = 0, c_ = 0;
   PatternId seq_ab_ = 0, conj_bc_ = 0;
@@ -75,67 +49,6 @@ TEST_F(CepEngineTest, RegisterQueryValidatesPattern) {
   EXPECT_TRUE(engine_.RegisterQuery("q", seq_ab_).ok());
   EXPECT_TRUE(engine_.RegisterQuery("bad", 99).status().IsNotFound());
   EXPECT_TRUE(engine_.RegisterQuery("q", conj_bc_).status().IsAlreadyExists());
-}
-
-TEST_F(CepEngineTest, EvaluateQueryPerWindow) {
-  QueryId q1 = engine_.RegisterQuery("q1", seq_ab_).value();
-  QueryId q2 = engine_.RegisterQuery("q2", conj_bc_).value();
-  auto windows = MakeWindows();
-  auto ans1 = engine_.EvaluateQuery(windows, q1).value();
-  auto ans2 = engine_.EvaluateQuery(windows, q2).value();
-  EXPECT_EQ(ans1.answers(), (std::vector<bool>{true, false, false}));
-  EXPECT_EQ(ans2.answers(), (std::vector<bool>{false, true, false}));
-}
-
-TEST_F(CepEngineTest, EvaluateUnknownQueryErrors) {
-  EXPECT_TRUE(engine_.EvaluateQuery({}, 5).status().IsNotFound());
-}
-
-TEST_F(CepEngineTest, EvaluateAllMatchesIndividual) {
-  engine_.RegisterQuery("q1", seq_ab_).value();
-  engine_.RegisterQuery("q2", conj_bc_).value();
-  auto windows = MakeWindows();
-  auto all = engine_.EvaluateAll(windows).value();
-  ASSERT_EQ(all.size(), 2u);
-  EXPECT_EQ(all[0].answers(),
-            engine_.EvaluateQuery(windows, 0).value().answers());
-  EXPECT_EQ(all[1].answers(),
-            engine_.EvaluateQuery(windows, 1).value().answers());
-}
-
-TEST_F(CepEngineTest, AbstractBuildsPatternStream) {
-  auto windows = MakeWindows();
-  PatternStream ps = engine_.Abstract(windows).value();
-  // seq_ab in w0, conj_bc in w1.
-  ASSERT_EQ(ps.size(), 2u);
-  EXPECT_EQ(ps[0].pattern, seq_ab_);
-  EXPECT_EQ(ps[0].window_index, 0u);
-  EXPECT_EQ(ps[1].pattern, conj_bc_);
-  EXPECT_EQ(ps[1].window_index, 1u);
-}
-
-TEST(PatternStreamTest, OfPatternFilters) {
-  PatternStream ps;
-  ps.Append({.pattern = 0, .window_index = 0, .event_positions = {0}});
-  ps.Append({.pattern = 1, .window_index = 0, .event_positions = {1}});
-  ps.Append({.pattern = 0, .window_index = 1, .event_positions = {0}});
-  EXPECT_EQ(ps.OfPattern(0).size(), 2u);
-  EXPECT_EQ(ps.OfPattern(1).size(), 1u);
-  EXPECT_TRUE(ps.OfPattern(9).empty());
-}
-
-TEST(PatternStreamTest, OverlapRequiresSharedEventInSameWindow) {
-  PatternStream ps;
-  ps.Append({.pattern = 0, .window_index = 0, .event_positions = {0, 2}});
-  ps.Append({.pattern = 1, .window_index = 0, .event_positions = {2, 3}});
-  ps.Append({.pattern = 2, .window_index = 0, .event_positions = {4}});
-  ps.Append({.pattern = 0, .window_index = 1, .event_positions = {0}});
-  EXPECT_TRUE(ps.InstancesOverlap(0, 1));   // share position 2
-  EXPECT_FALSE(ps.InstancesOverlap(0, 2));  // disjoint positions
-  EXPECT_FALSE(ps.InstancesOverlap(0, 3));  // different windows
-  auto pairs = ps.OverlappingPairs();
-  ASSERT_EQ(pairs.size(), 1u);
-  EXPECT_EQ(pairs[0], (std::pair<size_t, size_t>{0, 1}));
 }
 
 }  // namespace

@@ -1,18 +1,14 @@
 // Copyright 2026 The PLDP Authors.
 //
-// Tests for event streams: ordering invariants, slicing, k-way merge,
-// CSV persistence, and online replay.
+// Tests for event streams: ordering invariants, slicing, k-way merge, and
+// online replay.
 
 #include "stream/event_stream.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-
 #include "common/random.h"
 #include "stream/replay.h"
-#include "stream/stream_io.h"
 
 namespace pldp {
 namespace {
@@ -36,13 +32,6 @@ TEST(EventStreamTest, AppendEnforcesOrder) {
   EXPECT_EQ(s.size(), 3u);
 }
 
-TEST(EventStreamTest, FromEventsValidates) {
-  std::vector<Event> good{Event(0, 1), Event(0, 2)};
-  EXPECT_TRUE(EventStream::FromEvents(good).ok());
-  std::vector<Event> bad{Event(0, 2), Event(0, 1)};
-  EXPECT_FALSE(EventStream::FromEvents(bad).ok());
-}
-
 TEST(EventStreamTest, MinMaxTimestamps) {
   auto s = MakeStream({{0, 3}, {1, 7}, {0, 9}});
   EXPECT_EQ(s.min_timestamp(), 3);
@@ -50,23 +39,6 @@ TEST(EventStreamTest, MinMaxTimestamps) {
   EventStream empty;
   EXPECT_EQ(empty.min_timestamp(), 0);
   EXPECT_EQ(empty.max_timestamp(), 0);
-}
-
-TEST(EventStreamTest, CountType) {
-  auto s = MakeStream({{0, 1}, {1, 2}, {0, 3}, {2, 4}});
-  EXPECT_EQ(s.CountType(0), 2u);
-  EXPECT_EQ(s.CountType(1), 1u);
-  EXPECT_EQ(s.CountType(9), 0u);
-}
-
-TEST(EventStreamTest, SliceHalfOpenInterval) {
-  auto s = MakeStream({{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}});
-  auto mid = s.Slice(2, 4);
-  ASSERT_EQ(mid.size(), 2u);
-  EXPECT_EQ(mid[0].timestamp(), 2);
-  EXPECT_EQ(mid[1].timestamp(), 3);
-  EXPECT_TRUE(s.Slice(10, 20).empty());
-  EXPECT_EQ(s.Slice(1, 6).size(), 5u);
 }
 
 TEST(EventStreamTest, IsTemporallyOrdered) {
@@ -116,57 +88,6 @@ TEST(MergeStreamsTest, MergeOfManyRandomStreamsIsSorted) {
   EventStream merged = MergeStreams(streams);
   EXPECT_EQ(merged.size(), 500u);
   EXPECT_TRUE(merged.IsTemporallyOrdered());
-}
-
-// --- stream_io ---------------------------------------------------------------
-
-TEST(StreamIoTest, TaggedValueRoundTrip) {
-  for (const Value& v :
-       {Value(true), Value(false), Value(int64_t{-17}), Value(3.25),
-        Value("hello world")}) {
-    auto decoded = DecodeValueTagged(EncodeValueTagged(v));
-    ASSERT_TRUE(decoded.ok());
-    EXPECT_EQ(decoded.value(), v);
-  }
-}
-
-TEST(StreamIoTest, TaggedValueRejectsMalformed) {
-  EXPECT_FALSE(DecodeValueTagged("").ok());
-  EXPECT_FALSE(DecodeValueTagged("x").ok());
-  EXPECT_FALSE(DecodeValueTagged("q:1").ok());
-  EXPECT_FALSE(DecodeValueTagged("b:maybe").ok());
-  EXPECT_FALSE(DecodeValueTagged("i:1.5").ok());
-}
-
-TEST(StreamIoTest, CsvRoundTripPreservesStream) {
-  EventTypeRegistry reg;
-  EventStream s;
-  Event e1(reg.Intern("gps"), 100, 3);
-  e1.SetAttribute("cell", Value(int64_t{7}));
-  e1.SetAttribute("speed", Value(12.5));
-  s.AppendUnchecked(e1);
-  Event e2(reg.Intern("door"), 200, 4);
-  e2.SetAttribute("open", Value(true));
-  s.AppendUnchecked(e2);
-
-  std::string path =
-      (std::filesystem::temp_directory_path() / "pldp_stream.csv").string();
-  ASSERT_TRUE(WriteStreamCsv(path, s, reg).ok());
-
-  EventTypeRegistry reg2;
-  auto loaded = ReadStreamCsv(path, &reg2);
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded->size(), 2u);
-  EXPECT_EQ((*loaded)[0].timestamp(), 100);
-  EXPECT_EQ((*loaded)[0].stream(), 3u);
-  EXPECT_EQ(reg2.Name((*loaded)[0].type()).value(), "gps");
-  EXPECT_EQ((*loaded)[0].GetAttribute("cell")->AsInt().value(), 7);
-  EXPECT_EQ((*loaded)[1].GetAttribute("open")->AsBool().value(), true);
-  std::remove(path.c_str());
-}
-
-TEST(StreamIoTest, ReadRejectsNullRegistry) {
-  EXPECT_FALSE(ReadStreamCsv("/tmp/whatever.csv", nullptr).ok());
 }
 
 // --- replay -------------------------------------------------------------------

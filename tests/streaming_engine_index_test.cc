@@ -41,10 +41,6 @@ class BruteForce {
       }
     }
   }
-  void Reset() {
-    for (auto& m : matchers_) m->Reset();
-    fired_.clear();
-  }
   const std::vector<Timestamp>& DetectionsOf(size_t q) const {
     return matchers_[q]->detections();
   }
@@ -84,14 +80,6 @@ class Harness {
           << " at=" << event.timestamp();
     }
     checked_ = want.size();
-  }
-
-  void Reset() {
-    engine_.ResetState();
-    oracle_.Reset();
-    fired_.clear();
-    checked_ = 0;
-    events_ = 0;
   }
 
   /// Compares the accumulated per-query state.
@@ -254,26 +242,8 @@ TEST(StreamingEngineIndexTest, AddQueryAfterEventsHaveFlowed) {
             (std::vector<EventTypeId>{0, 2, 4, 5, 6, 8, 65536, kBig}));
 }
 
-TEST(StreamingEngineIndexTest, ResetStateKeepsTheIndex) {
-  Rng rng(17);
-  const std::vector<EventTypeId> alphabet = {1, 2, 3, 70000};
-  Harness h;
-  for (int q = 0; q < 24; ++q) {
-    h.AddQuery(RandomPattern(rng, alphabet),
-               static_cast<Timestamp>(rng.UniformUint64(15)));
-  }
-  Timestamp now = 0;
-  ASSERT_NO_FATAL_FAILURE(FeedRandom(h, rng, {0, 1, 2, 3, 70000}, 1500, now));
-  h.ExpectSame();
-  h.Reset();
-  h.ExpectSame();
-  ASSERT_NO_FATAL_FAILURE(FeedRandom(h, rng, {0, 1, 2, 3, 70000}, 1500, now));
-  h.ExpectSame();
-  EXPECT_FALSE(h.fired().empty());
-}
-
 /// Fixed-seed sweep: random query sets over a small or a wide type
-/// universe, queries added mid-stream, one reset.
+/// universe, queries added mid-stream.
 class IndexOracleSweep : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(IndexOracleSweep, MatchesBruteForce) {
@@ -294,7 +264,6 @@ TEST_P(IndexOracleSweep, MatchesBruteForce) {
                  static_cast<Timestamp>(rng.UniformUint64(40)));
     }
     ASSERT_NO_FATAL_FAILURE(FeedRandom(h, rng, types, 1500, now));
-    if (round == 1) h.Reset();
   }
   h.ExpectSame();
 }

@@ -60,18 +60,6 @@ TEST(StreamingEngineTest, CallbackFiresPerDetection) {
   EXPECT_EQ(seen[2].at, 2);
 }
 
-TEST(StreamingEngineTest, ResetStateKeepsQueries) {
-  StreamingCepEngine engine;
-  size_t q = engine.AddQuery(Seq({0}), 0).value();
-  engine.OnEvent(Event(0, 1)).ok();
-  EXPECT_EQ(engine.total_detections(), 1u);
-  engine.ResetState();
-  EXPECT_EQ(engine.total_detections(), 0u);
-  EXPECT_EQ(engine.events_processed(), 0u);
-  EXPECT_EQ(engine.query_count(), 1u);
-  EXPECT_TRUE(engine.DetectionsOf(q).value().empty());
-}
-
 TEST(StreamingEngineTest, WorksAsReplaySubscriber) {
   StreamingCepEngine engine;
   size_t q = engine.AddQuery(Seq({0, 1}), 100).value();

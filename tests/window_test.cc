@@ -1,8 +1,7 @@
 // Copyright 2026 The PLDP Authors.
 //
-// Tests for windowing: tumbling, sliding, and count windows, including the
-// coverage property every windower must satisfy (each event lands in the
-// windows whose bounds contain it).
+// Tests for tumbling windows, including the coverage property (each event
+// lands in exactly the window whose bounds contain it).
 
 #include "stream/window.h"
 
@@ -22,14 +21,12 @@ EventStream MakeStream(std::initializer_list<Timestamp> timestamps) {
   return s;
 }
 
-TEST(WindowTest, ContainsAndCountType) {
+TEST(WindowTest, ContainsType) {
   Window w;
   w.events = {Event(0, 1), Event(1, 2), Event(0, 3)};
   EXPECT_TRUE(w.ContainsType(0));
   EXPECT_TRUE(w.ContainsType(1));
   EXPECT_FALSE(w.ContainsType(2));
-  EXPECT_EQ(w.CountType(0), 2u);
-  EXPECT_EQ(w.CountType(2), 0u);
 }
 
 TEST(TumblingWindowerTest, PartitionsStream) {
@@ -107,111 +104,6 @@ TEST(TumblingWindowerTest, EveryEventCoveredExactlyOnce) {
   }
   EXPECT_EQ(covered, s.size());
 }
-
-TEST(SlidingWindowerTest, OverlappingWindows) {
-  auto s = MakeStream({0, 5, 10, 15});
-  SlidingWindower w(/*size=*/10, /*slide=*/5);
-  auto windows = w.Apply(s).value();
-  // Starts: -5, 0, 5, 10, 15.
-  ASSERT_GE(windows.size(), 4u);
-  for (size_t i = 1; i < windows.size(); ++i) {
-    EXPECT_EQ(windows[i].start - windows[i - 1].start, 5);
-  }
-  // The event at ts=5 must be in the windows starting at -5, 0, 5.
-  int count = 0;
-  for (const Window& win : windows) {
-    for (const Event& e : win.events) {
-      if (e.timestamp() == 5) ++count;
-    }
-  }
-  EXPECT_EQ(count, 2);  // windows [-5,5) exclude 5; [0,10) and [5,15) include
-}
-
-TEST(SlidingWindowerTest, SlideEqualsSizeIsTumbling) {
-  auto s = MakeStream({0, 3, 12, 19});
-  SlidingWindower sw(10, 10);
-  TumblingWindower tw(10);
-  auto a = sw.Apply(s).value();
-  auto b = tw.Apply(s).value();
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].start, b[i].start);
-    EXPECT_EQ(a[i].events.size(), b[i].events.size());
-  }
-}
-
-TEST(SlidingWindowerTest, EachEventAppearsInSizeOverSlideWindows) {
-  auto s = MakeStream({50});
-  SlidingWindower w(/*size=*/12, /*slide=*/3);
-  auto windows = w.Apply(s).value();
-  size_t appearances = 0;
-  for (const Window& win : windows) appearances += win.events.size();
-  EXPECT_EQ(appearances, 4u);  // size/slide = 4 covering windows
-}
-
-TEST(SlidingWindowerTest, RejectsBadParameters) {
-  SlidingWindower w0(0, 5);
-  EXPECT_FALSE(w0.Apply(MakeStream({1})).ok());
-  SlidingWindower w1(5, 0);
-  EXPECT_FALSE(w1.Apply(MakeStream({1})).ok());
-}
-
-TEST(CountWindowerTest, FixedSizeChunks) {
-  auto s = MakeStream({1, 2, 3, 4, 5, 6, 7});
-  CountWindower w(3);
-  auto windows = w.Apply(s).value();
-  ASSERT_EQ(windows.size(), 3u);
-  EXPECT_EQ(windows[0].events.size(), 3u);
-  EXPECT_EQ(windows[1].events.size(), 3u);
-  EXPECT_EQ(windows[2].events.size(), 1u);  // partial tail kept
-}
-
-TEST(CountWindowerTest, DropPartialTail) {
-  auto s = MakeStream({1, 2, 3, 4, 5, 6, 7});
-  CountWindower w(3, /*drop_partial=*/true);
-  EXPECT_EQ(w.Apply(s).value().size(), 2u);
-}
-
-TEST(CountWindowerTest, RejectsZeroCount) {
-  CountWindower w(0);
-  EXPECT_FALSE(w.Apply(MakeStream({1})).ok());
-}
-
-TEST(WindowerToStringTest, Descriptions) {
-  EXPECT_EQ(TumblingWindower(10).ToString(), "tumbling(size=10)");
-  EXPECT_EQ(SlidingWindower(10, 5).ToString(), "sliding(size=10,slide=5)");
-  EXPECT_EQ(CountWindower(3).ToString(), "count(n=3)");
-}
-
-/// Parameterized coverage sweep: for random streams and window parameters,
-/// the union of sliding windows covers each event exactly ceil(size/slide)
-/// times (when aligned slides divide size).
-class SlidingCoverageSweep
-    : public ::testing::TestWithParam<std::pair<Timestamp, Timestamp>> {};
-
-TEST_P(SlidingCoverageSweep, EventCoverageMatchesRatio) {
-  auto [size, slide] = GetParam();
-  Rng rng(static_cast<uint64_t>(size * 1000 + slide));
-  EventStream s;
-  Timestamp ts = 0;
-  for (int i = 0; i < 100; ++i) {
-    ts += 1 + static_cast<Timestamp>(rng.UniformUint64(3));
-    s.AppendUnchecked(Event(0, ts));
-  }
-  SlidingWindower w(size, slide);
-  auto windows = w.Apply(s).value();
-  size_t appearances = 0;
-  for (const Window& win : windows) appearances += win.events.size();
-  EXPECT_EQ(appearances, s.size() * static_cast<size_t>(size / slide));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    SizesAndSlides, SlidingCoverageSweep,
-    ::testing::Values(std::make_pair<Timestamp, Timestamp>(10, 5),
-                      std::make_pair<Timestamp, Timestamp>(12, 3),
-                      std::make_pair<Timestamp, Timestamp>(8, 2),
-                      std::make_pair<Timestamp, Timestamp>(6, 6),
-                      std::make_pair<Timestamp, Timestamp>(20, 4)));
 
 }  // namespace
 }  // namespace pldp

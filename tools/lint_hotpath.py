@@ -2,7 +2,7 @@
 # Copyright 2026 The PLDP Authors.
 """Static no-allocation / no-lock lint for PLDP_HOT functions.
 
-The runtime's per-event path (shard worker loop, predicate evaluation,
+The runtime's per-event path (shard worker loop, matcher steps,
 exchange emit, merge release, instrument updates) is annotated with
 `PLDP_HOT` (src/common/thread_annotations.h). This lint enforces the
 contract the annotation documents: the DIRECT BODY of a hot function must
@@ -337,7 +337,7 @@ def main(argv):
                 scan_body(path, raw_lines, stripped, body_start, body_end,
                           name, findings, hot_names, defined_names)
         if not defined:
-            # Pure-virtual hot interfaces (e.g. Predicate::Eval) are fine as
+            # Pure-virtual hot interfaces (a PLDP_HOT `= 0` method) pass as
             # long as at least one override was scanned somewhere; a name
             # with neither inline body nor definition in the scanned set is
             # reported so a typo'd marker cannot silently check nothing.
