@@ -462,20 +462,24 @@ StatusOr<std::unique_ptr<Pipeline>> PipelineBuilder::Build() {
 
   // --- Pipeline-level instruments -----------------------------------------
   if (obs::MetricsRegistry* registry = pipeline->metrics_.get()) {
-    pipeline->ingest_counter_ = registry->AddCounter(
-        "pldp_pipeline_events_ingested_total",
-        "Events accepted by Pipeline::OnEvent/OnEventBatch");
-    pipeline->intern_attr_entries_ = registry->AddGauge(
+    const Pipeline* p = pipeline.get();
+    registry->AddCounter("pldp_pipeline_events_ingested_total",
+                         "Events accepted by Pipeline::OnEvent/OnEventBatch",
+                         {}, [p] { return p->events_processed(); });
+    registry->AddGauge(
         "pldp_intern_attr_entries",
-        "Interned attribute names (process-wide AttrNames table)");
-    pipeline->intern_attr_budget_ = registry->AddGauge(
-        "pldp_intern_attr_budget", "Entry cap of the AttrNames intern table");
-    pipeline->intern_symbol_entries_ = registry->AddGauge(
+        "Interned attribute names (process-wide AttrNames table)", {},
+        [] { return AttrNames().size(); });
+    registry->AddGauge("pldp_intern_attr_budget",
+                       "Entry cap of the AttrNames intern table", {},
+                       [] { return AttrNames().budget(); });
+    registry->AddGauge(
         "pldp_intern_symbol_entries",
-        "Interned string payloads (process-wide SymbolNames table)");
-    pipeline->intern_symbol_budget_ = registry->AddGauge(
-        "pldp_intern_symbol_budget",
-        "Entry cap of the SymbolNames intern table");
+        "Interned string payloads (process-wide SymbolNames table)", {},
+        [] { return SymbolNames().size(); });
+    registry->AddGauge("pldp_intern_symbol_budget",
+                       "Entry cap of the SymbolNames intern table", {},
+                       [] { return SymbolNames().budget(); });
   }
 
   return pipeline;
@@ -494,7 +498,6 @@ Status Pipeline::OnEventBatch(EventSpan events) {
   PLDP_RETURN_IF_ERROR(runtime_->OnEventBatch(events));
   // order: relaxed; standalone telemetry counter, readers tolerate lag.
   events_ingested_.fetch_add(events.size(), std::memory_order_relaxed);
-  if (ingest_counter_ != nullptr) ingest_counter_->Inc(events.size());
   return Status::OK();
 }
 
@@ -550,16 +553,8 @@ SheddingStats Pipeline::shedding_stats() const {
   return s;
 }
 
-obs::MetricsSnapshot Pipeline::MetricsSnapshot() {
-  if (metrics_ == nullptr) return obs::MetricsSnapshot();
-  runtime_->RefreshMetricGauges();
-  if (intern_attr_entries_ != nullptr) {
-    intern_attr_entries_->Set(static_cast<double>(AttrNames().size()));
-    intern_attr_budget_->Set(static_cast<double>(AttrNames().budget()));
-    intern_symbol_entries_->Set(static_cast<double>(SymbolNames().size()));
-    intern_symbol_budget_->Set(static_cast<double>(SymbolNames().budget()));
-  }
-  return metrics_->Snapshot();
+obs::MetricsSnapshot Pipeline::MetricsSnapshot() const {
+  return metrics_ != nullptr ? metrics_->Snapshot() : obs::MetricsSnapshot();
 }
 
 obs::PipelineHealth Pipeline::Health(

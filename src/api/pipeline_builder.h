@@ -321,12 +321,12 @@ class Pipeline : public StreamSubscriber {
 
   // --- Telemetry (PipelineBuilder::EnableMetrics) -------------------------
 
-  /// Point-in-time view of every registered instrument: refreshes the
-  /// snapshot-time gauges (queue depths, exchange occupancy, watermark
-  /// lag, intern-table occupancy) and freezes the registry. Safe from any
+  /// Point-in-time view of every registered metric: reads each stage's
+  /// counts and depths (queue depths, exchange occupancy, watermark lag,
+  /// intern-table occupancy) and freezes the histograms. Safe from any
   /// thread, concurrent with ingestion — this is what a scrape thread
   /// calls. Empty when metrics are disabled.
-  obs::MetricsSnapshot MetricsSnapshot();
+  obs::MetricsSnapshot MetricsSnapshot() const;
 
   /// Pipeline-wide health roll-up from live runtime state (works with or
   /// without metrics). Safe from any thread while the pipeline runs.
@@ -360,14 +360,10 @@ class Pipeline : public StreamSubscriber {
   std::vector<QueryId> private_map_;
   std::vector<size_t> private_cross_map_;
 
-  /// Telemetry (set iff the builder enabled metrics). The registry owns
-  /// every instrument; the raw pointers below are stable borrows.
+  /// Telemetry (set iff the builder enabled metrics). Declared after the
+  /// runtime and the private lane so it is destroyed first: its read
+  /// functions borrow both.
   std::unique_ptr<obs::MetricsRegistry> metrics_;
-  obs::Counter* ingest_counter_ = nullptr;
-  obs::Gauge* intern_attr_entries_ = nullptr;
-  obs::Gauge* intern_attr_budget_ = nullptr;
-  obs::Gauge* intern_symbol_entries_ = nullptr;
-  obs::Gauge* intern_symbol_budget_ = nullptr;
   /// Atomic so a scrape thread may read events_processed() mid-ingest.
   std::atomic<uint64_t> events_ingested_{0};
 };

@@ -137,33 +137,34 @@ StatusOr<size_t> PrivateLane::AddCrossQuery(Pattern pattern,
 
 void PrivateLane::EnableMetrics(obs::MetricsRegistry* registry) {
   for (size_t i = 0; i < publishers_.size(); ++i) {
+    const SubjectViewPublisher* publisher = publishers_[i];
     const std::string shard_label = std::to_string(i);
-    obs::PublisherInstruments ins;
-    ins.windows = registry->AddCounter(
+    registry->AddCounter(
         "pldp_private_windows_total",
         "Protected windows published by a shard's publisher",
-        {{"lane", "private"}, {"shard", shard_label}});
-    ins.subjects = registry->AddGauge(
+        {{"lane", "private"}, {"shard", shard_label}},
+        [publisher] { return publisher->total_windows(); });
+    registry->AddGauge(
         "pldp_private_subjects",
         "Distinct data subjects with live state on a shard",
-        {{"lane", "private"}, {"shard", shard_label}});
-    publishers_[i]->SetInstruments(ins);
+        {{"lane", "private"}, {"shard", shard_label}},
+        [publisher] { return publisher->subject_count(); });
   }
+  // The ledger is settled by Attach (one activation charge per pattern),
+  // so both budget gauges are constants captured here.
   for (PatternId id : setup_.private_patterns()) {
     const std::string& name = setup_.patterns().Get(id).name();
-    obs::Gauge* granted = registry->AddGauge(
+    const double granted = epsilon_;
+    registry->AddGauge(
         "pldp_dp_budget_granted",
         "Lifetime privacy budget granted to a private pattern (epsilon)",
-        {{"pattern", name}});
-    if (granted != nullptr) granted->Set(epsilon_);
-    obs::Gauge* spent = registry->AddGauge(
+        {{"pattern", name}}, [granted] { return granted; });
+    StatusOr<double> remaining = ledger_.Remaining(id);
+    const double spent = remaining.ok() ? epsilon_ - remaining.value() : 0.0;
+    registry->AddGauge(
         "pldp_dp_budget_spent",
         "Privacy budget charged against a private pattern (epsilon)",
-        {{"pattern", name}});
-    StatusOr<double> remaining = ledger_.Remaining(id);
-    if (spent != nullptr && remaining.ok()) {
-      spent->Set(epsilon_ - remaining.value());
-    }
+        {{"pattern", name}}, [spent] { return spent; });
   }
 }
 

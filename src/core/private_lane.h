@@ -102,9 +102,10 @@ class PrivateLane {
   /// Returns the runtime's cross query index. After Attach, before Start.
   StatusOr<size_t> AddCrossQuery(Pattern pattern, Timestamp window);
 
-  /// Registers the per-shard publisher instruments and the per-pattern
-  /// budget gauges. After Attach, before Start; `registry` must outlive
-  /// the lane.
+  /// Registers the per-shard publisher counts (windows, live subjects) and
+  /// the per-pattern budget gauges as read functions. After Attach, before
+  /// Start; the functions borrow the publishers, so `registry` must not be
+  /// snapshot once the lane is gone.
   void EnableMetrics(obs::MetricsRegistry* registry);
 
   // --- Results (valid once the runtime's Finish returned) -----------------

@@ -161,39 +161,38 @@ const MetricFamily* MetricsSnapshot::Find(const std::string& name) const {
 MetricsRegistry::Entry* MetricsRegistry::AddEntry(MetricType type,
                                                   const std::string& name,
                                                   const std::string& help,
-                                                  MetricLabels labels) {
+                                                  MetricLabels labels,
+                                                  MetricRead read) {
   for (const auto& entry : entries_) {
     if (entry->name == name && entry->type != type) return nullptr;
     if (entry->name == name && entry->labels == labels) return nullptr;
   }
-  entries_.push_back(std::unique_ptr<Entry>(new Entry{
-      type, name, help, std::move(labels), nullptr, nullptr, nullptr}));
+  entries_.push_back(std::unique_ptr<Entry>(
+      new Entry{type, name, help, std::move(labels), std::move(read),
+                nullptr}));
   return entries_.back().get();
 }
 
-// The instrument is created while the registration lock is still held: a
-// Snapshot racing the registration (scrape endpoint up before Build()
-// finishes) must never observe an Entry whose instrument pointer is still
-// null — PLDP_REQUIRES(mu_) on AddEntry is what pins this shape.
+// Each entry is completed (read function or histogram) before the
+// registration lock is released: a Snapshot racing the registration (scrape
+// endpoint up before Build() finishes) must never observe an Entry without
+// its value source — PLDP_REQUIRES(mu_) on AddEntry pins this shape. A null
+// read function is refused like any other wiring bug.
 
-Counter* MetricsRegistry::AddCounter(const std::string& name,
-                                     const std::string& help,
-                                     MetricLabels labels) {
+bool MetricsRegistry::AddCounter(const std::string& name,
+                                 const std::string& help, MetricLabels labels,
+                                 MetricRead read) {
   MutexLock lock(mu_);
-  Entry* entry = AddEntry(MetricType::kCounter, name, help, std::move(labels));
-  if (entry == nullptr) return nullptr;
-  entry->counter.reset(new Counter());
-  return entry->counter.get();
+  return read && AddEntry(MetricType::kCounter, name, help,
+                          std::move(labels), std::move(read)) != nullptr;
 }
 
-Gauge* MetricsRegistry::AddGauge(const std::string& name,
-                                 const std::string& help,
-                                 MetricLabels labels) {
+bool MetricsRegistry::AddGauge(const std::string& name,
+                               const std::string& help, MetricLabels labels,
+                               MetricRead read) {
   MutexLock lock(mu_);
-  Entry* entry = AddEntry(MetricType::kGauge, name, help, std::move(labels));
-  if (entry == nullptr) return nullptr;
-  entry->gauge.reset(new Gauge());
-  return entry->gauge.get();
+  return read && AddEntry(MetricType::kGauge, name, help, std::move(labels),
+                          std::move(read)) != nullptr;
 }
 
 Histogram* MetricsRegistry::AddHistogram(const std::string& name,
@@ -233,10 +232,8 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     sample.labels = entry->labels;
     switch (entry->type) {
       case MetricType::kCounter:
-        sample.value = static_cast<double>(entry->counter->Value());
-        break;
       case MetricType::kGauge:
-        sample.value = entry->gauge->Value();
+        sample.value = entry->read();
         break;
       case MetricType::kHistogram: {
         const Histogram& h = *entry->histogram;

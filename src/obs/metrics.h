@@ -1,24 +1,24 @@
 // Copyright 2026 The PLDP Authors.
 //
-// Unified telemetry: a process-local metrics registry with typed,
-// allocation-free-on-the-hot-path instruments.
+// Unified telemetry: a process-local metrics registry. Every count is kept
+// once, by the stage that owns it, and read at scrape time.
 //
-// Instruments follow the PR 4 bind-at-registration discipline: every
-// Counter/Gauge/Histogram is registered ONCE at topology build time (the
-// registry hands out stable pointers), and hot-path updates are single
-// relaxed atomic operations on cache-line-padded slots — no locks, no
-// allocation, no stringly-keyed lookups anywhere near a worker thread.
-// Registration and Snapshot() take a mutex; both run on the orchestrator
-// or a scrape thread, never on the data plane.
-//
-//   - `Counter`: monotonically increasing uint64 (events, waits, windows).
-//   - `Gauge`: instantaneous double (queue depths, budget remainders);
-//     snapshot-time gauges are refreshed by the owning engine right before
-//     the registry snapshot, from accessors that are already atomic.
+//   - Counters and gauges are read functions (Prometheus's CounterFunc /
+//     GaugeFunc): registered ONCE at topology build time with a lambda
+//     that reads a value the stage already tracks in an atomic (events
+//     processed, waits, queue depths, budgets). Nothing is incremented
+//     twice and nothing is copied into a gauge before a scrape;
+//     `Snapshot()` calls each lambda under the registry mutex.
 //   - `Histogram`: fixed-bucket log-scale distribution — bucket i counts
 //     values <= 2^i (the last bucket is +Inf), so a nanosecond latency
 //     histogram spans 1ns..~4.5min in 38 buckets with one CLZ and one
-//     relaxed fetch_add per Record. No floats, no dynamic buckets.
+//     relaxed fetch_add per Record. No floats, no dynamic buckets. A
+//     distribution cannot be read back from a counter, so histograms are
+//     the only instruments updated on the hot path: registration hands out
+//     a stable pointer and `Record` is wait-free and allocation-free.
+//
+// Registration and Snapshot() take a mutex; both run on the orchestrator
+// or a scrape thread, never on the data plane.
 //
 // `MetricsSnapshot` is the stable exposition struct: families grouped by
 // name, each sample carrying its label set and (for histograms) per-bucket
@@ -32,6 +32,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -46,46 +47,6 @@ namespace obs {
 using MetricLabels = std::vector<std::pair<std::string, std::string>>;
 
 enum class MetricType { kCounter, kGauge, kHistogram };
-
-/// Monotonic counter. One cache line per instrument so two shards
-/// incrementing their own counters never false-share.
-class alignas(64) Counter {
- public:
-  // order: relaxed; standalone monotonic telemetry counter — it never
-  // publishes other memory, and scrape-time readers tolerate skew.
-  PLDP_HOT void Inc(uint64_t n = 1) {
-    value_.fetch_add(n, std::memory_order_relaxed);
-  }
-  // order: relaxed; see Inc().
-  uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<uint64_t> value_{0};
-};
-
-/// Instantaneous value (doubles, so privacy budgets fit). Set() is a plain
-/// store; Add() is a CAS loop — fine for its callers (subject creation,
-/// snapshot-time refresh), not meant for per-event paths.
-class alignas(64) Gauge {
- public:
-  // order: relaxed; a gauge is one standalone value with no ordering
-  // relationship to other memory.
-  PLDP_HOT void Set(double v) { value_.store(v, std::memory_order_relaxed); }
-  void Add(double delta) {
-    // order: relaxed on the read and on both CAS orders; the loop only
-    // needs RMW atomicity, not publication.
-    double cur = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(cur, cur + delta,
-                                         std::memory_order_relaxed,
-                                         std::memory_order_relaxed)) {
-    }
-  }
-  // order: relaxed; see Set().
-  double Value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
-};
 
 /// Log-scale histogram with power-of-two buckets: bucket i counts values
 /// <= 2^i for i in [0, kBuckets-2]; the last bucket is +Inf. Record is one
@@ -184,30 +145,38 @@ struct MetricsSnapshot {
   const MetricFamily* Find(const std::string& name) const;
 };
 
-/// Registry of instruments. Registration returns stable pointers (each
-/// instrument is its own heap slot, never reallocated); same-name
-/// registrations with distinct labels form one family and must agree on
-/// type (a mismatch returns nullptr — a wiring bug surfaced loudly at
-/// build time, not a silent family corruption).
+/// Scrape-time read of a counter or gauge value the owning stage already
+/// tracks. Runs on the scrape thread while the pipeline runs, so it must
+/// read only atomics (or constants captured at registration).
+using MetricRead = std::function<double()>;
+
+/// Registry of instruments. Same-name registrations with distinct labels
+/// form one family and must agree on type; an exact duplicate or a type
+/// mismatch is refused (false / nullptr) — a wiring bug surfaced loudly
+/// at build time, not a silent family corruption. Histograms are stable
+/// heap slots, never reallocated. Read functions borrow whatever they
+/// capture: snapshot only while those stages are alive.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  Counter* AddCounter(const std::string& name, const std::string& help,
-                      MetricLabels labels = {}) PLDP_EXCLUDES(mu_);
-  Gauge* AddGauge(const std::string& name, const std::string& help,
-                  MetricLabels labels = {}) PLDP_EXCLUDES(mu_);
+  /// Monotonic count read by `read` at each Snapshot().
+  bool AddCounter(const std::string& name, const std::string& help,
+                  MetricLabels labels, MetricRead read) PLDP_EXCLUDES(mu_);
+  /// Instantaneous value read by `read` at each Snapshot().
+  bool AddGauge(const std::string& name, const std::string& help,
+                MetricLabels labels, MetricRead read) PLDP_EXCLUDES(mu_);
   Histogram* AddHistogram(const std::string& name, const std::string& help,
                           MetricLabels labels = {}) PLDP_EXCLUDES(mu_);
 
   size_t instrument_count() const PLDP_EXCLUDES(mu_);
 
-  /// Freezes every instrument's current value into the exposition struct.
-  /// Safe from any thread, concurrent with hot-path updates (relaxed
-  /// reads; a snapshot is a consistent-enough point-in-time view, not a
-  /// linearizable cut).
+  /// Calls every read function and freezes every histogram into the
+  /// exposition struct. Safe from any thread, concurrent with hot-path
+  /// updates (relaxed reads; a snapshot is a consistent-enough
+  /// point-in-time view, not a linearizable cut).
   MetricsSnapshot Snapshot() const PLDP_EXCLUDES(mu_);
 
  private:
@@ -216,19 +185,18 @@ class MetricsRegistry {
     std::string name;
     std::string help;
     MetricLabels labels;
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
+    MetricRead read;                      ///< counters and gauges
+    std::unique_ptr<Histogram> histogram;  ///< histograms
   };
 
   Entry* AddEntry(MetricType type, const std::string& name,
-                  const std::string& help, MetricLabels labels)
-      PLDP_REQUIRES(mu_);
+                  const std::string& help, MetricLabels labels,
+                  MetricRead read = nullptr) PLDP_REQUIRES(mu_);
 
-  /// Guards registration (entries_ growth). Hot-path updates go through
-  /// the stable instrument pointers handed out at registration and never
-  /// touch the registry, so they need no lock — the wait-free half of the
-  /// registration/update split.
+  /// Guards registration (entries_ growth) and the read functions'
+  /// invocation. Histogram updates go through the stable pointers handed
+  /// out at registration and never touch the registry, so they need no
+  /// lock — the wait-free half of the registration/update split.
   mutable Mutex mu_;
   std::vector<std::unique_ptr<Entry>> entries_ PLDP_GUARDED_BY(mu_);
 };

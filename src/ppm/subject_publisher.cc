@@ -40,7 +40,8 @@ StatusOr<SubjectViewPublisher::SubjectState*> SubjectViewPublisher::GetOrCreate(
   state.current.end = state.current.start + options_.window_size;
   state.results.answers.resize(options_.queries.size());
   auto inserted = subjects_.emplace(event.stream(), std::move(state));
-  if (obs_.subjects) obs_.subjects->Add(1.0);
+  // order: relaxed; standalone telemetry count (see subject_count()).
+  subject_count_.fetch_add(1, std::memory_order_relaxed);
   return &inserted.first->second;
 }
 
@@ -56,8 +57,8 @@ Status SubjectViewPublisher::PublishCurrent(SubjectState* state) {
     view_callback_(state->subject, state->current, view);
   }
   ++state->results.window_count;
-  ++total_windows_;
-  if (obs_.windows) obs_.windows->Inc();
+  // order: relaxed; standalone telemetry count (see subject_count()).
+  total_windows_.fetch_add(1, std::memory_order_relaxed);
   state->current.events.clear();
   state->current.start = state->current.end;
   state->current.end += options_.window_size;

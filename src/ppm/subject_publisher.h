@@ -22,6 +22,8 @@
 #ifndef PLDP_PPM_SUBJECT_PUBLISHER_H_
 #define PLDP_PPM_SUBJECT_PUBLISHER_H_
 
+#include <atomic>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -32,7 +34,6 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "event/event.h"
-#include "obs/instruments.h"
 #include "ppm/mechanism.h"
 #include "stream/window.h"
 
@@ -96,12 +97,6 @@ class SubjectViewPublisher {
     view_callback_ = std::move(callback);
   }
 
-  /// Binds telemetry instruments (windows counter, live-subjects gauge).
-  /// Call before the first Absorb; updates run on the owning worker.
-  void SetInstruments(const obs::PublisherInstruments& instruments) {
-    obs_ = instruments;
-  }
-
   /// Absorbs one event. Events of one subject must arrive in non-decreasing
   /// timestamp order (the stream contract). Errors (mechanism creation or
   /// publication failures) latch: the first one is kept and returned by
@@ -125,15 +120,18 @@ class SubjectViewPublisher {
   /// Stable only after Finalize().
   const SubjectResults* ResultsFor(StreamId subject) const;
 
+  /// Subjects with live state. Safe from any thread (the metrics registry
+  /// reads it at scrape time while the owner runs).
   size_t subject_count() const {
-    owner_role_.Assert();
-    return subjects_.size();
+    // order: relaxed; a standalone count, no subject state is read with it.
+    return static_cast<size_t>(subject_count_.load(std::memory_order_relaxed));
   }
 
-  /// Windows published across all subjects.
+  /// Windows published across all subjects. Safe from any thread, like
+  /// subject_count().
   size_t total_windows() const {
-    owner_role_.Assert();
-    return total_windows_;
+    // order: relaxed; see subject_count().
+    return static_cast<size_t>(total_windows_.load(std::memory_order_relaxed));
   }
 
  private:
@@ -161,13 +159,14 @@ class SubjectViewPublisher {
 
   SubjectPublisherOptions options_;
   ViewCallback view_callback_;
-  obs::PublisherInstruments obs_;
   /// targets_[i] is queries[i]'s target pattern, resolved once (the query
   /// set is frozen at construction; this runs on the worker's hot path).
   std::vector<const Pattern*> targets_;
   std::unordered_map<StreamId, SubjectState> subjects_
       PLDP_GUARDED_BY(owner_role_);
-  size_t total_windows_ PLDP_GUARDED_BY(owner_role_) = 0;
+  /// Written by the owner only; atomic so scrapes may read them mid-run.
+  std::atomic<uint64_t> subject_count_{0};
+  std::atomic<uint64_t> total_windows_{0};
   Status error_ PLDP_GUARDED_BY(owner_role_) = Status::OK();
   bool finalized_ PLDP_GUARDED_BY(owner_role_) = false;
 };

@@ -53,7 +53,6 @@ void AdmissionQueue::NoteShed(PerShard& ps, size_t count) {
   // order: relaxed; shed tallies are standalone telemetry counters.
   ps.shed.fetch_add(count, std::memory_order_relaxed);
   shed_total_.fetch_add(count, std::memory_order_relaxed);
-  if (ps.shed_counter != nullptr) ps.shed_counter->Inc(count);
 }
 
 void AdmissionQueue::SyncPendingSeq(PerShard& ps) {
@@ -153,21 +152,6 @@ uint64_t AdmissionQueue::ClampFloor(uint64_t floor) const {
     if (oldest < clamped) clamped = oldest;
   }
   return clamped;
-}
-
-void AdmissionQueue::SetShedInstrument(size_t shard_index,
-                                       obs::Counter* counter) {
-  state_[shard_index].shed_counter = counter;
-}
-
-std::vector<uint64_t> AdmissionQueue::ShedPerShard() const {
-  std::vector<uint64_t> out;
-  out.reserve(state_.size());
-  for (const PerShard& ps : state_) {
-    // order: relaxed; telemetry read.
-    out.push_back(ps.shed.load(std::memory_order_relaxed));
-  }
-  return out;
 }
 
 }  // namespace pldp

@@ -42,7 +42,6 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "event/event.h"
-#include "obs/instruments.h"
 #include "runtime/overload.h"
 #include "runtime/ring_buffer.h"
 #include "runtime/shard.h"
@@ -90,10 +89,6 @@ class AdmissionQueue {
   /// that is actually safe to publish as a producer floor.
   uint64_t ClampFloor(uint64_t floor) const;
 
-  /// Binds the per-shard shed-event counter (pldp_shed_events_total).
-  /// Call before ingestion starts.
-  void SetShedInstrument(size_t shard_index, obs::Counter* counter);
-
   /// Events parked across all shards right now (atomic; any thread).
   // order: relaxed; telemetry reads of ingest-thread-owned counters.
   size_t pending_total() const {
@@ -107,14 +102,17 @@ class AdmissionQueue {
     return shed_total_.load(std::memory_order_relaxed);
   }
 
-  /// Per-shard shed counts (atomic; any thread).
-  std::vector<uint64_t> ShedPerShard() const;
+  /// Events dropped on one shard so far (atomic; any thread) — the source
+  /// of pldp_shed_events_total.
+  uint64_t shed(size_t shard_index) const {
+    // order: relaxed; see pending_total().
+    return state_[shard_index].shed.load(std::memory_order_relaxed);
+  }
 
  private:
   struct PerShard {
     Shard* shard = nullptr;
     RingBuffer<StampedEvent> pending;
-    obs::Counter* shed_counter = nullptr;
     std::atomic<uint64_t> shed{0};
     /// Oldest parked sequence number (~0 when nothing is parked),
     /// mirrored into an atomic so ClampFloor and scrapes stay

@@ -28,7 +28,6 @@
 
 #include "common/atomic.h"
 #include "common/thread_annotations.h"
-#include "obs/metrics.h"
 
 #ifdef PLDP_MODEL_CHECK
 #include "check/model.h"
@@ -156,7 +155,6 @@ class Doorbell {
     }
     // order: relaxed; telemetry only.
     parks_.fetch_add(1, std::memory_order_relaxed);
-    if (park_counter_ != nullptr) park_counter_->Inc();
     {
       std::unique_lock<SyncMutex> lock(mu_);
       cv_.wait(lock, [&] {
@@ -170,14 +168,8 @@ class Doorbell {
     return true;
   }
 
-  /// Optional telemetry counters (obs registry owns them); set before the
-  /// consumer starts. The internal atomics below always count, so tests
-  /// can assert parking behavior without a registry.
-  void SetCounters(obs::Counter* parks, obs::Counter* wakes) {
-    park_counter_ = parks;
-    wake_counter_ = wakes;
-  }
-
+  /// Park/wake counts, readable from any thread: the source of ShardStats,
+  /// the parking tests and the metrics registry's park/wake families.
   uint64_t parks() const {
     // order: relaxed; monotonic telemetry counter.
     return parks_.load(std::memory_order_relaxed);
@@ -198,7 +190,6 @@ class Doorbell {
     cv_.notify_all();
     // order: relaxed; telemetry only.
     wakes_.fetch_add(1, std::memory_order_relaxed);
-    if (wake_counter_ != nullptr) wake_counter_->Inc();
   }
 
   SyncMutex mu_;
@@ -210,8 +201,6 @@ class Doorbell {
   Atomic<uint64_t> epoch_{0};
   Atomic<uint64_t> parks_{0};
   Atomic<uint64_t> wakes_{0};
-  obs::Counter* park_counter_ = nullptr;
-  obs::Counter* wake_counter_ = nullptr;
 };
 
 }  // namespace pldp

@@ -65,7 +65,6 @@ Status ExchangeEmitter::PushToLane(size_t consumer, ExchangeItem item) {
   if (waited) {
     // order: relaxed; telemetry only.
     backpressure_waits_.fetch_add(1, std::memory_order_relaxed);
-    if (obs_.backpressure_waits) obs_.backpressure_waits->Inc();
   }
   return Status::OK();
 }
@@ -74,7 +73,6 @@ Status ExchangeEmitter::AcquireCreditSlow(ExchangeLane& lane) {
   // One count per wait episode (mirrors the backpressure-wait accounting).
   // order: relaxed; telemetry only.
   credit_exhausted_waits_.fetch_add(1, std::memory_order_relaxed);
-  if (obs_.credit_exhausted_waits) obs_.credit_exhausted_waits->Inc();
   // Publish the exact frontier before blocking: every future item of this
   // row has key >= (trigger_, sub_next_) — including the one we are about
   // to emit. This lets the merge release every buffered item strictly
@@ -114,7 +112,6 @@ Status ExchangeEmitter::Emit(const Event& event) {
   PLDP_RETURN_IF_ERROR(PushToLane(consumer, std::move(item)));
   // order: relaxed; telemetry only.
   forwarded_.fetch_add(1, std::memory_order_relaxed);
-  if (obs_.forwarded) obs_.forwarded->Inc();
   return Status::OK();
 }
 
@@ -130,7 +127,6 @@ Status ExchangeEmitter::BroadcastKey(ExchangeKey bound) {
   broadcast_any_ = true;
   // order: relaxed; telemetry only.
   watermarks_.fetch_add(1, std::memory_order_relaxed);
-  if (obs_.watermarks) obs_.watermarks->Inc();
   return Status::OK();
 }
 

@@ -64,7 +64,6 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "event/event.h"
-#include "obs/instruments.h"
 #include "runtime/router.h"
 #include "runtime/spsc_queue.h"
 
@@ -131,9 +130,6 @@ class ExchangeFabric {
   ExchangeFabric(size_t producers, size_t consumers, size_t lane_capacity,
                  size_t reorder_capacity = 0);
 
-  size_t producer_count() const { return producers_; }
-  size_t consumer_count() const { return consumers_; }
-
   ExchangeLane& lane(size_t producer, size_t consumer) {
     return *lanes_[producer * consumers_ + consumer];
   }
@@ -189,8 +185,6 @@ class ExchangeEmitter {
   ExchangeEmitter(const ExchangeEmitter&) = delete;
   ExchangeEmitter& operator=(const ExchangeEmitter&) = delete;
 
-  size_t consumer_count() const { return row_.size(); }
-
   /// Opens the emission scope of one trigger: subsequent Emit calls stamp
   /// (primary, sub_base + n) for n = 0, 1, ... Keys must be opened in
   /// strictly increasing order per emitter; the worker opens one scope per
@@ -214,12 +208,6 @@ class ExchangeEmitter {
   Status Broadcast(uint64_t bound);
 
   ExchangeEmitterStats stats() const;
-
-  /// Binds telemetry instruments. Must precede the owning shard's Start()
-  /// (the emitter is driven by that shard's worker).
-  void SetInstruments(const obs::ExchangeInstruments& instruments) {
-    obs_ = instruments;
-  }
 
   /// Instantaneous sum of this row's lane occupancies — safe from any
   /// thread (SPSC indices are atomics); the lane-depth gauge source.
@@ -268,9 +256,6 @@ class ExchangeEmitter {
   Atomic<uint64_t> watermarks_{0};
   Atomic<uint64_t> backpressure_waits_{0};
   Atomic<uint64_t> credit_exhausted_waits_{0};
-
-  // Telemetry bundle (null fields = un-instrumented), fixed before Start.
-  obs::ExchangeInstruments obs_;
 };
 
 }  // namespace pldp

@@ -92,7 +92,6 @@ Status MergeShard::Start() {
   }
   // order: relaxed; the thread launch below is the synchronization edge.
   stop_requested_.store(false, std::memory_order_relaxed);
-  doorbell_.SetCounters(obs_.parks, obs_.wakes);
   worker_ = std::thread([this] {
     if (affinity_core_ >= 0) (void)PinCurrentThreadToCore(affinity_core_);
     worker_role_.Acquire();
@@ -189,7 +188,8 @@ bool MergeShard::ReceiveAvailable() {
   if (received > 0) {
     // order: relaxed; gauge only, scrape threads don't read the buffers.
     buffered_.fetch_add(received, std::memory_order_relaxed);
-    if (obs_.events_received) obs_.events_received->Inc(received);
+    // order: relaxed; telemetry only.
+    received_.fetch_add(received, std::memory_order_relaxed);
   }
   return any;
 }
@@ -244,7 +244,6 @@ bool MergeShard::MergePass(bool force) {
     merged_.fetch_add(released, std::memory_order_release);
     // order: relaxed; gauge only.
     buffered_.fetch_sub(released, std::memory_order_relaxed);
-    if (obs_.events_merged) obs_.events_merged->Inc(released);
   }
   return released > 0;
 }

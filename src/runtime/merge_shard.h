@@ -74,8 +74,6 @@ class MergeShard {
   MergeShard(const MergeShard&) = delete;
   MergeShard& operator=(const MergeShard&) = delete;
 
-  size_t index() const { return index_; }
-
   /// Registers a cross-partition query, with an optional detection
   /// callback invoked on the worker thread with the completion timestamp of
   /// every match. The returned index is the query's position in this
@@ -83,7 +81,7 @@ class MergeShard {
   StatusOr<size_t> AddQuery(Pattern pattern, Timestamp window,
                             std::function<void(Timestamp)> callback = nullptr);
 
-  /// Binds telemetry instruments (null fields are skipped). Must precede
+  /// Binds the hot-path latency histogram (null is skipped). Must precede
   /// Start().
   Status SetInstruments(const obs::MergeInstruments& instruments);
 
@@ -91,9 +89,22 @@ class MergeShard {
   /// unsupported). Must precede Start().
   void SetAffinityCore(int core) { affinity_core_ = core; }
 
-  /// Doorbell park/wake counts (parking-liveness tests; also in stats()).
+  /// Doorbell park/wake counts (parking-liveness tests, metrics; also in
+  /// stats()).
   uint64_t parks() const { return doorbell_.parks(); }
   uint64_t wakes() const { return doorbell_.wakes(); }
+
+  /// Events popped from the input lanes / released to the engine in
+  /// global order — safe from any thread (atomics); the metrics registry
+  /// reads them at scrape time.
+  uint64_t events_received() const {
+    // order: relaxed; telemetry only.
+    return received_.load(std::memory_order_relaxed);
+  }
+  uint64_t events_merged() const {
+    // order: relaxed; a scrape-time count, no engine state is read with it.
+    return merged_.load(std::memory_order_relaxed);
+  }
 
   /// Launches the worker thread. Returns FailedPrecondition if running.
   Status Start();
@@ -216,13 +227,14 @@ class MergeShard {
   /// Published with release after the engine absorbed the events.
   Atomic<uint64_t> safe_primary_{0};
   Atomic<uint64_t> merged_{0};
+  Atomic<uint64_t> received_{0};
   Atomic<uint64_t> detections_{0};
   /// Events sitting in reorder buffers (receive increments, release
   /// decrements) — kept as an atomic so scrape threads never touch the
   /// worker-local ring buffers.
   Atomic<uint64_t> buffered_{0};
 
-  // Telemetry bundle and per-query detection callbacks (indexed by local
+  // Hot-path histogram and per-query detection callbacks (indexed by local
   // query index, empty = none), fixed before Start.
   obs::MergeInstruments obs_;
   std::vector<std::function<void(Timestamp)>> callbacks_;

@@ -36,6 +36,7 @@ ParallelStreamingEngine::ParallelStreamingEngine(ParallelEngineOptions options)
 
   shards_.reserve(n);
   staging_.resize(n);
+  command_tokens_.resize(n);
   // Pre-size the per-shard staging buffers so steady-state batched ingest
   // never grows them: a batch can stage at most its own size per shard, and
   // capacity is retained across OnEventBatch calls (clear() keeps it).
@@ -160,171 +161,122 @@ Status ParallelStreamingEngine::EnableMetrics(
   }
   metrics_ = registry;
 
-  shard_queue_gauges_.resize(shards_.size(), nullptr);
+  // Counts and depths are the stages' own atomics, read at scrape time;
+  // only the histograms are bound into the stages for hot-path Records.
   for (size_t i = 0; i < shards_.size(); ++i) {
-    const std::string shard_label = std::to_string(i);
-    obs::ShardInstruments ins;
-    ins.events = registry->AddCounter(
-        "pldp_shard_events_total", "Events popped and processed by a shard",
-        {{"shard", shard_label}});
-    ins.backpressure_waits = registry->AddCounter(
+    const Shard* shard = shards_[i].get();
+    const obs::MetricLabels labels = {{"shard", std::to_string(i)}};
+    registry->AddCounter("pldp_shard_events_total",
+                         "Events popped and processed by a shard", labels,
+                         [shard] { return shard->events_processed(); });
+    registry->AddCounter(
         "pldp_shard_backpressure_waits_total",
-        "Full-queue waits a producer spent pushing to a shard",
-        {{"shard", shard_label}});
+        "Full-queue waits a producer spent pushing to a shard", labels,
+        [shard] { return shard->backpressure_waits(); });
+    obs::ShardInstruments ins;
     ins.batch_size = registry->AddHistogram(
-        "pldp_shard_batch_size", "Events per worker pop burst",
-        {{"shard", shard_label}});
+        "pldp_shard_batch_size", "Events per worker pop burst", labels);
     ins.process_latency_ns = registry->AddHistogram(
         "pldp_shard_process_latency_ns",
         "Per-event shard processing latency (engine + sink + exchange), ns",
-        {{"shard", shard_label}});
-    ins.parks = registry->AddCounter(
-        "pldp_shard_parks_total",
-        "Times an idle shard worker parked on its doorbell",
-        {{"shard", shard_label}});
-    ins.wakes = registry->AddCounter(
-        "pldp_shard_wakes_total",
-        "Slow-path doorbell notifies that woke a parked shard worker",
-        {{"shard", shard_label}});
-    shard_queue_gauges_[i] = registry->AddGauge(
-        "pldp_shard_queue_depth", "Instantaneous shard input-queue depth",
-        {{"shard", shard_label}});
-    ins.queue_depth = shard_queue_gauges_[i];
+        labels);
     PLDP_RETURN_IF_ERROR(shards_[i]->SetInstruments(ins));
-    if (admission_ != nullptr) {
-      admission_->SetShedInstrument(
-          i, registry->AddCounter(
-                 "pldp_shed_events_total",
-                 "Events deliberately dropped by the overload policy",
-                 {{"shard", shard_label},
-                  {"policy", OverloadPolicyName(overload_options_.policy)}}));
+    registry->AddCounter("pldp_shard_parks_total",
+                         "Times an idle shard worker parked on its doorbell",
+                         labels, [shard] { return shard->parks(); });
+    registry->AddCounter(
+        "pldp_shard_wakes_total",
+        "Slow-path doorbell notifies that woke a parked shard worker", labels,
+        [shard] { return shard->wakes(); });
+    registry->AddGauge("pldp_shard_queue_depth",
+                       "Instantaneous shard input-queue depth", labels,
+                       [shard] { return shard->queue_depth(); });
+    if (const AdmissionQueue* admission = admission_.get()) {
+      registry->AddCounter(
+          "pldp_shed_events_total",
+          "Events deliberately dropped by the overload policy",
+          {{"shard", std::to_string(i)},
+           {"policy", OverloadPolicyName(overload_options_.policy)}},
+          [admission, i] { return admission->shed(i); });
     }
   }
 
-  lane_depth_gauges_.assign(groups_.size(), {});
-  merge_reorder_gauges_.assign(groups_.size(), {});
-  merge_lag_gauges_.assign(groups_.size(), {});
-  merge_capacity_gauges_.assign(groups_.size(), {});
   for (size_t g = 0; g < groups_.size(); ++g) {
     const ExchangeGroup& group = groups_[g];
-    const std::string& group_label = group.key_id;
     const std::string lane = group.forward_raw_events ? "plain" : "private";
-    lane_depth_gauges_[g].resize(shards_.size(), nullptr);
     for (size_t p = 0; p < shards_.size(); ++p) {
-      const std::string producer_label = std::to_string(p);
-      obs::ExchangeInstruments ins;
-      ins.forwarded = registry->AddCounter(
+      // Shard hook index g is groups_[g]'s emitter (see header invariant).
+      const ExchangeEmitter* emitter = shards_[p]->exchange_emitter(g);
+      const obs::MetricLabels labels = {{"lane", lane},
+                                        {"group", group.key_id},
+                                        {"producer", std::to_string(p)}};
+      registry->AddCounter(
           "pldp_exchange_forwarded_total",
-          "Events a producer emitted into an exchange lane-group",
-          {{"lane", lane}, {"group", group_label},
-           {"producer", producer_label}});
-      ins.watermarks = registry->AddCounter(
+          "Events a producer emitted into an exchange lane-group", labels,
+          [emitter] { return emitter->stats().forwarded; });
+      registry->AddCounter(
           "pldp_exchange_watermarks_total",
-          "Watermark broadcasts on a producer's exchange row",
-          {{"lane", lane}, {"group", group_label},
-           {"producer", producer_label}});
-      ins.backpressure_waits = registry->AddCounter(
+          "Watermark broadcasts on a producer's exchange row", labels,
+          [emitter] { return emitter->stats().watermarks; });
+      registry->AddCounter(
           "pldp_exchange_backpressure_waits_total",
-          "Full-lane waits a producer spent emitting downstream",
-          {{"lane", lane}, {"group", group_label},
-           {"producer", producer_label}});
-      ins.credit_exhausted_waits = registry->AddCounter(
+          "Full-lane waits a producer spent emitting downstream", labels,
+          [emitter] { return emitter->stats().backpressure_waits; });
+      registry->AddCounter(
           "pldp_exchange_credit_exhausted_waits_total",
           "Credit-exhausted stalls a producer spent waiting on a merge shard",
-          {{"lane", lane}, {"group", group_label},
-           {"producer", producer_label}});
-      lane_depth_gauges_[g][p] = registry->AddGauge(
+          labels, [emitter] { return emitter->stats().credit_exhausted_waits; });
+      registry->AddGauge(
           "pldp_exchange_lane_depth",
-          "Instantaneous occupancy of a producer's exchange row",
-          {{"lane", lane}, {"group", group_label},
-           {"producer", producer_label}});
-      ins.lane_depth = lane_depth_gauges_[g][p];
-      // Shard hook index g is groups_[g]'s emitter (see header invariant).
-      shards_[p]->exchange_emitter(g)->SetInstruments(ins);
+          "Instantaneous occupancy of a producer's exchange row", labels,
+          [emitter] { return emitter->RowDepth(); });
     }
-    merge_reorder_gauges_[g].resize(group.merge_shards.size(), nullptr);
-    merge_lag_gauges_[g].resize(group.merge_shards.size(), nullptr);
-    merge_capacity_gauges_[g].resize(group.merge_shards.size(), nullptr);
     for (size_t c = 0; c < group.merge_shards.size(); ++c) {
-      const std::string shard_label = std::to_string(c);
-      obs::MergeInstruments ins;
-      ins.events_received = registry->AddCounter(
+      MergeShard* merge = group.merge_shards[c].get();
+      const obs::MetricLabels labels = {
+          {"lane", lane}, {"group", group.key_id}, {"shard", std::to_string(c)}};
+      registry->AddCounter(
           "pldp_merge_events_received_total",
-          "Events a merge shard popped from its exchange lanes",
-          {{"lane", lane}, {"group", group_label}, {"shard", shard_label}});
-      ins.events_merged = registry->AddCounter(
+          "Events a merge shard popped from its exchange lanes", labels,
+          [merge] { return merge->events_received(); });
+      registry->AddCounter(
           "pldp_merge_events_total",
           "Events a merge shard released to its engine in global order",
-          {{"lane", lane}, {"group", group_label}, {"shard", shard_label}});
+          labels, [merge] { return merge->events_merged(); });
+      obs::MergeInstruments ins;
       ins.merge_latency_ns = registry->AddHistogram(
           "pldp_merge_latency_ns",
-          "Per-released-event merge+match latency, ns",
-          {{"lane", lane}, {"group", group_label}, {"shard", shard_label}});
-      ins.parks = registry->AddCounter(
+          "Per-released-event merge+match latency, ns", labels);
+      PLDP_RETURN_IF_ERROR(merge->SetInstruments(ins));
+      registry->AddCounter(
           "pldp_merge_parks_total",
-          "Times an idle merge-shard worker parked on its doorbell",
-          {{"lane", lane}, {"group", group_label}, {"shard", shard_label}});
-      ins.wakes = registry->AddCounter(
+          "Times an idle merge-shard worker parked on its doorbell", labels,
+          [merge] { return merge->parks(); });
+      registry->AddCounter(
           "pldp_merge_wakes_total",
           "Slow-path doorbell notifies that woke a parked merge worker",
-          {{"lane", lane}, {"group", group_label}, {"shard", shard_label}});
-      merge_reorder_gauges_[g][c] = registry->AddGauge(
+          labels, [merge] { return merge->wakes(); });
+      registry->AddGauge(
           "pldp_merge_reorder_depth",
-          "Instantaneous reorder-buffer occupancy of a merge shard",
-          {{"lane", lane}, {"group", group_label}, {"shard", shard_label}});
-      ins.reorder_depth = merge_reorder_gauges_[g][c];
-      merge_lag_gauges_[g][c] = registry->AddGauge(
+          "Instantaneous reorder-buffer occupancy of a merge shard", labels,
+          [merge] { return merge->reorder_buffered(); });
+      registry->AddGauge(
           "pldp_merge_watermark_lag",
           "Ingest frontier minus a merge shard's safe watermark (events)",
-          {{"lane", lane}, {"group", group_label}, {"shard", shard_label}});
-      ins.watermark_lag = merge_lag_gauges_[g][c];
-      merge_capacity_gauges_[g][c] = registry->AddGauge(
+          labels, [this, merge] { return WatermarkLag(*merge); });
+      registry->AddGauge(
           "pldp_merge_reorder_capacity",
           "Hard reorder-buffer bound of a merge shard (sum of lane credits)",
-          {{"lane", lane}, {"group", group_label}, {"shard", shard_label}});
-      ins.reorder_capacity = merge_capacity_gauges_[g][c];
-      merge_capacity_gauges_[g][c]->Set(
-          static_cast<double>(group.merge_shards[c]->reorder_capacity()));
-      PLDP_RETURN_IF_ERROR(group.merge_shards[c]->SetInstruments(ins));
+          labels, [merge] { return merge->reorder_capacity(); });
     }
   }
   return Status::OK();
 }
 
-void ParallelStreamingEngine::RefreshMetricGauges() {
-  if (metrics_ == nullptr) return;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    if (shard_queue_gauges_[i] != nullptr) {
-      shard_queue_gauges_[i]->Set(
-          static_cast<double>(shards_[i]->queue_depth()));
-    }
-  }
+uint64_t ParallelStreamingEngine::WatermarkLag(const MergeShard& merge) const {
   const uint64_t frontier = IngestFrontier();
-  for (size_t g = 0; g < groups_.size(); ++g) {
-    for (size_t p = 0; p < shards_.size(); ++p) {
-      if (lane_depth_gauges_[g][p] != nullptr) {
-        lane_depth_gauges_[g][p]->Set(
-            static_cast<double>(shards_[p]->exchange_emitter(g)->RowDepth()));
-      }
-    }
-    for (size_t c = 0; c < groups_[g].merge_shards.size(); ++c) {
-      const MergeShard& merge = *groups_[g].merge_shards[c];
-      if (merge_reorder_gauges_[g][c] != nullptr) {
-        merge_reorder_gauges_[g][c]->Set(
-            static_cast<double>(merge.reorder_buffered()));
-      }
-      if (merge_lag_gauges_[g][c] != nullptr) {
-        const uint64_t safe = merge.safe_primary();
-        merge_lag_gauges_[g][c]->Set(
-            safe >= frontier ? 0.0
-                             : static_cast<double>(frontier - safe));
-      }
-      if (merge_capacity_gauges_[g][c] != nullptr) {
-        merge_capacity_gauges_[g][c]->Set(
-            static_cast<double>(merge.reorder_capacity()));
-      }
-    }
-  }
+  const uint64_t safe = merge.safe_primary();
+  return safe >= frontier ? 0 : frontier - safe;
 }
 
 void ParallelStreamingEngine::CollectHealth(
@@ -340,7 +292,6 @@ void ParallelStreamingEngine::CollectHealth(
                                static_cast<double>(row.queue_capacity);
     health->shards.push_back(std::move(row));
   }
-  const uint64_t frontier = IngestFrontier();
   for (const auto& group : groups_) {
     for (size_t c = 0; c < group.merge_shards.size(); ++c) {
       const MergeShard& merge = *group.merge_shards[c];
@@ -348,8 +299,7 @@ void ParallelStreamingEngine::CollectHealth(
       row.lane = group.forward_raw_events ? "plain" : "private";
       row.group = group.key_id;
       row.merge_shard = c;
-      const uint64_t safe = merge.safe_primary();
-      row.watermark_lag = safe >= frontier ? 0 : frontier - safe;
+      row.watermark_lag = WatermarkLag(merge);
       row.reorder_depth = merge.reorder_buffered();
       row.reorder_capacity = merge.reorder_capacity();
       health->groups.push_back(std::move(row));
@@ -402,6 +352,10 @@ Status ParallelStreamingEngine::Start() {
 
 Status ParallelStreamingEngine::Drain() {
   if (!running_) return Status::OK();
+  return Barrier(/*finish=*/false);
+}
+
+Status ParallelStreamingEngine::Barrier(bool finish) {
   if (admission_ != nullptr) {
     // Parked events are part of the ingested stream; the barrier is only a
     // barrier once they have landed in their shard queues.
@@ -409,24 +363,34 @@ Status ParallelStreamingEngine::Drain() {
   }
   const uint64_t bound = IngestFrontier();
   for (auto& shard : shards_) {
-    Status s = shard->Drain();
-    if (!s.ok()) return s;
+    PLDP_RETURN_IF_ERROR(shard->Drain());
   }
-  if (!groups_.empty()) {
-    // Two-phase barrier: every producer flushes a watermark asserting it
-    // forwarded everything below `bound` it will ever see (one command
-    // broadcasts on every lane-group's row), then every merge shard of
-    // every group is waited past that bound. Inherits Drain's best-effort
-    // semantics when a producer keeps pushing concurrently.
-    for (auto& shard : shards_) {
-      Status s = shard->RequestFlushWatermark(bound);
-      if (!s.ok()) return s;
-    }
-    for (auto& group : groups_) {
-      for (auto& merge_shard : group.merge_shards) {
-        Status s = merge_shard->WaitSafe(bound);
-        if (!s.ok()) return s;
-      }
+  // A drain without an exchange is done here; finish still has every
+  // sink's OnShardFinish to run.
+  if (!finish && groups_.empty()) return Status::OK();
+  // Two-phase barrier: every producer broadcasts a watermark asserting it
+  // forwarded everything below `bound` it will ever see (finish: runs its
+  // sink's finalize output, then seals its rows for good), then every
+  // merge shard of every group is waited past that bound. Inherits Drain's
+  // best-effort semantics when a producer keeps pushing concurrently.
+  //
+  // Post the command to EVERY shard before waiting on ANY ack.
+  // Finalize-time emissions run against bounded credit budgets: shard A's
+  // sink output may only become releasable — and its credits returnable —
+  // once shard B's terminal watermark is in flight. Waiting for A's ack
+  // before posting to B would deadlock under small reorder capacities.
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    PLDP_ASSIGN_OR_RETURN(command_tokens_[i],
+                          finish ? shards_[i]->PostFinish(bound)
+                                 : shards_[i]->PostFlushWatermark(bound));
+  }
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    PLDP_RETURN_IF_ERROR(shards_[i]->WaitCommandAck(command_tokens_[i]));
+  }
+  const uint64_t safe = finish ? kExchangeSeqEnd : bound;
+  for (auto& group : groups_) {
+    for (auto& merge_shard : group.merge_shards) {
+      PLDP_RETURN_IF_ERROR(merge_shard->WaitSafe(safe));
     }
   }
   return Status::OK();
@@ -446,38 +410,8 @@ Status ParallelStreamingEngine::Finish() {
   // point is refused, so finalize-time output is really last.
   // order: relaxed; see the Start() rationale on the finished_ latch.
   finished_.store(true, std::memory_order_relaxed);
-  finish_status_ = FinishInternal();
+  finish_status_ = Barrier(/*finish=*/true);
   return finish_status_;
-}
-
-Status ParallelStreamingEngine::FinishInternal() {
-  if (admission_ != nullptr) {
-    PLDP_RETURN_IF_ERROR(admission_->FlushBlocking());
-  }
-  const uint64_t bound = IngestFrontier();
-  for (auto& shard : shards_) {
-    PLDP_RETURN_IF_ERROR(shard->Drain());
-  }
-  // Post the finish command to EVERY shard before waiting on ANY ack.
-  // Finalize-time emissions run against bounded credit budgets: shard A's
-  // sink output may only become releasable — and its credits returnable —
-  // once shard B's terminal watermark is in flight. Waiting for A's ack
-  // before posting to B would deadlock under small reorder capacities.
-  std::vector<uint64_t> tokens;
-  tokens.reserve(shards_.size());
-  for (auto& shard : shards_) {
-    PLDP_ASSIGN_OR_RETURN(uint64_t token, shard->PostFinish(bound));
-    tokens.push_back(token);
-  }
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    PLDP_RETURN_IF_ERROR(shards_[i]->WaitCommandAck(tokens[i]));
-  }
-  for (auto& group : groups_) {
-    for (auto& merge_shard : group.merge_shards) {
-      PLDP_RETURN_IF_ERROR(merge_shard->WaitSafe(kExchangeSeqEnd));
-    }
-  }
-  return Status::OK();
 }
 
 Status ParallelStreamingEngine::Stop() {

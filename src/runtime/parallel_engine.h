@@ -132,7 +132,6 @@ class ParallelStreamingEngine : public StreamSubscriber {
   ParallelStreamingEngine& operator=(const ParallelStreamingEngine&) = delete;
 
   size_t shard_count() const { return shards_.size(); }
-  const EventRouter& router() const { return router_; }
 
   /// Stage-2 merge shards across all exchange lane-groups.
   size_t cross_shard_count() const;
@@ -172,18 +171,16 @@ class ParallelStreamingEngine : public StreamSubscriber {
   size_t query_count() const { return query_count_; }
   size_t cross_query_count() const { return cross_index_.size(); }
 
-  /// Registers this engine's instruments in `registry` and wires them into
-  /// every stage (shards, exchange emitters, merge shards). Exchange and
-  /// merge families carry `lane="plain"` for raw-forwarding groups and
+  /// Registers this engine's metrics in `registry`: every count and depth
+  /// as a read function over the owning stage's atomics (shards, exchange
+  /// emitters, merge shards, admission), and the three hot-path
+  /// histograms, which are bound into the stages. Exchange and merge
+  /// families carry `lane="plain"` for raw-forwarding groups and
   /// `lane="private"` for sink-driven ones. Call after all queries and
-  /// lane-groups are registered and before Start(); at most once.
-  /// `registry` must outlive the engine.
+  /// lane-groups are registered and before Start(); at most once. The
+  /// read functions borrow this engine: snapshot `registry` only while the
+  /// engine lives.
   Status EnableMetrics(obs::MetricsRegistry* registry);
-
-  /// Refreshes the snapshot-time gauges (queue depths, lane depths,
-  /// reorder occupancy, watermark lag) from the live atomics. Safe from
-  /// any thread; no-op when metrics are off.
-  void RefreshMetricGauges();
 
   /// Appends this engine's health rows (per-shard queue saturation,
   /// per-group merge lag/occupancy) to `health`. Safe while running.
@@ -246,10 +243,6 @@ class ParallelStreamingEngine : public StreamSubscriber {
   size_t events_processed() const {
     return events_ingested_.load(std::memory_order_relaxed);
   }
-
-  /// The active overload policy (kBlock unless options.overload said
-  /// otherwise).
-  OverloadPolicy overload_policy() const { return overload_options_.policy; }
 
   /// Events deliberately dropped by the overload policy (0 under kBlock).
   /// Safe from any thread.
@@ -334,18 +327,25 @@ class ParallelStreamingEngine : public StreamSubscriber {
   /// Latched first Finish() outcome (orchestrator thread only).
   Status finish_status_ = Status::OK();
 
-  // Telemetry (EnableMetrics). The registry owns the instruments; the
-  // engine keeps only the snapshot-time gauges it refreshes itself.
-  // Invariant used below: shard hook index g == groups_[g] (every group
-  // adds exactly one emitter to every shard, in group-creation order).
-  obs::MetricsRegistry* metrics_ = nullptr;
-  std::vector<obs::Gauge*> shard_queue_gauges_;
-  std::vector<std::vector<obs::Gauge*>> lane_depth_gauges_;    // [grp][prod]
-  std::vector<std::vector<obs::Gauge*>> merge_reorder_gauges_;  // [grp][cons]
-  std::vector<std::vector<obs::Gauge*>> merge_lag_gauges_;      // [grp][cons]
-  std::vector<std::vector<obs::Gauge*>> merge_capacity_gauges_;  // [grp][cons]
+  /// Per-shard acknowledgement tokens of the commands a barrier posts,
+  /// sized once at construction so Drain() allocates nothing
+  /// (orchestrator thread only, like the command channel itself).
+  std::vector<uint64_t> command_tokens_;
 
-  Status FinishInternal();
+  // Telemetry (EnableMetrics; non-null once enabled). The registry owns
+  // the histograms and read functions. Invariant used there: shard hook
+  // index g == groups_[g] (every group adds exactly one emitter to every
+  // shard, in group-creation order).
+  obs::MetricsRegistry* metrics_ = nullptr;
+
+  /// The one barrier behind Drain() (finish = false) and Finish() (finish
+  /// = true): flush admission, drain every shard to the ingest frontier,
+  /// post a flush-watermark or finish command to every shard, wait every
+  /// ack, then wait every merge shard past the bound.
+  Status Barrier(bool finish);
+  /// Ingest frontier minus the merge shard's safe watermark (0 when it
+  /// caught up) — shared by CollectHealth and the watermark-lag gauge.
+  uint64_t WatermarkLag(const MergeShard& merge) const;
   void PublishProducerFloor(uint64_t floor);
   /// Snapshot of the ingest frontier: every stamped sequence number is
   /// strictly below it. Safe from any thread (best-effort while the

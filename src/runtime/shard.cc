@@ -116,7 +116,6 @@ Status Shard::Start() {
   }
   // order: relaxed; the thread launch below is the synchronization edge.
   stop_requested_.store(false, std::memory_order_relaxed);
-  doorbell_.SetCounters(obs_.parks, obs_.wakes);
   worker_ = std::thread([this] {
     if (affinity_core_ >= 0) (void)PinCurrentThreadToCore(affinity_core_);
     worker_role_.Acquire();
@@ -168,7 +167,6 @@ Status Shard::PushStampedN(StampedEvent* events, size_t count,
   if (waited) {
     // order: relaxed; telemetry only.
     backpressure_waits_.fetch_add(1, std::memory_order_relaxed);
-    if (obs_.backpressure_waits) obs_.backpressure_waits->Inc();
   }
   // order: relaxed; Drain reads it from the producer thread itself (or
   // under an external happens-before), and the queue push above already
@@ -235,10 +233,8 @@ Status Shard::WaitCommandAck(uint64_t token) {
   return Status::OK();
 }
 
-Status Shard::RequestFlushWatermark(uint64_t bound) {
-  PLDP_ASSIGN_OR_RETURN(uint64_t token,
-                        PostCommand(kCmdFlushWatermark, bound));
-  return WaitCommandAck(token);
+StatusOr<uint64_t> Shard::PostFlushWatermark(uint64_t bound) {
+  return PostCommand(kCmdFlushWatermark, bound);
 }
 
 StatusOr<uint64_t> Shard::PostFinish(uint64_t finish_seq) {
@@ -264,7 +260,6 @@ Status Shard::Stop() {
   StampedEvent leftover;
   while (queue_.TryPop(leftover)) {
     ProcessOne(leftover, hooks);
-    if (obs_.events) obs_.events->Inc();
     if (obs_.batch_size) obs_.batch_size->Record(1);
     if (obs_.process_latency_ns) obs_.process_latency_ns->Record(0);
     // order: release; releases a concurrent Drain (see header contract).
@@ -282,11 +277,10 @@ ShardStats Shard::stats() const {
   // order: acquire pairs with the worker's release publication.
   s.events_processed =
       static_cast<size_t>(processed_.load(std::memory_order_acquire));
-  // order: relaxed; telemetry only (both counters below too).
+  // order: relaxed; telemetry only.
   s.detections =
       static_cast<size_t>(detections_.load(std::memory_order_relaxed));
-  s.backpressure_waits = static_cast<size_t>(
-      backpressure_waits_.load(std::memory_order_relaxed));
+  s.backpressure_waits = static_cast<size_t>(backpressure_waits());
   s.parks = static_cast<size_t>(doorbell_.parks());
   s.wakes = static_cast<size_t>(doorbell_.wakes());
   MutexLock lock(reg_mu_);
@@ -377,7 +371,6 @@ void Shard::RunLoop() {
           t_prev = t_now;
         }
       }
-      if (obs_.events) obs_.events->Inc(n);
       // One release store per burst: the publication point Drain acquires.
       // order: release (see comment above).
       processed_.fetch_add(n, std::memory_order_release);

@@ -32,11 +32,11 @@
 //     so the calls are race-free. A Drain that races a producer waits for
 //     the events pushed at the moment it reads `pushed_` (best effort by
 //     construction).
-//   - RequestFlushWatermark / PostFinish + WaitCommandAck are issued by one
-//     orchestrator thread after a Drain; they run on the worker and return
-//     once it acknowledged. The orchestrator's claim that the shard has
-//     seen every event below the given bound inherits Drain's best-effort
-//     semantics under racing producers.
+//   - PostFlushWatermark / PostFinish + WaitCommandAck are issued by one
+//     orchestrator thread after a Drain; the command runs on the worker
+//     and WaitCommandAck returns once it acknowledged. The orchestrator's
+//     claim that the shard has seen every event below the given bound
+//     inherits Drain's best-effort semantics under racing producers.
 //   - engine() and the sink's state are safe to read after Drain() or
 //     Stop() returned: the worker publishes each processed batch with a
 //     release store that Drain observes with an acquire load, which orders
@@ -127,8 +127,6 @@ class Shard {
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
 
-  size_t index() const { return index_; }
-
   /// Registers a query on this shard's engine, with an optional detection
   /// callback invoked on the worker thread with the completion timestamp of
   /// every match. Must precede Start().
@@ -139,9 +137,9 @@ class Shard {
   /// exchange emitter added with raw forwarding off. Must precede Start().
   Status SetEventSink(std::unique_ptr<ShardEventSink> sink);
 
-  /// Binds telemetry instruments (obs/instruments.h). Null fields are
+  /// Binds the hot-path histograms (obs/instruments.h). Null fields are
   /// skipped at update sites; copy-by-value, the registry owns the
-  /// instruments. Must precede Start().
+  /// histograms. Must precede Start().
   Status SetInstruments(const obs::ShardInstruments& instruments);
 
   /// Pins the worker thread to `core` at startup (no-op when negative or
@@ -196,11 +194,12 @@ class Shard {
   /// stays alive; more events may be pushed after.
   Status Drain();
 
-  /// Asks the worker to broadcast `watermark(bound)` on its exchange row
-  /// and blocks until it did. Call after Drain so the bound's claim —
-  /// "this shard forwarded everything below `bound` it will ever see" —
-  /// holds. No-op without an emitter (still acknowledged).
-  Status RequestFlushWatermark(uint64_t bound);
+  /// Posts a request to broadcast `watermark(bound)` on every exchange row
+  /// without waiting and returns the acknowledgement token for
+  /// WaitCommandAck. Call after Drain so the bound's claim — "this shard
+  /// forwarded everything below `bound` it will ever see" — holds. No-op
+  /// without an emitter (still acknowledged).
+  StatusOr<uint64_t> PostFlushWatermark(uint64_t bound);
 
   /// Posts end-of-stream without waiting and returns the acknowledgement
   /// token for WaitCommandAck. On the worker, the sink's OnShardFinish
@@ -233,19 +232,30 @@ class Shard {
   /// racing a late AddExchange (both pre-Start) is well-defined.
   ShardStats stats() const PLDP_EXCLUDES(reg_mu_);
 
+  /// Events processed and producer-side full-queue waits — safe from any
+  /// thread (atomics); the metrics registry reads them at scrape time.
+  uint64_t events_processed() const {
+    // order: relaxed; a scrape-time count, no engine state is read with it.
+    return processed_.load(std::memory_order_relaxed);
+  }
+  uint64_t backpressure_waits() const {
+    // order: relaxed; telemetry only.
+    return backpressure_waits_.load(std::memory_order_relaxed);
+  }
+
   /// Instantaneous queue occupancy / capacity — safe from any thread
   /// (SPSC indices are atomics); used for queue-depth gauges and health.
   size_t queue_depth() const { return queue_.ApproxSize(); }
   size_t queue_capacity() const { return queue_.capacity(); }
 
-  /// Doorbell park/wake counts (always tracked, even un-instrumented);
-  /// used by stats() and the parking-liveness tests.
+  /// Doorbell park/wake counts; used by stats(), the metrics registry and
+  /// the parking-liveness tests.
   uint64_t parks() const { return doorbell_.parks(); }
   uint64_t wakes() const { return doorbell_.wakes(); }
 
   /// Attached exchange lane-groups, in AddExchange order (which is the
   /// orchestrator's group order). Emitter stats/depth reads are
-  /// thread-safe; used to wire per-lane instruments.
+  /// thread-safe; used to register per-lane metrics.
   size_t exchange_count() const PLDP_EXCLUDES(reg_mu_) {
     MutexLock lock(reg_mu_);
     return hooks_.size();
@@ -305,7 +315,7 @@ class Shard {
   /// The worker never takes it (see SnapshotHooks).
   mutable Mutex reg_mu_;
   std::vector<ExchangeHook> hooks_ PLDP_GUARDED_BY(reg_mu_);
-  // Telemetry bundle (null fields = un-instrumented) and the per-query
+  // Hot-path histograms (null fields = un-instrumented) and the per-query
   // detection callbacks (indexed by query, empty = none); both fixed
   // before Start, read on the worker.
   obs::ShardInstruments obs_;

@@ -128,9 +128,10 @@ TEST(AllocRegressionTest, ShardedPlainPipelineSteadyStateIsAllocationFree) {
 }
 
 // Telemetry must not break the zero-allocation guarantee: with every
-// instrument wired (counters, latency histograms, queue gauges), the
-// steady-state hot path still performs ZERO heap allocations — instrument
-// updates are relaxed atomics on pre-registered slots, never lookups.
+// metric registered (read functions over the stages' counters and depths,
+// hot-path latency and burst histograms), the steady-state hot path still
+// performs ZERO heap allocations — histogram records are relaxed atomics
+// on pre-registered slots, never lookups.
 TEST(AllocRegressionTest, MetricsEnabledSteadyStateIsAllocationFree) {
   if (!bench::kAllocHookActive) {
     GTEST_SKIP() << "allocation hook inactive under sanitizers";
@@ -173,7 +174,6 @@ TEST(AllocRegressionTest, MetricsEnabledSteadyStateIsAllocationFree) {
       << " events";
 
   // The instruments reconciled exactly while staying allocation-free.
-  engine.RefreshMetricGauges();
   const obs::MetricsSnapshot snapshot = registry.Snapshot();
   const size_t total = warmup.size() + batched.size();
   EXPECT_EQ(obs::SumSamples(snapshot.Find("pldp_shard_events_total")),
@@ -277,7 +277,6 @@ void ExpectExchangeSteadyStateAllocationFree(bool metrics) {
   if (metrics) {
     // The exchange and merge instruments were live: every event crossed
     // the lane matrix and reached a merge shard.
-    engine.RefreshMetricGauges();
     const obs::MetricsSnapshot snapshot = registry.Snapshot();
     const double total = static_cast<double>(warmup.size() + batched.size());
     EXPECT_EQ(obs::SumSamples(snapshot.Find("pldp_exchange_forwarded_total")),

@@ -1,11 +1,12 @@
 // Copyright 2026 The PLDP Authors.
 //
 // Pins the MetricsRegistry registration/snapshot race: Snapshot() (scrape
-// thread) walks the entry list while Add* (topology build) grows it. The
-// registry's contract is that registration happens under `mu_` and every
-// Snapshot/instrument_count read takes the same mutex — instruments
-// themselves live in stable heap slots, so handed-out pointers stay valid
-// across later registrations. Before entries were created fully under the
+// thread) walks the entry list and calls the read functions while Add*
+// (topology build) grows it. The registry's contract is that registration
+// happens under `mu_` and every Snapshot/instrument_count read takes the
+// same mutex — histograms live in stable heap slots, so handed-out
+// pointers stay valid across later registrations, and read functions see
+// the owner's live atomics. Before entries were created fully under the
 // lock, a scrape racing a registration could observe a half-constructed
 // Entry or a vector mid-growth. These loops exercise exactly that window;
 // the TSan CI job turns any regression into a hard failure.
@@ -49,19 +50,23 @@ TEST(MetricsRaceTest, SnapshotRacingRegistration) {
   }
 
   constexpr size_t kPerType = 64;
-  std::vector<Counter*> counters;
+  // The values the read functions observe, owned outside the registry the
+  // way a stage owns its counters.
+  std::vector<std::atomic<uint64_t>> events(kPerType);
+  std::vector<std::atomic<uint64_t>> depths(kPerType);
   for (size_t i = 0; i < kPerType; ++i) {
     const std::string label = std::to_string(i);
-    Counter* counter = registry.AddCounter(
-        "race_events_total", "events", {{"shard", label}});
-    ASSERT_NE(counter, nullptr);
-    counter->Inc(i);
-    counters.push_back(counter);
+    ASSERT_TRUE(registry.AddCounter(
+        "race_events_total", "events", {{"shard", label}}, [&events, i] {
+          return events[i].load(std::memory_order_relaxed);
+        }));
+    events[i].store(i, std::memory_order_relaxed);
 
-    Gauge* gauge =
-        registry.AddGauge("race_depth", "queue depth", {{"shard", label}});
-    ASSERT_NE(gauge, nullptr);
-    gauge->Set(static_cast<double>(i));
+    ASSERT_TRUE(registry.AddGauge(
+        "race_depth", "queue depth", {{"shard", label}}, [&depths, i] {
+          return depths[i].load(std::memory_order_relaxed);
+        }));
+    depths[i].store(i, std::memory_order_relaxed);
 
     Histogram* histogram = registry.AddHistogram(
         "race_latency_ns", "latency", {{"shard", label}});
@@ -75,25 +80,32 @@ TEST(MetricsRaceTest, SnapshotRacingRegistration) {
   EXPECT_GT(snapshots.load(), 0u);
   EXPECT_EQ(registry.instrument_count(), 3 * kPerType);
 
-  // Pointers handed out during the race stay live and exact.
-  for (size_t i = 0; i < counters.size(); ++i) {
-    EXPECT_EQ(counters[i]->Value(), i);
-  }
+  // Read functions registered during the race stay live and exact.
   const MetricsSnapshot final_snapshot = registry.Snapshot();
-  const MetricFamily* events = final_snapshot.Find("race_events_total");
-  ASSERT_NE(events, nullptr);
-  EXPECT_EQ(events->samples.size(), kPerType);
+  const MetricFamily* event_family = final_snapshot.Find("race_events_total");
+  const MetricFamily* depth_family = final_snapshot.Find("race_depth");
+  ASSERT_NE(event_family, nullptr);
+  ASSERT_NE(depth_family, nullptr);
+  ASSERT_EQ(event_family->samples.size(), kPerType);
+  ASSERT_EQ(depth_family->samples.size(), kPerType);
+  for (size_t i = 0; i < kPerType; ++i) {
+    EXPECT_EQ(event_family->samples[i].value, static_cast<double>(i));
+    EXPECT_EQ(depth_family->samples[i].value, static_cast<double>(i));
+  }
 }
 
 TEST(MetricsRaceTest, HotUpdatesRacingSnapshots) {
-  // The wait-free half of the split: instrument updates never take the
-  // registry mutex, so a tight update loop must coexist with a tight
-  // snapshot loop (and the final values must reconcile exactly once the
-  // writer is done).
+  // The wait-free half of the split: the owner's counter updates and the
+  // histogram records never take the registry mutex, so a tight update
+  // loop must coexist with a tight snapshot loop that reads the counter
+  // through its read function (and the final values must reconcile
+  // exactly once the writer is done).
   MetricsRegistry registry;
-  Counter* counter = registry.AddCounter("hot_total", "hot counter");
+  std::atomic<uint64_t> counter{0};
+  ASSERT_TRUE(registry.AddCounter("hot_total", "hot counter", {}, [&counter] {
+    return counter.load(std::memory_order_relaxed);
+  }));
   Histogram* histogram = registry.AddHistogram("hot_ns", "hot histogram");
-  ASSERT_NE(counter, nullptr);
   ASSERT_NE(histogram, nullptr);
 
   std::atomic<bool> stop{false};
@@ -105,14 +117,16 @@ TEST(MetricsRaceTest, HotUpdatesRacingSnapshots) {
 
   constexpr uint64_t kUpdates = 200000;
   for (uint64_t i = 0; i < kUpdates; ++i) {
-    counter->Inc();
+    counter.fetch_add(1, std::memory_order_relaxed);
     histogram->Record(i & 1023);
   }
 
   stop.store(true, std::memory_order_release);
   scraper.join();
 
-  EXPECT_EQ(counter->Value(), kUpdates);
+  const MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_EQ(SumSamples(snapshot.Find("hot_total")),
+            static_cast<double>(kUpdates));
   EXPECT_EQ(histogram->TotalCount(), kUpdates);
 }
 

@@ -1,10 +1,10 @@
 // Copyright 2026 The PLDP Authors.
 //
-// Unit coverage of the telemetry layer: instrument semantics (counter,
-// gauge, log-scale histogram buckets and quantiles), registry conflict
-// detection, Prometheus/JSON exposition (including label escaping and
-// cumulative histogram buckets), family aggregation helpers, the health
-// roll-up classifier, and the blocking TCP scrape endpoint.
+// Unit coverage of the telemetry layer: instrument semantics (counter and
+// gauge read functions, log-scale histogram buckets and quantiles),
+// registry conflict detection, Prometheus/JSON exposition (including label
+// escaping and cumulative histogram buckets), family aggregation helpers,
+// the health roll-up classifier, and the blocking TCP scrape endpoint.
 
 #include "obs/metrics.h"
 
@@ -15,6 +15,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -26,18 +27,38 @@ namespace pldp {
 namespace obs {
 namespace {
 
-TEST(InstrumentTest, CounterAndGaugeBasics) {
-  Counter counter;
-  EXPECT_EQ(counter.Value(), 0u);
-  counter.Inc();
-  counter.Inc(41);
-  EXPECT_EQ(counter.Value(), 42u);
+/// Value of the first sample of family `name` in a fresh snapshot.
+double ValueOf(const MetricsRegistry& registry, const std::string& name) {
+  const MetricsSnapshot snapshot = registry.Snapshot();
+  const MetricFamily* family = snapshot.Find(name);
+  return family == nullptr || family->samples.empty()
+             ? -1.0
+             : family->samples[0].value;
+}
 
-  Gauge gauge;
-  gauge.Set(2.5);
-  EXPECT_DOUBLE_EQ(gauge.Value(), 2.5);
-  gauge.Add(-1.0);
-  EXPECT_DOUBLE_EQ(gauge.Value(), 1.5);
+TEST(InstrumentTest, CounterAndGaugeBasics) {
+  // Counters and gauges read the owner's value at every snapshot: no
+  // second copy exists that could go stale.
+  std::atomic<uint64_t> events{0};
+  std::atomic<double> depth{0.0};
+  MetricsRegistry registry;
+  ASSERT_TRUE(registry.AddCounter("events_total", "events", {}, [&events] {
+    return events.load(std::memory_order_relaxed);
+  }));
+  ASSERT_TRUE(registry.AddGauge("depth", "depth", {}, [&depth] {
+    return depth.load(std::memory_order_relaxed);
+  }));
+  EXPECT_DOUBLE_EQ(ValueOf(registry, "events_total"), 0.0);
+  events.fetch_add(1);
+  events.fetch_add(41);
+  EXPECT_DOUBLE_EQ(ValueOf(registry, "events_total"), 42.0);
+
+  depth.store(2.5);
+  EXPECT_DOUBLE_EQ(ValueOf(registry, "depth"), 2.5);
+  depth.store(1.5);
+  EXPECT_DOUBLE_EQ(ValueOf(registry, "depth"), 1.5);
+  EXPECT_EQ(registry.Snapshot().families[0].type, MetricType::kCounter);
+  EXPECT_EQ(registry.Snapshot().families[1].type, MetricType::kGauge);
 }
 
 TEST(InstrumentTest, HistogramBucketBoundaries) {
@@ -86,15 +107,18 @@ TEST(InstrumentTest, HistogramQuantileInterpolation) {
 
 TEST(RegistryTest, DuplicateAndTypeConflictsReturnNull) {
   MetricsRegistry registry;
-  Counter* a = registry.AddCounter("m", "help", {{"shard", "0"}});
-  ASSERT_NE(a, nullptr);
+  const MetricRead zero = [] { return 0.0; };
+  ASSERT_TRUE(registry.AddCounter("m", "help", {{"shard", "0"}}, zero));
   // Exact duplicate (name + labels) is a wiring bug.
-  EXPECT_EQ(registry.AddCounter("m", "help", {{"shard", "0"}}), nullptr);
+  EXPECT_FALSE(registry.AddCounter("m", "help", {{"shard", "0"}}, zero));
   // Same family, different labels: fine.
-  EXPECT_NE(registry.AddCounter("m", "help", {{"shard", "1"}}), nullptr);
+  EXPECT_TRUE(registry.AddCounter("m", "help", {{"shard", "1"}}, zero));
   // Same name, different type: refused.
-  EXPECT_EQ(registry.AddGauge("m", "help", {{"shard", "2"}}), nullptr);
+  EXPECT_FALSE(registry.AddGauge("m", "help", {{"shard", "2"}}, zero));
   EXPECT_EQ(registry.AddHistogram("m", "help", {{"shard", "3"}}), nullptr);
+  // A counter or gauge without a read function is refused too.
+  EXPECT_FALSE(registry.AddCounter("n", "help", {}, nullptr));
+  EXPECT_FALSE(registry.AddGauge("g", "help", {}, nullptr));
   EXPECT_EQ(registry.instrument_count(), 2u);
 
   const MetricsSnapshot snapshot = registry.Snapshot();
@@ -105,8 +129,8 @@ TEST(RegistryTest, DuplicateAndTypeConflictsReturnNull) {
 
 TEST(RegistryTest, SnapshotKeepsRegistrationOrder) {
   MetricsRegistry registry;
-  registry.AddCounter("zz_first", "first");
-  registry.AddGauge("aa_second", "second");
+  registry.AddCounter("zz_first", "first", {}, [] { return 0.0; });
+  registry.AddGauge("aa_second", "second", {}, [] { return 0.0; });
   const MetricsSnapshot snapshot = registry.Snapshot();
   ASSERT_EQ(snapshot.families.size(), 2u);
   EXPECT_EQ(snapshot.families[0].name, "zz_first");
@@ -115,11 +139,10 @@ TEST(RegistryTest, SnapshotKeepsRegistrationOrder) {
 
 TEST(RenderTest, PrometheusTextFormat) {
   MetricsRegistry registry;
-  Counter* events = registry.AddCounter("pldp_events_total", "Events seen",
-                                        {{"lane", "plain"}, {"shard", "0"}});
-  events->Inc(7);
-  Gauge* depth = registry.AddGauge("pldp_depth", "Queue depth");
-  depth->Set(3);
+  registry.AddCounter("pldp_events_total", "Events seen",
+                      {{"lane", "plain"}, {"shard", "0"}},
+                      [] { return 7.0; });
+  registry.AddGauge("pldp_depth", "Queue depth", {}, [] { return 3.0; });
   Histogram* lat = registry.AddHistogram("pldp_latency_ns", "Latency");
   lat->Record(1);
   lat->Record(3);
@@ -147,8 +170,8 @@ TEST(RenderTest, PrometheusTextFormat) {
 
 TEST(RenderTest, PrometheusLabelEscaping) {
   MetricsRegistry registry;
-  registry.AddCounter("esc", "help",
-                      {{"path", "a\\b\"c\nd"}});
+  registry.AddCounter("esc", "help", {{"path", "a\\b\"c\nd"}},
+                      [] { return 0.0; });
   const std::string text = RenderPrometheusText(registry.Snapshot());
   EXPECT_NE(text.find("esc{path=\"a\\\\b\\\"c\\nd\"} 0"), std::string::npos);
 }
@@ -171,10 +194,8 @@ TEST(RenderTest, AggregateAndSumHelpers) {
   Histogram* b = registry.AddHistogram("h", "help", {{"shard", "1"}});
   a->Record(10);
   b->Record(20);
-  Counter* c0 = registry.AddCounter("c", "help", {{"shard", "0"}});
-  Counter* c1 = registry.AddCounter("c", "help", {{"shard", "1"}});
-  c0->Inc(5);
-  c1->Inc(6);
+  registry.AddCounter("c", "help", {{"shard", "0"}}, [] { return 5.0; });
+  registry.AddCounter("c", "help", {{"shard", "1"}}, [] { return 6.0; });
 
   const MetricsSnapshot snapshot = registry.Snapshot();
   const HistogramData merged = AggregateHistogram(snapshot.Find("h"));

@@ -90,7 +90,7 @@ TEST(AdmissionQueueTest, ShedOldestDropsOldestParkedEventDeterministically) {
   EXPECT_TRUE(admission.Offer(0, Stamped(6, 0, 1)));
   EXPECT_EQ(admission.shed_total(), 3u);     // seqs 0, 1, 2 gone
   EXPECT_EQ(admission.pending_total(), 4u);  // still capped
-  EXPECT_EQ(admission.ShedPerShard(), std::vector<uint64_t>{3});
+  EXPECT_EQ(admission.shed(0), 3u);
 
   // Start the worker and flush: the surviving four (seqs 3..6) land, in
   // order, and the floor clamp lifts.
