@@ -2,13 +2,17 @@
 //
 // Shared argv helpers for the examples/ binaries. Every example supports
 // `--help`; the service examples add real flags on top (--metrics-port,
-// --overload-policy). Deliberately tiny — stdio + strcmp, no getopt — so
-// an example's main() stays a readable walkthrough, and header-only so
-// the examples/*.cpp CMake glob is unaffected.
+// --overload-policy) and shut a serving run down on SIGINT/SIGTERM.
+// Deliberately tiny — stdio + strcmp, no getopt — so an example's main()
+// stays a readable walkthrough, and header-only so the examples/*.cpp
+// CMake glob is unaffected.
 
 #ifndef PLDP_EXAMPLES_EXAMPLE_UTIL_H_
 #define PLDP_EXAMPLES_EXAMPLE_UTIL_H_
 
+#include <pthread.h>
+
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 
@@ -56,6 +60,27 @@ inline const char* FlagValue(int argc, char** argv, const char* name) {
     }
   }
   return nullptr;
+}
+
+/// Blocks SIGINT and SIGTERM in the calling thread and returns that set.
+/// Every thread started afterwards (pipeline workers, the scrape endpoint)
+/// inherits the mask, so the signals stay pending for
+/// WaitForShutdownSignal instead of killing the process: call it before
+/// the pipeline is built.
+inline sigset_t BlockShutdownSignals() {
+  sigset_t signals;
+  sigemptyset(&signals);
+  sigaddset(&signals, SIGINT);
+  sigaddset(&signals, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &signals, nullptr);
+  return signals;
+}
+
+/// Waits for one of the blocked `signals` and returns its number.
+inline int WaitForShutdownSignal(const sigset_t& signals) {
+  int signal = 0;
+  sigwait(&signals, &signal);
+  return signal;
 }
 
 }  // namespace example_util

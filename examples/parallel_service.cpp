@@ -13,17 +13,17 @@
 // across cores.
 
 // `--metrics-port=P` builds the pipeline with telemetry and serves
-// GET /metrics, /metrics.json, /healthz on port P until the process is
-// killed; without the flag the example runs to completion and exits.
+// GET /metrics, /metrics.json, /healthz on port P until SIGINT or SIGTERM,
+// then stops the endpoint and the pipeline and exits 0; without the flag
+// the example runs to completion and exits.
 // `--overload-policy=block|shed-oldest|shed-by-subject` selects the
 // full-queue ingest behavior (docs/OPERATIONS.md, "Overload policy
 // tuning").
 
 #include <atomic>
-#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <thread>
 
 #include "core/pldp.h"
 #include "example_util.h"
@@ -79,6 +79,14 @@ pldp::Status Run(int metrics_port, pldp::OverloadPolicy overload_policy) {
   came_home.OnDetection([&live_detections](pldp::Timestamp) {
     live_detections.fetch_add(1, std::memory_order_relaxed);
   });
+  // A serving run ends on SIGINT/SIGTERM (see the end of Run); the mask
+  // must be in place before Build() starts the workers.
+  sigset_t shutdown_signals;
+  sigemptyset(&shutdown_signals);
+  if (metrics_port >= 0) {
+    shutdown_signals = example_util::BlockShutdownSignals();
+  }
+
   PLDP_ASSIGN_OR_RETURN(std::unique_ptr<pldp::Pipeline> pipeline,
                         builder.WithShards(0)
                             .WithQueueCapacity(1024)
@@ -143,11 +151,12 @@ pldp::Status Run(int metrics_port, pldp::OverloadPolicy overload_policy) {
   }
 
   if (endpoint != nullptr) {
-    std::printf("serving metrics until killed (Ctrl-C to exit)\n");
+    std::printf("serving metrics until SIGINT or SIGTERM (Ctrl-C to exit)\n");
     std::fflush(stdout);
-    for (;;) {
-      std::this_thread::sleep_for(std::chrono::seconds(1));
-    }
+    const int signal = example_util::WaitForShutdownSignal(shutdown_signals);
+    std::printf("%s: stopping the endpoint and the pipeline\n",
+                signal == SIGINT ? "SIGINT" : "SIGTERM");
+    endpoint->Stop();
   }
   return pipeline->Stop();
 }

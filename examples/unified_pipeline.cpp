@@ -18,19 +18,20 @@
 //
 // With `--metrics-port=P` the pipeline is built with telemetry enabled and
 // a scrape endpoint serves GET /metrics (Prometheus text), /metrics.json,
-// and /healthz on port P until the process is killed:
+// and /healthz on port P until SIGINT or SIGTERM, which stops the endpoint
+// and the pipeline and exits 0:
 //
 //   ./example_unified_pipeline --metrics-port=9464 &
 //   curl http://localhost:9464/metrics
+//   kill -TERM %1
 //
 // `--overload-policy=block|shed-oldest|shed-by-subject` selects what
 // ingestion does when a shard queue stays full (docs/OPERATIONS.md,
 // "Overload policy tuning"); any shed events are reported at the end.
 
-#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <thread>
 
 #include "core/pldp.h"
 #include "example_util.h"
@@ -94,6 +95,14 @@ pldp::Status Run(int metrics_port, pldp::OverloadPolicy overload_policy) {
   pldp::PrivateQueryHandle clinic_q = builder.AddPrivateQuery(
       "clinic_visit", Pattern::Create("clinic_visit_q", {entry, clinic},
                                       DetectionMode::kConjunction));
+
+  // A serving run ends on SIGINT/SIGTERM (see the end of Run); the mask
+  // must be in place before Build() starts the workers.
+  sigset_t shutdown_signals;
+  sigemptyset(&shutdown_signals);
+  if (metrics_port >= 0) {
+    shutdown_signals = example_util::BlockShutdownSignals();
+  }
 
   PLDP_ASSIGN_OR_RETURN(std::unique_ptr<pldp::Pipeline> pipeline,
                         builder.WithShards(4)
@@ -193,11 +202,12 @@ pldp::Status Run(int metrics_port, pldp::OverloadPolicy overload_policy) {
   }
 
   if (endpoint != nullptr) {
-    std::printf("serving metrics until killed (Ctrl-C to exit)\n");
+    std::printf("serving metrics until SIGINT or SIGTERM (Ctrl-C to exit)\n");
     std::fflush(stdout);
-    for (;;) {
-      std::this_thread::sleep_for(std::chrono::seconds(1));
-    }
+    const int signal = example_util::WaitForShutdownSignal(shutdown_signals);
+    std::printf("%s: stopping the endpoint and the pipeline\n",
+                signal == SIGINT ? "SIGINT" : "SIGTERM");
+    endpoint->Stop();
   }
   return pipeline->Stop();
 }
