@@ -154,11 +154,10 @@ void PrivateLane::EnableMetrics(obs::MetricsRegistry* registry) {
   // so both budget gauges are constants captured here.
   for (PatternId id : setup_.private_patterns()) {
     const std::string& name = setup_.patterns().Get(id).name();
-    const double granted = epsilon_;
     registry->AddGauge(
         "pldp_dp_budget_granted",
         "Lifetime privacy budget granted to a private pattern (epsilon)",
-        {{"pattern", name}}, [granted] { return granted; });
+        {{"pattern", name}}, [granted = epsilon_] { return granted; });
     StatusOr<double> remaining = ledger_.Remaining(id);
     const double spent = remaining.ok() ? epsilon_ - remaining.value() : 0.0;
     registry->AddGauge(

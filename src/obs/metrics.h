@@ -146,8 +146,9 @@ struct MetricsSnapshot {
 };
 
 /// Scrape-time read of a counter or gauge value the owning stage already
-/// tracks. Runs on the scrape thread while the pipeline runs, so it must
-/// read only atomics (or constants captured at registration).
+/// tracks. Runs on the scrape thread while the pipeline runs, under the
+/// registry mutex: it must read only atomics (or constants captured at
+/// registration) and never call back into the registry.
 using MetricRead = std::function<double()>;
 
 /// Registry of instruments. Same-name registrations with distinct labels
