@@ -225,7 +225,8 @@ Status ParallelStreamingEngine::EnableMetrics(
       registry->AddCounter(
           "pldp_exchange_credit_exhausted_waits_total",
           "Credit-exhausted stalls a producer spent waiting on a merge shard",
-          labels, [emitter] { return emitter->stats().credit_exhausted_waits; });
+          labels,
+          [emitter] { return emitter->stats().credit_exhausted_waits; });
       registry->AddGauge(
           "pldp_exchange_lane_depth",
           "Instantaneous occupancy of a producer's exchange row", labels,
@@ -233,8 +234,9 @@ Status ParallelStreamingEngine::EnableMetrics(
     }
     for (size_t c = 0; c < group.merge_shards.size(); ++c) {
       MergeShard* merge = group.merge_shards[c].get();
-      const obs::MetricLabels labels = {
-          {"lane", lane}, {"group", group.key_id}, {"shard", std::to_string(c)}};
+      const obs::MetricLabels labels = {{"lane", lane},
+                                        {"group", group.key_id},
+                                        {"shard", std::to_string(c)}};
       registry->AddCounter(
           "pldp_merge_events_received_total",
           "Events a merge shard popped from its exchange lanes", labels,
