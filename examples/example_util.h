@@ -78,9 +78,9 @@ inline sigset_t BlockShutdownSignals() {
 
 /// Waits for one of the blocked `signals` and returns its number.
 inline int WaitForShutdownSignal(const sigset_t& signals) {
-  int signal = 0;
-  sigwait(&signals, &signal);
-  return signal;
+  int sig = 0;
+  sigwait(&signals, &sig);
+  return sig;
 }
 
 }  // namespace example_util

@@ -204,9 +204,9 @@ pldp::Status Run(int metrics_port, pldp::OverloadPolicy overload_policy) {
   if (endpoint != nullptr) {
     std::printf("serving metrics until SIGINT or SIGTERM (Ctrl-C to exit)\n");
     std::fflush(stdout);
-    const int signal = example_util::WaitForShutdownSignal(shutdown_signals);
+    const int sig = example_util::WaitForShutdownSignal(shutdown_signals);
     std::printf("%s: stopping the endpoint and the pipeline\n",
-                signal == SIGINT ? "SIGINT" : "SIGTERM");
+                sig == SIGINT ? "SIGINT" : "SIGTERM");
     endpoint->Stop();
   }
   return pipeline->Stop();
