@@ -5,18 +5,34 @@
 // counter. Burn a few iterations, then yield, then sleep — low latency
 // under load without pinning a core when idle.
 //
-// Workers additionally escalate past the sleep phase into a real park on a
+// Workers additionally escalate past the yield phase into a real park on a
 // `Doorbell` (condition-variable wait): once ShouldPark() reports that the
 // spin and yield budgets are exhausted, the worker re-checks its work
 // predicate under the doorbell's protocol and blocks until a producer
 // rings. Producers never park — their wait is always bounded by a live
 // consumer draining the queue.
 //
-// Under PLDP_MODEL_CHECK a Backoff::Wait is a model-scheduler yield and
-// the budgets collapse to one iteration, so spin loops become explicit
-// schedule points instead of wall-clock burns. The Doorbell protocol is
-// machine-checked by tests/check/check_doorbell_test.cc (the lost-wakeup
-// argument below, explored exhaustively).
+// A worker's yield budget adapts to its last park (Backoff::Park times
+// it): after a park longer than kLongParkNs the next idle episode parks as
+// soon as the spin phase ends and skips the yields; after a shorter park
+// (or a park that work preempted) it gets the full spin + yield budget
+// again. This is the adaptive form of spin-then-block (Karlin et al.,
+// "Empirical Studies of Competitive Spinning for a Shared-Memory
+// Multiprocessor", SOSP 1991; Lim & Agarwal, "Waiting Algorithms for
+// Synchronization in Large-Scale Multiprocessors", TOCS 1993): a long
+// park says work arrives sparsely, so yielding before the next park only
+// burns CPU, while a short one says the next item is close and is worth
+// waiting for awake. Producer and barrier waits keep the fixed schedule:
+// the credit ping-pong between exchange producers and merge shards (most
+// of it in a pipeline's warm-up) needs both sides to keep polling through
+// short gaps, and a producer that sleeps early stretches every such
+// exchange.
+//
+// Under PLDP_MODEL_CHECK a Backoff::Wait is a model-scheduler yield, the
+// budgets collapse to one iteration and Park takes no clock reads, so spin
+// loops become explicit schedule points instead of wall-clock burns. The
+// Doorbell protocol is machine-checked by tests/check/check_doorbell_test.cc
+// (the lost-wakeup argument below, explored exhaustively).
 
 #ifndef PLDP_RUNTIME_BACKOFF_H_
 #define PLDP_RUNTIME_BACKOFF_H_
@@ -25,6 +41,7 @@
 #include <cstdint>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 #include "common/atomic.h"
 #include "common/thread_annotations.h"
@@ -35,8 +52,18 @@
 
 namespace pldp {
 
+class Doorbell;
+
 class Backoff {
  public:
+  /// A producer or barrier wait: the fixed spin → yield → sleep schedule.
+  Backoff() = default;
+  /// The idle wait of a worker that parks on a Doorbell: `idle_yields`
+  /// accumulates the yields of each idle episode, one relaxed add when the
+  /// episode ends (Reset or Park).
+  explicit Backoff(Atomic<uint64_t>* idle_yields)
+      : idle_yields_(idle_yields) {}
+
   void Wait() {
 #ifdef PLDP_MODEL_CHECK
     ++spins_;
@@ -44,7 +71,7 @@ class Backoff {
 #else
     if (spins_ < kSpinLimit) {
       ++spins_;
-    } else if (spins_ < kSpinLimit + kYieldLimit) {
+    } else if (spins_ < kSpinLimit + yield_limit_) {
       ++spins_;
       std::this_thread::yield();
     } else {
@@ -55,9 +82,38 @@ class Backoff {
 
   /// True once the spin and yield budgets are exhausted — the point where a
   /// worker that owns a Doorbell should park instead of sleep-polling.
-  bool ShouldPark() const { return spins_ >= kSpinLimit + kYieldLimit; }
+  bool ShouldPark() const { return spins_ >= kSpinLimit + yield_limit_; }
 
-  void Reset() { spins_ = 0; }
+  /// Ends the wait episode: the next Wait starts the spin phase afresh.
+  void Reset() {
+    if (idle_yields_ != nullptr && spins_ > kSpinLimit) {
+      // order: relaxed; telemetry only.
+      idle_yields_->fetch_add(static_cast<uint64_t>(spins_ - kSpinLimit),
+                              std::memory_order_relaxed);
+    }
+    spins_ = 0;
+  }
+
+  /// Worker side: ends the idle episode, parks on `bell` unless `has_work`
+  /// (Doorbell::ParkUnless), and sizes the next episode's yield budget
+  /// from how long that took. Returns ParkUnless's result.
+  template <typename HasWork>
+  bool Park(Doorbell& bell, HasWork&& has_work);
+
+  /// Sets the yield budget from the duration of the last park: none after
+  /// a long park, the full one otherwise. Park calls it; tests feed it
+  /// durations directly.
+  void NoteParkNs(uint64_t park_ns) {
+    yield_limit_ = park_ns > kLongParkNs ? 0 : kYieldLimit;
+  }
+
+  /// A park longer than this switches the next idle episode to spin-only.
+  /// 200 µs, measured on perfbench's open-loop `paced` workload (4-thread
+  /// VM, one 32-event batch every 533 µs): 97% of the stage-1 parks and
+  /// 90% of the merge parks between batches last longer, most 400–550 µs,
+  /// while half of the few parks in its closed-loop warm-up are shorter
+  /// and keep the full budget there.
+  static constexpr uint64_t kLongParkNs = 200000;
 
  private:
 #ifdef PLDP_MODEL_CHECK
@@ -70,6 +126,9 @@ class Backoff {
   static constexpr int kYieldLimit = 64;
 #endif
   int spins_ = 0;
+  /// kYieldLimit, or 0 after a long park (NoteParkNs).
+  int yield_limit_ = kYieldLimit;
+  Atomic<uint64_t>* idle_yields_ = nullptr;
 };
 
 /// Wake-on-work doorbell: one parked consumer, any number of ringers.
@@ -202,6 +261,22 @@ class Doorbell {
   Atomic<uint64_t> parks_{0};
   Atomic<uint64_t> wakes_{0};
 };
+
+template <typename HasWork>
+bool Backoff::Park(Doorbell& bell, HasWork&& has_work) {
+  Reset();
+#ifdef PLDP_MODEL_CHECK
+  return bell.ParkUnless(std::forward<HasWork>(has_work));
+#else
+  const auto start = std::chrono::steady_clock::now();
+  const bool parked = bell.ParkUnless(std::forward<HasWork>(has_work));
+  NoteParkNs(static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count()));
+  return parked;
+#endif
+}
 
 }  // namespace pldp
 

@@ -148,6 +148,7 @@ ShardStats MergeShard::stats() const {
       static_cast<size_t>(detections_.load(std::memory_order_relaxed));
   s.parks = static_cast<size_t>(doorbell_.parks());
   s.wakes = static_cast<size_t>(doorbell_.wakes());
+  s.idle_yields = static_cast<size_t>(idle_yields());
   return s;
 }
 
@@ -265,7 +266,7 @@ void MergeShard::PublishSafeBound() {
 }
 
 void MergeShard::RunLoop() {
-  Backoff backoff;
+  Backoff backoff(&idle_yields_);
   // Plain queue-pointer snapshot for the park predicate: the lane set is
   // frozen at construction, but `lanes_` itself is worker-role-guarded and
   // the predicate lambda is analyzed as an unannotated function — so it
@@ -289,14 +290,13 @@ void MergeShard::RunLoop() {
       // driven by lane input, so an all-empty column with no stop is
       // genuinely idle. See runtime/backoff.h for the lost-wakeup
       // argument.
-      (void)doorbell_.ParkUnless([this, &lane_queues] {
+      (void)backoff.Park(doorbell_, [this, &lane_queues] {
         for (SpscQueue<ExchangeItem>* queue : lane_queues) {
           if (!queue->ApproxEmpty()) return true;
         }
         // order: acquire (same pairing as the loop check above).
         return stop_requested_.load(std::memory_order_acquire);
       });
-      backoff.Reset();
       continue;
     }
     backoff.Wait();

@@ -93,6 +93,11 @@ class MergeShard {
   /// stats()).
   uint64_t parks() const { return doorbell_.parks(); }
   uint64_t wakes() const { return doorbell_.wakes(); }
+  /// Idle-episode yields (ShardStats::idle_yields) — safe from any thread.
+  uint64_t idle_yields() const {
+    // order: relaxed; telemetry only.
+    return idle_yields_.load(std::memory_order_relaxed);
+  }
 
   /// Events popped from the input lanes / released to the engine in
   /// global order — safe from any thread (atomics); the metrics registry
@@ -229,6 +234,9 @@ class MergeShard {
   Atomic<uint64_t> merged_{0};
   Atomic<uint64_t> received_{0};
   Atomic<uint64_t> detections_{0};
+  /// Worker-side yield count, added once per idle episode
+  /// (Backoff::Reset).
+  Atomic<uint64_t> idle_yields_{0};
   /// Events sitting in reorder buffers (receive increments, release
   /// decrements) — kept as an atomic so scrape threads never touch the
   /// worker-local ring buffers.

@@ -188,6 +188,10 @@ Status ParallelStreamingEngine::EnableMetrics(
         "pldp_shard_wakes_total",
         "Slow-path doorbell notifies that woke a parked shard worker", labels,
         [shard] { return shard->wakes(); });
+    registry->AddCounter(
+        "pldp_shard_idle_yields_total",
+        "Yields an idle shard worker spent between spinning and parking",
+        labels, [shard] { return shard->idle_yields(); });
     registry->AddGauge("pldp_shard_queue_depth",
                        "Instantaneous shard input-queue depth", labels,
                        [shard] { return shard->queue_depth(); });
@@ -258,6 +262,11 @@ Status ParallelStreamingEngine::EnableMetrics(
           "pldp_merge_wakes_total",
           "Slow-path doorbell notifies that woke a parked merge worker",
           labels, [merge] { return merge->wakes(); });
+      registry->AddCounter(
+          "pldp_merge_idle_yields_total",
+          "Yields an idle merge-shard worker spent between spinning and "
+          "parking",
+          labels, [merge] { return merge->idle_yields(); });
       registry->AddGauge(
           "pldp_merge_reorder_depth",
           "Instantaneous reorder-buffer occupancy of a merge shard", labels,

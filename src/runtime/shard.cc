@@ -83,7 +83,7 @@ Status Shard::AddExchange(std::unique_ptr<ExchangeEmitter> emitter,
     return Status::InvalidArgument("emitter must not be null");
   }
   // The lock makes a late AddExchange well-defined against a concurrent
-  // stats()/exchange_count() scrape: push_back can reallocate the vector
+  // stats()/exchange_emitter() scrape: push_back can reallocate the vector
   // under an unlocked reader (the bug -Wthread-safety pinned down once
   // hooks_ was annotated; regression: runtime_shard_race_test).
   MutexLock lock(reg_mu_);
@@ -283,6 +283,7 @@ ShardStats Shard::stats() const {
   s.backpressure_waits = static_cast<size_t>(backpressure_waits());
   s.parks = static_cast<size_t>(doorbell_.parks());
   s.wakes = static_cast<size_t>(doorbell_.wakes());
+  s.idle_yields = static_cast<size_t>(idle_yields());
   MutexLock lock(reg_mu_);
   for (const ExchangeHook& hook : hooks_) {
     const ExchangeEmitterStats e = hook.emitter->stats();
@@ -346,7 +347,7 @@ void Shard::ProcessOne(const StampedEvent& stamped,
 }
 
 void Shard::RunLoop() {
-  Backoff backoff;
+  Backoff backoff(&idle_yields_);
   std::vector<StampedEvent> batch(kPopBatch);
   // One snapshot for the thread's lifetime: AddExchange refuses once the
   // shard runs, so the list is frozen and the per-event path stays off
@@ -416,7 +417,7 @@ void Shard::RunLoop() {
       // watermark progress to broadcast.
       const bool watch_floor = !hooks.empty();
       const uint64_t idle_bound = last_idle_bound;
-      (void)doorbell_.ParkUnless([this, watch_floor, idle_bound] {
+      (void)backoff.Park(doorbell_, [this, watch_floor, idle_bound] {
         if (!queue_.ApproxEmpty()) return true;
         // order: acquire/relaxed, same pairing as ExecuteCommand.
         if (cmd_gen_.load(std::memory_order_acquire) !=
@@ -429,8 +430,8 @@ void Shard::RunLoop() {
         return watch_floor &&
                producer_floor_.load(std::memory_order_acquire) > idle_bound;
       });
-      // Woken (or preempted by work) — spin afresh before parking again.
-      backoff.Reset();
+      // Woken (or preempted by work) — spin afresh before parking again,
+      // with or without yields depending on how long the park lasted.
       continue;
     }
     backoff.Wait();

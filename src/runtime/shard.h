@@ -84,6 +84,9 @@ struct ShardStats {
   /// how often a producer's ring took the slow notify path.
   size_t parks = 0;
   size_t wakes = 0;
+  /// Yields the idle worker spent between its spin phase and a park or
+  /// the next work (none in an episode that follows a long park).
+  size_t idle_yields = 0;
 };
 
 /// A queued event plus its global ingest sequence number — the exchange
@@ -252,14 +255,15 @@ class Shard {
   /// the parking-liveness tests.
   uint64_t parks() const { return doorbell_.parks(); }
   uint64_t wakes() const { return doorbell_.wakes(); }
+  /// Idle-episode yields (ShardStats::idle_yields) — safe from any thread.
+  uint64_t idle_yields() const {
+    // order: relaxed; telemetry only.
+    return idle_yields_.load(std::memory_order_relaxed);
+  }
 
-  /// Attached exchange lane-groups, in AddExchange order (which is the
+  /// Attached exchange lane-group `i`, in AddExchange order (which is the
   /// orchestrator's group order). Emitter stats/depth reads are
   /// thread-safe; used to register per-lane metrics.
-  size_t exchange_count() const PLDP_EXCLUDES(reg_mu_) {
-    MutexLock lock(reg_mu_);
-    return hooks_.size();
-  }
   ExchangeEmitter* exchange_emitter(size_t i) PLDP_EXCLUDES(reg_mu_) {
     MutexLock lock(reg_mu_);
     return hooks_[i].emitter.get();
@@ -311,7 +315,7 @@ class Shard {
   StreamingCepEngine engine_;
   std::unique_ptr<ShardEventSink> sink_;
   /// Guards the hook list: AddExchange (orchestrator, pre-Start) can race
-  /// a stats()/exchange_count() scrape, and vector growth is not atomic.
+  /// a stats()/exchange_emitter() scrape, and vector growth is not atomic.
   /// The worker never takes it (see SnapshotHooks).
   mutable Mutex reg_mu_;
   std::vector<ExchangeHook> hooks_ PLDP_GUARDED_BY(reg_mu_);
@@ -357,6 +361,8 @@ class Shard {
   // Worker-side detection counter (fed by the engine callback) so stats()
   // never has to touch the non-atomic engine internals.
   Atomic<uint64_t> detections_{0};
+  // Worker-side yield count, added once per idle episode (Backoff::Reset).
+  Atomic<uint64_t> idle_yields_{0};
 
   // Worker-local: sequence of the last processed event, for idle-time
   // progress watermarks.

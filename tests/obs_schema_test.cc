@@ -106,6 +106,9 @@ TEST(MetricsSchemaTest, MixedPipelineExpositionIsPinned) {
       "pldp_shard_wakes_total counter | Slow-path doorbell notifies that woke a parked shard worker",
       "  {shard=0}",
       "  {shard=1}",
+      "pldp_shard_idle_yields_total counter | Yields an idle shard worker spent between spinning and parking",
+      "  {shard=0}",
+      "  {shard=1}",
       "pldp_shard_queue_depth gauge | Instantaneous shard input-queue depth",
       "  {shard=0}",
       "  {shard=1}",
@@ -150,6 +153,9 @@ TEST(MetricsSchemaTest, MixedPipelineExpositionIsPinned) {
       "  {lane=plain,group=global,shard=0}",
       "  {lane=plain,group=attr:zone,shard=0}",
       "pldp_merge_wakes_total counter | Slow-path doorbell notifies that woke a parked merge worker",
+      "  {lane=plain,group=global,shard=0}",
+      "  {lane=plain,group=attr:zone,shard=0}",
+      "pldp_merge_idle_yields_total counter | Yields an idle merge-shard worker spent between spinning and parking",
       "  {lane=plain,group=global,shard=0}",
       "  {lane=plain,group=attr:zone,shard=0}",
       "pldp_merge_reorder_depth gauge | Instantaneous reorder-buffer occupancy of a merge shard",

@@ -2,16 +2,20 @@
 //
 // Liveness tests for the adaptive backoff → parking layer
 // (runtime/backoff.h): idle workers escalate spin → yield → park on a
-// Doorbell, and every work publication (SPSC push, producer floor,
-// flush-watermark command, terminal seal) rings the consumer's bell. The
-// properties pinned here:
+// Doorbell, skip the yields after a long park, and every work publication
+// (SPSC push, producer floor, flush-watermark command, terminal seal)
+// rings the consumer's bell. The properties pinned here:
 //
+//   * the yield budget follows the last park: full at start and after a
+//     short park, none after a long one (fed durations, no clock);
 //   * a parked worker wakes on the next push — no lost wakeup, including
 //     under the rapid park/ring interleavings of the stress test (the CI
 //     TSan job runs this file too, checking the fence protocol's memory
 //     ordering, not just its logic);
 //   * drain barriers and Finish complete from a fully parked pipeline —
 //     the barrier paths ring the bells they gate on;
+//   * workers a slow stream has put in spin-only mode still wake on
+//     every source;
 //   * parks/wakes surface through ShardStats and the
 //     pldp_shard_parks_total / pldp_shard_wakes_total counters.
 //
@@ -52,6 +56,74 @@ size_t TotalParks(const ParallelStreamingEngine& engine) {
   size_t parks = 0;
   for (const ShardStats& s : engine.ShardStatsSnapshot()) parks += s.parks;
   return parks;
+}
+
+size_t TotalMerged(const ParallelStreamingEngine& engine) {
+  size_t merged = 0;
+  for (const ShardStats& s : engine.CrossShardStatsSnapshot()) {
+    merged += s.events_processed;
+  }
+  return merged;
+}
+
+/// Waits `backoff` through one idle episode (as a worker loop would,
+/// without the park) and returns how many Waits it took to reach
+/// ShouldPark.
+int WaitsUntilPark(Backoff& backoff) {
+  int waits = 0;
+  while (!backoff.ShouldPark()) {
+    backoff.Wait();
+    ++waits;
+  }
+  backoff.Reset();
+  return waits;
+}
+
+TEST(BackoffTest, YieldBudgetFollowsTheLastPark) {
+  Backoff fixed;  // A producer's schedule: never adapts.
+  const int full = WaitsUntilPark(fixed);
+
+  Atomic<uint64_t> idle_yields{0};
+  Backoff backoff(&idle_yields);
+  // A fresh worker starts on the full budget.
+  EXPECT_EQ(WaitsUntilPark(backoff), full);
+  const uint64_t yields_per_episode = idle_yields.load();
+  ASSERT_GT(yields_per_episode, 0u);
+
+  // After a long park: spin only, so no yields, in every episode until
+  // the next park.
+  backoff.NoteParkNs(Backoff::kLongParkNs + 1);
+  const int spin_only = WaitsUntilPark(backoff);
+  EXPECT_EQ(static_cast<uint64_t>(full - spin_only), yields_per_episode);
+  EXPECT_EQ(WaitsUntilPark(backoff), spin_only);
+  EXPECT_EQ(idle_yields.load(), yields_per_episode);
+
+  // After a short park (the bound itself counts as short): full again.
+  backoff.NoteParkNs(Backoff::kLongParkNs);
+  EXPECT_EQ(WaitsUntilPark(backoff), full);
+  EXPECT_EQ(idle_yields.load(), 2 * yields_per_episode);
+
+  // The producer's schedule never changed.
+  EXPECT_EQ(WaitsUntilPark(fixed), full);
+}
+
+TEST(BackoffTest, ParkTimesTheDoorbellWait) {
+  Doorbell bell;
+  Backoff backoff;
+  const int full = WaitsUntilPark(backoff);
+
+  // A park rung only after 5 ms lasted longer than kLongParkNs.
+  std::atomic<bool> work{false};
+  std::thread consumer([&] {
+    (void)backoff.Park(bell,
+                       [&] { return work.load(std::memory_order_acquire); });
+  });
+  ASSERT_TRUE(Eventually([&] { return bell.parks() == 1; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  work.store(true, std::memory_order_release);
+  bell.Ring();
+  consumer.join();
+  EXPECT_LT(WaitsUntilPark(backoff), full);
 }
 
 TEST(DoorbellTest, ParkedConsumerWakesOnRing) {
@@ -200,6 +272,67 @@ TEST(ParkingTest, ExchangePipelineBarriersCompleteFromParkedState) {
   ASSERT_TRUE(engine.Stop().ok());
 }
 
+// A slow stream (gaps well over kLongParkNs) puts the stage-1 workers in
+// spin-only mode; there they must still wake on a push (the shard that
+// gets the events), a producer floor (the shard that gets none — without
+// its idle watermark the merge could not release anything), a
+// flush-watermark command (Drain) and Stop. A lost wakeup on any of them
+// hangs the test past its deadline.
+TEST(ParkingTest, SpinOnlyWorkersWakeOnEverySource) {
+  ParallelEngineOptions options;
+  options.shard_count = 2;
+  options.queue_capacity = 256;
+  options.exchange.shard_count = 1;
+  options.exchange.lane_capacity = 64;
+  ParallelStreamingEngine engine(options);
+  auto pattern = Pattern::Create("p", {0, 1}, DetectionMode::kSequence);
+  ASSERT_TRUE(pattern.ok());
+  ASSERT_TRUE(engine
+                  .AddCrossQuery(std::move(pattern).value(), 10, "event-type",
+                                 MakeCorrelationKeyFn(
+                                     CorrelationKeySpec::ByEventType())
+                                     .value(),
+                                 /*forward_raw_events=*/true)
+                  .ok());
+  ASSERT_TRUE(engine.Start().ok());
+  ASSERT_TRUE(Eventually([&] { return TotalParks(engine) >= 2; }));
+
+  // One subject, so one shard gets every event and the other only the
+  // producer floor a two-event batch publishes.
+  Timestamp ts = 0;
+  size_t sent = 0;
+  const auto slow_round = [&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const std::vector<ShardStats> before = engine.ShardStatsSnapshot();
+    const Event batch[] = {Event(0, ts, 7), Event(1, ts + 1, 7)};
+    ts += 2;
+    sent += 2;
+    EXPECT_TRUE(engine.OnEventBatch(EventSpan(batch, 2)).ok());
+    EXPECT_TRUE(Eventually([&] { return TotalMerged(engine) == sent; }));
+    // Spin-only: every shard parked again without spending a yield.
+    const std::vector<ShardStats> after = engine.ShardStatsSnapshot();
+    for (size_t i = 0; i < after.size(); ++i) {
+      if (after[i].parks == before[i].parks ||
+          after[i].idle_yields != before[i].idle_yields) {
+        return false;
+      }
+    }
+    return true;
+  };
+  ASSERT_TRUE(Eventually(slow_round)) << "workers never went spin-only";
+  ASSERT_FALSE(HasFailure());
+
+  // Flush-watermark commands from a spin-only parked pipeline.
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  ASSERT_TRUE(engine.Drain().ok());
+  EXPECT_EQ(TotalMerged(engine), sent);
+
+  // Finish, then Stop from the parked state: the stop flag rings.
+  ASSERT_TRUE(engine.Finish().ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  ASSERT_TRUE(engine.Stop().ok());
+}
+
 TEST(ParkingTest, ParkAndWakeCountersSurfaceThroughMetrics) {
   ParallelEngineOptions options;
   options.shard_count = 2;
@@ -219,6 +352,9 @@ TEST(ParkingTest, ParkAndWakeCountersSurfaceThroughMetrics) {
   const obs::MetricsSnapshot snapshot = registry.Snapshot();
   EXPECT_GT(obs::SumSamples(snapshot.Find("pldp_shard_parks_total")), 0.0);
   EXPECT_GT(obs::SumSamples(snapshot.Find("pldp_shard_wakes_total")), 0.0);
+  // The first idle episode of a fresh worker runs the full budget.
+  EXPECT_GT(obs::SumSamples(snapshot.Find("pldp_shard_idle_yields_total")),
+            0.0);
   ASSERT_TRUE(engine.Stop().ok());
 }
 

@@ -1,8 +1,8 @@
 // Copyright 2026 The PLDP Authors.
 //
 // Pins the Shard exchange-hook registration race: AddExchange (orchestrator,
-// pre-Start) grows the hook vector while stats() / exchange_count() scrapes
-// may run from any thread at any time. The fix routes every hook-list read
+// pre-Start) grows the hook vector while stats() / exchange_emitter()
+// scrapes may run from any thread at any time. The fix routes every hook-list read
 // through `reg_mu_` and hands the worker a one-time snapshot at startup
 // (src/runtime/shard.h, `SnapshotHooks`). Before the fix, a scrape racing a
 // registration read a std::vector mid-growth — undefined behavior that TSan
@@ -30,6 +30,19 @@ TEST(ShardRaceTest, StatsScrapeRacingExchangeRegistration) {
   for (size_t round = 0; round < kRounds; ++round) {
     Shard shard(0, 64);
     std::vector<std::unique_ptr<ExchangeFabric>> fabrics;
+    const auto add_hook = [&] {
+      fabrics.push_back(std::make_unique<ExchangeFabric>(1, 1, 64));
+      auto emitter = std::make_unique<ExchangeEmitter>(
+          fabrics.back()->Row(0), nullptr, fabrics.back().get());
+      return shard.AddExchange(std::move(emitter),
+                               /*forward_raw_events=*/false);
+    };
+
+    // Hook 0 exists before the scraper starts, so the scraper can read it
+    // while the later registrations reallocate the vector under it.
+    ASSERT_TRUE(add_hook().ok());
+    const ExchangeEmitter* first = shard.exchange_emitter(0);
+    ASSERT_NE(first, nullptr);
 
     std::atomic<bool> stop{false};
     std::atomic<size_t> scrapes{0};
@@ -37,8 +50,7 @@ TEST(ShardRaceTest, StatsScrapeRacingExchangeRegistration) {
       while (!stop.load(std::memory_order_acquire)) {
         const ShardStats stats = shard.stats();
         ASSERT_EQ(stats.shard_index, 0u);
-        const size_t count = shard.exchange_count();
-        ASSERT_LE(count, kHooks);
+        ASSERT_EQ(shard.exchange_emitter(0), first);
         scrapes.fetch_add(1, std::memory_order_relaxed);
       }
     });
@@ -49,19 +61,16 @@ TEST(ShardRaceTest, StatsScrapeRacingExchangeRegistration) {
       std::this_thread::yield();
     }
 
-    for (size_t i = 0; i < kHooks; ++i) {
-      fabrics.push_back(std::make_unique<ExchangeFabric>(1, 1, 64));
-      auto emitter = std::make_unique<ExchangeEmitter>(
-          fabrics.back()->Row(0), nullptr, fabrics.back().get());
-      ASSERT_TRUE(
-          shard.AddExchange(std::move(emitter), /*forward_raw_events=*/false)
-              .ok());
+    for (size_t i = 1; i < kHooks; ++i) {
+      ASSERT_TRUE(add_hook().ok());
     }
 
     stop.store(true, std::memory_order_release);
     scraper.join();
 
-    EXPECT_EQ(shard.exchange_count(), kHooks);
+    for (size_t i = 0; i < kHooks; ++i) {
+      EXPECT_NE(shard.exchange_emitter(i), nullptr);
+    }
     EXPECT_GT(scrapes.load(), 0u);
   }
 }
@@ -87,7 +96,7 @@ TEST(ShardRaceTest, WorkerSnapshotSurvivesConcurrentScrapes) {
   std::thread scraper([&] {
     while (!stop.load(std::memory_order_acquire)) {
       (void)shard.stats();
-      (void)shard.exchange_count();
+      (void)shard.exchange_emitter(0);
       ASSERT_TRUE(shard.Drain().ok());
     }
   });
