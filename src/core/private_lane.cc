@@ -9,16 +9,17 @@
 #include "cep/correlation_key.h"
 
 namespace pldp {
-namespace {
 
 /// Adapts a SubjectViewPublisher to the shard worker's sink interface and
 /// taps its protected views for the exchange: every published view is
 /// flattened into presence events (one per present type, timestamped at
 /// the window start, attributed to the subject) and emitted downstream.
 /// Raw events never reach the emitter — only post-perturbation views do.
-class PublisherSink final : public ShardEventSink {
+/// The first failed Emit (an aborted fabric) latches: no later view is
+/// forwarded, and FinalizeStatus() returns it.
+class PrivateLane::Sink final : public ShardEventSink {
  public:
-  explicit PublisherSink(SubjectPublisherOptions options)
+  explicit Sink(SubjectPublisherOptions options)
       : publisher_(std::move(options)) {
     publisher_.SetViewCallback(
         [this](StreamId subject, const Window& window,
@@ -46,10 +47,13 @@ class PublisherSink final : public ShardEventSink {
 
   SubjectViewPublisher* publisher() { return &publisher_; }
 
+  /// The first Emit failure; read once the runtime's Finish returned.
+  const Status& emit_status() const { return emit_status_; }
+
  private:
   void ForwardView(StreamId subject, const Window& window,
                    const PublishedView& view) {
-    if (emitter_ == nullptr) return;
+    if (emitter_ == nullptr || !emit_status_.ok()) return;
     if (finalizing_) {
       // Finalize-time views share one trigger (the finish bound) across
       // all producers; sub-keys by subject keep the merged order globally
@@ -61,8 +65,12 @@ class PublisherSink final : public ShardEventSink {
     }
     for (size_t t = 0; t < view.presence.size(); ++t) {
       if (!view.presence[t]) continue;
-      (void)emitter_->Emit(
+      Status s = emitter_->Emit(
           Event(static_cast<EventTypeId>(t), window.start, subject));
+      if (!s.ok()) {
+        emit_status_ = std::move(s);
+        return;
+      }
     }
   }
 
@@ -70,9 +78,8 @@ class PublisherSink final : public ShardEventSink {
   ExchangeEmitter* emitter_ = nullptr;
   bool finalizing_ = false;
   uint64_t finish_seq_ = 0;
+  Status emit_status_ = Status::OK();
 };
-
-}  // namespace
 
 PrivateLane::PrivateLane(Timestamp window_size, Timestamp window_origin,
                          uint64_t seed)
@@ -113,8 +120,8 @@ Status PrivateLane::Attach(ParallelStreamingEngine* runtime,
 
   runtime_ = runtime;
   for (size_t i = 0; i < runtime_->shard_count(); ++i) {
-    auto sink = std::make_unique<PublisherSink>(MakePublisherOptions());
-    publishers_.push_back(sink->publisher());
+    auto sink = std::make_unique<Sink>(MakePublisherOptions());
+    sinks_.push_back(sink.get());
     PLDP_RETURN_IF_ERROR(runtime_->SetShardSink(i, std::move(sink)));
   }
   return Status::OK();
@@ -136,8 +143,8 @@ StatusOr<size_t> PrivateLane::AddCrossQuery(Pattern pattern,
 }
 
 void PrivateLane::EnableMetrics(obs::MetricsRegistry* registry) {
-  for (size_t i = 0; i < publishers_.size(); ++i) {
-    const SubjectViewPublisher* publisher = publishers_[i];
+  for (size_t i = 0; i < sinks_.size(); ++i) {
+    const SubjectViewPublisher* publisher = sinks_[i]->publisher();
     const std::string shard_label = std::to_string(i);
     registry->AddCounter(
         "pldp_private_windows_total",
@@ -168,19 +175,18 @@ void PrivateLane::EnableMetrics(obs::MetricsRegistry* registry) {
 }
 
 Status PrivateLane::FinalizeStatus() {
-  Status result = Status::OK();
-  for (SubjectViewPublisher* publisher : publishers_) {
+  for (Sink* sink : sinks_) {
     // Already finalized on the worker; this just collects latched errors.
-    const Status s = publisher->Finalize();
-    if (result.ok() && !s.ok()) result = s;
+    PLDP_RETURN_IF_ERROR(sink->publisher()->Finalize());
+    PLDP_RETURN_IF_ERROR(sink->emit_status());
   }
-  return result;
+  return Status::OK();
 }
 
 std::vector<StreamId> PrivateLane::SubjectIds() const {
   std::vector<StreamId> ids;
-  for (const SubjectViewPublisher* publisher : publishers_) {
-    const std::vector<StreamId> part = publisher->SubjectIds();
+  for (Sink* sink : sinks_) {
+    const std::vector<StreamId> part = sink->publisher()->SubjectIds();
     ids.insert(ids.end(), part.begin(), part.end());
   }
   std::sort(ids.begin(), ids.end());  // publishers hold disjoint subjects
@@ -189,8 +195,8 @@ std::vector<StreamId> PrivateLane::SubjectIds() const {
 
 StatusOr<const SubjectResults*> PrivateLane::ResultsViewFor(
     StreamId subject) const {
-  for (const SubjectViewPublisher* publisher : publishers_) {
-    const SubjectResults* results = publisher->ResultsFor(subject);
+  for (Sink* sink : sinks_) {
+    const SubjectResults* results = sink->publisher()->ResultsFor(subject);
     if (results != nullptr) return results;
   }
   return Status::NotFound("subject never emitted an event");
@@ -198,8 +204,8 @@ StatusOr<const SubjectResults*> PrivateLane::ResultsViewFor(
 
 size_t PrivateLane::total_windows() const {
   size_t total = 0;
-  for (const SubjectViewPublisher* publisher : publishers_) {
-    total += publisher->total_windows();
+  for (Sink* sink : sinks_) {
+    total += sink->publisher()->total_windows();
   }
   return total;
 }

@@ -110,7 +110,9 @@ class PrivateLane {
 
   // --- Results (valid once the runtime's Finish returned) -----------------
 
-  /// The first error any publisher latched while finalizing on its worker.
+  /// The first error a shard's sink latched on its worker: a publisher's
+  /// (mechanism creation, publication or finalization) or a failed Emit of
+  /// a protected view into the exchange (an aborted fabric), shard order.
   Status FinalizeStatus();
 
   /// All data subjects observed, ascending.
@@ -125,6 +127,9 @@ class PrivateLane {
   size_t total_windows() const;
 
  private:
+  /// One stage-1 shard's sink: its publisher and its exchange tap.
+  class Sink;
+
   SubjectPublisherOptions MakePublisherOptions() const;
 
   const Timestamp window_size_;
@@ -134,8 +139,8 @@ class PrivateLane {
   MechanismFactory factory_;
   double epsilon_ = 0.0;
   ParallelStreamingEngine* runtime_ = nullptr;
-  /// One publisher per shard, owned by the shards (via their sinks).
-  std::vector<SubjectViewPublisher*> publishers_;
+  /// One sink (and publisher) per shard, owned by the shards.
+  std::vector<Sink*> sinks_;
   /// Activation budget audit: one grant + one activation charge per
   /// private pattern.
   PatternBudgetLedger ledger_;

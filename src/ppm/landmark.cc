@@ -24,7 +24,6 @@ Status LandmarkPpm::Initialize(const MechanismContext& context) {
   }
 
   context_ = context;
-  type_count_ = context.event_types->size();
 
   private_types_.clear();
   size_t span = 1;
@@ -73,12 +72,13 @@ Status LandmarkPpm::Initialize(const MechanismContext& context) {
                    : (1.0 - options_.landmark_fraction) * native_epsilon_ /
                          static_cast<double>(regular);
 
+  set_type_count(context.event_types->size());
   Reset();
   return Status::OK();
 }
 
 void LandmarkPpm::Reset() {
-  last_published_.assign(type_count_, 0.0);
+  last_published_.assign(type_count(), 0.0);
   has_published_ = false;
 }
 
@@ -89,20 +89,21 @@ bool LandmarkPpm::IsLandmark(const Window& window) const {
                      });
 }
 
-StatusOr<PublishedView> LandmarkPpm::PublishWindow(const Window& window,
-                                                   Rng* rng) {
-  if (type_count_ == 0) {
-    return Status::FailedPrecondition("Initialize() not called");
-  }
-  if (rng == nullptr) return Status::InvalidArgument("rng must not be null");
+bool LandmarkPpm::HasPrivateType(const std::vector<uint32_t>& counts) const {
+  return std::any_of(private_types_.begin(), private_types_.end(),
+                     [&counts](EventTypeId t) {
+                       return t < counts.size() && counts[t] > 0;
+                     });
+}
 
-  std::vector<double> counts(type_count_, 0.0);
-  for (const Event& e : window.events) {
-    if (e.type() < type_count_) counts[e.type()] += 1.0;
-  }
+Status LandmarkPpm::Publish(const std::vector<uint32_t>& counts, Rng* rng,
+                            PublishedView* view) {
+  PLDP_RETURN_IF_ERROR(CheckPublishArgs(counts, view));
+  if (rng == nullptr) return Status::InvalidArgument("rng must not be null");
+  const size_t types = counts.size();
 
   const double ts_budget =
-      IsLandmark(window) ? eps_landmark_ts_ : eps_regular_ts_;
+      HasPrivateType(counts) ? eps_landmark_ts_ : eps_regular_ts_;
   const double eps_test = ts_budget / 2.0;
   const double eps_pub = ts_budget / 2.0;
 
@@ -110,32 +111,31 @@ StatusOr<PublishedView> LandmarkPpm::PublishWindow(const Window& window,
   if (has_published_) {
     // Adaptive sampling: noisy mean-absolute dissimilarity vs last release.
     double dis = 0.0;
-    for (size_t t = 0; t < type_count_; ++t) {
-      dis += std::abs(counts[t] - last_published_[t]);
+    for (size_t t = 0; t < types; ++t) {
+      dis += std::abs(static_cast<double>(counts[t]) - last_published_[t]);
     }
-    dis /= static_cast<double>(type_count_);
+    dis /= static_cast<double>(types);
     PLDP_ASSIGN_OR_RETURN(
         auto dis_mech,
-        LaplaceMechanism::Create(1.0 / static_cast<double>(type_count_),
-                                 eps_test));
+        LaplaceMechanism::Create(1.0 / static_cast<double>(types), eps_test));
     publish = dis_mech.AddNoise(dis, rng) > 1.0 / eps_pub;
   }
 
   if (publish) {
     PLDP_ASSIGN_OR_RETURN(
         auto pub_mech, LaplaceMechanism::Create(/*sensitivity=*/1.0, eps_pub));
-    for (size_t t = 0; t < type_count_; ++t) {
-      last_published_[t] = pub_mech.AddNoise(counts[t], rng);
+    for (size_t t = 0; t < types; ++t) {
+      last_published_[t] =
+          pub_mech.AddNoise(static_cast<double>(counts[t]), rng);
     }
     has_published_ = true;
   }
 
-  PublishedView view;
-  view.presence.assign(type_count_, false);
-  for (size_t t = 0; t < type_count_; ++t) {
-    view.presence[t] = last_published_[t] >= options_.presence_threshold;
+  view->presence.resize(types);
+  for (size_t t = 0; t < types; ++t) {
+    view->presence[t] = last_published_[t] >= options_.presence_threshold;
   }
-  return view;
+  return Status::OK();
 }
 
 }  // namespace pldp

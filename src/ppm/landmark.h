@@ -48,8 +48,8 @@ class LandmarkPpm final : public PrivacyMechanism {
   explicit LandmarkPpm(LandmarkOptions options = {}) : options_(options) {}
 
   Status Initialize(const MechanismContext& context) override;
-  StatusOr<PublishedView> PublishWindow(const Window& window,
-                                        Rng* rng) override;
+  Status Publish(const std::vector<uint32_t>& counts, Rng* rng,
+                 PublishedView* view) override;
   void Reset() override;
   std::string name() const override { return "landmark"; }
 
@@ -61,9 +61,11 @@ class LandmarkPpm final : public PrivacyMechanism {
   bool IsLandmark(const Window& window) const;
 
  private:
+  /// IsLandmark on a window's per-type counts.
+  bool HasPrivateType(const std::vector<uint32_t>& counts) const;
+
   LandmarkOptions options_;
   MechanismContext context_;
-  size_t type_count_ = 0;
   std::unordered_set<EventTypeId> private_types_;
 
   double native_epsilon_ = 0.0;

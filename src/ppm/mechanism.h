@@ -9,7 +9,12 @@
 //
 // This is exactly the paper's binary-answer reduction (§V): presence of the
 // pattern's element types within the window decides the answer, so the
-// published view is a per-type presence vector.
+// published view is a per-type presence vector. A mechanism's input is the
+// window's per-type event counts, never the events themselves: that is all
+// the pattern-level PPMs read (presence is a count above zero), and the
+// w-event baselines are defined on count vectors in the first place. The
+// streaming publisher keeps only those counts per open window; the batch
+// path's `PublishWindow` counts a materialized window for the caller.
 //
 //   - Pattern-level PPMs (uniform/adaptive) perturb only the presence bits
 //     of types that are elements of a private pattern; all other types pass
@@ -24,6 +29,7 @@
 #ifndef PLDP_PPM_MECHANISM_H_
 #define PLDP_PPM_MECHANISM_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -78,20 +84,47 @@ class PrivacyMechanism {
  public:
   virtual ~PrivacyMechanism() = default;
 
-  /// Validates the context and prepares internal state. Must be called
-  /// before the first PublishWindow.
+  /// Validates the context and prepares internal state, including the
+  /// per-window scratch, sized from the registry. Must be called before
+  /// the first Publish.
   virtual Status Initialize(const MechanismContext& context) = 0;
 
-  /// Publishes the protected view of the next window. Windows arrive in
-  /// temporal order; stateful mechanisms rely on that.
-  virtual StatusOr<PublishedView> PublishWindow(const Window& window,
-                                                Rng* rng) = 0;
+  /// Publishes the protected view of the next window from its per-type
+  /// event counts: `counts[t]` is the number of events of type t, and
+  /// `counts.size()` must equal the registry size seen by Initialize
+  /// (types past it are not counted). `view` is owned by the caller and
+  /// may be reused across windows; it is overwritten, and publishing
+  /// allocates nothing once it has its size. Windows arrive in temporal
+  /// order; stateful mechanisms rely on that.
+  virtual Status Publish(const std::vector<uint32_t>& counts, Rng* rng,
+                         PublishedView* view) = 0;
+
+  /// Batch helper: counts the types of a materialized window (ignoring
+  /// types past the registry, as TrueView does) and publishes them through
+  /// Publish, so the batch and streaming paths share one implementation.
+  StatusOr<PublishedView> PublishWindow(const Window& window, Rng* rng);
 
   /// Clears inter-window state (start of a new repetition / stream).
   virtual void Reset() = 0;
 
   /// Mechanism name for reports ("uniform", "bd", ...).
   virtual std::string name() const = 0;
+
+  /// Registry size captured by Initialize (0 before it): the length of
+  /// the counts Publish takes.
+  size_t type_count() const { return type_count_; }
+
+ protected:
+  /// Called by a subclass's Initialize once it has succeeded.
+  void set_type_count(size_t type_count) { type_count_ = type_count; }
+
+  /// The checks every Publish starts with: Initialize succeeded, the
+  /// counts cover exactly the registry, and `view` is set.
+  Status CheckPublishArgs(const std::vector<uint32_t>& counts,
+                          const PublishedView* view) const;
+
+ private:
+  size_t type_count_ = 0;
 };
 
 /// Creates fresh, un-Initialized mechanism instances. The sharded service
@@ -106,13 +139,10 @@ using MechanismFactory =
 class PassthroughMechanism final : public PrivacyMechanism {
  public:
   Status Initialize(const MechanismContext& context) override;
-  StatusOr<PublishedView> PublishWindow(const Window& window,
-                                        Rng* rng) override;
+  Status Publish(const std::vector<uint32_t>& counts, Rng* rng,
+                 PublishedView* view) override;
   void Reset() override {}
   std::string name() const override { return "passthrough"; }
-
- private:
-  size_t type_count_ = 0;
 };
 
 }  // namespace pldp

@@ -2,6 +2,8 @@
 
 #include "ppm/pattern_level.h"
 
+#include <algorithm>
+
 namespace pldp {
 
 Status PatternLevelPpm::Initialize(const MechanismContext& context) {
@@ -23,11 +25,12 @@ Status PatternLevelPpm::Initialize(const MechanismContext& context) {
     }
   }
 
+  set_type_count(0);
   context_ = context;
-  type_count_ = context.event_types->size();
   private_ids_ = context.private_patterns;
   allocations_.clear();
   mechanisms_.clear();
+  size_t longest = 0;
 
   for (PatternId id : private_ids_) {
     const Pattern& p = context.patterns->Get(id);
@@ -40,41 +43,39 @@ Status PatternLevelPpm::Initialize(const MechanismContext& context) {
                           PatternRandomizedResponse::FromAllocation(alloc));
     allocations_.push_back(std::move(alloc));
     mechanisms_.push_back(std::move(mech));
+    longest = std::max(longest, p.length());
   }
-  initialized_ = true;
+  noisy_.assign(longest, false);
+  set_type_count(context.event_types->size());
   return Status::OK();
 }
 
-StatusOr<PublishedView> PatternLevelPpm::PublishWindow(const Window& window,
-                                                       Rng* rng) {
-  if (!initialized_) {
-    return Status::FailedPrecondition("Initialize() not called");
-  }
+Status PatternLevelPpm::Publish(const std::vector<uint32_t>& counts,
+                                Rng* rng, PublishedView* view) {
+  PLDP_RETURN_IF_ERROR(CheckPublishArgs(counts, view));
   if (rng == nullptr) return Status::InvalidArgument("rng must not be null");
 
-  PublishedView view = TrueView(window, type_count_);
+  std::vector<bool>& presence = view->presence;
+  presence.resize(counts.size());
+  for (size_t t = 0; t < counts.size(); ++t) presence[t] = counts[t] > 0;
 
   // Independent application per private pattern, in registration order.
   for (size_t k = 0; k < private_ids_.size(); ++k) {
-    const Pattern& p = context_.patterns->Get(private_ids_[k]);
-    const auto& elems = p.elements();
-
-    // Collect the current indicator of each element...
-    std::vector<bool> indicators(elems.size());
+    const auto& elems = context_.patterns->Get(private_ids_[k]).elements();
+    const PatternRandomizedResponse& rr = mechanisms_[k];
+    // Perturb each element's current indicator (one RR per element, in
+    // element order) before any is written back...
     for (size_t i = 0; i < elems.size(); ++i) {
-      indicators[i] = view.presence[elems[i]];
+      noisy_[i] = rr.mechanism(i).Perturb(presence[elems[i]], rng);
     }
-    // ...perturb them jointly (one RR per element)...
-    PLDP_ASSIGN_OR_RETURN(std::vector<bool> noisy,
-                          mechanisms_[k].Perturb(indicators, rng));
-    // ...and write back. When a type repeats within the pattern, the later
+    // ...then write back. When a type repeats within the pattern, the later
     // element's output wins (each element is an independent mechanism; the
     // published bit composes their outputs).
     for (size_t i = 0; i < elems.size(); ++i) {
-      view.presence[elems[i]] = noisy[i];
+      presence[elems[i]] = noisy_[i];
     }
   }
-  return view;
+  return Status::OK();
 }
 
 StatusOr<BudgetAllocation> UniformPatternPpm::MakeAllocation(

@@ -28,8 +28,8 @@ class PatternLevelPpm : public PrivacyMechanism {
  public:
   Status Initialize(const MechanismContext& context) override;
 
-  StatusOr<PublishedView> PublishWindow(const Window& window,
-                                        Rng* rng) override;
+  Status Publish(const std::vector<uint32_t>& counts, Rng* rng,
+                 PublishedView* view) override;
 
   void Reset() override {}  // stateless across windows
 
@@ -53,11 +53,12 @@ class PatternLevelPpm : public PrivacyMechanism {
 
  private:
   MechanismContext context_;
-  size_t type_count_ = 0;
   std::vector<PatternId> private_ids_;
   std::vector<BudgetAllocation> allocations_;
   std::vector<PatternRandomizedResponse> mechanisms_;
-  bool initialized_ = false;
+  /// Per-window scratch: one pattern's perturbed element bits, sized to
+  /// the longest private pattern.
+  std::vector<bool> noisy_;
 };
 
 /// Uniform pattern-level PPM (paper §V-A): ε_i = ε / m.

@@ -35,33 +35,37 @@ StatusOr<SubjectViewPublisher::SubjectState*> SubjectViewPublisher::GetOrCreate(
   SubjectState state(event.stream(),
                      Rng(SubjectSeed(options_.seed, event.stream())));
   state.mechanism = std::move(mechanism);
-  state.current.start = AlignWindowStart(
-      event.timestamp(), options_.window_origin, options_.window_size);
-  state.current.end = state.current.start + options_.window_size;
+  state.start = AlignWindowStart(event.timestamp(), options_.window_origin,
+                                 options_.window_size);
+  state.end = state.start + options_.window_size;
+  state.counts.assign(state.mechanism->type_count(), 0);
   state.results.answers.resize(options_.queries.size());
   auto inserted = subjects_.emplace(event.stream(), std::move(state));
-  // order: relaxed; standalone telemetry count (see subject_count()).
-  subject_count_.fetch_add(1, std::memory_order_relaxed);
+  // order: relaxed (load and store); this thread is the only writer, and
+  // the count is standalone telemetry (see subject_count()).
+  subject_count_.store(subject_count_.load(std::memory_order_relaxed) + 1,
+                       std::memory_order_relaxed);
   return &inserted.first->second;
 }
 
 Status SubjectViewPublisher::PublishCurrent(SubjectState* state) {
-  PLDP_ASSIGN_OR_RETURN(PublishedView view,
-                        state->mechanism->PublishWindow(state->current,
-                                                        &state->rng));
+  PLDP_RETURN_IF_ERROR(
+      state->mechanism->Publish(state->counts, &state->rng, &view_));
   for (size_t i = 0; i < options_.queries.size(); ++i) {
     state->results.answers[options_.queries[i].id].Append(
-        PatternDetectedInView(view, *targets_[i]));
+        PatternDetectedInView(view_, *targets_[i]));
   }
   if (view_callback_) {
-    view_callback_(state->subject, state->current, view);
+    view_callback_(state->subject, Window{state->start, state->end, {}},
+                   view_);
   }
   ++state->results.window_count;
-  // order: relaxed; standalone telemetry count (see subject_count()).
-  total_windows_.fetch_add(1, std::memory_order_relaxed);
-  state->current.events.clear();
-  state->current.start = state->current.end;
-  state->current.end += options_.window_size;
+  // order: relaxed (load and store); single writer, see subject_count().
+  total_windows_.store(total_windows_.load(std::memory_order_relaxed) + 1,
+                       std::memory_order_relaxed);
+  std::fill(state->counts.begin(), state->counts.end(), 0);
+  state->start = state->end;
+  state->end += options_.window_size;
   return Status::OK();
 }
 
@@ -77,14 +81,14 @@ void SubjectViewPublisher::Absorb(const Event& event) {
   // Close every window the event skipped past — empty windows are still
   // published (an evaluation point with noise can answer positive), exactly
   // as TumblingWindower emits them.
-  while (event.timestamp() >= state->current.end) {
+  while (event.timestamp() >= state->end) {
     Status s = PublishCurrent(state);
     if (!s.ok()) {
       error_ = s;
       return;
     }
   }
-  state->current.events.push_back(event);
+  if (event.type() < state->counts.size()) ++state->counts[event.type()];
 }
 
 Status SubjectViewPublisher::Finalize() {
@@ -98,8 +102,8 @@ Status SubjectViewPublisher::Finalize() {
   std::vector<StreamId> ids = SubjectIds();
   for (StreamId id : ids) {
     // The open window holds the subject's last event (events are only ever
-    // appended to the open window), so one publication closes the series at
-    // the same window TumblingWindower ends on.
+    // counted into the open window), so one publication closes the series
+    // at the same window TumblingWindower ends on.
     Status s = PublishCurrent(&subjects_.at(id));
     if (!s.ok()) {
       error_ = s;

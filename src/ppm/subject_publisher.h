@@ -75,12 +75,14 @@ struct SubjectPublisherOptions {
 };
 
 /// Observes every protected view the moment it is published: the subject,
-/// the window it covers, and the view itself. Runs synchronously on the
-/// publishing thread, in publication order — deterministic given the input
-/// stream, because windows close on subject-local triggers and Finalize
-/// publishes in ascending subject order. This is how the exchange pipeline
-/// taps protected output for cross-subject correlation without raw events
-/// ever leaving the shard.
+/// the window it covers, and the view itself. The window carries its
+/// bounds only (`events` is empty: the publisher keeps no raw events), and
+/// both references are valid only during the call. Runs synchronously on
+/// the publishing thread, in publication order — deterministic given the
+/// input stream, because windows close on subject-local triggers and
+/// Finalize publishes in ascending subject order. This is how the exchange
+/// pipeline taps protected output for cross-subject correlation without
+/// raw events ever leaving the shard.
 using ViewCallback = std::function<void(
     StreamId subject, const Window& window, const PublishedView& view)>;
 
@@ -140,15 +142,20 @@ class SubjectViewPublisher {
     StreamId subject = kDefaultStream;
     std::unique_ptr<PrivacyMechanism> mechanism;
     Rng rng;
-    /// The open window: [current.start, current.end) accumulating events.
-    Window current;
+    /// The open window [start, end) as the mechanism reads it: per-type
+    /// event counts, sized to the registry its mechanism was initialized
+    /// with (later types are not counted, as TrueView ignores them).
+    Timestamp start = 0;
+    Timestamp end = 0;
+    std::vector<uint32_t> counts;
     SubjectResults results;
   };
 
   StatusOr<SubjectState*> GetOrCreate(const Event& event)
       PLDP_REQUIRES(owner_role_);
 
-  /// Publishes the open window and advances to the next one.
+  /// Publishes the open window, clears its counts and advances to the
+  /// next one.
   Status PublishCurrent(SubjectState* state) PLDP_REQUIRES(owner_role_);
 
   /// Single-owner contract (see class comment): one shard worker drives
@@ -164,7 +171,10 @@ class SubjectViewPublisher {
   std::vector<const Pattern*> targets_;
   std::unordered_map<StreamId, SubjectState> subjects_
       PLDP_GUARDED_BY(owner_role_);
-  /// Written by the owner only; atomic so scrapes may read them mid-run.
+  /// The view every publication writes into, reused across windows.
+  PublishedView view_ PLDP_GUARDED_BY(owner_role_);
+  /// Written by the owner only (a relaxed load and store, no locked
+  /// read-modify-write); atomic so scrapes may read them mid-run.
   std::atomic<uint64_t> subject_count_{0};
   std::atomic<uint64_t> total_windows_{0};
   Status error_ PLDP_GUARDED_BY(owner_role_) = Status::OK();

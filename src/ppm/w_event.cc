@@ -31,7 +31,6 @@ Status WEventPpm::Initialize(const MechanismContext& context) {
   if (options_.w == 0) return Status::InvalidArgument("w must be > 0");
 
   context_ = context;
-  type_count_ = context.event_types->size();
 
   size_t span = MaxPrivateSpan(context);
   PLDP_ASSIGN_OR_RETURN(
@@ -41,29 +40,23 @@ Status WEventPpm::Initialize(const MechanismContext& context) {
   budget_unit_ = native_epsilon_ / (2.0 * static_cast<double>(options_.w));
   dissim_epsilon_per_ts_ = budget_unit_;
 
+  set_type_count(context.event_types->size());
   Reset();
   return Status::OK();
 }
 
 void WEventPpm::Reset() {
-  last_published_.assign(type_count_, 0.0);
+  last_published_.assign(type_count(), 0.0);
   has_published_ = false;
   timestamp_ = 0;
   publication_count_ = 0;
 }
 
-StatusOr<PublishedView> WEventPpm::PublishWindow(const Window& window,
-                                                 Rng* rng) {
-  if (type_count_ == 0) {
-    return Status::FailedPrecondition("Initialize() not called");
-  }
+Status WEventPpm::Publish(const std::vector<uint32_t>& counts, Rng* rng,
+                          PublishedView* view) {
+  PLDP_RETURN_IF_ERROR(CheckPublishArgs(counts, view));
   if (rng == nullptr) return Status::InvalidArgument("rng must not be null");
-
-  // True per-type counts of this window.
-  std::vector<double> counts(type_count_, 0.0);
-  for (const Event& e : window.events) {
-    if (e.type() < type_count_) counts[e.type()] += 1.0;
-  }
+  const size_t types = counts.size();
 
   const double pub_budget = PublicationBudget();
   bool publish = false;
@@ -78,13 +71,13 @@ StatusOr<PublishedView> WEventPpm::PublishWindow(const Window& window,
     // dissimilarity exceeds the error a fresh publication would carry
     // (the Laplace scale of the publication noise).
     double dis = 0.0;
-    for (size_t t = 0; t < type_count_; ++t) {
-      dis += std::abs(counts[t] - last_published_[t]);
+    for (size_t t = 0; t < types; ++t) {
+      dis += std::abs(static_cast<double>(counts[t]) - last_published_[t]);
     }
-    dis /= static_cast<double>(type_count_);
+    dis /= static_cast<double>(types);
     PLDP_ASSIGN_OR_RETURN(
         auto dis_mech,
-        LaplaceMechanism::Create(1.0 / static_cast<double>(type_count_),
+        LaplaceMechanism::Create(1.0 / static_cast<double>(types),
                                  dissim_epsilon_per_ts_));
     double noisy_dis = dis_mech.AddNoise(dis, rng);
     double publication_error = 1.0 / pub_budget;  // Laplace scale at Δ=1
@@ -94,8 +87,9 @@ StatusOr<PublishedView> WEventPpm::PublishWindow(const Window& window,
   if (publish) {
     PLDP_ASSIGN_OR_RETURN(auto pub_mech, LaplaceMechanism::Create(
                                              /*sensitivity=*/1.0, pub_budget));
-    for (size_t t = 0; t < type_count_; ++t) {
-      last_published_[t] = pub_mech.AddNoise(counts[t], rng);
+    for (size_t t = 0; t < types; ++t) {
+      last_published_[t] =
+          pub_mech.AddNoise(static_cast<double>(counts[t]), rng);
     }
     has_published_ = true;
     spent = pub_budget;
@@ -104,12 +98,11 @@ StatusOr<PublishedView> WEventPpm::PublishWindow(const Window& window,
   OnDecision(publish, spent);
   ++timestamp_;
 
-  PublishedView view;
-  view.presence.assign(type_count_, false);
-  for (size_t t = 0; t < type_count_; ++t) {
-    view.presence[t] = last_published_[t] >= options_.presence_threshold;
+  view->presence.resize(types);
+  for (size_t t = 0; t < types; ++t) {
+    view->presence[t] = last_published_[t] >= options_.presence_threshold;
   }
-  return view;
+  return Status::OK();
 }
 
 void BudgetAbsorptionPpm::Reset() {

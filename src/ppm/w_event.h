@@ -48,8 +48,8 @@ class WEventPpm : public PrivacyMechanism {
   explicit WEventPpm(WEventOptions options) : options_(options) {}
 
   Status Initialize(const MechanismContext& context) override;
-  StatusOr<PublishedView> PublishWindow(const Window& window,
-                                        Rng* rng) override;
+  Status Publish(const std::vector<uint32_t>& counts, Rng* rng,
+                 PublishedView* view) override;
   void Reset() override;
 
   /// Native w-event budget after conversion from pattern-level ε.
@@ -72,7 +72,6 @@ class WEventPpm : public PrivacyMechanism {
  private:
   WEventOptions options_;
   MechanismContext context_;
-  size_t type_count_ = 0;
   double native_epsilon_ = 0.0;
   double budget_unit_ = 0.0;
   double dissim_epsilon_per_ts_ = 0.0;

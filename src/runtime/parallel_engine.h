@@ -205,6 +205,15 @@ class ParallelStreamingEngine : public StreamSubscriber {
   /// Drains and joins all workers. Idempotent; called by the destructor.
   Status Stop();
 
+  /// Emergency brake on every exchange lane-group (ExchangeFabric::Abort):
+  /// an Emit that finds its lane out of credits or full fails fast instead
+  /// of waiting for a consumer. Stop() pulls it once the producers are
+  /// joined; pulled earlier, the private lane latches the first failed
+  /// Emit and reports it after Finish (PrivateLane::FinalizeStatus).
+  void AbortExchange() {
+    for (auto& group : groups_) group.fabric->Abort();
+  }
+
   // order: relaxed; status poll — lifecycle handoffs are synchronized
   // by Start/Stop themselves, not by this flag.
   bool running() const { return running_.load(std::memory_order_relaxed); }

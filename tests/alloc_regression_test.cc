@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "api/pipeline_builder.h"
 #include "common/random.h"
 #include "event/symbol_table.h"
 #include "obs/metrics.h"
@@ -294,6 +295,102 @@ TEST(AllocRegressionTest, ExchangePipelineSteadyStateIsAllocationFree) {
   for (bool metrics : {false, true}) {
     ExpectExchangeSteadyStateAllocationFree(metrics);
   }
+}
+
+/// The private lane's shape, scaled down from perfbench's `private`
+/// workload: uniform subjects over 8 types, 64 events per tick, and a
+/// privacy window of 64 ticks, so a subject closes a window about every
+/// 4 of its events.
+constexpr size_t kPrivateSubjects = 1024;
+constexpr size_t kPrivateEventsPerTick = 64;
+constexpr Timestamp kPrivateWindow = 64;
+
+std::vector<Event> MakePrivateStream(size_t num_events, size_t first_event,
+                                     uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Event> events;
+  events.reserve(num_events);
+  for (size_t i = first_event; i < first_event + num_events; ++i) {
+    events.push_back(
+        Event(static_cast<EventTypeId>(rng.UniformUint64(8)),
+              static_cast<Timestamp>(i / kPrivateEventsPerTick),
+              static_cast<StreamId>(rng.UniformUint64(kPrivateSubjects))));
+  }
+  return events;
+}
+
+// The private lane publishes from per-type counts into a reused view:
+// once every subject has been seen, absorbing an event and closing a
+// window allocate nothing. What remains is each subject's answer series
+// growing (three bits per window, in doubling steps), well under the
+// bound; buffering each window's events and allocating the view and its
+// scratch per window costs about 0.75 allocations per event here.
+TEST(AllocRegressionTest, PrivatePipelineSteadyStateAllocations) {
+  if (!bench::kAllocHookActive) {
+    GTEST_SKIP() << "allocation hook inactive under sanitizers";
+  }
+  PipelineBuilder builder;
+  builder.WithShards(3).WithQueueCapacity(4096);
+  const char* const kTypes[] = {"door",   "motion", "kettle", "tv",
+                                "fridge", "shower", "light",  "lock"};
+  for (const char* name : kTypes) builder.InternEventType(name);
+  builder.AddPrivatePattern(
+      Pattern::Create("home_alone", {0, 1}, DetectionMode::kConjunction));
+  const Pattern targets[] = {
+      Pattern::Create("breakfast", {0, 2}, DetectionMode::kSequence).value(),
+      Pattern::Create("evening", {3, 4}, DetectionMode::kConjunction).value(),
+      Pattern::Create("bedtime", {5, 6, 7}, DetectionMode::kSequence).value()};
+  for (const Pattern& p : targets) builder.AddPrivateQuery(p.name(), p);
+  // A plain query on a type the stream never carries: it matches nothing
+  // and makes Drain() the runtime barrier (a private-only pipeline's
+  // Drain returns at once), so the measured segment ends once the shards
+  // have absorbed it.
+  builder.AddQuery(Pattern::Create("never", {8}, DetectionMode::kSequence),
+                   kPrivateWindow);
+  builder.WithPrivacyWindow(kPrivateWindow)
+      .WithEpsilon(1.0)
+      .WithMechanism("uniform")
+      .WithSeed(0x5eed);
+  auto built = builder.Build();
+  ASSERT_TRUE(built.ok()) << built.status();
+  std::unique_ptr<Pipeline> pipeline = std::move(built).value();
+
+  // Warmup: every subject is created (mechanism, counts, map node) and
+  // has published about 32 windows.
+  constexpr size_t kWarmup = 131072;
+  constexpr size_t kMeasured = 262144;
+  const std::vector<Event> warmup = MakePrivateStream(kWarmup, 0, 21);
+  const std::vector<Event> measured =
+      MakePrivateStream(kMeasured, kWarmup, 23);
+  constexpr size_t kBatch = 1024;
+  for (size_t i = 0; i < warmup.size(); i += kBatch) {
+    ASSERT_TRUE(
+        pipeline->OnEventBatch(EventSpan(warmup.data() + i, kBatch)).ok());
+  }
+  ASSERT_TRUE(pipeline->Drain().ok());
+
+  bench::ResetAllocCounters();
+  bench::SetAllocCounting(true);
+  for (size_t i = 0; i < measured.size(); i += kBatch) {
+    ASSERT_TRUE(
+        pipeline->OnEventBatch(EventSpan(measured.data() + i, kBatch)).ok());
+  }
+  ASSERT_TRUE(pipeline->Drain().ok());
+  bench::SetAllocCounting(false);
+
+  const bench::AllocCounters counters = bench::GetAllocCounters();
+  const double per_event = static_cast<double>(counters.allocs) /
+                           static_cast<double>(measured.size());
+  EXPECT_LE(per_event, 0.05)
+      << "private steady state allocated " << counters.allocs << " times ("
+      << counters.bytes << " bytes) across " << measured.size() << " events";
+
+  auto finished = pipeline->Finish();
+  ASSERT_TRUE(finished.ok()) << finished.status();
+  EXPECT_EQ(finished.value().Subjects().size(), kPrivateSubjects);
+  // About 96 windows per subject; a publisher that closed no windows in
+  // the measured segment would pass the bound above vacuously.
+  EXPECT_GT(finished.value().total_windows(), 90 * kPrivateSubjects);
 }
 
 TEST(AllocRegressionTest, EventCopyWithInlineInternedAttrsIsAllocationFree) {

@@ -72,36 +72,20 @@ void RegisterSetup(PrivateCepEngine* engine, uint64_t seed) {
   for (size_t i = 0; i < kRegisteredTypes; ++i) {
     ASSERT_EQ(engine->InternEventType(kTypes[i]), i);
   }
-  ASSERT_TRUE(engine
-                  ->RegisterPrivatePattern(MakePattern(
-                      "home_alone", {0, 1}, DetectionMode::kConjunction))
-                  .ok());
-  ASSERT_TRUE(engine
-                  ->RegisterPrivatePattern(MakePattern(
-                      "night", {1, 6, 7}, DetectionMode::kSequence))
-                  .ok());
-  ASSERT_TRUE(engine
-                  ->RegisterPrivatePattern(MakePattern(
-                      "pacing", {5, 1, 5}, DetectionMode::kSequence))
-                  .ok());
-  ASSERT_TRUE(engine
-                  ->RegisterTargetQuery(
-                      "breakfast",
-                      MakePattern("breakfast", {0, 2},
-                                  DetectionMode::kSequence))
-                  .ok());
-  ASSERT_TRUE(engine
-                  ->RegisterTargetQuery(
-                      "evening",
-                      MakePattern("evening", {3, 4},
-                                  DetectionMode::kConjunction))
-                  .ok());
-  ASSERT_TRUE(engine
-                  ->RegisterTargetQuery(
-                      "bedtime",
-                      MakePattern("bedtime", {5, 6, 7},
-                                  DetectionMode::kSequence))
-                  .ok());
+  const Pattern private_patterns[] = {
+      MakePattern("home_alone", {0, 1}, DetectionMode::kConjunction),
+      MakePattern("night", {1, 6, 7}, DetectionMode::kSequence),
+      MakePattern("pacing", {5, 1, 5}, DetectionMode::kSequence)};
+  for (const Pattern& p : private_patterns) {
+    ASSERT_TRUE(engine->RegisterPrivatePattern(p).ok());
+  }
+  const Pattern targets[] = {
+      MakePattern("breakfast", {0, 2}, DetectionMode::kSequence),
+      MakePattern("evening", {3, 4}, DetectionMode::kConjunction),
+      MakePattern("bedtime", {5, 6, 7}, DetectionMode::kSequence)};
+  for (const Pattern& p : targets) {
+    ASSERT_TRUE(engine->RegisterTargetQuery(p.name(), p).ok());
+  }
 
   Rng rng(seed ^ 0x4157u);
   std::vector<Window> history(32);
@@ -110,9 +94,9 @@ void RegisterSetup(PrivateCepEngine* engine, uint64_t seed) {
     history[w].end = history[w].start + kWindowSize;
     const size_t n = rng.UniformUint64(6);
     for (size_t i = 0; i < n; ++i) {
-      history[w].events.push_back(
-          Event(static_cast<EventTypeId>(rng.UniformUint64(kRegisteredTypes)),
-                history[w].start, 0));
+      const auto type =
+          static_cast<EventTypeId>(rng.UniformUint64(kRegisteredTypes));
+      history[w].events.push_back(Event(type, history[w].start, 0));
     }
   }
   engine->SetHistory(std::move(history));
@@ -127,14 +111,19 @@ std::vector<Event> MakeStream(uint64_t seed) {
   events.reserve(kEvents);
   Timestamp ts = 0;
   for (size_t i = 0; i < kEvents; ++i) {
-    ts += rng.UniformUint64(256) == 0
-              ? static_cast<Timestamp>(rng.UniformUint64(3 * kWindowSize))
-              : 1;
+    if (rng.UniformUint64(256) == 0) {
+      ts += static_cast<Timestamp>(rng.UniformUint64(3 * kWindowSize));
+    } else {
+      ++ts;
+    }
     const auto subject = static_cast<StreamId>(rng.UniformUint64(kSubjects));
-    const auto type = static_cast<EventTypeId>(
-        rng.UniformUint64(64) == 0 ? kRegisteredTypes + rng.UniformUint64(2)
-                                   : rng.UniformUint64(kRegisteredTypes));
-    events.push_back(Event(type, ts, subject));
+    uint64_t type = 0;
+    if (rng.UniformUint64(64) == 0) {
+      type = kRegisteredTypes + rng.UniformUint64(2);
+    } else {
+      type = rng.UniformUint64(kRegisteredTypes);
+    }
+    events.push_back(Event(static_cast<EventTypeId>(type), ts, subject));
   }
   return events;
 }
@@ -159,15 +148,15 @@ uint64_t PublisherHash(const std::string& mechanism, uint64_t seed) {
 
   Hasher hash;
   size_t views = 0;
-  publisher.SetViewCallback([&hash, &views](StreamId subject,
-                                            const Window& window,
-                                            const PublishedView& view) {
-    hash.Add(subject);
-    hash.Add(static_cast<uint64_t>(window.start));
-    hash.Add(static_cast<uint64_t>(window.end));
-    hash.AddBits(view.presence);
-    ++views;
-  });
+  publisher.SetViewCallback(
+      [&hash, &views](StreamId subject, const Window& window,
+                      const PublishedView& view) {
+        hash.Add(subject);
+        hash.Add(static_cast<uint64_t>(window.start));
+        hash.Add(static_cast<uint64_t>(window.end));
+        hash.AddBits(view.presence);
+        ++views;
+      });
   for (const Event& e : MakeStream(seed)) publisher.Absorb(e);
   EXPECT_TRUE(publisher.Finalize().ok());
   EXPECT_EQ(views, publisher.total_windows());
