@@ -266,8 +266,9 @@ class Pipeline : public StreamSubscriber {
   /// a shedding policy the call never blocks on a full queue and may drop
   /// instead (see PipelineBuilder::WithOverloadPolicy). Errors:
   /// FailedPrecondition after Finish()/OnEnd or when a worker stopped
-  /// mid-push. Batching is cheaper on the ingest thread (per-shard
-  /// staging, one queue release store per shard burst).
+  /// mid-push. Batching is cheaper on the ingest thread (each event is
+  /// stamped straight into a claimed slot of its shard's ring; each
+  /// shard's slots are published with one release store per batch).
   Status OnEventBatch(EventSpan events) override;
 
   /// Feeds one event: OnEventBatch over a one-element span, with the same

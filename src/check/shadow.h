@@ -159,6 +159,11 @@ class ShadowRaceCell {
     internal::RaceRead(const_cast<internal::RaceState&>(race_));
     return value_;
   }
+  /// Checked in-place write (pldp::RaceCellWrite routes here).
+  T& Write() {
+    internal::RaceWrite(race_);
+    return value_;
+  }
 
  private:
   T value_{};

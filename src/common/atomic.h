@@ -28,6 +28,8 @@
 #ifndef PLDP_COMMON_ATOMIC_H_
 #define PLDP_COMMON_ATOMIC_H_
 
+#include "common/thread_annotations.h"
+
 #ifdef PLDP_MODEL_CHECK
 
 #include "check/shadow.h"
@@ -51,6 +53,13 @@ using RaceCell = check::ShadowRaceCell<T>;
 template <typename T>
 inline T&& RaceCellMove(check::ShadowRaceCell<T>& cell) {
   return cell.Take();
+}
+
+/// Mutable access to a RaceCell's payload, race-checked as one write. Use
+/// where a slot is filled in place instead of assigned.
+template <typename T>
+PLDP_HOT inline T& RaceCellWrite(check::ShadowRaceCell<T>& cell) {
+  return cell.Write();
 }
 
 using SyncMutex = check::ModelMutex;
@@ -94,6 +103,12 @@ using RaceCell = T;
 template <typename T>
 inline T&& RaceCellMove(T& cell) {
   return static_cast<T&&>(cell);
+}
+
+/// Mutable access to a RaceCell's payload (the cell itself here).
+template <typename T>
+PLDP_HOT inline T& RaceCellWrite(T& cell) {
+  return cell;
 }
 
 using SyncMutex = std::mutex;

@@ -14,10 +14,10 @@
 // buffer of `kInlineAttrCapacity` slots. An event whose attributes fit the
 // inline buffer and whose string payloads are interned symbols
 // (`Value::Sym`) copies without touching the heap — the property the
-// sharded runtime's steady state depends on (every hop through an SPSC
-// queue, exchange lane, or staging buffer copies the event). Only events
-// with more attributes spill to a heap-allocated vector, and only owned
-// `kString` payloads allocate on copy.
+// sharded runtime's steady state depends on (ingest copies the event into
+// its shard's ring slot, and every exchange lane hop copies it again).
+// Only events with more attributes spill to a heap-allocated vector, and
+// only owned `kString` payloads allocate on copy.
 
 #ifndef PLDP_EVENT_EVENT_H_
 #define PLDP_EVENT_EVENT_H_

@@ -4,9 +4,9 @@
 // dictionary-encoding half of the zero-allocation data plane.
 //
 // Events used to carry `std::string` attribute names and `Value` carried
-// `std::string` payloads, so every copy through an SPSC lane, exchange
-// lane, or staging buffer heap-allocated, and every attribute-keyed
-// correlation did string compares. Interning replaces both with dense
+// `std::string` payloads, so every copy into a shard ring slot or an
+// exchange lane heap-allocated, and every attribute-keyed correlation did
+// string compares. Interning replaces both with dense
 // integer ids, the same flyweight move `EventTypeRegistry` makes for event
 // types: names are registered once (query registration, dataset
 // construction) and the steady-state event path only ever touches ids.

@@ -35,12 +35,7 @@ ParallelStreamingEngine::ParallelStreamingEngine(ParallelEngineOptions options)
   const size_t n = router_.shard_count();
 
   shards_.reserve(n);
-  staging_.resize(n);
   command_tokens_.resize(n);
-  // Pre-size the per-shard staging buffers so steady-state batched ingest
-  // never grows them: a batch can stage at most its own size per shard, and
-  // capacity is retained across OnEventBatch calls (clear() keeps it).
-  for (auto& buf : staging_) buf.reserve(options.queue_capacity);
   for (size_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<Shard>(i, options.queue_capacity));
   }
@@ -471,19 +466,20 @@ Status ParallelStreamingEngine::OnEventBatch(EventSpan events) {
     return Status::FailedPrecondition("ingestion after Finish()");
   }
   if (events.empty()) return Status::OK();
+  // Stamped from a local copy: this thread is next_seq_'s only writer and
+  // stores it back once per batch (PublishIngested), not once per event.
+  // order: relaxed; same-thread read of this thread's own stores.
+  uint64_t seq = next_seq_.load(std::memory_order_relaxed);
   if (admission_ != nullptr) {
     // Per-event admission: the policies need the queue-full decision at
-    // event granularity, so the bulk staging fast path does not apply.
+    // event granularity, so the in-place claim path does not apply.
     for (const Event& e : events) {
       const size_t target = router_.ShardOf(e);
       // Dropped pre-stamping: the sequence space stays gapless, so
       // shedding leaves the watermark protocol untouched.
       if (admission_->ShouldShedBeforeStamp(target, e)) continue;
       StampedEvent stamped;
-      // order: relaxed; only ticket uniqueness matters — the event itself
-      // is published by the queue push, and floors ride their own
-      // releases.
-      stamped.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
+      stamped.seq = seq++;
       stamped.event = e;
       // Queue full turns into park-or-shed instead of blocking; admitted
       // events are counted (via the shared counter) only when they land.
@@ -491,39 +487,48 @@ Status ParallelStreamingEngine::OnEventBatch(EventSpan events) {
     }
     admission_->Pump();
   } else {
-    for (auto& buf : staging_) buf.clear();
+    // One pass in stream order: route, stamp, and copy each event once,
+    // straight into a claimed slot of its shard's ring.
     for (const Event& e : events) {
-      StampedEvent stamped;
-      // order: relaxed; ticket uniqueness only (see the admission path).
-      stamped.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-      stamped.event = e;
-      staging_[router_.ShardOf(e)].push_back(std::move(stamped));
-    }
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      if (staging_[i].empty()) continue;
-      // Count exactly what each queue accepted: on a failed push (e.g.
-      // racing Stop) events_ingested_ must still reconcile with the
-      // per-shard pushed/processed counters.
-      size_t accepted = 0;
-      const Status s = shards_[i]->PushStampedN(
-          staging_[i].data(), staging_[i].size(), &accepted);
-      // order: relaxed; standalone telemetry counter.
-      events_ingested_.fetch_add(accepted, std::memory_order_relaxed);
-      PLDP_RETURN_IF_ERROR(s);
+      Shard& shard = *shards_[router_.ShardOf(e)];
+      StampedEvent* slot = shard.ClaimSlot();
+      if (slot == nullptr) {
+        // Ring full. Before waiting on this worker, make every event
+        // stamped so far visible and vouch for it with the producer
+        // floor: with an exchange, this worker's output may only be
+        // released downstream once the other shards have processed their
+        // share, or have broadcast watermarks past it.
+        PublishIngested(seq);
+        PublishProducerFloor(seq);
+        slot = shard.AwaitSlot();
+        if (slot == nullptr) {
+          return Status::FailedPrecondition("push after shard stop");
+        }
+      }
+      slot->seq = seq++;
+      slot->event = e;
     }
   }
-  // Every stamped event is now pushed (or parked, which ClampFloor
+  PublishIngested(seq);
+  // Every stamped event is now published (or parked, which ClampFloor
   // covers), so the frontier is a safe floor. A multi-event batch always
   // publishes it; one-element calls (per-event ingest) only every
   // kProducerFloorPeriod events, so a per-event caller does not ring
   // every shard's doorbell on every event.
-  // order: relaxed; same-thread read of our own fetch_adds, and the floor
-  // publication carries its own release semantics.
-  const uint64_t floor = next_seq_.load(std::memory_order_relaxed);
-  if (events.size() > 1 || floor % kProducerFloorPeriod == 0) {
-    PublishProducerFloor(floor);
+  if (events.size() > 1 || seq % kProducerFloorPeriod == 0) {
+    PublishProducerFloor(seq);
   }
   return Status::OK();
+}
+
+void ParallelStreamingEngine::PublishIngested(uint64_t frontier) {
+  size_t published = 0;
+  for (auto& shard : shards_) published += shard->Publish();
+  // order: relaxed; standalone telemetry counter.
+  events_ingested_.fetch_add(published, std::memory_order_relaxed);
+  // order: release; a reader that acquires the frontier also sees the
+  // pushes below it (the frontier never runs ahead of published slots).
+  next_seq_.store(frontier, std::memory_order_release);
 }
 
 void ParallelStreamingEngine::PublishProducerFloor(uint64_t floor) {
@@ -604,9 +609,9 @@ std::vector<ShardStats> ParallelStreamingEngine::ShardStatsSnapshot() const {
 }
 
 uint64_t ParallelStreamingEngine::IngestFrontier() const {
-  // order: relaxed; a frontier snapshot may lag — callers treat it as a
-  // monotonic hint, and queue pushes publish the events themselves.
-  return next_seq_.load(std::memory_order_relaxed);
+  // order: acquire pairs with PublishIngested's release; a snapshot may
+  // still lag — callers treat it as a monotonic hint.
+  return next_seq_.load(std::memory_order_acquire);
 }
 
 std::vector<ShardStats> ParallelStreamingEngine::CrossShardStatsSnapshot()

@@ -31,8 +31,8 @@
 // Internal: not part of the public API in core/pldp.h; tests include it.
 //
 //     caller / StreamReplayer
-//            │ OnEvent / OnEventBatch (stamped with ingest seq,
-//            ▼                         staged per shard, bulk-pushed)
+//            │ OnEvent / OnEventBatch (stamped with ingest seq straight
+//            ▼                         into a claimed ring slot, published)
 //       EventRouter ── hash(subject) % N1 ─► SpscQueue ─► Shard 0 ┐
 //                                            SpscQueue ─► Shard 1 │ stage 1
 //                                            ...                  ┘
@@ -223,9 +223,11 @@ class ParallelStreamingEngine : public StreamSubscriber {
   /// Ingests one event: OnEventBatch over a one-element span.
   Status OnEvent(const Event& event) override;
 
-  /// Bulk ingest: partitions the span into per-shard staging buffers and
-  /// bulk-pushes each (one queue release store per shard burst instead of
-  /// one per event). The only ingest path: OnEvent is a one-element call.
+  /// Bulk ingest, one pass in stream order: routes each event, stamps it
+  /// and copies it once into a claimed slot of its shard's ring, then
+  /// publishes each shard's slots with one release store (a full ring
+  /// publishes every shard and the producer floor before it waits). The
+  /// only ingest path: OnEvent is a one-element call.
   Status OnEventBatch(EventSpan events) override;
 
   /// Drains, so DetectionsOf/stats are consistent the moment
@@ -317,16 +319,14 @@ class ParallelStreamingEngine : public StreamSubscriber {
   std::unique_ptr<AdmissionQueue> admission_;
   /// Ingest confinement: the StreamSubscriber contract (one thread drives
   /// OnEvent/OnEventBatch/OnEnd), asserted at OnEventBatch, ties the
-  /// staging buffers to that thread.
+  /// shards' claim cursors and next_seq_'s writes to that thread.
   ThreadRole ingest_role_;
-  /// Per-shard staging buffers reused across OnEventBatch calls.
-  std::vector<std::vector<StampedEvent>> staging_
-      PLDP_GUARDED_BY(ingest_role_);
   size_t query_count_ = 0;
   /// Global cross-query index -> (lane-group, group-local index).
   std::vector<std::pair<size_t, size_t>> cross_index_;
-  /// Ingest sequence numbers handed out (single ingest thread increments;
-  /// drain barriers read from any thread).
+  /// Ingest frontier: every sequence number below it is stamped and
+  /// published (or parked in admission). Written only by the ingest
+  /// thread, once per batch; drain barriers read it from any thread.
   std::atomic<uint64_t> next_seq_{0};
   std::atomic<uint64_t> events_ingested_{0};
   // Written only by Start/Stop (single orchestrating thread); atomic so
@@ -355,6 +355,9 @@ class ParallelStreamingEngine : public StreamSubscriber {
   /// Ingest frontier minus the merge shard's safe watermark (0 when it
   /// caught up) — shared by CollectHealth and the watermark-lag gauge.
   uint64_t WatermarkLag(const MergeShard& merge) const;
+  /// Publishes every shard's claimed slots, counts them ingested, then
+  /// stores `frontier`, the next sequence number to stamp, as next_seq_.
+  void PublishIngested(uint64_t frontier) PLDP_REQUIRES(ingest_role_);
   void PublishProducerFloor(uint64_t floor);
   /// Snapshot of the ingest frontier: every stamped sequence number is
   /// strictly below it. Safe from any thread (best-effort while the

@@ -11,10 +11,10 @@
 namespace pldp {
 namespace {
 
-// Worker-side pop burst size: large enough to amortize the release store
-// and the backoff bookkeeping, small enough to keep the drain latency of a
-// partially filled queue negligible.
-constexpr size_t kPopBatch = 256;
+// Worker-side burst, processed in place and released at once: large
+// enough to amortize the release store and the backoff bookkeeping, small
+// enough to keep the drain latency of a partially filled ring negligible.
+constexpr size_t kBurst = 256;
 
 }  // namespace
 
@@ -127,52 +127,63 @@ Status Shard::Start() {
   return Status::OK();
 }
 
-Status Shard::PushStampedN(StampedEvent* events, size_t count,
-                           size_t* accepted) {
-  if (accepted != nullptr) *accepted = 0;
-  // order: relaxed; advisory guard — a racing Stop is caught by the
-  // fail-fast stop_requested_ check inside the push loop.
-  if (!running_.load(std::memory_order_relaxed)) {
-    return Status::FailedPrecondition("shard not running");
-  }
+size_t Shard::Publish() {
+  const size_t n = claimed_;
+  if (n == 0) return 0;
+  queue_.Publish(n);
+  granted_ -= n;
+  claimed_ = 0;
+  // order: relaxed; Drain reads it from the producer thread itself (or
+  // under an external happens-before), and the ring's release store above
+  // already published the events.
+  pushed_.fetch_add(n, std::memory_order_relaxed);
+  return n;
+}
+
+StampedEvent* Shard::AwaitSlot() {
+  // The worker can only free slots the producer has published.
+  Publish();
   Backoff backoff;
-  bool waited = false;
-  size_t done = 0;
-  while (done < count) {
+  for (;;) {
     // Fail fast instead of spinning forever when the worker is gone (a
     // push racing Stop(), or a producer outliving the shard's shutdown).
-    // Events enqueued before the cutoff still count as pushed; Stop()
-    // processes any queue leftovers after joining the worker, so Drain
+    // Events published before the cutoff still count as pushed; Stop()
+    // processes any ring leftovers after joining the worker, so Drain
     // stays consistent even if the worker missed them.
     // order: relaxed; fail-fast hint — Stop()'s post-join leftover pass
     // makes the cutoff exact regardless of what this load observes.
     if (stop_requested_.load(std::memory_order_relaxed)) {
-      // order: relaxed; Drain reads pushed_ from the producer thread.
-      if (done > 0) pushed_.fetch_add(done, std::memory_order_relaxed);
-      if (accepted != nullptr) *accepted = done;
-      PLDP_LOG(Warning) << "shard " << index_ << ": push after stop, "
-                        << (count - done) << " of " << count
-                        << " events rejected";
-      return Status::FailedPrecondition("push after shard stop");
+      PLDP_LOG(Warning) << "shard " << index_
+                        << ": push after stop rejected";
+      return nullptr;
     }
-    const size_t n = queue_.TryPushN(events + done, count - done);
-    if (n == 0) {
-      waited = true;
-      backoff.Wait();
-    } else {
-      done += n;
-      backoff.Reset();
+    backoff.Wait();
+    if (StampedEvent* slot = ClaimSlot()) {
+      // order: relaxed; telemetry only.
+      backpressure_waits_.fetch_add(1, std::memory_order_relaxed);
+      return slot;
     }
   }
-  if (waited) {
-    // order: relaxed; telemetry only.
-    backpressure_waits_.fetch_add(1, std::memory_order_relaxed);
+}
+
+Status Shard::PushStampedN(StampedEvent* events, size_t count,
+                           size_t* accepted) {
+  if (accepted != nullptr) *accepted = 0;
+  // order: relaxed on both flags; advisory fail-fast guards — a racing
+  // Stop is caught by AwaitSlot's check.
+  if (!running_.load(std::memory_order_relaxed) ||
+      stop_requested_.load(std::memory_order_relaxed)) {
+    return Status::FailedPrecondition("shard not running");
   }
-  // order: relaxed; Drain reads it from the producer thread itself (or
-  // under an external happens-before), and the queue push above already
-  // published the events with release.
-  pushed_.fetch_add(count, std::memory_order_relaxed);
-  if (accepted != nullptr) *accepted = count;
+  size_t done = 0;
+  for (; done < count; ++done) {
+    StampedEvent* slot = ClaimSlot();
+    if (slot == nullptr && (slot = AwaitSlot()) == nullptr) break;
+    *slot = std::move(events[done]);
+  }
+  Publish();
+  if (accepted != nullptr) *accepted = done;
+  if (done < count) return Status::FailedPrecondition("push after shard stop");
   return Status::OK();
 }
 
@@ -183,9 +194,12 @@ size_t Shard::TryPushStampedN(StampedEvent* events, size_t count) {
       stop_requested_.load(std::memory_order_relaxed)) {
     return 0;
   }
-  const size_t n = queue_.TryPushN(events, count);
-  // order: relaxed; same contract as PushStampedN's pushed_ update.
-  if (n > 0) pushed_.fetch_add(n, std::memory_order_relaxed);
+  size_t n = 0;
+  for (StampedEvent* slot; n < count && (slot = ClaimSlot()) != nullptr;
+       ++n) {
+    *slot = std::move(events[n]);
+  }
+  Publish();
   return n;
 }
 
@@ -257,9 +271,9 @@ Status Shard::Stop() {
   // processed_ is released.
   worker_role_.Acquire();
   const std::vector<ExchangeHookRef> hooks = SnapshotHooks();
-  StampedEvent leftover;
-  while (queue_.TryPop(leftover)) {
-    ProcessOne(leftover, hooks);
+  while (queue_.Peek(1) == 1) {
+    ProcessOne(queue_.PeekedSlot(0), hooks);
+    queue_.Release(1);
     if (obs_.batch_size) obs_.batch_size->Record(1);
     if (obs_.process_latency_ns) obs_.process_latency_ns->Record(0);
     // order: release; releases a concurrent Drain (see header contract).
@@ -348,7 +362,6 @@ void Shard::ProcessOne(const StampedEvent& stamped,
 
 void Shard::RunLoop() {
   Backoff backoff(&idle_yields_);
-  std::vector<StampedEvent> batch(kPopBatch);
   // One snapshot for the thread's lifetime: AddExchange refuses once the
   // shard runs, so the list is frozen and the per-event path stays off
   // the registration mutex.
@@ -357,7 +370,7 @@ void Shard::RunLoop() {
   // park predicate watches the producer floor against it.
   uint64_t last_idle_bound = 0;
   for (;;) {
-    const size_t n = queue_.TryPopN(batch.data(), batch.size());
+    const size_t n = queue_.Peek(kBurst);
     if (n > 0) {
       backoff.Reset();
       if (obs_.batch_size) obs_.batch_size->Record(n);
@@ -365,13 +378,14 @@ void Shard::RunLoop() {
       // that event's full processing latency (engine + sink + exchange).
       uint64_t t_prev = obs_.process_latency_ns ? obs::MonotonicNowNs() : 0;
       for (size_t i = 0; i < n; ++i) {
-        ProcessOne(batch[i], hooks);
+        ProcessOne(queue_.PeekedSlot(i), hooks);
         if (obs_.process_latency_ns) {
           const uint64_t t_now = obs::MonotonicNowNs();
           obs_.process_latency_ns->Record(t_now - t_prev);
           t_prev = t_now;
         }
       }
+      queue_.Release(n);
       // One release store per burst: the publication point Drain acquires.
       // order: release (see comment above).
       processed_.fetch_add(n, std::memory_order_release);

@@ -19,10 +19,15 @@
 // everything emitted downstream is stamped with a merge key that restores
 // global order on the stage-2 side.
 //
+// Ingest is claim -> publish -> process in place: the producer stamps each
+// event straight into a ring slot (ClaimSlot, Publish), and the worker
+// processes it there, releasing slots once per burst.
+//
 // Threading contract:
-//   - Exactly one thread (the router / ParallelStreamingEngine caller) may
-//     call PushStampedN / TryPushStampedN / NoteProducerFloor at a time;
-//     the worker thread is the only consumer.
+//   - Exactly one thread (the ingest thread, ParallelStreamingEngine's
+//     caller) may call ClaimSlot / Publish / AwaitSlot / PushStampedN /
+//     TryPushStampedN / NoteProducerFloor at a time; the worker thread is
+//     the only consumer.
 //   - AddQuery / SetEventSink / AddExchange must happen before Start. Start
 //     and Stop must not race each other or a pushing producer (they manage
 //     the worker thread), but a push racing a Stop fails fast instead of
@@ -161,23 +166,39 @@ class Shard {
   /// Launches the worker thread. Returns FailedPrecondition if running.
   Status Start();
 
-  /// Bulk enqueue of pre-stamped events, blocking (spin + yield) while
-  /// the queue is full; one release store per queue burst instead of one
-  /// per event. Sequence numbers must be strictly increasing across all
-  /// pushes to this shard. Producer thread only; requires a running
-  /// worker — fails fast with FailedPrecondition when the shard is stopped
-  /// or stopping, instead of spinning forever on a queue nobody drains.
-  /// When `accepted` is non-null it receives the number of events actually
-  /// enqueued (== count on success, possibly fewer when failing fast on a
-  /// stop).
+  /// The next free ring slot, for the producer to stamp in place (seqs
+  /// strictly increasing per shard), or null when the ring is full.
+  /// Invisible to the worker until Publish.
+  PLDP_HOT StampedEvent* ClaimSlot() {
+    if (claimed_ == granted_) {
+      granted_ = queue_.Claim(queue_.capacity());
+      if (claimed_ == granted_) return nullptr;
+    }
+    return &queue_.ClaimedSlot(claimed_++);
+  }
+
+  /// Makes every claimed slot visible to the worker (one release store,
+  /// one doorbell ring) and counts it pushed. Returns how many (0: no-op).
+  PLDP_HOT size_t Publish();
+
+  /// Slow path once ClaimSlot found the ring full: publishes, waits for
+  /// the worker to free a slot and claims it (one backpressure wait), or
+  /// returns null as soon as the shard stops — never spins on a ring
+  /// nobody drains. A producer feeding several shards publishes theirs
+  /// (and the producer floor) first: this worker's output may wait on
+  /// them downstream.
+  StampedEvent* AwaitSlot();
+
+  /// Copies pre-stamped events in through ClaimSlot/AwaitSlot and
+  /// publishes them; fails fast with FailedPrecondition when the shard is
+  /// not running or stops. `accepted` (if non-null) receives the number
+  /// enqueued (== count on success).
   Status PushStampedN(StampedEvent* events, size_t count,
                       size_t* accepted = nullptr);
 
-  /// Non-blocking variant: enqueues as many leading events as the queue
-  /// has room for and returns that number (0 when full, stopped, or not
-  /// running — never waits). Same producer contract and stamping rules as
-  /// PushStampedN; the admission/shedding layer (runtime/admission.h) is
-  /// built on it.
+  /// Non-blocking variant: enqueues the leading events the ring has room
+  /// for and returns how many (0 when full or stopped). The admission
+  /// layer (runtime/admission.h) is built on it.
   size_t TryPushStampedN(StampedEvent* events, size_t count);
 
   /// Producer-side progress hint: every event with seq < `floor` has been
@@ -185,7 +206,8 @@ class Shard {
   /// shard that receives little or no traffic broadcast idle watermarks
   /// that track the global stream instead of staying silent until the
   /// next drain barrier — without it, skewed routings buffer everything
-  /// downstream. Same caller as PushStampedN (the single ingest thread).
+  /// downstream. Same caller as ClaimSlot (the single ingest thread);
+  /// `floor` must not run ahead of published slots.
   void NoteProducerFloor(uint64_t floor) {
     // order: release so everything pushed before the floor claim is
     // visible to the worker's acquire load.
@@ -341,10 +363,13 @@ class Shard {
 
   // Producer-side state. The counters are written by the producer thread
   // only (relaxed) but read from arbitrary threads by Drain()/stats(),
-  // hence atomic.
+  // hence atomic. The claim cursor is the producer's alone: slots written
+  // since the last Publish, and slots granted past the published tail.
   alignas(kCacheLine) Atomic<uint64_t> pushed_{0};
   Atomic<uint64_t> backpressure_waits_{0};
   Atomic<uint64_t> producer_floor_{0};
+  size_t claimed_ = 0;
+  size_t granted_ = 0;
 
   // Orchestrator → worker command channel: payload/kind are published by
   // the generation counter (release) and acknowledged by the worker

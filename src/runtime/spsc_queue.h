@@ -2,18 +2,23 @@
 //
 // Bounded lock-free single-producer / single-consumer ring buffer.
 //
-// This is the only channel between the runtime's router thread and a shard
-// worker (runtime/shard.h): exactly one thread calls TryPush and exactly one
-// thread calls TryPop, which lets the queue get away with two atomic indices
-// and no CAS loops. Capacity is fixed at construction (rounded up to a power
-// of two) so a slow shard exerts backpressure on the router instead of
-// growing without bound.
+// This is the channel between the runtime's ingest thread and a shard
+// worker (runtime/shard.h), and every exchange lane (runtime/exchange.h):
+// exactly one thread produces and exactly one consumes, which lets the
+// queue get away with two atomic indices and no CAS loops. Capacity is
+// fixed at construction (rounded up to a power of two) so a slow consumer
+// exerts backpressure on its producer instead of growing without bound.
 //
-// Memory ordering: the producer publishes a slot with a release store of
+// The primitives work on the slots in place, the claim/publish discipline
+// of a pre-allocated ring (the LMAX Disruptor's): the producer claims free
+// slots, writes them and publishes; the consumer peeks, reads them where
+// they lie and releases them.
+//
+// Memory ordering: Publish makes slots visible with a release store of
 // `tail_`; the consumer observes it with an acquire load, and vice versa for
-// `head_` when freeing a slot. Each side additionally caches the other
-// side's index so the common fast path touches only its own cache line
-// (the classic Lamport queue + cached-index refinement).
+// `head_` when Release frees slots. Each side keeps a plain copy of its own
+// index and caches the other side's, so the common fast path touches only
+// its own cache line (the classic Lamport queue + cached-index refinement).
 //
 // The index handoff (push/pop vs pop-empty/push-full races, including the
 // slot payload's visibility through the release/acquire pair) is
@@ -70,91 +75,105 @@ class SpscQueue {
 
   PLDP_HOT size_t capacity() const { return mask_ + 1; }
 
-  /// Producer side. Returns false when the queue is full.
-  PLDP_HOT bool TryPush(T&& value) {
-    // order: relaxed; tail_ is producer-owned, only this thread writes it.
-    const size_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail - cached_head_ > mask_) {
-      // Looks full; refresh the consumer index and re-check.
+  // Producer: Claim -> write the slots in place -> Publish, its one
+  // publication point; TryPush/TryPushN wrap the three around a move.
+
+  /// Free slots past the published tail, up to `want` (0 when full). With
+  /// one producer a grant stays valid until published. Refreshes the
+  /// cached consumer index only when fewer than `want` look free.
+  PLDP_HOT size_t Claim(size_t want) {
+    size_t free = capacity() - (tail_local_ - cached_head_);
+    if (free < want) {
       // order: acquire pairs with the consumer's release store of head_ —
-      // the slot it freed must be visible before we overwrite it.
+      // the slots it freed must be read out before we overwrite them.
       cached_head_ = head_.load(std::memory_order_acquire);
-      if (tail - cached_head_ > mask_) return false;
+      free = capacity() - (tail_local_ - cached_head_);
     }
-    slots_[tail & mask_] = std::move(value);
-    // order: release publishes the slot write above to the consumer's
-    // acquire load of tail_.
-    tail_.store(tail + 1, kTailPublishOrder);
+    return want < free ? want : free;
+  }
+
+  /// Claimed slot `offset` past the published tail (below the grant); it
+  /// may hold a stale item, which the caller's write replaces.
+  PLDP_HOT T& ClaimedSlot(size_t offset) {
+    return RaceCellWrite(slots_[(tail_local_ + offset) & mask_]);
+  }
+
+  /// Makes the first `n` claimed slots visible with one release store and
+  /// one waker ring. Publish(0) is a no-op.
+  PLDP_HOT void Publish(size_t n) {
+    if (n == 0) return;
+    tail_local_ += n;
+    // order: release publishes the slot writes before it to the
+    // consumer's acquire load of tail_.
+    tail_.store(tail_local_, kTailPublishOrder);
     if (waker_ != nullptr) waker_->Ring();
+  }
+
+  /// Returns false when the queue is full.
+  PLDP_HOT bool TryPush(T&& value) {
+    if (Claim(1) == 0) return false;
+    ClaimedSlot(0) = std::move(value);
+    Publish(1);
     return true;
   }
 
-  bool TryPush(const T& value) {
-    T copy = value;
-    return TryPush(std::move(copy));
-  }
-
-  /// Bulk producer path: moves up to `count` items out of `items` into the
-  /// queue and publishes them with a single release store (vs one per item
-  /// for TryPush — the atomic amortization batched ingest is built on).
-  /// Returns the number pushed; 0 when full. Items beyond the return value
-  /// are left untouched.
+  /// Moves up to `count` leading items in under one release store and
+  /// returns how many (0 when full); the rest are left untouched.
   PLDP_HOT size_t TryPushN(T* items, size_t count) {
-    // order: relaxed; tail_ is producer-owned, only this thread writes it.
-    const size_t tail = tail_.load(std::memory_order_relaxed);
-    size_t free = capacity() - (tail - cached_head_);
-    if (free < count) {
-      // order: acquire pairs with the consumer's release store of head_.
-      cached_head_ = head_.load(std::memory_order_acquire);
-      free = capacity() - (tail - cached_head_);
-    }
-    const size_t n = count < free ? count : free;
-    for (size_t i = 0; i < n; ++i) {
-      slots_[(tail + i) & mask_] = std::move(items[i]);
-    }
-    if (n > 0) {
-      // order: release publishes the whole burst of slot writes at once.
-      tail_.store(tail + n, kTailPublishOrder);
-      if (waker_ != nullptr) waker_->Ring();
-    }
+    const size_t n = Claim(count);
+    for (size_t i = 0; i < n; ++i) ClaimedSlot(i) = std::move(items[i]);
+    Publish(n);
     return n;
   }
 
-  /// Consumer side. Returns false when the queue is empty.
-  PLDP_HOT bool TryPop(T& out) {
-    // order: relaxed; head_ is consumer-owned, only this thread writes it.
-    const size_t head = head_.load(std::memory_order_relaxed);
-    if (head == cached_tail_) {
+  // Consumer: Peek -> read the slots in place -> Release, its one
+  // publication point; TryPop/TryPopN wrap the three around a move.
+
+  /// Published slots past the head, up to `want` (0 when empty).
+  /// Refreshes the cached producer index only when fewer look ready.
+  PLDP_HOT size_t Peek(size_t want) {
+    size_t ready = cached_tail_ - head_local_;
+    if (ready < want) {
       // order: acquire pairs with the producer's release store of tail_ —
-      // the slot contents must be visible before we move them out.
+      // the slot contents must be visible before we read them.
       cached_tail_ = tail_.load(std::memory_order_acquire);
-      if (head == cached_tail_) return false;
+      ready = cached_tail_ - head_local_;
     }
-    out = RaceCellMove(slots_[head & mask_]);
-    // order: release frees the slot to the producer's acquire load of
-    // head_ — our move-out must complete before it reuses the slot.
-    head_.store(head + 1, std::memory_order_release);
+    return want < ready ? want : ready;
+  }
+
+  /// Ready slot `offset` past the head (below the Peek count), read in
+  /// place; valid until released.
+  PLDP_HOT const T& PeekedSlot(size_t offset) const {
+    return slots_[(head_local_ + offset) & mask_];
+  }
+
+  /// Frees the first `n` ready slots with one release store. Release(0)
+  /// is a no-op.
+  PLDP_HOT void Release(size_t n) {
+    if (n == 0) return;
+    head_local_ += n;
+    // order: release frees the slots to the producer's acquire load of
+    // head_ — our reads of them must complete before it reuses them.
+    head_.store(head_local_, std::memory_order_release);
+  }
+
+  /// Returns false when the queue is empty.
+  PLDP_HOT bool TryPop(T& out) {
+    if (Peek(1) == 0) return false;
+    out = RaceCellMove(slots_[head_local_ & mask_]);
+    Release(1);
     return true;
   }
 
-  /// Bulk consumer path: moves up to `max_count` items into `out`, freeing
-  /// all of their slots with a single release store. Returns the number
-  /// popped; 0 when empty.
+  /// Moves up to `max_count` items out under one release store and
+  /// returns how many (0 when empty).
   PLDP_HOT size_t TryPopN(T* out, size_t max_count) {
-    // order: relaxed; head_ is consumer-owned, only this thread writes it.
-    const size_t head = head_.load(std::memory_order_relaxed);
-    size_t avail = cached_tail_ - head;
-    if (avail < max_count) {
-      // order: acquire pairs with the producer's release store of tail_.
-      cached_tail_ = tail_.load(std::memory_order_acquire);
-      avail = cached_tail_ - head;
-    }
-    const size_t n = max_count < avail ? max_count : avail;
+    const size_t n = Peek(max_count);
     for (size_t i = 0; i < n; ++i) {
-      out[i] = RaceCellMove(slots_[(head + i) & mask_]);
+      out[i] = RaceCellMove(slots_[(head_local_ + i) & mask_]);
     }
-    // order: release frees the whole burst of slots at once.
-    if (n > 0) head_.store(head + n, std::memory_order_release);
+    Release(n);
     return n;
   }
 
@@ -196,13 +215,16 @@ class SpscQueue {
   // slot access is vector-clock checked against the chosen schedule.
   std::vector<RaceCell<T>> slots_;
 
-  // Producer-owned line: its index plus a cache of the consumer's.
+  // Producer-owned line: its published index, the producer's own copy of
+  // it (read without an atomic load), and a cache of the consumer's.
   alignas(kCacheLine) Atomic<size_t> tail_{0};
+  size_t tail_local_ = 0;
   size_t cached_head_ = 0;
   Doorbell* waker_ = nullptr;
 
-  // Consumer-owned line.
+  // Consumer-owned line, mirrored the same way.
   alignas(kCacheLine) Atomic<size_t> head_{0};
+  size_t head_local_ = 0;
   size_t cached_tail_ = 0;
 };
 

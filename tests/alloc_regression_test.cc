@@ -2,11 +2,11 @@
 //
 // Allocation-regression pin for the zero-allocation data plane: after
 // warmup, the sharded plain pipeline must process events carrying interned
-// attributes with ZERO heap allocations — across the router, the staging
-// buffers, the SPSC queues, and the per-shard engines, worker threads
-// included. The measurement uses the same operator-new counting hook the
-// bench harness ships (bench/bench_util.h); under sanitizer builds the
-// hook is inactive and the test skips (the sanitizer owns the allocator).
+// attributes with ZERO heap allocations — across the router, the shard
+// rings, and the per-shard engines, worker threads included. The
+// measurement uses the same operator-new counting hook the bench harness
+// ships (bench/bench_util.h); under sanitizer builds the hook is inactive
+// and the test skips (the sanitizer owns the allocator).
 //
 // The measured segment emits only pattern prefixes (never a completion),
 // so matcher detection vectors — which legitimately grow with results —
@@ -35,7 +35,7 @@ constexpr size_t kTypesPerSubject = 3;
 constexpr Timestamp kWindow = 4;
 
 /// `full_alphabet` draws all three per-subject types (warmup: completions
-/// happen, detection vectors and staging buffers grow); the measurement
+/// happen, detection vectors grow); the measurement
 /// stream draws only the first two (prefix updates, no completions, no
 /// growth). `ts_base` keeps timestamps monotone across the two segments.
 EventStream MakeStream(size_t num_events, bool full_alphabet,
@@ -248,8 +248,8 @@ void ExpectExchangeSteadyStateAllocationFree(bool metrics) {
   }
   ASSERT_TRUE(engine.Start().ok());
 
-  // Warmup: completions occur; queues, staging buffers, exchange lanes,
-  // and the merge reorder rings all reach steady-state capacity.
+  // Warmup: completions occur; exchange lanes and the merge reorder
+  // rings reach steady-state capacity.
   const EventStream warmup = MakeCrossStream(40000, /*full_alphabet=*/true,
                                              /*ts_base=*/0, /*seed=*/17);
   ASSERT_TRUE(IngestBatched(engine, warmup).ok());

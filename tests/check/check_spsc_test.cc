@@ -2,7 +2,8 @@
 //
 // Model-checks the SPSC ring (src/runtime/spsc_queue.h): one producer and
 // one consumer racing push against pop through the real TryPush/TryPop /
-// TryPushN/TryPopN code, with the checker branching over every stale
+// TryPushN/TryPopN code and the claim/publish + peek/release primitives
+// they are built on, with the checker branching over every stale
 // index read coherence allows. The properties: no data race on the
 // payload slots (RaceCell vector-clock check), values arrive in order,
 // and nothing is lost or duplicated.
@@ -93,6 +94,47 @@ ModelResult RunBatchHarness(ModelConfig cfg) {
   });
 }
 
+// The in-place primitives the shard ingest path is built on: the producer
+// claims slots, writes them where they lie and publishes; the consumer
+// peeks, reads the slots in place and releases them. Same ring, same
+// items, so the race surface is the one the move-based harnesses cover,
+// minus the moves.
+ModelResult RunClaimPeekHarness(ModelConfig cfg) {
+  return RunModel(cfg, [] {
+    auto q = std::make_unique<SpscQueue<int>>(2);
+    int producer = ModelSpawn("producer", [&] {
+      int next = 1;
+      while (next <= kItems) {
+        const size_t n = q->Claim(next < kItems ? 2 : 1);
+        if (n == 0) {
+          ModelYieldSpin();
+          continue;
+        }
+        for (size_t i = 0; i < n; ++i) q->ClaimedSlot(i) = next++;
+        q->Publish(n);
+      }
+    });
+    int consumer = ModelSpawn("consumer", [&] {
+      int expect = 1;
+      while (expect <= kItems) {
+        const size_t n = q->Peek(2);
+        if (n == 0) {
+          ModelYieldSpin();
+          continue;
+        }
+        for (size_t i = 0; i < n; ++i) {
+          PLDP_MODEL_ASSERT(q->PeekedSlot(i) == expect);
+          ++expect;
+        }
+        q->Release(n);
+      }
+    });
+    ModelJoin(producer);
+    ModelJoin(consumer);
+    PLDP_MODEL_ASSERT(q->ApproxEmpty());
+  });
+}
+
 #ifndef PLDP_CHECK_NEGATIVE_SPSC
 
 TEST(SpscModel, SingleElementExhaustsClean) {
@@ -110,6 +152,15 @@ TEST(SpscModel, BatchExhaustsClean) {
   cfg.name = "spsc-batch";
   cfg.preemption_bound = 2;
   ModelResult r = RunBatchHarness(cfg);
+  EXPECT_FALSE(r.failed) << r.report;
+  EXPECT_TRUE(r.exhausted);
+}
+
+TEST(SpscModel, ClaimPeekExhaustsClean) {
+  ModelConfig cfg;
+  cfg.name = "spsc-claim-peek";
+  cfg.preemption_bound = 2;
+  ModelResult r = RunClaimPeekHarness(cfg);
   EXPECT_FALSE(r.failed) << r.report;
   EXPECT_TRUE(r.exhausted);
 }
@@ -150,6 +201,16 @@ TEST(SpscModelNegative, CheckerCatchesWeakTailPublishBatch) {
   ModelResult r = RunBatchHarness(cfg);
   EXPECT_TRUE(r.failed)
       << "seeded relaxed tail publish (batch) was NOT caught";
+}
+
+// Publish is the in-place path's tail store too.
+TEST(SpscModelNegative, CheckerCatchesWeakTailPublishClaim) {
+  ModelConfig cfg;
+  cfg.name = "spsc-weak-tail-claim";
+  cfg.preemption_bound = 2;
+  ModelResult r = RunClaimPeekHarness(cfg);
+  EXPECT_TRUE(r.failed)
+      << "seeded relaxed tail publish (claim/publish) was NOT caught";
 }
 
 #endif  // PLDP_CHECK_NEGATIVE_SPSC

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "core/private_engine.h"
 #include "ppm/factory.h"
 #include "stream/replay.h"
+#include "test_util.h"
 
 namespace pldp {
 namespace {
@@ -213,6 +215,45 @@ TEST(PrivateCrossTest, FixedSeedEquivalenceAtEveryShardCount) {
         << "shards=" << shards;
     ASSERT_TRUE(pipeline.Stop().ok());
   }
+}
+
+// The whole stream as ONE OnEventBatch, ~50k events per shard against
+// 1,024-slot rings and lanes: the private lane's views must still cross
+// the exchange and match the sequential reference. Pushing shard by shard
+// used to hang here for good (the merge waited on the shard that had not
+// been fed yet, while the fed one stalled on exchange credits).
+TEST(PrivateCrossTest, OneBatchLargerThanTheRingsDoesNotHang) {
+  const EventStream stream =
+      InterleavedStream(/*subjects=*/9, 100000, /*seed=*/61);
+  const auto reference = SequentialCrossReference(stream, "uniform");
+  size_t reference_total = 0;
+  for (const auto& d : reference) reference_total += d.size();
+  ASSERT_GT(reference_total, 0u);
+
+  PipelineBuilder builder;
+  (void)DeclareSetup(builder);
+  const std::vector<PrivateCrossQueryHandle> cross =
+      DeclareCrossQueries(builder);
+  builder.WithQueueCapacity(1024).WithExchangeCapacity(1024);
+  auto pipeline_or = BuildPrivate(builder, /*shards=*/2, /*cross_shards=*/1);
+  ASSERT_TRUE(pipeline_or.ok()) << pipeline_or.status().ToString();
+  Pipeline& pipeline = *pipeline_or.value();
+
+  std::vector<std::vector<Timestamp>> detections(cross.size());
+  testing_util::RunWithWatchdog(
+      [&] {
+        const std::vector<Event>& all = stream.events();
+        ASSERT_TRUE(
+            pipeline.OnEventBatch(EventSpan(all.data(), all.size())).ok());
+        auto finished_or = pipeline.Finish();
+        ASSERT_TRUE(finished_or.ok());
+        for (size_t q = 0; q < cross.size(); ++q) {
+          detections[q] = finished_or.value().Detections(cross[q]).value();
+        }
+      },
+      std::chrono::seconds(60));
+  EXPECT_EQ(detections, reference);
+  ASSERT_TRUE(pipeline.Stop().ok());
 }
 
 TEST(PrivateCrossTest, PerSubjectAnswersUnaffectedByExchange) {

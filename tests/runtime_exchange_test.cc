@@ -10,8 +10,9 @@
 // stream, for every (stage-1, stage-2) shard combination. The merge
 // releases events in exact ingest order, so the equality is positional,
 // not just multiset. Edge cases pinned here: empty stage-1 shards, all
-// keys hashing to one stage-2 shard (skew), zero-event streams, and drain
-// barriers with events still in flight on the exchange lanes.
+// keys hashing to one stage-2 shard (skew), zero-event streams, drain
+// barriers with events still in flight on the exchange lanes, and single
+// batches far larger than the shard rings.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +27,7 @@
 #include "runtime/parallel_engine.h"
 #include "stream/event_stream.h"
 #include "stream/replay.h"
+#include "test_util.h"
 
 namespace pldp {
 namespace {
@@ -478,6 +480,48 @@ TEST(ExchangeEngineTest, FinishSealsThePipeline) {
   EXPECT_FALSE(engine.OnEvent(Event(0, 2)).ok());
   EXPECT_EQ(engine.total_cross_detections(), 1u);
   ASSERT_TRUE(engine.Stop().ok());
+}
+
+// One OnEventBatch whose per-shard share is several times the shard ring
+// must return. Pushing shard by shard used to hang here for good: the
+// first shard's ring filled while the second shard had received neither
+// an event nor a producer floor, so the merge could not release the first
+// shard's output and that shard stalled on exchange credits.
+TEST(ExchangeEngineTest, OneBatchLargerThanTheRingsDoesNotHang) {
+  for (const auto& [capacity, events] :
+       std::vector<std::pair<size_t, size_t>>{{1024, 8000},
+                                              {4096, 16000}}) {
+    const EventStream stream =
+        CrossSubjectStream(/*groups=*/1, /*subjects=*/32, events,
+                           /*seed=*/41);
+    StreamingCepEngine reference;
+    const Pattern pattern =
+        MakePattern("seq", {0, 1, 2}, DetectionMode::kSequence);
+    ASSERT_TRUE(reference.AddQuery(pattern, kWindow).ok());
+    for (const Event& e : stream) ASSERT_TRUE(reference.OnEvent(e).ok());
+    ASSERT_GT(reference.total_detections(), 0u);
+
+    ExchangeSetup setup = ExchangeConfig(/*stage1=*/2, /*stage2=*/1,
+                                         CorrelationKeySpec::Global());
+    setup.options.queue_capacity = capacity;
+    setup.options.exchange.lane_capacity = capacity;
+    ParallelStreamingEngine engine(setup.options);
+    ASSERT_TRUE(setup.AddCrossQuery(engine, pattern, kWindow).ok());
+    ASSERT_TRUE(engine.Start().ok());
+    testing_util::RunWithWatchdog(
+        [&] {
+          const std::vector<Event>& all = stream.events();
+          EXPECT_TRUE(
+              engine.OnEventBatch(EventSpan(all.data(), all.size())).ok());
+          EXPECT_TRUE(engine.Drain().ok());
+        },
+        std::chrono::seconds(60));
+    EXPECT_EQ(engine.CrossDetectionsOf(0).value(),
+              reference.DetectionsOf(0).value())
+        << "capacity=" << capacity << " events=" << events;
+    EXPECT_EQ(engine.events_processed(), stream.size());
+    ASSERT_TRUE(engine.Stop().ok());
+  }
 }
 
 TEST(ExchangeEngineTest, LifecycleErrors) {

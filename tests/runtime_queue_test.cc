@@ -83,6 +83,64 @@ TEST(SpscQueueTest, BulkOpsWrapAround) {
   EXPECT_TRUE(q.ApproxEmpty());
 }
 
+TEST(SpscQueueTest, ClaimPublishPeekReleaseWrapAround) {
+  // Items written and read in place, across many laps of a 4-slot ring
+  // with a burst size (3) that keeps every lap's burst straddling the
+  // wrap point at a different offset.
+  SpscQueue<uint64_t> q(4);
+  uint64_t next = 0;
+  uint64_t expected = 0;
+  for (int lap = 0; lap < 500; ++lap) {
+    ASSERT_EQ(q.Claim(3), 3u);
+    for (size_t i = 0; i < 3; ++i) q.ClaimedSlot(i) = next++;
+    // Claimed but unpublished slots are invisible to the consumer.
+    ASSERT_EQ(q.Peek(3), 0u);
+    q.Publish(3);
+    ASSERT_EQ(q.Peek(3), 3u);
+    for (size_t i = 0; i < 3; ++i) ASSERT_EQ(q.PeekedSlot(i), expected++);
+    // Peeked but unreleased slots still hold the producer back.
+    ASSERT_EQ(q.Claim(4), 1u);
+    q.Release(3);
+  }
+  EXPECT_TRUE(q.ApproxEmpty());
+}
+
+TEST(SpscQueueTest, ClaimOnFullRingGrantsOnlyTheFreeSlots) {
+  SpscQueue<int> q(4);
+  ASSERT_EQ(q.Claim(3), 3u);
+  for (size_t i = 0; i < 3; ++i) q.ClaimedSlot(i) = static_cast<int>(i);
+  q.Publish(3);
+  // One slot left: a claim for more is granted partially, then none.
+  ASSERT_EQ(q.Claim(3), 1u);
+  q.ClaimedSlot(0) = 3;
+  q.Publish(1);
+  EXPECT_EQ(q.Claim(1), 0u);
+  EXPECT_EQ(q.ApproxSize(), 4u);
+  // Releasing two slots makes exactly two claimable again.
+  ASSERT_EQ(q.Peek(2), 2u);
+  q.Release(2);
+  EXPECT_EQ(q.Claim(8), 2u);
+  int out = -1;
+  ASSERT_TRUE(q.TryPop(out));
+  EXPECT_EQ(out, 2);
+}
+
+TEST(SpscQueueTest, PublishZeroAndReleaseZeroAreNoOps) {
+  SpscQueue<int> q(2);
+  q.Publish(0);
+  EXPECT_EQ(q.ApproxSize(), 0u);
+  EXPECT_EQ(q.Peek(1), 0u);
+  ASSERT_TRUE(q.TryPush(5));
+  ASSERT_EQ(q.Peek(1), 1u);
+  q.Release(0);
+  EXPECT_EQ(q.ApproxSize(), 1u);
+  EXPECT_EQ(q.PeekedSlot(0), 5);
+  // A zero claim grants nothing and publishes nothing.
+  EXPECT_EQ(q.Claim(0), 0u);
+  q.Publish(0);
+  EXPECT_EQ(q.ApproxSize(), 1u);
+}
+
 TEST(SpscQueueTest, BulkOpsMoveOnlyPayload) {
   SpscQueue<std::unique_ptr<int>> q(4);
   std::unique_ptr<int> in[3];

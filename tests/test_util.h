@@ -1,12 +1,18 @@
 // Copyright 2026 The PLDP Authors.
 //
 // Shared fixtures for the PPM and pipeline tests: a small world with a
-// known event-type space, private/target patterns, and handcrafted windows.
+// known event-type space, private/target patterns, and handcrafted windows;
+// plus a watchdog for tests whose failure mode is a hang.
 
 #ifndef PLDP_TESTS_TEST_UTIL_H_
 #define PLDP_TESTS_TEST_UTIL_H_
 
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <initializer_list>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -17,6 +23,26 @@
 
 namespace pldp {
 namespace testing_util {
+
+/// Runs `work` on its own thread and ends the test binary with a failure
+/// if it has not returned within `deadline`: a hung ingest can be neither
+/// recovered nor joined, so the watchdog reports it instead of stalling
+/// the suite.
+template <typename Fn>
+void RunWithWatchdog(Fn work, std::chrono::seconds deadline) {
+  std::promise<void> done;
+  std::future<void> finished = done.get_future();
+  std::thread worker([&] {
+    work();
+    done.set_value();
+  });
+  if (finished.wait_for(deadline) != std::future_status::ready) {
+    std::fprintf(stderr, "watchdog: still blocked after %lld s (hang)\n",
+                 static_cast<long long>(deadline.count()));
+    std::_Exit(EXIT_FAILURE);
+  }
+  worker.join();
+}
 
 /// A self-contained mechanism test world. Keeps the registries alive for
 /// the duration of the test (MechanismContext holds raw pointers).
