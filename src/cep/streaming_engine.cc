@@ -3,6 +3,7 @@
 #include "cep/streaming_engine.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace pldp {
 
@@ -22,11 +23,21 @@ StatusOr<size_t> StreamingCepEngine::AddQuery(Pattern pattern,
 }
 
 void StreamingCepEngine::IndexQuery(EventTypeId type, uint32_t q) {
-  auto it = std::lower_bound(types_.begin(), types_.end(), type);
-  const auto slot = static_cast<size_t>(it - types_.begin());
-  if (it == types_.end() || *it != type) {
-    types_.insert(it, type);
-    offsets_.insert(offsets_.begin() + slot + 1, offsets_[slot]);
+  uint32_t slot = SlotOf(type);
+  if (slot == kNoSlot) {
+    slot = static_cast<uint32_t>(offsets_.size() - 1);
+    offsets_.push_back(offsets_.back());
+    const size_t types = offsets_.size() - 1;
+    if (2 * types > table_.size()) {
+      // The load would pass 1/2: double and rehash every type.
+      const std::vector<Bucket> old =
+          std::exchange(table_, std::vector<Bucket>(2 * table_.size()));
+      shift_ = ShiftFor(table_.size());
+      for (const Bucket& bucket : old) {
+        if (bucket.slot != kNoSlot) InsertBucket(bucket.type, bucket.slot);
+      }
+    }
+    InsertBucket(type, slot);
   }
   // `q` is the newest query, so appending at the slot's end keeps the
   // slot's list ascending, and a repeated element type finds `q` already
@@ -35,6 +46,22 @@ void StreamingCepEngine::IndexQuery(EventTypeId type, uint32_t q) {
   if (end > offsets_[slot] && query_ids_[end - 1] == q) return;
   query_ids_.insert(query_ids_.begin() + end, q);
   for (size_t s = slot + 1; s < offsets_.size(); ++s) ++offsets_[s];
+}
+
+void StreamingCepEngine::InsertBucket(EventTypeId type, uint32_t slot) {
+  const size_t mask = table_.size() - 1;
+  size_t b = HashBucket(type, shift_);
+  while (table_[b].slot != kNoSlot) b = (b + 1) & mask;
+  table_[b] = Bucket{type, slot};
+}
+
+std::vector<EventTypeId> StreamingCepEngine::RelevantEventTypes() const {
+  std::vector<EventTypeId> types;
+  for (const Bucket& bucket : table_) {
+    if (bucket.slot != kNoSlot) types.push_back(bucket.type);
+  }
+  std::sort(types.begin(), types.end());
+  return types;
 }
 
 StatusOr<std::vector<Timestamp>> StreamingCepEngine::DetectionsOf(

@@ -27,7 +27,6 @@
 #ifndef PLDP_CEP_STREAMING_ENGINE_H_
 #define PLDP_CEP_STREAMING_ENGINE_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -60,8 +59,9 @@ class StreamingCepEngine : public StreamSubscriber {
 
   /// Registers a continuous query: detect `pattern` with all elements within
   /// `window` time units (<= 0: unbounded). Returns the query index.
-  /// Updates the type index in place (O(index size) per call); queries may
-  /// be added after events have flowed.
+  /// Updates the type index in place (O(index size) per call, plus a rehash
+  /// when the hash table doubles); queries may be added after events have
+  /// flowed.
   StatusOr<size_t> AddQuery(Pattern pattern, Timestamp window);
 
   /// Registers a detection callback (called synchronously from OnEvent).
@@ -81,11 +81,23 @@ class StreamingCepEngine : public StreamSubscriber {
   size_t events_processed() const { return events_processed_; }
 
   /// Sorted distinct union of the event types any registered pattern
-  /// references: the keys of the type index. An event whose type is absent
-  /// from this set steps no matcher.
-  const std::vector<EventTypeId>& RelevantEventTypes() const {
-    return types_;
+  /// references: the keys of the type index, copied out of the hash table.
+  /// An event whose type is absent from this set steps no matcher.
+  std::vector<EventTypeId> RelevantEventTypes() const;
+
+  /// Number of buckets in the type index's hash table: the smallest power
+  /// of two, at least kMinIndexBuckets, that keeps the load at most 1/2.
+  size_t index_buckets() const { return table_.size(); }
+
+  /// Bucket where the probe for `type` starts in a table of `buckets`
+  /// buckets (a power of two): Fibonacci multiply-shift hashing (Knuth,
+  /// TAOCP vol. 3, 6.4): the top log2(buckets) bits of type * 2^64/phi,
+  /// mod 2^64.
+  static size_t HomeBucket(EventTypeId type, size_t buckets) {
+    return HashBucket(type, ShiftFor(buckets));
   }
+
+  static constexpr size_t kMinIndexBuckets = 8;  // one 64-byte line
 
   // StreamSubscriber:
   Status OnEvent(const Event& event) override;
@@ -93,24 +105,52 @@ class StreamingCepEngine : public StreamSubscriber {
  private:
   static constexpr uint32_t kNoSlot = UINT32_MAX;
 
-  /// Index slot of `type` (its position in `types_`), or kNoSlot.
+  /// One hash-table bucket: a type and its index slot, together, so a
+  /// probe reads one cache line. Empty buckets hold kNoSlot.
+  struct Bucket {
+    EventTypeId type = 0;
+    uint32_t slot = kNoSlot;
+  };
+
+  static unsigned ShiftFor(size_t buckets) {
+    return 64 - static_cast<unsigned>(__builtin_ctzll(buckets));
+  }
+
+  PLDP_HOT static size_t HashBucket(EventTypeId type, unsigned shift) {
+    return static_cast<size_t>((uint64_t{type} * 0x9E3779B97F4A7C15u) >>
+                               shift);
+  }
+
+  /// Index slot of `type`, or kNoSlot: linear probing from the home bucket
+  /// up to `type`'s bucket or the first empty one (the load is at most
+  /// 1/2, so one always comes). An empty bucket answers kNoSlot whatever
+  /// its type field holds, so no type id is reserved as a marker.
   PLDP_HOT uint32_t SlotOf(EventTypeId type) const {
-    auto it = std::lower_bound(types_.begin(), types_.end(), type);
-    return it != types_.end() && *it == type
-               ? static_cast<uint32_t>(it - types_.begin())
-               : kNoSlot;
+    const size_t mask = table_.size() - 1;
+    for (size_t b = HashBucket(type, shift_);; b = (b + 1) & mask) {
+      const Bucket& bucket = table_[b];
+      if (bucket.type == type || bucket.slot == kNoSlot) return bucket.slot;
+    }
   }
 
   /// Files query `q` (the newest) under `type` unless already filed there,
   /// opening a slot if needed.
   void IndexQuery(EventTypeId type, uint32_t q);
 
+  /// Puts (type, slot) into the first empty bucket of its probe sequence.
+  void InsertBucket(EventTypeId type, uint32_t slot);
+
   std::vector<std::unique_ptr<IncrementalMatcher>> matchers_;
-  // Type index in CSR form. Slot s holds type types_[s]; the queries whose
-  // pattern names it are query_ids_[offsets_[s] .. offsets_[s + 1]), in
-  // ascending order, each once. SlotOf binary-searches types_, so no
-  // table is sized by the largest type id (perfbench registers 1u << 30).
-  std::vector<EventTypeId> types_;  // sorted, distinct
+  // Type index in CSR form. Slots are given in registration order; the
+  // queries whose pattern names slot s's type are
+  // query_ids_[offsets_[s] .. offsets_[s + 1]), in ascending order, each
+  // once. A type finds its slot through table_, an open-addressing hash
+  // table with linear probing: a new type is appended as the next slot and
+  // inserted in place, and the table doubles (rehashing every type) only
+  // when the load passes 1/2. Its size follows the number of types, never
+  // the largest type id (perfbench registers 1u << 30).
+  std::vector<Bucket> table_ = std::vector<Bucket>(kMinIndexBuckets);
+  unsigned shift_ = ShiftFor(kMinIndexBuckets);
   std::vector<uint32_t> offsets_{0};
   std::vector<uint32_t> query_ids_;
   DetectionCallback callback_;

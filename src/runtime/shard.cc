@@ -271,14 +271,7 @@ Status Shard::Stop() {
   // processed_ is released.
   worker_role_.Acquire();
   const std::vector<ExchangeHookRef> hooks = SnapshotHooks();
-  while (queue_.Peek(1) == 1) {
-    ProcessOne(queue_.PeekedSlot(0), hooks);
-    queue_.Release(1);
-    if (obs_.batch_size) obs_.batch_size->Record(1);
-    if (obs_.process_latency_ns) obs_.process_latency_ns->Record(0);
-    // order: release; releases a concurrent Drain (see header contract).
-    processed_.fetch_add(1, std::memory_order_release);
-  }
+  while (const size_t n = queue_.Peek(kBurst)) ProcessBurst(n, hooks);
   worker_role_.Release();
   // order: relaxed; advisory flag for running() observers.
   running_.store(false, std::memory_order_relaxed);
@@ -360,6 +353,27 @@ void Shard::ProcessOne(const StampedEvent& stamped,
   processed_any_ = true;
 }
 
+void Shard::ProcessBurst(size_t n,
+                         const std::vector<ExchangeHookRef>& hooks) {
+  if (obs_.batch_size) obs_.batch_size->Record(n);
+  // Chained clock reads: one MonotonicNowNs per event, each delta is that
+  // event's full processing latency (engine + sink + exchange).
+  uint64_t t_prev = obs_.process_latency_ns ? obs::MonotonicNowNs() : 0;
+  for (size_t i = 0; i < n; ++i) {
+    ProcessOne(queue_.PeekedSlot(i), hooks);
+    if (obs_.process_latency_ns) {
+      const uint64_t t_now = obs::MonotonicNowNs();
+      obs_.process_latency_ns->Record(t_now - t_prev);
+      t_prev = t_now;
+    }
+  }
+  queue_.Release(n);
+  // One release store per burst: the publication point Drain acquires (it
+  // also releases a Drain waiting across Stop's leftover pass).
+  // order: release (see comment above).
+  processed_.fetch_add(n, std::memory_order_release);
+}
+
 void Shard::RunLoop() {
   Backoff backoff(&idle_yields_);
   // One snapshot for the thread's lifetime: AddExchange refuses once the
@@ -373,22 +387,7 @@ void Shard::RunLoop() {
     const size_t n = queue_.Peek(kBurst);
     if (n > 0) {
       backoff.Reset();
-      if (obs_.batch_size) obs_.batch_size->Record(n);
-      // Chained clock reads: one MonotonicNowNs per event, each delta is
-      // that event's full processing latency (engine + sink + exchange).
-      uint64_t t_prev = obs_.process_latency_ns ? obs::MonotonicNowNs() : 0;
-      for (size_t i = 0; i < n; ++i) {
-        ProcessOne(queue_.PeekedSlot(i), hooks);
-        if (obs_.process_latency_ns) {
-          const uint64_t t_now = obs::MonotonicNowNs();
-          obs_.process_latency_ns->Record(t_now - t_prev);
-          t_prev = t_now;
-        }
-      }
-      queue_.Release(n);
-      // One release store per burst: the publication point Drain acquires.
-      // order: release (see comment above).
-      processed_.fetch_add(n, std::memory_order_release);
+      ProcessBurst(n, hooks);
       // Commands are handled on burst boundaries too, so a saturating
       // producer cannot starve a drain barrier.
       ExecuteCommand(hooks);

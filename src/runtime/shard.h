@@ -318,10 +318,16 @@ class Shard {
 
   void RunLoop() PLDP_REQUIRES(worker_role_);
   /// Delivers one event to the engine, the sink, and every exchange hook —
-  /// the per-event section of the worker loop (also used by Stop's
-  /// post-join leftover absorption, under the role handoff).
+  /// the per-event section of the worker loop.
   PLDP_HOT void ProcessOne(const StampedEvent& stamped,
                            const std::vector<ExchangeHookRef>& hooks)
+      PLDP_REQUIRES(worker_role_);
+  /// Processes the `n` peeked events in place, records the burst and each
+  /// event's timed latency, then releases them and publishes `processed_`
+  /// once. The worker loop and Stop's post-join leftover absorption (under
+  /// the role handoff) both run it, so every event is timed the same way.
+  PLDP_HOT void ProcessBurst(size_t n,
+                             const std::vector<ExchangeHookRef>& hooks)
       PLDP_REQUIRES(worker_role_);
   void ExecuteCommand(const std::vector<ExchangeHookRef>& hooks)
       PLDP_REQUIRES(worker_role_);

@@ -384,7 +384,9 @@ TEST(PipelineEquivalenceTest, MixedPlainCrossPrivateMatchesSequentialEngines) {
   constexpr Timestamp kPrivateCrossWindow = 2 * kPrivacyWindow;
   const auto declare_private = [&](PipelineBuilder& builder) {
     for (size_t t = 0; t < kGroups * kTypesPerGroup; ++t) {
-      (void)builder.InternEventType("t" + std::to_string(t));
+      std::string name = "t";
+      name += std::to_string(t);
+      (void)builder.InternEventType(name);
     }
     builder.AddPrivatePattern(private_pattern);
     PrivateQueryHandle q = builder.AddPrivateQuery("came_home", target_pattern);

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -240,6 +241,122 @@ TEST(StreamingEngineIndexTest, AddQueryAfterEventsHaveFlowed) {
   h.ExpectSame();
   EXPECT_EQ(h.engine().RelevantEventTypes(),
             (std::vector<EventTypeId>{0, 2, 4, 5, 6, 8, 65536, kBig}));
+}
+
+/// The first `n` ids from `from` upward whose home bucket in a table of
+/// `buckets` buckets is `bucket`.
+std::vector<EventTypeId> IdsInBucket(size_t bucket, size_t buckets, size_t n,
+                                     EventTypeId from) {
+  std::vector<EventTypeId> ids;
+  for (EventTypeId t = from; ids.size() < n; ++t) {
+    if (StreamingCepEngine::HomeBucket(t, buckets) == bucket) ids.push_back(t);
+  }
+  return ids;
+}
+
+TEST(StreamingEngineIndexTest, CollidingTypesAndAnAbsentOneInTheirCluster) {
+  // 25 types fill a 64-bucket table to 25/64: 9 of them share one home
+  // bucket (so they also collide in every smaller table the index grew
+  // through), and a ninth id with that home bucket is never registered,
+  // so looking it up probes through the whole cluster.
+  constexpr size_t kBuckets = 64;
+  const size_t home = StreamingCepEngine::HomeBucket(kBig, kBuckets);
+  std::vector<EventTypeId> colliders = IdsInBucket(home, kBuckets, 9, 0);
+  const EventTypeId absent = colliders.back();
+  colliders.pop_back();
+  colliders.push_back(kBig);
+  std::vector<EventTypeId> fillers;
+  for (EventTypeId t = 0; fillers.size() < 16; ++t) {
+    if (StreamingCepEngine::HomeBucket(t, kBuckets) != home) {
+      fillers.push_back(t);
+    }
+  }
+  Rng rng(17);
+  Harness h;
+  for (EventTypeId t : colliders) {
+    h.AddQuery(Make({t}, DetectionMode::kDisjunction), 0);
+  }
+  for (size_t q = 0; q < 24; ++q) {
+    h.AddQuery(RandomPattern(rng, colliders),
+               static_cast<Timestamp>(rng.UniformUint64(30)));
+  }
+  for (EventTypeId t : fillers) {
+    h.AddQuery(Make({t, colliders[t % colliders.size()]},
+                    DetectionMode::kSequence),
+               0);
+  }
+  ASSERT_EQ(h.engine().index_buckets(), kBuckets);
+  ASSERT_EQ(StreamingCepEngine::HomeBucket(absent, kBuckets), home);
+
+  std::vector<EventTypeId> types = colliders;
+  types.insert(types.end(), {absent, absent, absent});
+  types.insert(types.end(), fillers.begin(), fillers.begin() + 4);
+  Timestamp now = 0;
+  ASSERT_NO_FATAL_FAILURE(FeedRandom(h, rng, types, 4000, now));
+  h.ExpectSame();
+  // Every collider's own single-type query fired: no collider was served
+  // another type's slot.
+  for (size_t q = 0; q < colliders.size(); ++q) {
+    EXPECT_FALSE(h.engine().DetectionsOf(q).value().empty()) << "query " << q;
+  }
+}
+
+TEST(StreamingEngineIndexTest, ExtremeTypeIds) {
+  constexpr EventTypeId kLast = kInvalidEventType - 1;
+  const std::vector<EventTypeId> alphabet = {0, kBig, kLast};
+  Rng rng(18);
+  Harness h;
+  for (EventTypeId t : alphabet) {
+    h.AddQuery(Make({t}, DetectionMode::kDisjunction), 0);
+  }
+  for (size_t q = 0; q < 12; ++q) {
+    h.AddQuery(RandomPattern(rng, alphabet),
+               static_cast<Timestamp>(rng.UniformUint64(20)));
+  }
+  EXPECT_EQ(h.engine().RelevantEventTypes(), alphabet);
+  EXPECT_EQ(h.engine().index_buckets(), StreamingCepEngine::kMinIndexBuckets);
+  const std::vector<EventTypeId> types = {
+      0, kBig, kLast, 1, kBig - 1, kBig + 1, kLast - 1, kInvalidEventType};
+  Timestamp now = 0;
+  ASSERT_NO_FATAL_FAILURE(FeedRandom(h, rng, types, 3000, now));
+  h.ExpectSame();
+  for (size_t q = 0; q < alphabet.size(); ++q) {
+    EXPECT_FALSE(h.engine().DetectionsOf(q).value().empty()) << "query " << q;
+  }
+}
+
+TEST(StreamingEngineIndexTest, TableDoublesOnlyWhenTheLoadPassesHalf) {
+  // 1 -> 1,024 types, one new type per AddQuery and events in between,
+  // through every doubling from the minimum table to 2,048 buckets.
+  constexpr size_t kTypes = 1024;
+  Rng rng(19);
+  std::vector<EventTypeId> registered;
+  Harness h;
+  Timestamp now = 0;
+  for (size_t n = 1; n <= kTypes; ++n) {
+    // Scattered ids, the extremes among them.
+    const EventTypeId t =
+        n == 1 ? 0
+        : n == 2 ? kBig
+        : n == 3 ? kInvalidEventType - 1
+                 : static_cast<EventTypeId>(n * 2654435761u);
+    std::vector<EventTypeId> elems = {t};
+    if (!registered.empty()) elems.push_back(Pick(rng, registered));
+    h.AddQuery(Make(std::move(elems), DetectionMode::kConjunction),
+               static_cast<Timestamp>(rng.UniformUint64(10)));
+    registered.push_back(t);
+    size_t want = StreamingCepEngine::kMinIndexBuckets;
+    while (2 * n > want) want *= 2;
+    ASSERT_EQ(h.engine().index_buckets(), want) << "types=" << n;
+    std::vector<EventTypeId> types = {t, t, Pick(rng, registered),
+                                      static_cast<EventTypeId>(t + 1)};
+    ASSERT_NO_FATAL_FAILURE(FeedRandom(h, rng, types, 4, now));
+  }
+  EXPECT_EQ(h.engine().index_buckets(), 2 * kTypes);
+  ASSERT_NO_FATAL_FAILURE(FeedRandom(h, rng, registered, 2000, now));
+  h.ExpectSame();
+  std::sort(registered.begin(), registered.end());
+  EXPECT_EQ(h.engine().RelevantEventTypes(), registered);
 }
 
 /// Fixed-seed sweep: random query sets over a small or a wide type
