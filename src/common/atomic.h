@@ -20,8 +20,8 @@
 // tools/lint_atomics.py (ctest: atomics_lint) and, under PLDP_MODEL_CHECK,
 // by the shadow types having no defaulted-order overloads.
 //
-// PLDP_PROTOCOL_ASSERT states a protocol invariant (e.g. "a reorder
-// buffer never exceeds its credit-bounded capacity"): plain assert() in
+// PLDP_PROTOCOL_ASSERT states a protocol invariant (e.g. "a merge hands
+// its engine keys in increasing order"): plain assert() in
 // normal builds, a model-checker failure (with a replayable schedule
 // trace) under PLDP_MODEL_CHECK.
 

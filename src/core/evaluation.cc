@@ -3,6 +3,7 @@
 #include "core/evaluation.h"
 
 #include "common/strings.h"
+#include "ppm/adaptive.h"
 #include "ppm/mechanism.h"
 #include "quality/metrics.h"
 
@@ -37,6 +38,7 @@ StatusOr<EvaluationResult> RunEvaluation(const Dataset& dataset,
   ctx.alpha = config.alpha;
   ctx.history = &history;
   PLDP_RETURN_IF_ERROR(mechanism->Initialize(ctx));
+  WarnIfAdaptiveFallsBack(*mechanism, ctx);
 
   // Ground truth per evaluation window per target (computed once).
   std::vector<std::vector<bool>> truth(eval_windows.size());

@@ -2,6 +2,8 @@
 
 #include "core/private_engine.h"
 
+#include "ppm/adaptive.h"
+
 namespace pldp {
 
 StatusOr<PatternId> PrivateCepEngine::RegisterPrivatePattern(Pattern pattern) {
@@ -42,7 +44,9 @@ Status PrivateCepEngine::Activate(std::unique_ptr<PrivacyMechanism> mechanism,
     return Status::FailedPrecondition("no target queries registered");
   }
 
-  PLDP_RETURN_IF_ERROR(mechanism->Initialize(BuildContext(epsilon)));
+  const MechanismContext context = BuildContext(epsilon);
+  PLDP_RETURN_IF_ERROR(mechanism->Initialize(context));
+  WarnIfAdaptiveFallsBack(*mechanism, context);
   mechanism_ = std::move(mechanism);
   epsilon_ = epsilon;
   active_ = true;

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "cep/correlation_key.h"
+#include "ppm/adaptive.h"
 
 namespace pldp {
 
@@ -108,7 +109,9 @@ Status PrivateLane::Attach(ParallelStreamingEngine* runtime,
   if (probe == nullptr) {
     return Status::InvalidArgument("factory returned a null mechanism");
   }
-  PLDP_RETURN_IF_ERROR(probe->Initialize(setup_.BuildContext(epsilon_)));
+  const MechanismContext context = setup_.BuildContext(epsilon_);
+  PLDP_RETURN_IF_ERROR(probe->Initialize(context));
+  WarnIfAdaptiveFallsBack(*probe, context);
 
   // Budget accounting: this activation spends each private pattern's
   // lifetime budget ε (sequential composition — a later re-activation

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/thread_annotations.h"
 #include "event/event_type.h"
 #include "event/symbol_table.h"
 #include "event/value.h"
@@ -69,7 +70,8 @@ class Event {
   };
 
   Event() = default;
-  Event(EventTypeId type, Timestamp ts, StreamId stream = kDefaultStream)
+  PLDP_HOT Event(EventTypeId type, Timestamp ts,
+                 StreamId stream = kDefaultStream)
       : type_(type), timestamp_(ts), stream_(stream) {}
 
   Event(const Event& other);

@@ -48,17 +48,17 @@ void FinalizeHealth(PipelineHealth* health, const HealthThresholds& t) {
     }
   }
   for (const PipelineHealth::GroupRow& row : health->groups) {
-    // A reorder buffer near its credit bound means producers are (or are
-    // about to start) spinning on exhausted credits: stage 2 is not keeping
-    // up and backpressure is propagating upstream.
+    // Input lanes near full mean producers are (or are about to start)
+    // waiting on full lanes: stage 2 is not keeping up and backpressure is
+    // propagating upstream.
     if (row.reorder_capacity > 0 &&
         static_cast<double>(row.reorder_depth) /
                 static_cast<double>(row.reorder_capacity) >=
             t.degraded_saturation) {
       char buf[200];
       std::snprintf(buf, sizeof(buf),
-                    "%s group '%s' merge %zu reorder buffer at %llu/%llu "
-                    "(credit exhaustion imminent)",
+                    "%s group '%s' merge %zu input lanes at %llu/%llu "
+                    "(producers about to wait on full lanes)",
                     row.lane.c_str(), row.group.c_str(), row.merge_shard,
                     static_cast<unsigned long long>(row.reorder_depth),
                     static_cast<unsigned long long>(row.reorder_capacity));
@@ -67,14 +67,14 @@ void FinalizeHealth(PipelineHealth* health, const HealthThresholds& t) {
         health->state = PipelineHealth::State::kDegraded;
       }
     }
-    // A large lag with nothing buffered just means the pipeline is idle; a
-    // large lag WITH buffered events means the merge cannot advance — some
+    // A large lag with empty lanes just means the pipeline is idle; a
+    // large lag WITH items waiting means the merge cannot advance — some
     // producer lane stopped delivering watermarks.
     if (row.watermark_lag > t.stall_lag_events && row.reorder_depth > 0) {
       char buf[200];
       std::snprintf(buf, sizeof(buf),
                     "%s group '%s' merge %zu stalled: watermark lag %llu with "
-                    "%llu events buffered",
+                    "%llu items waiting",
                     row.lane.c_str(), row.group.c_str(), row.merge_shard,
                     static_cast<unsigned long long>(row.watermark_lag),
                     static_cast<unsigned long long>(row.reorder_depth));

@@ -42,9 +42,9 @@ struct PipelineHealth {
     std::string group;  ///< correlation-key id, e.g. "attr:zone"
     size_t merge_shard = 0;
     uint64_t watermark_lag = 0;   ///< ingest frontier − safe watermark
-    uint64_t reorder_depth = 0;   ///< events waiting in the reorder buffer
-    /// Hard reorder-buffer bound (sum of the input lanes' credit budgets);
-    /// 0 when the engine predates flow control.
+    /// Items waiting in the merge shard's input lanes, still to be merged.
+    uint64_t reorder_depth = 0;
+    /// Total capacity of those lanes; 0 skips the saturation rule.
     uint64_t reorder_capacity = 0;
   };
 

@@ -106,15 +106,26 @@ StatusOr<BudgetAllocation> BidirectionalStepwiseSearch(
   return current;
 }
 
+bool AdaptivePatternPpm::FallsBackToUniform(const MechanismContext& context) {
+  return context.history == nullptr || context.history->empty() ||
+         context.target_patterns.empty();
+}
+
 StatusOr<BudgetAllocation> AdaptivePatternPpm::MakeAllocation(
     const Pattern& pattern, const MechanismContext& context) {
-  if (context.history == nullptr || context.history->empty() ||
-      context.target_patterns.empty()) {
-    PLDP_LOG(Warning) << "adaptive PPM for pattern '" << pattern.name()
-                      << "': no history/targets, falling back to uniform";
+  if (FallsBackToUniform(context)) {
     return BudgetAllocation::Uniform(context.epsilon, pattern.length());
   }
   return BidirectionalStepwiseSearch(pattern, context, options_);
+}
+
+void WarnIfAdaptiveFallsBack(const PrivacyMechanism& mechanism,
+                             const MechanismContext& context) {
+  if (dynamic_cast<const AdaptivePatternPpm*>(&mechanism) != nullptr &&
+      AdaptivePatternPpm::FallsBackToUniform(context)) {
+    PLDP_LOG(Warning) << "adaptive PPM: no history/targets, falling back to "
+                         "uniform for every private pattern";
+  }
 }
 
 }  // namespace pldp

@@ -65,6 +65,10 @@ class AdaptivePatternPpm final : public PatternLevelPpm {
 
   const AdaptivePpmOptions& options() const { return options_; }
 
+  /// True when `context` has no historical windows or no target patterns:
+  /// every private pattern then gets the uniform split.
+  static bool FallsBackToUniform(const MechanismContext& context);
+
  protected:
   StatusOr<BudgetAllocation> MakeAllocation(
       const Pattern& pattern, const MechanismContext& context) override;
@@ -72,6 +76,14 @@ class AdaptivePatternPpm final : public PatternLevelPpm {
  private:
   AdaptivePpmOptions options_;
 };
+
+/// Logs one warning when `mechanism` is adaptive and `context` makes it
+/// fall back to the uniform split; no-op otherwise. Call it once per
+/// pipeline, where the mechanism configuration is validated: publishers
+/// initialize one mechanism per data subject, so the mechanism itself
+/// stays quiet.
+void WarnIfAdaptiveFallsBack(const PrivacyMechanism& mechanism,
+                             const MechanismContext& context);
 
 }  // namespace pldp
 

@@ -23,7 +23,7 @@
 // park says work arrives sparsely, so yielding before the next park only
 // burns CPU, while a short one says the next item is close and is worth
 // waiting for awake. Producer and barrier waits keep the fixed schedule:
-// the credit ping-pong between exchange producers and merge shards (most
+// the full-lane ping-pong between exchange producers and merge shards (most
 // of it in a pipeline's warm-up) needs both sides to keep polling through
 // short gaps, and a producer that sleeps early stretches every such
 // exchange.

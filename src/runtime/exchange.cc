@@ -16,16 +16,12 @@ uint64_t SubjectKey(const Event& event) {
 }  // namespace
 
 ExchangeFabric::ExchangeFabric(size_t producers, size_t consumers,
-                               size_t lane_capacity,
-                               size_t reorder_capacity)
+                               size_t lane_capacity)
     : producers_(producers < 1 ? 1 : producers),
       consumers_(consumers < 1 ? 1 : consumers) {
-  const size_t credits = reorder_capacity == 0
-                             ? kDefaultExchangeReorderCapacity
-                             : reorder_capacity;
   lanes_.reserve(producers_ * consumers_);
   for (size_t i = 0; i < producers_ * consumers_; ++i) {
-    lanes_.push_back(std::make_unique<ExchangeLane>(lane_capacity, credits));
+    lanes_.push_back(std::make_unique<ExchangeLane>(lane_capacity));
   }
 }
 
@@ -50,43 +46,24 @@ ExchangeEmitter::ExchangeEmitter(std::vector<ExchangeLane*> row,
     : row_(std::move(row)),
       router_(row_.size()),
       key_fn_(key_fn ? std::move(key_fn) : ShardKeyFn(SubjectKey)),
-      fabric_(fabric) {}
+      fabric_(fabric),
+      sent_(row_.size()) {}
 
-Status ExchangeEmitter::PushToLane(size_t consumer, ExchangeItem item) {
-  Backoff backoff;
-  bool waited = false;
-  while (!row_[consumer]->queue.TryPush(std::move(item))) {
-    if (fabric_->aborted()) {
-      return Status::FailedPrecondition("exchange fabric aborted");
-    }
-    waited = true;
-    backoff.Wait();
-  }
-  if (waited) {
-    // order: relaxed; telemetry only.
-    backpressure_waits_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return Status::OK();
-}
-
-Status ExchangeEmitter::AcquireCreditSlow(ExchangeLane& lane) {
-  // One count per wait episode (mirrors the backpressure-wait accounting).
+Status ExchangeEmitter::AwaitRoom(ExchangeLane& lane) {
   // order: relaxed; telemetry only.
-  credit_exhausted_waits_.fetch_add(1, std::memory_order_relaxed);
-  // Publish the exact frontier before blocking: every future item of this
-  // row has key >= (trigger_, sub_next_) — including the one we are about
-  // to emit. This lets the merge release every buffered item strictly
-  // below the frontier even though this row has gone quiet, which returns
-  // the credits we are waiting for. Without it, two producers blocked on
-  // each other's unreleased items would deadlock the merge.
-  PLDP_RETURN_IF_ERROR(BroadcastKey(ExchangeKey{trigger_, sub_next_}));
+  backpressure_waits_.fetch_add(1, std::memory_order_relaxed);
   Backoff backoff;
-  // order: acquire pairs with the consumer's release credit return — the
-  // buffer slot it freed must be visible before we fill it again.
-  while (lane.credits.load(std::memory_order_acquire) == 0) {
+  while (lane.queue.Claim(1) == 0) {
     if (fabric_->aborted()) {
       return Status::FailedPrecondition("exchange fabric aborted");
     }
+    // Every future item of this row has key >= (trigger_, sub_next_),
+    // including the one waiting for this lane, and so has every peer row
+    // at its own frontier. Repeats only reach lanes that have emptied
+    // since (the per-lane dedup), so the exact frontier lands on every lane
+    // a merge may be waiting on.
+    BroadcastFrontier();
+    for (ExchangeEmitter* peer : peers_) peer->BroadcastFrontier();
     backoff.Wait();
   }
   return Status::OK();
@@ -94,50 +71,71 @@ Status ExchangeEmitter::AcquireCreditSlow(ExchangeLane& lane) {
 
 Status ExchangeEmitter::Emit(const Event& event) {
   driver_role_.Assert();
-  ExchangeItem item;
-  item.key = ExchangeKey{trigger_, sub_next_++};
-  item.event = event;
-  const size_t consumer = router_.ShardOfKey(key_fn_(item.event));
-  ExchangeLane& lane = *row_[consumer];
-  // One credit per event. Only this thread decrements (single producer
-  // per lane), so a non-zero read cannot underflow on the fetch_sub.
-  // order: acquire pairs with the consumer's release credit return.
-  if (lane.credits.load(std::memory_order_acquire) == 0) {
-    PLDP_RETURN_IF_ERROR(AcquireCreditSlow(lane));
+  if (fabric_->aborted()) {
+    return Status::FailedPrecondition("exchange fabric aborted");
   }
-  // order: acq_rel; the RMW joins the release sequence on the counter so
-  // the consumer's next return composes with ours, and the acquire half
-  // covers a consume that raced past the load above.
-  lane.credits.fetch_sub(1, std::memory_order_acq_rel);
-  PLDP_RETURN_IF_ERROR(PushToLane(consumer, std::move(item)));
+  ExchangeLane& lane = *row_[router_.ShardOfKey(key_fn_(event))];
+  if (lane.queue.Claim(1) == 0) {
+    PLDP_RETURN_IF_ERROR(AwaitRoom(lane));  // hotpath-allow: full lanes only
+  }
+  ExchangeItem& item = lane.queue.ClaimedSlot(0);
+  item.key = ExchangeKey{trigger_, sub_next_++};
+  item.timestamp = event.timestamp();
+  item.type = event.type();
+  item.stream = event.stream();
+  item.watermark = false;
+  lane.queue.Publish(1);
   // order: relaxed; telemetry only.
   forwarded_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
 
-Status ExchangeEmitter::BroadcastKey(ExchangeKey bound) {
-  if (broadcast_any_ && bound <= last_broadcast_) return Status::OK();
+void ExchangeEmitter::BroadcastKey(ExchangeKey bound) {
+  bool sent_any = false;
   for (size_t c = 0; c < row_.size(); ++c) {
-    ExchangeItem item;
-    item.key = bound;
-    item.watermark = true;
-    PLDP_RETURN_IF_ERROR(PushToLane(c, std::move(item)));
+    if (bound <= sent_[c]) continue;
+    ExchangeLane& lane = *row_[c];
+    SpscQueue<ExchangeItem>& queue = lane.queue;
+    if (queue.Claim(queue.capacity()) == queue.capacity()) {
+      // Empty lane: the watermark becomes its head at once.
+      ExchangeItem& item = queue.ClaimedSlot(0);
+      item.key = bound;
+      item.watermark = true;
+      queue.Publish(1);
+      sent_[c] = bound;
+      sent_any = true;
+    } else if (bound.primary > sent_[c].primary) {
+      // Items in flight bound the lane: leave the primary for the merge to
+      // apply once it has drained the lane, and ring it in case it already
+      // has. A later broadcast brings the exact key to the empty lane.
+      // order: release pairs with the merge's acquire load: the items
+      // pushed before the bound are visible to its re-peek.
+      lane.skipped_bound.store(bound.primary, std::memory_order_release);
+      queue.RingWaker();
+      sent_[c] = ExchangeKey{bound.primary, 0};
+      sent_any = true;
+    }
   }
-  last_broadcast_ = bound;
-  broadcast_any_ = true;
-  // order: relaxed; telemetry only.
-  watermarks_.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
+  if (sent_any) {
+    // order: relaxed; telemetry only.
+    watermarks_.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+void ExchangeEmitter::BroadcastFrontier() {
+  driver_role_.Assert();
+  BroadcastKey(ExchangeKey{trigger_, sub_next_});
 }
 
 Status ExchangeEmitter::Broadcast(uint64_t bound) {
   driver_role_.Assert();
-  return BroadcastKey(ExchangeKey{bound, 0});
+  BroadcastKey(ExchangeKey{bound, 0});
+  return Status::OK();
 }
 
 ExchangeEmitterStats ExchangeEmitter::stats() const {
   ExchangeEmitterStats s;
-  // order: relaxed on all four; independent monotonic telemetry counters.
+  // order: relaxed on all three; independent monotonic telemetry counters.
   s.forwarded =
       static_cast<size_t>(forwarded_.load(std::memory_order_relaxed));
   s.watermarks =
@@ -145,8 +143,6 @@ ExchangeEmitterStats ExchangeEmitter::stats() const {
   // order: relaxed; see above.
   s.backpressure_waits = static_cast<size_t>(
       backpressure_waits_.load(std::memory_order_relaxed));
-  s.credit_exhausted_waits = static_cast<size_t>(
-      credit_exhausted_waits_.load(std::memory_order_relaxed));
   return s;
 }
 

@@ -32,26 +32,15 @@
 // (b, 0)") when idle and at drain barriers; `kExchangeSeqEnd` is the
 // terminal watermark closing a lane at end of stream.
 //
-// Flow control: each lane carries a credit counter initialized to the
-// consumer's reorder-buffer capacity. An Emit consumes one credit; the
-// merge returns it when the event is released to the engine. Events
-// in flight on a lane (queue + reorder buffer) therefore never exceed
-// the credit budget, which caps the reorder buffer — a stalled merge
-// shard backpressures its producers (and transitively the ingest
-// thread) instead of buffering without bound. Watermarks are credit-free:
-// they carry no payload and the merge consumes them immediately, so flow
-// control can never silence the progress protocol. A credit-blocked
-// producer broadcasts its exact frontier before spinning, which lets the
-// merge release everything below it and return credits — the liveness
-// argument is spelled out in docs/ARCHITECTURE.md ("Credit-based flow
-// control").
-//
-// The credit protocol (consume on Emit, return on release, buffer never
-// exceeding the budget) is machine-checked by
-// tests/check/check_credits_test.cc; its negative twin
-// (PLDP_CHECK_NEGATIVE_CREDITS in merge_shard.cc, which returns the
-// credit at receipt instead of at release) trips the reorder buffer's
-// capacity assert under the model checker.
+// Flow control: the lane ring is the budget. The merge frees a slot only
+// once its engine consumed the event, so a stalled merge shard fills its
+// lanes and backpressures its producers instead of buffering without
+// bound. Watermarks never wait and never queue behind events: a lane with
+// items in flight is bounded by its head, so the bound goes to the lane's
+// `skipped_bound` instead. A producer blocked on a full lane broadcasts
+// its exact frontier first — the liveness argument is in
+// docs/ARCHITECTURE.md ("Lane-capacity flow control"). The protocol is
+// machine-checked by tests/check/check_merge_test.cc.
 
 #ifndef PLDP_RUNTIME_EXCHANGE_H_
 #define PLDP_RUNTIME_EXCHANGE_H_
@@ -91,31 +80,27 @@ struct ExchangeKey {
 };
 
 /// One slot of an exchange lane: a keyed event, or a watermark whose key
-/// lower-bounds every later item on the lane.
+/// lower-bounds every later item on the lane. Events travel as what stage 2
+/// reads of them — type, timestamp and subject; attributes stay on stage 1,
+/// where the correlation key was computed.
 struct ExchangeItem {
   ExchangeKey key;
+  Timestamp timestamp = 0;
+  EventTypeId type = kInvalidEventType;
+  StreamId stream = kDefaultStream;
   bool watermark = false;
-  Event event;
 };
+static_assert(sizeof(ExchangeItem) <= 40, "lane slots stay compact");
 
-/// Default per-lane credit budget (== the consumer's per-lane reorder
-/// capacity) when the caller does not size it explicitly.
-inline constexpr size_t kDefaultExchangeReorderCapacity = 1024;
-
-/// One SPSC lane of the matrix, plus its flow-control credit counter.
+/// One SPSC lane of the matrix.
 struct ExchangeLane {
-  ExchangeLane(size_t capacity, size_t credit_budget)
-      : queue(capacity),
-        initial_credits(credit_budget),
-        credits(credit_budget) {}
+  explicit ExchangeLane(size_t capacity) : queue(capacity) {}
   SpscQueue<ExchangeItem> queue;
-  /// The lane's credit budget — also the hard capacity of the consumer's
-  /// per-lane reorder buffer (see MergeShard). Fixed at construction.
-  const size_t initial_credits;
-  /// Remaining credits. Decremented by the producer (one per Emit),
-  /// incremented by the consumer (one per event released to its engine).
-  /// Watermarks bypass it entirely.
-  Atomic<uint64_t> credits;
+  /// Primary of the highest watermark a broadcast did not queue because
+  /// the lane held items: every item pushed after it has key >=
+  /// (skipped_bound, 0). Written by the producer, read by the merge once it
+  /// has drained the lane.
+  Atomic<uint64_t> skipped_bound{0};
 };
 
 /// The N1×N2 lane matrix. Constructed before the shards on either side and
@@ -123,12 +108,9 @@ struct ExchangeLane {
 class ExchangeFabric {
  public:
   /// `producers`/`consumers` must be >= 1; `lane_capacity` bounds each lane
-  /// like any runtime queue (rounded up to a power of two, clamped).
-  /// `reorder_capacity` is each lane's credit budget == the hard capacity
-  /// of the consumer-side reorder buffer fed by that lane (0 = the
-  /// default, kDefaultExchangeReorderCapacity).
-  ExchangeFabric(size_t producers, size_t consumers, size_t lane_capacity,
-                 size_t reorder_capacity = 0);
+  /// like any runtime queue (rounded up to a power of two, clamped) and is
+  /// the lane's whole flow-control budget.
+  ExchangeFabric(size_t producers, size_t consumers, size_t lane_capacity);
 
   ExchangeLane& lane(size_t producer, size_t consumer) {
     return *lanes_[producer * consumers_ + consumer];
@@ -164,11 +146,8 @@ struct ExchangeEmitterStats {
   size_t forwarded = 0;
   /// Watermark broadcasts (each reaches every lane of the row).
   size_t watermarks = 0;
-  /// Times a full lane made the producer wait.
+  /// Times a full lane made the producer wait (one per wait episode).
   size_t backpressure_waits = 0;
-  /// Times an exhausted credit budget made the producer wait for the
-  /// consumer to release buffered events (one per wait episode).
-  size_t credit_exhausted_waits = 0;
 };
 
 /// The stage-1 side of the fabric: owned by one shard, driven only by that
@@ -196,15 +175,20 @@ class ExchangeEmitter {
   }
 
   /// Routes `event` to its consumer lane, blocking (with backoff) while
-  /// the lane is full or its credit budget is exhausted (i.e. the
-  /// consumer's reorder buffer holds the whole budget). Fails fast when
-  /// the fabric was aborted.
+  /// the lane is full. Fails fast once the fabric was aborted.
   PLDP_HOT Status Emit(const Event& event);
 
+  /// Links an emitter driven by the same thread (another lane-group of the
+  /// same shard): a wait on a full lane of this row broadcasts the peer's
+  /// frontier too. Must precede the first Emit.
+  void AddPeer(ExchangeEmitter* peer) { peers_.push_back(peer); }
+
   /// Sends `watermark(bound)` — every future item on this row has key >=
-  /// (bound, 0) — to all lanes. Monotone: bounds at or below the last
-  /// broadcast are skipped. Watermarks consume no credits; blocking/abort
-  /// behavior on a full queue is the same as Emit's.
+  /// (bound, 0) — to all lanes. Never waits: a lane with items in flight
+  /// gets the bound through its `skipped_bound` instead. Monotone per
+  /// lane: bounds at or below what a lane already has are skipped. Always
+  /// OK, also on an aborted fabric, so drain barriers complete after an
+  /// abort.
   Status Broadcast(uint64_t bound);
 
   ExchangeEmitterStats stats() const;
@@ -218,22 +202,25 @@ class ExchangeEmitter {
   }
 
  private:
-  PLDP_HOT Status PushToLane(size_t consumer, ExchangeItem item)
-      PLDP_REQUIRES(driver_role_);
+  /// Full-lane wait: counts the episode, then, until `lane` has room or
+  /// the fabric aborts, broadcasts the exact frontier (trigger_,
+  /// sub_next_) of this row and of every peer's — without it a cycle of
+  /// producers blocked on each other's unreleased items, in this
+  /// lane-group or across the groups of one shard, could deadlock the
+  /// merges.
+  Status AwaitRoom(ExchangeLane& lane) PLDP_REQUIRES(driver_role_);
+
+  /// BroadcastKey of the current frontier; entered from a peer's wait.
+  void BroadcastFrontier();
 
   /// Full-key watermark: every future item on this row has key >= `bound`.
-  /// Broadcast(b) is BroadcastKey({b, 0}); the credit slow path uses the
-  /// exact frontier (trigger_, sub_next_) so consumers can release
-  /// everything strictly below the item the producer is blocked on.
-  Status BroadcastKey(ExchangeKey bound) PLDP_REQUIRES(driver_role_);
-
-  /// Credit-exhaustion wait: counts the episode, publishes the frontier
-  /// watermark (without it a cycle of credit-blocked producers could
-  /// deadlock the merge), then spins until the consumer returns a credit
-  /// or the fabric aborts.
-  Status AcquireCreditSlow(ExchangeLane& lane) PLDP_REQUIRES(driver_role_);
+  /// Broadcast(b) is BroadcastKey({b, 0}); the full-lane wait uses the
+  /// exact frontier so consumers can release everything strictly below the
+  /// item the producer is blocked on.
+  void BroadcastKey(ExchangeKey bound) PLDP_REQUIRES(driver_role_);
 
   std::vector<ExchangeLane*> row_;
+  std::vector<ExchangeEmitter*> peers_;
   EventRouter router_;
   ShardKeyFn key_fn_;
   ExchangeFabric* fabric_;
@@ -248,14 +235,14 @@ class ExchangeEmitter {
   // Worker-local emission state.
   uint64_t trigger_ PLDP_GUARDED_BY(driver_role_) = 0;
   uint64_t sub_next_ PLDP_GUARDED_BY(driver_role_) = 0;
-  ExchangeKey last_broadcast_ PLDP_GUARDED_BY(driver_role_) = {0, 0};
-  bool broadcast_any_ PLDP_GUARDED_BY(driver_role_) = false;
+  /// Per lane, the highest bound it has been sent — as a watermark item,
+  /// or as (skipped_bound, 0) when it held items.
+  std::vector<ExchangeKey> sent_ PLDP_GUARDED_BY(driver_role_);
 
   // Stats written by the worker (relaxed), read from any thread.
   Atomic<uint64_t> forwarded_{0};
   Atomic<uint64_t> watermarks_{0};
   Atomic<uint64_t> backpressure_waits_{0};
-  Atomic<uint64_t> credit_exhausted_waits_{0};
 };
 
 }  // namespace pldp

@@ -8,38 +8,12 @@
 #include "runtime/backoff.h"
 
 namespace pldp {
-namespace {
-
-// Per-lane receive burst: amortizes the queue's release store without
-// letting one busy lane starve the merge of the others.
-constexpr size_t kReceiveBatch = 128;
-
-}  // namespace
-
-namespace {
-
-size_t SumCredits(const std::vector<ExchangeLane*>& inputs) {
-  size_t total = 0;
-  for (const ExchangeLane* lane : inputs) total += lane->initial_credits;
-  return total;
-}
-
-}  // namespace
 
 MergeShard::MergeShard(size_t index, std::vector<ExchangeLane*> inputs)
-    : index_(index), reorder_capacity_(SumCredits(inputs)) {
-  lanes_.reserve(inputs.size());
-  for (ExchangeLane* lane : inputs) {
+    : index_(index), inputs_(std::move(inputs)) {
+  lanes_.reserve(inputs_.size());
+  for (ExchangeLane* lane : inputs_) {
     lanes_.emplace_back(lane);
-    // Defense-in-depth: under credit accounting a lane can never buffer
-    // more than its budget; the cap turns a broken invariant into a debug
-    // assert instead of silent unbounded growth.
-    lanes_.back().buffer.set_capacity_limit(lane->initial_credits);
-    // Pre-size the reorder ring to that same bound: the credit budget is
-    // the exact worst-case occupancy, so paying the allocation here (at
-    // Build()) makes the steady state allocation-flat instead of growing
-    // the ring through log2(credits) reallocations under load.
-    lanes_.back().buffer.reserve(lane->initial_credits);
     // This shard's worker is the lane queue's sole consumer: route the
     // lane's push doorbell (events and watermarks alike) to it.
     lane->queue.SetWaker(&doorbell_);
@@ -126,7 +100,6 @@ Status MergeShard::Stop() {
   // role back. Absorb anything a skipped barrier left behind, still in
   // key order so the result is a deterministic function of what arrived.
   worker_role_.Acquire();
-  (void)ReceiveAvailable();
   (void)MergePass(/*force=*/true);
   worker_role_.Release();
   // order: release publishes the absorbed leftovers to WaitSafe callers.
@@ -152,47 +125,31 @@ ShardStats MergeShard::stats() const {
   return s;
 }
 
-bool MergeShard::ReceiveAvailable() {
-  bool any = false;
-  size_t received = 0;
-  ExchangeItem burst[kReceiveBatch];
-  for (LaneState& lane : lanes_) {
-    for (;;) {
-      const size_t n = lane.lane->queue.TryPopN(burst, kReceiveBatch);
-      if (n == 0) break;
-      any = true;
-      for (size_t i = 0; i < n; ++i) {
-        ExchangeItem& item = burst[i];
-        if (item.watermark) {
-          // Watermarks only advance the lane's future lower bound.
-          if (lane.bound < item.key) lane.bound = item.key;
-        } else {
-          // Events bound the future strictly: later keys exceed this one.
-          lane.bound = ExchangeKey{item.key.primary, item.key.sub + 1};
-#ifdef PLDP_CHECK_NEGATIVE_CREDITS
-          // Seeded mutation for the model checker's negative suite:
-          // returning the credit at *receipt* instead of at release lets
-          // the producer put a full budget back in flight while this
-          // buffer still holds the previous budget — push_back trips the
-          // ring's PLDP_PROTOCOL_ASSERT capacity cap.
-          // atomics-allow: seeded negative-build mutation, not a shipped
-          // ordering decision.
-          lane.lane->credits.fetch_add(1, std::memory_order_release);
-#endif
-          lane.buffer.push_back(std::move(item));
-          ++received;
-        }
+const ExchangeItem* MergeShard::Head(LaneState& lane) {
+  SpscQueue<ExchangeItem>& queue = lane.lane->queue;
+  for (;;) {
+    if (queue.Peek(1) == 0) {
+      // order: acquire pairs with the emitter's release store: every item
+      // pushed before the skipped broadcast is visible to the re-peek, so
+      // an empty lane after it has delivered all of them.
+      const uint64_t skipped =
+          lane.lane->skipped_bound.load(std::memory_order_acquire);
+      if (skipped <= lane.bound.primary) return nullptr;
+      if (queue.Peek(1) == 0) {
+        lane.bound = ExchangeKey{skipped, 0};
+        return nullptr;
       }
-      if (n < kReceiveBatch) break;
     }
+    const ExchangeItem& item = queue.PeekedSlot(0);
+    if (!item.watermark) {
+      // The producer kept its promises: no event below a bound it sent.
+      PLDP_PROTOCOL_ASSERT(lane.bound <= item.key);
+      return &item;
+    }
+    // Watermarks only advance the lane's future lower bound.
+    if (lane.bound < item.key) lane.bound = item.key;
+    queue.Release(1);
   }
-  if (received > 0) {
-    // order: relaxed; gauge only, scrape threads don't read the buffers.
-    buffered_.fetch_add(received, std::memory_order_relaxed);
-    // order: relaxed; telemetry only.
-    received_.fetch_add(received, std::memory_order_relaxed);
-  }
-  return any;
 }
 
 bool MergeShard::MergePass(bool force) {
@@ -200,38 +157,54 @@ bool MergeShard::MergePass(bool force) {
   // Chained clock reads: one MonotonicNowNs per released event.
   uint64_t t_prev = obs_.merge_latency_ns ? obs::MonotonicNowNs() : 0;
   for (;;) {
-    // Candidate: the globally smallest buffered key.
+    // Candidate: the globally smallest event head; gate: the smallest
+    // bound of an empty lane.
     LaneState* best = nullptr;
+    ExchangeKey key;
+    const ExchangeKey* silent = nullptr;
     for (LaneState& lane : lanes_) {
-      if (lane.buffer.empty()) continue;
-      if (best == nullptr ||
-          lane.buffer.front().key < best->buffer.front().key) {
+      const ExchangeItem* head = Head(lane);
+      lane.empty = head == nullptr;
+      if (lane.empty) {
+        if (silent == nullptr || lane.bound < *silent) silent = &lane.bound;
+      } else if (best == nullptr || head->key < key) {
         best = &lane;
+        key = head->key;
       }
     }
-    if (best == nullptr) break;
-    if (!force) {
-      // Release only when every silent lane provably passed the candidate.
-      const ExchangeKey& key = best->buffer.front().key;
-      bool safe = true;
-      for (const LaneState& lane : lanes_) {
-        if (lane.buffer.empty() && lane.bound <= key) {
-          safe = false;
-          break;
-        }
+    // Release only when every silent lane provably passed the candidate.
+    if (best == nullptr || (!force && silent != nullptr && *silent <= key)) {
+      // Everything below the smallest head or empty-lane bound is done.
+      uint64_t frontier = best == nullptr ? kExchangeSeqEnd : key.primary;
+      if (silent != nullptr && silent->primary < frontier) {
+        frontier = silent->primary;
       }
-      if (!safe) break;
+      // order: relaxed; this thread is the only writer, so its own last
+      // store is always visible to it.
+      if (frontier > safe_primary_.load(std::memory_order_relaxed)) {
+        // order: release publishes the merged engine state to WaitSafe.
+        safe_primary_.store(frontier, std::memory_order_release);
+      }
+      break;
     }
+    SpscQueue<ExchangeItem>& queue = best->lane->queue;
+#ifdef PLDP_CHECK_NEGATIVE_MERGE
+    // Seeded mutation for the model checker's negative suite: freeing the
+    // slot before the engine reads it (offset -1 wraps to the slot just
+    // released) lets the producer refill it under the read.
+    queue.Release(1);
+    const ExchangeItem& item = queue.PeekedSlot(~size_t{0});
+#else
+    const ExchangeItem& item = queue.PeekedSlot(0);
+#endif
     // The engine's status is always OK today (see Shard::RunLoop); a future
     // failing engine would latch the error for the drain barrier.
-    (void)engine_.OnEvent(best->buffer.front().event);
-    best->buffer.pop_front();
-#ifndef PLDP_CHECK_NEGATIVE_CREDITS
-    // Return the flow-control credit: the event left the reorder buffer,
-    // so its producer may put another one in flight on this lane.
-    // order: release pairs with the producer's acquire load — the freed
-    // buffer slot must be visible before it is refilled.
-    best->lane->credits.fetch_add(1, std::memory_order_release);
+    (void)engine_.OnEvent(Event(item.type, item.timestamp, item.stream));
+    // Events bound the future strictly: later keys exceed this one.
+    best->bound = ExchangeKey{key.primary, key.sub + 1};
+#ifndef PLDP_CHECK_NEGATIVE_MERGE
+    // The engine is done with the slot: its producer may refill it.
+    queue.Release(1);
 #endif
     ++released;
     if (obs_.merge_latency_ns) {
@@ -243,56 +216,50 @@ bool MergeShard::MergePass(bool force) {
   if (released > 0) {
     // order: release publishes the engine effects to stats() readers.
     merged_.fetch_add(released, std::memory_order_release);
-    // order: relaxed; gauge only.
-    buffered_.fetch_sub(released, std::memory_order_relaxed);
   }
   return released > 0;
 }
 
-void MergeShard::PublishSafeBound() {
-  uint64_t frontier = kExchangeSeqEnd;
-  for (const LaneState& lane : lanes_) {
-    const uint64_t lane_frontier = lane.buffer.empty()
-                                       ? lane.bound.primary
-                                       : lane.buffer.front().key.primary;
-    if (lane_frontier < frontier) frontier = lane_frontier;
-  }
-  // order: relaxed; this thread is the only writer, so its own last
-  // store is always visible to it.
-  if (frontier > safe_primary_.load(std::memory_order_relaxed)) {
-    // order: release publishes the merged engine state to WaitSafe.
-    safe_primary_.store(frontier, std::memory_order_release);
-  }
-}
-
 void MergeShard::RunLoop() {
   Backoff backoff(&idle_yields_);
-  // Plain queue-pointer snapshot for the park predicate: the lane set is
-  // frozen at construction, but `lanes_` itself is worker-role-guarded and
-  // the predicate lambda is analyzed as an unannotated function — so it
-  // captures only this unguarded local.
-  std::vector<SpscQueue<ExchangeItem>*> lane_queues;
-  lane_queues.reserve(lanes_.size());
-  for (LaneState& lane : lanes_) lane_queues.push_back(&lane.lane->queue);
+  // The park predicate watches each lane the last pass found empty for a
+  // push or a skipped bound above the one applied (a push behind a head
+  // changes nothing). It reads only this unguarded local, refreshed
+  // before each park, as the analysis treats it as unannotated.
+  struct Watch {
+    const ExchangeLane* lane;
+    bool empty;
+    uint64_t applied;
+  };
+  std::vector<Watch> watch;
+  watch.reserve(inputs_.size());
+  for (const ExchangeLane* lane : inputs_) watch.push_back({lane, true, 0});
   for (;;) {
-    const bool received = ReceiveAvailable();
-    const bool merged = MergePass(/*force=*/false);
-    PublishSafeBound();
-    if (received || merged) {
+    if (MergePass(/*force=*/false)) {
       backoff.Reset();
       continue;
     }
     // order: acquire pairs with Stop()'s release store.
     if (stop_requested_.load(std::memory_order_acquire)) return;
     if (backoff.ShouldPark()) {
+      for (size_t i = 0; i < watch.size(); ++i) {
+        watch[i].empty = lanes_[i].empty;
+        watch[i].applied = lanes_[i].bound.primary;
+      }
       // Every wake source rings this doorbell: lane pushes (events and
-      // watermarks, via SetWaker) and Stop(). Merge progress is entirely
-      // driven by lane input, so an all-empty column with no stop is
-      // genuinely idle. See runtime/backoff.h for the lost-wakeup
-      // argument.
-      (void)backoff.Park(doorbell_, [this, &lane_queues] {
-        for (SpscQueue<ExchangeItem>* queue : lane_queues) {
-          if (!queue->ApproxEmpty()) return true;
+      // watermarks, via SetWaker), skipped broadcasts and Stop(). Merge
+      // progress is entirely driven by lane input, so a column with no
+      // new input on its empty lanes and no stop is genuinely idle. See
+      // runtime/backoff.h for the lost-wakeup argument.
+      (void)backoff.Park(doorbell_, [this, &watch] {
+        for (const Watch& w : watch) {
+          if (!w.empty) continue;
+          if (!w.lane->queue.ApproxEmpty()) return true;
+          // order: acquire pairs with the emitter's release store.
+          if (w.lane->skipped_bound.load(std::memory_order_acquire) >
+              w.applied) {
+            return true;
+          }
         }
         // order: acquire (same pairing as the loop check above).
         return stop_requested_.load(std::memory_order_acquire);

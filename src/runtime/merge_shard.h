@@ -5,37 +5,31 @@
 // A merge shard owns a worker thread, one exchange lane per stage-1
 // producer (the consumer column of the fabric), and a private
 // `StreamingCepEngine` holding the cross-subject queries. The worker
-// restores global order with a watermark-gated k-way merge:
+// restores global order with a watermark-gated k-way merge over the lane
+// heads, read in place:
 //
-//   - every lane delivers strictly increasing `ExchangeKey`s; received
-//     events are staged in a per-lane reorder buffer, received watermarks
-//     only advance the lane's lower bound;
-//   - the smallest buffered key is released to the engine exactly when
-//     every other lane is known to be past it (a buffered head or a
-//     watermark bound proves it) — so the engine sees the events of this
+//   - every lane delivers strictly increasing `ExchangeKey`s; a watermark
+//     at a lane's head only advances the lane's lower bound and is
+//     released at once;
+//   - the smallest event head is handed to the engine exactly when every
+//     empty lane is known to be past it (its bound proves it; a non-empty
+//     lane's head does) — so the engine sees the events of this
 //     correlation partition in precisely the order a sequential engine
-//     processing the whole stream would have seen them;
+//     processing the whole stream would have seen them — and its slot is
+//     released only after the engine consumed it;
 //   - after each pass the worker publishes `safe_primary`, the sequence
 //     number through which everything has been merged and processed. Drain
 //     barriers wait on it; `kExchangeSeqEnd` means the pipeline is sealed.
 //
-// The reorder buffers are hard-bounded by the exchange's credit protocol:
-// each lane carries a credit budget equal to its reorder capacity
-// (ExchangeLane::initial_credits), an Emit consumes one credit, and this
-// shard returns it when the event is released to the engine — so a lane's
-// in-flight events (queue + buffer) never exceed the budget, whatever the
-// producers do. In steady state the buffers hold at most a few lane
-// bursts, because every producer keeps watermarking its lanes when idle —
-// even one that receives no traffic at all (the router periodically
-// publishes a producer floor for exactly that case). When this shard
-// stalls, the exhausted credits backpressure the producers (and
-// transitively the ingest thread) instead of growing the buffers; the
-// buffers carry a protocol-assert capacity cap documenting that bound.
+// There is no second buffer: the lanes are the merge's input and its
+// flow-control budget at once (runtime/exchange.h). Every producer keeps
+// watermarking its lanes when idle — even one that receives no traffic
+// (the router publishes a producer floor for exactly that case).
 //
-// The consume/return credit cycle and the capacity cap are machine-checked
-// by tests/check/check_credits_test.cc (model seams below); the negative
-// twin PLDP_CHECK_NEGATIVE_CREDITS (merge_shard.cc) returns credits at
-// receipt instead of at release and trips the cap under the checker.
+// The in-place merge is machine-checked by tests/check/check_merge_test.cc
+// (model seams below); the negative twin PLDP_CHECK_NEGATIVE_MERGE
+// (merge_shard.cc) frees a slot before the engine reads it and the
+// checker reports the race with the producer refilling it.
 //
 // Threading contract: AddQuery before Start; exactly one orchestrator
 // thread calls Start/Stop; WaitSafe/stats may be called from any thread.
@@ -58,7 +52,6 @@
 #include "obs/instruments.h"
 #include "runtime/backoff.h"
 #include "runtime/exchange.h"
-#include "runtime/ring_buffer.h"
 #include "runtime/shard.h"
 
 namespace pldp {
@@ -99,13 +92,9 @@ class MergeShard {
     return idle_yields_.load(std::memory_order_relaxed);
   }
 
-  /// Events popped from the input lanes / released to the engine in
-  /// global order — safe from any thread (atomics); the metrics registry
-  /// reads them at scrape time.
-  uint64_t events_received() const {
-    // order: relaxed; telemetry only.
-    return received_.load(std::memory_order_relaxed);
-  }
+  /// Events read from the input lanes and released to the engine in
+  /// global order — safe from any thread (atomic); the metrics registry
+  /// reads it at scrape time.
   uint64_t events_merged() const {
     // order: relaxed; a scrape-time count, no engine state is read with it.
     return merged_.load(std::memory_order_relaxed);
@@ -145,21 +134,25 @@ class MergeShard {
   /// waits are counted by the emitters).
   ShardStats stats() const;
 
-  /// Instantaneous reorder-buffer occupancy across all lanes — safe from
-  /// any thread (dedicated atomic; the ring buffers themselves are
-  /// worker-local). Gauge/health source.
-  size_t reorder_buffered() const {
-    // order: relaxed; instantaneous gauge, no payload to acquire.
-    return static_cast<size_t>(buffered_.load(std::memory_order_relaxed));
+  /// Instantaneous occupancy of the input lanes (events and watermarks
+  /// waiting to be merged) — safe from any thread (SPSC indices are
+  /// atomics). Gauge/health source.
+  size_t input_depth() const {
+    size_t depth = 0;
+    for (const ExchangeLane* lane : inputs_) depth += lane->queue.ApproxSize();
+    return depth;
   }
 
-  /// Hard occupancy bound across all lanes (sum of the lanes' credit
-  /// budgets) — the denominator of reorder saturation in health/metrics.
-  /// Constant after construction; safe from any thread.
-  size_t reorder_capacity() const { return reorder_capacity_; }
+  /// Total capacity of the input lanes — the denominator of input
+  /// saturation in health/metrics. Constant; safe from any thread.
+  size_t input_capacity() const {
+    size_t capacity = 0;
+    for (const ExchangeLane* lane : inputs_) capacity += lane->queue.capacity();
+    return capacity;
+  }
 
 #ifdef PLDP_MODEL_CHECK
-  /// Model-check seams (tests/check/check_credits_test.cc): run the worker
+  /// Model-check seams (tests/check/check_merge_test.cc): run the worker
   /// loop on a model thread instead of a real std::thread, and request
   /// stop without joining. Start()/Stop() are never called in a model
   /// harness — std::thread would escape the cooperative scheduler.
@@ -175,10 +168,9 @@ class MergeShard {
   }
   /// Post-join leftover absorption, mirroring the tail of Stop(): the
   /// worker may observe the stop request in the same iteration that its
-  /// receive pass ran dry, leaving late pushes in the lanes.
+  /// merge pass ran dry, leaving late pushes in the lanes.
   void ModelFinalize() {
     worker_role_.Acquire();
-    (void)ReceiveAvailable();
     (void)MergePass(/*force=*/true);
     worker_role_.Release();
   }
@@ -188,38 +180,40 @@ class MergeShard {
   struct LaneState {
     explicit LaneState(ExchangeLane* l) : lane(l) {}
     ExchangeLane* lane;
-    /// Events received but not yet safe to release, in key order. A ring
-    /// (not a deque) so steady-state buffering never allocates — capacity
-    /// sticks after the first bursts (see runtime/ring_buffer.h).
-    RingBuffer<ExchangeItem> buffer;
     /// Lower bound on every future key of this lane (from the last
-    /// received item or watermark).
+    /// released item, watermark or skipped broadcast).
     ExchangeKey bound{0, 0};
+    /// The last merge pass found no event in the lane.
+    bool empty = true;
   };
 
   void RunLoop() PLDP_REQUIRES(worker_role_);
-  /// Drains whatever the lanes currently hold into the reorder buffers.
-  PLDP_HOT bool ReceiveAvailable() PLDP_REQUIRES(worker_role_);
-  /// Releases every safe buffered event to the engine, in key order.
-  /// When `force` (only after the producers are joined), gating by lane
-  /// bounds is skipped and everything buffered is released.
+  /// The lane's first event, read in place, after applying and releasing
+  /// the watermarks ahead of it; null when the lane is empty, whose bound
+  /// then covers any broadcast that skipped the lane while it was full.
+  PLDP_HOT const ExchangeItem* Head(LaneState& lane)
+      PLDP_REQUIRES(worker_role_);
+  /// Releases every safe event to the engine, in key order, then
+  /// publishes the merge frontier. When `force` (only after the producers
+  /// are joined), gating by lane bounds is skipped and everything in the
+  /// lanes is released.
   PLDP_HOT bool MergePass(bool force) PLDP_REQUIRES(worker_role_);
-  void PublishSafeBound() PLDP_REQUIRES(worker_role_);
 
   const size_t index_;
-  /// Sum of the input lanes' credit budgets (constant after construction).
-  const size_t reorder_capacity_;
+  /// The fabric column, fixed at construction: read from any thread by the
+  /// depth gauge and by the worker's park predicate.
+  const std::vector<ExchangeLane*> inputs_;
   /// Worker-thread confinement of the merge state: the orchestrator holds
   /// the role from construction until Start() launches the worker, the
   /// worker holds it for the thread's lifetime, and Stop() takes it back
   /// after the join to absorb leftovers. Zero-size, zero-cost — exists so
-  /// the thread-safety analysis can prove the reorder buffers are never
+  /// the thread-safety analysis can prove the lane bounds are never
   /// touched concurrently.
   ThreadRole worker_role_;
   std::vector<LaneState> lanes_ PLDP_GUARDED_BY(worker_role_);
   /// Wake-on-work doorbell the idle worker parks on; every input lane's
-  /// queue rings it on push (events and watermarks alike), Stop() rings
-  /// it directly.
+  /// queue rings it on push (events and watermarks alike) and on a skipped
+  /// broadcast, Stop() rings it directly.
   Doorbell doorbell_;
   /// Worker thread CPU affinity (-1 = unpinned).
   int affinity_core_ = -1;
@@ -232,15 +226,10 @@ class MergeShard {
   /// Published with release after the engine absorbed the events.
   Atomic<uint64_t> safe_primary_{0};
   Atomic<uint64_t> merged_{0};
-  Atomic<uint64_t> received_{0};
   Atomic<uint64_t> detections_{0};
   /// Worker-side yield count, added once per idle episode
   /// (Backoff::Reset).
   Atomic<uint64_t> idle_yields_{0};
-  /// Events sitting in reorder buffers (receive increments, release
-  /// decrements) — kept as an atomic so scrape threads never touch the
-  /// worker-local ring buffers.
-  Atomic<uint64_t> buffered_{0};
 
   // Hot-path histogram and per-query detection callbacks (indexed by local
   // query index, empty = none), fixed before Start.

@@ -93,8 +93,7 @@ StatusOr<size_t> ParallelStreamingEngine::GetOrCreateGroup(
   group.key_id = key_id;
   group.forward_raw_events = forward_raw_events;
   group.fabric = std::make_unique<ExchangeFabric>(
-      n1, n2, exchange_options_.lane_capacity,
-      exchange_options_.reorder_capacity);
+      n1, n2, exchange_options_.lane_capacity);
   group.merge_shards.reserve(n2);
   for (size_t c = 0; c < n2; ++c) {
     group.merge_shards.push_back(
@@ -223,9 +222,9 @@ Status ParallelStreamingEngine::EnableMetrics(
           [emitter] { return emitter->stats().backpressure_waits; });
       registry->AddCounter(
           "pldp_exchange_credit_exhausted_waits_total",
-          "Credit-exhausted stalls a producer spent waiting on a merge shard",
-          labels,
-          [emitter] { return emitter->stats().credit_exhausted_waits; });
+          "Full-lane waits a producer spent on a merge shard (lane slots "
+          "are the credits)",
+          labels, [emitter] { return emitter->stats().backpressure_waits; });
       registry->AddGauge(
           "pldp_exchange_lane_depth",
           "Instantaneous occupancy of a producer's exchange row", labels,
@@ -238,8 +237,8 @@ Status ParallelStreamingEngine::EnableMetrics(
                                         {"shard", std::to_string(c)}};
       registry->AddCounter(
           "pldp_merge_events_received_total",
-          "Events a merge shard popped from its exchange lanes", labels,
-          [merge] { return merge->events_received(); });
+          "Events a merge shard read from its exchange lanes", labels,
+          [merge] { return merge->events_merged(); });
       registry->AddCounter(
           "pldp_merge_events_total",
           "Events a merge shard released to its engine in global order",
@@ -264,16 +263,16 @@ Status ParallelStreamingEngine::EnableMetrics(
           labels, [merge] { return merge->idle_yields(); });
       registry->AddGauge(
           "pldp_merge_reorder_depth",
-          "Instantaneous reorder-buffer occupancy of a merge shard", labels,
-          [merge] { return merge->reorder_buffered(); });
+          "Instantaneous items waiting in a merge shard's input lanes",
+          labels, [merge] { return merge->input_depth(); });
       registry->AddGauge(
           "pldp_merge_watermark_lag",
           "Ingest frontier minus a merge shard's safe watermark (events)",
           labels, [this, merge] { return WatermarkLag(*merge); });
       registry->AddGauge(
           "pldp_merge_reorder_capacity",
-          "Hard reorder-buffer bound of a merge shard (sum of lane credits)",
-          labels, [merge] { return merge->reorder_capacity(); });
+          "Total capacity of a merge shard's input lanes", labels,
+          [merge] { return merge->input_capacity(); });
     }
   }
   return Status::OK();
@@ -306,8 +305,8 @@ void ParallelStreamingEngine::CollectHealth(
       row.group = group.key_id;
       row.merge_shard = c;
       row.watermark_lag = WatermarkLag(merge);
-      row.reorder_depth = merge.reorder_buffered();
-      row.reorder_capacity = merge.reorder_capacity();
+      row.reorder_depth = merge.input_depth();
+      row.reorder_capacity = merge.input_capacity();
       health->groups.push_back(std::move(row));
     }
   }
@@ -368,6 +367,10 @@ Status ParallelStreamingEngine::Barrier(bool finish) {
     PLDP_RETURN_IF_ERROR(admission_->FlushBlocking());
   }
   const uint64_t bound = IngestFrontier();
+  // Vouch for everything ingested before the shards drain: a worker may
+  // wait on a full exchange lane that only an idle peer's watermark past
+  // its events can free (per-event ingest publishes the floor rarely).
+  PublishProducerFloor(bound);
   for (auto& shard : shards_) {
     PLDP_RETURN_IF_ERROR(shard->Drain());
   }
@@ -381,10 +384,10 @@ Status ParallelStreamingEngine::Barrier(bool finish) {
   // best-effort semantics when a producer keeps pushing concurrently.
   //
   // Post the command to EVERY shard before waiting on ANY ack.
-  // Finalize-time emissions run against bounded credit budgets: shard A's
-  // sink output may only become releasable — and its credits returnable —
-  // once shard B's terminal watermark is in flight. Waiting for A's ack
-  // before posting to B would deadlock under small reorder capacities.
+  // Finalize-time emissions run against bounded lanes: shard A's sink
+  // output may only become releasable — and its lane slots free — once
+  // shard B's terminal watermark is in flight. Waiting for A's ack before
+  // posting to B would deadlock under small lane capacities.
   for (size_t i = 0; i < shards_.size(); ++i) {
     PLDP_ASSIGN_OR_RETURN(command_tokens_[i],
                           finish ? shards_[i]->PostFinish(bound)

@@ -86,13 +86,11 @@ namespace pldp {
 struct RuntimeExchangeOptions {
   /// Stage-2 merge shards per lane-group. 0 = as many as stage-1 shards.
   size_t shard_count = 0;
-  /// Capacity of each exchange lane (rounded up to a power of two).
+  /// Capacity of each exchange lane (rounded up to a power of two): a hard
+  /// bound on how many events one producer may have in flight to one merge
+  /// shard (runtime/exchange.h). A merge shard's input holds at most N1 ×
+  /// this many items.
   size_t lane_capacity = 1024;
-  /// Per-lane flow-control credit budget: a hard bound on how many events
-  /// one producer may have buffered in one merge shard's reorder buffer
-  /// (runtime/exchange.h). 0 = kDefaultExchangeReorderCapacity. A merge
-  /// shard's total reorder memory is bounded by N1 × this value.
-  size_t reorder_capacity = 0;
 };
 
 /// Construction-time knobs of the runtime.
@@ -206,10 +204,12 @@ class ParallelStreamingEngine : public StreamSubscriber {
   Status Stop();
 
   /// Emergency brake on every exchange lane-group (ExchangeFabric::Abort):
-  /// an Emit that finds its lane out of credits or full fails fast instead
-  /// of waiting for a consumer. Stop() pulls it once the producers are
-  /// joined; pulled earlier, the private lane latches the first failed
-  /// Emit and reports it after Finish (PrivateLane::FinalizeStatus).
+  /// every later Emit fails fast instead of forwarding or waiting for a
+  /// consumer; watermarks still flow, so barriers complete. Stop() pulls
+  /// it once the producers are joined; pulled earlier, a shard latches its
+  /// first failed raw forward and Drain()/Finish() return it, and the
+  /// private lane reports its first failed view Emit after Finish
+  /// (PrivateLane::FinalizeStatus).
   void AbortExchange() {
     for (auto& group : groups_) group.fabric->Abort();
   }

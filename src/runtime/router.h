@@ -47,7 +47,7 @@ class EventRouter {
 
   /// SplitMix64 — scrambles dense subject ids (0,1,2,...) into well-spread
   /// hashes so range-reduced placement stays balanced.
-  static uint64_t MixKey(uint64_t key);
+  PLDP_HOT static uint64_t MixKey(uint64_t key);
 
  private:
   size_t shard_count_;

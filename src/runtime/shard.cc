@@ -87,6 +87,12 @@ Status Shard::AddExchange(std::unique_ptr<ExchangeEmitter> emitter,
   // under an unlocked reader (the bug -Wthread-safety pinned down once
   // hooks_ was annotated; regression: runtime_shard_race_test).
   MutexLock lock(reg_mu_);
+  // One worker drives every emitter of this shard: a wait on one group's
+  // full lane must also bound the others (see ExchangeEmitter::AddPeer).
+  for (ExchangeHook& other : hooks_) {
+    other.emitter->AddPeer(emitter.get());
+    emitter->AddPeer(other.emitter.get());
+  }
   ExchangeHook hook;
   hook.emitter = std::move(emitter);
   hook.forward_raw_events = forward_raw_events;
@@ -215,6 +221,11 @@ Status Shard::Drain() {
   while (processed_.load(std::memory_order_acquire) < target) {
     backoff.Wait();
   }
+  // order: acquire pairs with LatchExchangeError's release store, which
+  // follows the one write of the status.
+  if (exchange_failed_.load(std::memory_order_acquire)) {
+    return exchange_error_;
+  }
   return Status::OK();
 }
 
@@ -314,7 +325,7 @@ void Shard::ExecuteCommand(const std::vector<ExchangeHookRef>& hooks) {
       // The emitters skip bounds they already passed, so a stale request
       // (issued before newer idle watermarks) is free.
       for (const ExchangeHookRef& hook : hooks) {
-        (void)hook.emitter->Broadcast(payload);
+        LatchExchangeError(hook.emitter->Broadcast(payload));
       }
       break;
     case kCmdFinish:
@@ -322,7 +333,7 @@ void Shard::ExecuteCommand(const std::vector<ExchangeHookRef>& hooks) {
       // finish bound), then close every lane of every row for good.
       if (sink_ != nullptr) sink_->OnShardFinish(payload);
       for (const ExchangeHookRef& hook : hooks) {
-        (void)hook.emitter->Broadcast(kExchangeSeqEnd);
+        LatchExchangeError(hook.emitter->Broadcast(kExchangeSeqEnd));
       }
       break;
     default:
@@ -347,10 +358,22 @@ void Shard::ProcessOne(const StampedEvent& stamped,
   (void)engine_.OnEvent(stamped.event);
   if (sink_ != nullptr) sink_->OnShardEvent(stamped.event);
   for (const ExchangeHookRef& hook : hooks) {
-    if (hook.forward_raw_events) (void)hook.emitter->Emit(stamped.event);
+    if (hook.forward_raw_events) {
+      LatchExchangeError(hook.emitter->Emit(stamped.event));
+    }
   }
   last_seq_ = stamped.seq;
   processed_any_ = true;
+}
+
+void Shard::LatchExchangeError(Status status) {
+  // order: relaxed; this thread is the flag's only writer.
+  if (status.ok() || exchange_failed_.load(std::memory_order_relaxed)) {
+    return;
+  }
+  exchange_error_ = std::move(status);
+  // order: release publishes the status to Drain's acquire load.
+  exchange_failed_.store(true, std::memory_order_release);
 }
 
 void Shard::ProcessBurst(size_t n,
@@ -415,7 +438,7 @@ void Shard::RunLoop() {
       if (floor > bound && queue_.ApproxEmpty()) bound = floor;
       if (bound > 0) {
         for (const ExchangeHookRef& hook : hooks) {
-          (void)hook.emitter->Broadcast(bound);
+          LatchExchangeError(hook.emitter->Broadcast(bound));
         }
         last_idle_bound = bound;
       }

@@ -216,7 +216,9 @@ class Shard {
   }
 
   /// Blocks until every event pushed so far has been processed. The worker
-  /// stays alive; more events may be pushed after.
+  /// stays alive; more events may be pushed after. Returns the worker's
+  /// first failed exchange call, if any (e.g. an Emit on an aborted
+  /// fabric): the events it failed to forward are lost downstream.
   Status Drain();
 
   /// Posts a request to broadcast `watermark(bound)` on every exchange row
@@ -230,10 +232,10 @@ class Shard {
   /// token for WaitCommandAck. On the worker, the sink's OnShardFinish
   /// runs (emitting any finalize-time output), then every exchange row is
   /// closed with terminal watermarks. Call after Drain, with ingestion
-  /// stopped. Under bounded exchange credits one shard's finalize
-  /// emissions may only be releasable once every other shard's terminal
-  /// watermark is in flight — so the orchestrator must post finish to ALL
-  /// shards before waiting on ANY (see ParallelStreamingEngine::Finish).
+  /// stopped. Under bounded exchange lanes one shard's finalize emissions
+  /// may only be releasable once every other shard's terminal watermark is
+  /// in flight — so the orchestrator must post finish to ALL shards before
+  /// waiting on ANY (see ParallelStreamingEngine::Finish).
   StatusOr<uint64_t> PostFinish(uint64_t finish_seq);
 
   /// Blocks until the worker acknowledged the posted command `token`.
@@ -331,6 +333,8 @@ class Shard {
       PLDP_REQUIRES(worker_role_);
   void ExecuteCommand(const std::vector<ExchangeHookRef>& hooks)
       PLDP_REQUIRES(worker_role_);
+  /// Keeps the first failed exchange call for Drain (OK is a no-op).
+  PLDP_HOT void LatchExchangeError(Status status) PLDP_REQUIRES(worker_role_);
   StatusOr<uint64_t> PostCommand(uint32_t kind, uint64_t payload);
 
   const size_t index_;
@@ -394,6 +398,11 @@ class Shard {
   Atomic<uint64_t> detections_{0};
   // Worker-side yield count, added once per idle episode (Backoff::Reset).
   Atomic<uint64_t> idle_yields_{0};
+  // The first failed exchange call: the status is written once, by the
+  // worker, before the flag's release store; Drain reads it after the
+  // acquire load.
+  Atomic<bool> exchange_failed_{false};
+  Status exchange_error_;
 
   // Worker-local: sequence of the last processed event, for idle-time
   // progress watermarks.

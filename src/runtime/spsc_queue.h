@@ -190,6 +190,12 @@ class SpscQueue {
 
   bool ApproxEmpty() const { return ApproxSize() == 0; }
 
+  /// Rings the attached doorbell without publishing, after the producer
+  /// changed other state the consumer's park predicate watches.
+  void RingWaker() {
+    if (waker_ != nullptr) waker_->Ring();
+  }
+
   /// Attaches a doorbell rung after every successful push, so a consumer
   /// parked on it (runtime/backoff.h) wakes when work arrives. Must be set
   /// before the producer starts pushing; the queue does not own the bell.

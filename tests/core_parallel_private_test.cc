@@ -274,6 +274,35 @@ TEST(PrivateLaneTest, PassthroughEqualsGroundTruthPerSubject) {
   ASSERT_TRUE(pipeline.Stop().ok());
 }
 
+// Every data subject's publisher initializes its own adaptive mechanism,
+// but the "no history, uniform fallback" warning is a property of the
+// pipeline's configuration: it must be logged once, at Build, not once
+// per subject.
+TEST(PrivateLaneTest, AdaptiveFallbackWarnsOncePerPipeline) {
+  constexpr size_t kSubjects = 1024;
+  const EventStream stream =
+      InterleavedStream(kSubjects, 8 * kSubjects, /*seed=*/29);
+  testing::internal::CaptureStderr();
+  PipelineBuilder builder;
+  DeclareSetup(builder);
+  auto pipeline_or = BuildPrivate(builder, 3, {"adaptive"});
+  ASSERT_TRUE(pipeline_or.ok()) << pipeline_or.status().ToString();
+  Pipeline& pipeline = *pipeline_or.value();
+  for (const Event& e : stream) ASSERT_TRUE(pipeline.OnEvent(e).ok());
+  auto finished_or = pipeline.Finish();
+  ASSERT_TRUE(finished_or.ok());
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_GT(finished_or.value().Subjects().size(), 1000u);
+  size_t warnings = 0;
+  for (size_t at = err.find("falling back to uniform");
+       at != std::string::npos;
+       at = err.find("falling back to uniform", at + 1)) {
+    ++warnings;
+  }
+  EXPECT_EQ(warnings, 1u) << err.substr(0, 2000);
+  ASSERT_TRUE(pipeline.Stop().ok());
+}
+
 TEST(PrivateLaneTest, ResultsIdenticalAcrossShardCounts) {
   constexpr size_t kSubjects = 7;
   const EventStream stream = InterleavedStream(kSubjects, 4000, /*seed=*/41);

@@ -56,15 +56,13 @@ std::vector<Event> MakeStream() {
 }
 
 TEST(PrivateLaneTest, AbortedExchangeFailsFinishWithTheFirstEmitError) {
-  // Two producers and a credit budget of one event per lane: a shard's
-  // second in-flight view event always waits on a credit, which an
-  // aborted fabric refuses.
+  // Two producers: once the fabric is aborted, every Emit of a protected
+  // view fails at once.
   ParallelEngineOptions options;
   options.shard_count = 2;
   options.queue_capacity = 1024;
   options.exchange.shard_count = 1;
   options.exchange.lane_capacity = 64;
-  options.exchange.reorder_capacity = 1;
   ParallelStreamingEngine engine(options);
 
   PrivateLane lane(kWindowSize, /*window_origin=*/0, /*seed=*/7);
@@ -97,8 +95,8 @@ TEST(PrivateLaneTest, AbortedExchangeFailsFinishWithTheFirstEmitError) {
   engine.AbortExchange();
   ASSERT_TRUE(Ingest(engine, events, half, events.size()).ok());
 
-  // The runtime's barrier still completes (watermarks need no credits);
-  // the lane reports the dropped views.
+  // The runtime's barrier still completes (watermarks never wait); the
+  // lane reports the dropped views.
   ASSERT_TRUE(engine.Finish().ok());
   const Status status = lane.FinalizeStatus();
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << status;

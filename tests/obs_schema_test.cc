@@ -130,7 +130,7 @@ TEST(MetricsSchemaTest, MixedPipelineExpositionIsPinned) {
       "  {lane=plain,group=global,producer=1}",
       "  {lane=plain,group=attr:zone,producer=0}",
       "  {lane=plain,group=attr:zone,producer=1}",
-      "pldp_exchange_credit_exhausted_waits_total counter | Credit-exhausted stalls a producer spent waiting on a merge shard",
+      "pldp_exchange_credit_exhausted_waits_total counter | Full-lane waits a producer spent on a merge shard (lane slots are the credits)",
       "  {lane=plain,group=global,producer=0}",
       "  {lane=plain,group=global,producer=1}",
       "  {lane=plain,group=attr:zone,producer=0}",
@@ -140,7 +140,7 @@ TEST(MetricsSchemaTest, MixedPipelineExpositionIsPinned) {
       "  {lane=plain,group=global,producer=1}",
       "  {lane=plain,group=attr:zone,producer=0}",
       "  {lane=plain,group=attr:zone,producer=1}",
-      "pldp_merge_events_received_total counter | Events a merge shard popped from its exchange lanes",
+      "pldp_merge_events_received_total counter | Events a merge shard read from its exchange lanes",
       "  {lane=plain,group=global,shard=0}",
       "  {lane=plain,group=attr:zone,shard=0}",
       "pldp_merge_events_total counter | Events a merge shard released to its engine in global order",
@@ -158,13 +158,13 @@ TEST(MetricsSchemaTest, MixedPipelineExpositionIsPinned) {
       "pldp_merge_idle_yields_total counter | Yields an idle merge-shard worker spent between spinning and parking",
       "  {lane=plain,group=global,shard=0}",
       "  {lane=plain,group=attr:zone,shard=0}",
-      "pldp_merge_reorder_depth gauge | Instantaneous reorder-buffer occupancy of a merge shard",
+      "pldp_merge_reorder_depth gauge | Instantaneous items waiting in a merge shard's input lanes",
       "  {lane=plain,group=global,shard=0}",
       "  {lane=plain,group=attr:zone,shard=0}",
       "pldp_merge_watermark_lag gauge | Ingest frontier minus a merge shard's safe watermark (events)",
       "  {lane=plain,group=global,shard=0}",
       "  {lane=plain,group=attr:zone,shard=0}",
-      "pldp_merge_reorder_capacity gauge | Hard reorder-buffer bound of a merge shard (sum of lane credits)",
+      "pldp_merge_reorder_capacity gauge | Total capacity of a merge shard's input lanes",
       "  {lane=plain,group=global,shard=0}",
       "  {lane=plain,group=attr:zone,shard=0}",
       "pldp_private_windows_total counter | Protected windows published by a shard's publisher",

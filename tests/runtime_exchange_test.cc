@@ -18,6 +18,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -486,7 +487,7 @@ TEST(ExchangeEngineTest, FinishSealsThePipeline) {
 // must return. Pushing shard by shard used to hang here for good: the
 // first shard's ring filled while the second shard had received neither
 // an event nor a producer floor, so the merge could not release the first
-// shard's output and that shard stalled on exchange credits.
+// shard's output and that shard stalled on its full exchange lane.
 TEST(ExchangeEngineTest, OneBatchLargerThanTheRingsDoesNotHang) {
   for (const auto& [capacity, events] :
        std::vector<std::pair<size_t, size_t>>{{1024, 8000},
@@ -522,6 +523,137 @@ TEST(ExchangeEngineTest, OneBatchLargerThanTheRingsDoesNotHang) {
     EXPECT_EQ(engine.events_processed(), stream.size());
     ASSERT_TRUE(engine.Stop().ok());
   }
+}
+
+// The smallest lanes (two slots): producers wait on full lanes all the
+// time, watermarks find their lanes holding events and go to the skipped
+// bound, and a blocked producer's frontier is often the only bound a merge
+// gets. Plain (stage-1) and cross queries, over two lane-groups, must
+// still match the sequential engine in both ingest modes.
+TEST(ExchangeEngineTest, SmallestLanesMatchTheSequentialEngine) {
+  constexpr size_t kSubjects = 6;
+  Rng rng(19);
+  EventStream stream;
+  for (size_t i = 0; i < 6000; ++i) {
+    const auto subject = static_cast<StreamId>(rng.UniformUint64(kSubjects));
+    const auto type = static_cast<EventTypeId>(
+        subject * kTypesPerGroup + rng.UniformUint64(kTypesPerGroup));
+    stream.AppendUnchecked(
+        Event(type, static_cast<Timestamp>(i / 4), subject));
+  }
+  const auto plain_pattern = [](size_t subject) {
+    const auto base = static_cast<EventTypeId>(subject * kTypesPerGroup);
+    return MakePattern("seq", {base, base + 1, base + 2},
+                       DetectionMode::kSequence);
+  };
+  // Cross-subject: types 0 and 3 belong to subjects 0 and 1.
+  const Pattern across = MakePattern("across", {0, 3}, DetectionMode::kSequence);
+  const Pattern watch =
+      MakePattern("watch", {0, 3, 6}, DetectionMode::kDisjunction);
+
+  StreamingCepEngine plain_reference;
+  for (size_t k = 0; k < kSubjects; ++k) {
+    ASSERT_TRUE(plain_reference.AddQuery(plain_pattern(k), kWindow).ok());
+  }
+  StreamingCepEngine cross_reference;
+  ASSERT_TRUE(cross_reference.AddQuery(across, kWindow).ok());
+  ASSERT_TRUE(cross_reference.AddQuery(watch, kWindow).ok());
+  for (const Event& e : stream) {
+    ASSERT_TRUE(plain_reference.OnEvent(e).ok());
+    ASSERT_TRUE(cross_reference.OnEvent(e).ok());
+  }
+  ASSERT_GT(plain_reference.total_detections(), 0u);
+  ASSERT_GT(cross_reference.DetectionsOf(0).value().size(), 0u);
+
+  for (const auto& [stage1, stage2] :
+       std::vector<std::pair<size_t, size_t>>{{2, 1}, {3, 2}}) {
+    for (const ReplayMode mode :
+         {ReplayMode::kPerEvent, ReplayMode::kBatchPerTick}) {
+      ParallelEngineOptions options;
+      options.shard_count = stage1;
+      options.queue_capacity = 128;
+      options.exchange.shard_count = stage2;
+      options.exchange.lane_capacity = 2;
+      ParallelStreamingEngine engine(options);
+      for (size_t k = 0; k < kSubjects; ++k) {
+        ASSERT_TRUE(engine.AddQuery(plain_pattern(k), kWindow).ok());
+      }
+      ASSERT_TRUE(engine
+                      .AddCrossQuery(across, kWindow, "global",
+                                     MakeCorrelationKeyFn(
+                                         CorrelationKeySpec::Global())
+                                         .value(),
+                                     /*forward_raw_events=*/true)
+                      .ok());
+      ASSERT_TRUE(engine
+                      .AddCrossQuery(watch, kWindow, "event-type",
+                                     MakeCorrelationKeyFn(
+                                         CorrelationKeySpec::ByEventType())
+                                         .value(),
+                                     /*forward_raw_events=*/true)
+                      .ok());
+      ASSERT_TRUE(engine.Start().ok());
+      testing_util::RunWithWatchdog(
+          [&] {
+            StreamReplayer replayer;
+            replayer.Subscribe(&engine);
+            EXPECT_TRUE(replayer.Run(stream, mode).ok());
+            EXPECT_TRUE(engine.Finish().ok());
+          },
+          std::chrono::seconds(60));
+      const std::string where = "stage1=" + std::to_string(stage1) +
+                                " stage2=" + std::to_string(stage2) +
+                                " mode=" + std::to_string(static_cast<int>(mode));
+      for (size_t q = 0; q < kSubjects; ++q) {
+        EXPECT_EQ(engine.DetectionsOf(q).value(),
+                  plain_reference.DetectionsOf(q).value())
+            << where << " plain query=" << q;
+      }
+      for (size_t q = 0; q < 2; ++q) {
+        EXPECT_EQ(engine.CrossDetectionsOf(q).value(),
+                  cross_reference.DetectionsOf(q).value())
+            << where << " cross query=" << q;
+      }
+      ASSERT_TRUE(engine.Stop().ok());
+    }
+  }
+}
+
+// An exchange aborted mid-stream must not lose raw forwards silently: the
+// shard latches its first failed Emit and the barrier reports it.
+TEST(ExchangeEngineTest, AbortedExchangeFailsFinishWithTheFirstEmitError) {
+  const EventStream stream =
+      CrossSubjectStream(/*groups=*/1, /*subjects=*/32, 200000, /*seed=*/5);
+  ExchangeSetup setup = ExchangeConfig(/*stage1=*/2, /*stage2=*/1,
+                                       CorrelationKeySpec::Global());
+  setup.options.exchange.lane_capacity = 2;
+  ParallelStreamingEngine engine(setup.options);
+  ASSERT_TRUE(setup
+                  .AddCrossQuery(engine,
+                                 MakePattern("seq", {0, 1, 2},
+                                             DetectionMode::kSequence),
+                                 kWindow)
+                  .ok());
+  ASSERT_TRUE(engine.Start().ok());
+  const std::vector<Event>& all = stream.events();
+  const size_t half = all.size() / 2;
+  testing_util::RunWithWatchdog(
+      [&] {
+        EXPECT_TRUE(engine.OnEventBatch(EventSpan(all.data(), half)).ok());
+        EXPECT_TRUE(engine.Drain().ok());
+        engine.AbortExchange();
+        // Ingest itself still succeeds: the loss is downstream of it.
+        EXPECT_TRUE(
+            engine.OnEventBatch(EventSpan(all.data() + half, half)).ok());
+        const Status finish = engine.Finish();
+        EXPECT_EQ(finish.code(), StatusCode::kFailedPrecondition) << finish;
+        EXPECT_NE(finish.message().find("exchange fabric aborted"),
+                  std::string::npos)
+            << finish;
+      },
+      std::chrono::seconds(60));
+  EXPECT_EQ(engine.events_processed(), all.size());
+  EXPECT_FALSE(engine.Stop().ok());
 }
 
 TEST(ExchangeEngineTest, LifecycleErrors) {

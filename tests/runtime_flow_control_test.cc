@@ -1,21 +1,22 @@
 // Copyright 2026 The PLDP Authors.
 //
-// Tests for the exchange credit protocol (runtime/exchange.h) and the
-// hard-bounded stage-2 reorder buffers (runtime/merge_shard.h) —
-// docs/ARCHITECTURE.md, "Credit-based flow control".
+// Tests for the exchange's lane-capacity flow control (runtime/exchange.h)
+// and the in-place merge over the lanes (runtime/merge_shard.h) —
+// docs/ARCHITECTURE.md, "Lane-capacity flow control".
 //
 // What is pinned here:
-//   - a lane's credit budget is exactly the consumer's reorder capacity:
-//     emitting the full budget never waits, one more does;
+//   - a lane's capacity is the in-flight budget: emitting a full lane
+//     never waits, one more does, and a blocked producer holds at most
+//     capacity-many events in its lane;
 //   - a stalled or absent consumer BACKPRESSURES its producers — the
-//     blocked producer spins allocation-free (alloc-hook-verified) with
-//     at most budget-many events in flight, instead of buffering without
-//     bound;
-//   - reorder saturation drives the /healthz degraded rule;
-//   - under permanent credit starvation (tiny budgets) the two-stage
-//     pipeline still drains, finishes, and produces detections positionally
-//     identical to a sequential engine — flow control changes latency,
-//     never results.
+//     blocked producer spins allocation-free (alloc-hook-verified) instead
+//     of buffering without bound;
+//   - a watermark that finds its lane full still reaches the merge once the
+//     lane drains;
+//   - input-lane saturation drives the /healthz degraded rule;
+//   - under permanent starvation (tiny lanes) the two-stage pipeline still
+//     drains, finishes, and produces detections positionally identical to
+//     a sequential engine — flow control changes latency, never results.
 
 #define PLDP_ENABLE_ALLOC_HOOK
 #include "bench/bench_util.h"
@@ -64,41 +65,41 @@ bool PollUntil(const std::function<bool()>& done,
   return done();
 }
 
-// --- Raw fabric: the credit budget is exact --------------------------------
+// --- Raw fabric: the lane is the budget -------------------------------------
 
-TEST(FlowControlTest, CreditBudgetExactlyCoversTheReorderCapacity) {
+TEST(FlowControlTest, LaneCapacityIsTheInFlightBudget) {
   ExchangeFabric fabric(/*producers=*/1, /*consumers=*/1,
-                        /*lane_capacity=*/16, /*reorder_capacity=*/4);
+                        /*lane_capacity=*/4);
   MergeShard merge(0, fabric.Column(0));
-  EXPECT_EQ(merge.reorder_capacity(), 4u);
+  EXPECT_EQ(merge.input_capacity(), 4u);
   ExchangeEmitter emitter(fabric.Row(0), /*key_fn=*/nullptr, &fabric);
 
-  // Emitting exactly the budget consumes every credit without waiting —
-  // the reorder buffer can hold all of it.
+  // Emitting exactly the lane's capacity never waits.
   for (uint64_t seq = 0; seq < 4; ++seq) {
     emitter.BeginTrigger(seq);
     ASSERT_TRUE(emitter.Emit(Event(0, static_cast<Timestamp>(seq), 1)).ok());
   }
-  EXPECT_EQ(fabric.lane(0, 0).credits.load(), 0u);
-  EXPECT_EQ(emitter.stats().credit_exhausted_waits, 0u);
+  EXPECT_EQ(merge.input_depth(), 4u);
+  EXPECT_EQ(emitter.stats().backpressure_waits, 0u);
   EXPECT_EQ(emitter.stats().forwarded, 4u);
 
-  // The consumer releases everything and hands every credit back.
-  ASSERT_TRUE(merge.Start().ok());
+  // The terminal watermark finds the lane full and skips it; the merge
+  // still learns the bound once it has drained the lane.
   ASSERT_TRUE(emitter.Broadcast(kExchangeSeqEnd).ok());
+  EXPECT_EQ(merge.input_depth(), 4u);
+  ASSERT_TRUE(merge.Start().ok());
   ASSERT_TRUE(merge.WaitSafe(kExchangeSeqEnd).ok());
   EXPECT_EQ(merge.stats().events_processed, 4u);
-  EXPECT_EQ(fabric.lane(0, 0).credits.load(),
-            fabric.lane(0, 0).initial_credits);
+  EXPECT_EQ(merge.input_depth(), 0u);
   ASSERT_TRUE(merge.Stop().ok());
 }
 
 TEST(FlowControlTest, AbsentConsumerBackpressuresTheProducerBoundedly) {
-  // No merge shard at all: nobody ever returns a credit. The producer must
-  // stop after the budget — blocked, bounded, and allocation-free — and
-  // fail fast once the fabric aborts.
+  // No merge shard at all: nobody ever frees a slot. The producer must
+  // stop once the lane is full — blocked, bounded, and allocation-free —
+  // and fail fast once the fabric aborts.
   ExchangeFabric fabric(/*producers=*/1, /*consumers=*/1,
-                        /*lane_capacity=*/64, /*reorder_capacity=*/4);
+                        /*lane_capacity=*/4);
   ExchangeEmitter emitter(fabric.Row(0), /*key_fn=*/nullptr, &fabric);
 
   std::atomic<size_t> emitted{0};
@@ -115,23 +116,22 @@ TEST(FlowControlTest, AbsentConsumerBackpressuresTheProducerBoundedly) {
     }
   });
 
-  ASSERT_TRUE(PollUntil(
-      [&] { return emitter.stats().credit_exhausted_waits >= 1; }))
-      << "producer never hit the credit wall";
+  ASSERT_TRUE(
+      PollUntil([&] { return emitter.stats().backpressure_waits >= 1; }))
+      << "producer never hit the full lane";
   EXPECT_EQ(emitted.load(), 4u);
-  // In flight: the 4 budgeted events plus the frontier watermark the
-  // blocked producer broadcast before spinning (credit-free by design).
-  EXPECT_LE(fabric.lane(0, 0).queue.ApproxSize(), 5u);
-  EXPECT_EQ(fabric.lane(0, 0).credits.load(), 0u);
+  // In flight: exactly the lane's slots. The frontier the blocked producer
+  // broadcast found no room, so it waits in the lane's skipped bound.
+  EXPECT_EQ(fabric.lane(0, 0).queue.ApproxSize(), 4u);
 
   if (bench::kAllocHookActive) {
-    // A credit-blocked producer spins with backoff; it must not allocate.
+    // A blocked producer spins with backoff; it must not allocate.
     bench::ResetAllocCounters();
     bench::SetAllocCounting(true);
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     bench::SetAllocCounting(false);
     EXPECT_EQ(bench::GetAllocCounters().allocs, 0u)
-        << "blocked producer allocated while waiting for credits";
+        << "blocked producer allocated while waiting for a slot";
   }
 
   fabric.Abort();
@@ -142,14 +142,13 @@ TEST(FlowControlTest, AbsentConsumerBackpressuresTheProducerBoundedly) {
 }
 
 TEST(FlowControlTest, SilentLaneHoldsReleasesAndSaturationReadsDegraded) {
-  // Two producers, one consumer. A fills its credit budget; B stays
-  // silent, so nothing is provably safe to release: the reorder buffer
-  // holds A's events, A's credits stay consumed, and the health rule sees
-  // the saturation.
+  // Two producers, one consumer. A fills its lane; B stays silent, so
+  // nothing is provably safe to release: A's events wait in their slots,
+  // A's lane stays full, and the health rule sees the saturation.
   ExchangeFabric fabric(/*producers=*/2, /*consumers=*/1,
-                        /*lane_capacity=*/16, /*reorder_capacity=*/4);
+                        /*lane_capacity=*/4);
   MergeShard merge(0, fabric.Column(0));
-  EXPECT_EQ(merge.reorder_capacity(), 8u);  // 2 lanes x 4 credits
+  EXPECT_EQ(merge.input_capacity(), 8u);  // 2 lanes x 4 slots
   ExchangeEmitter emitter_a(fabric.Row(0), nullptr, &fabric);
   ExchangeEmitter emitter_b(fabric.Row(1), nullptr, &fabric);
 
@@ -160,12 +159,13 @@ TEST(FlowControlTest, SilentLaneHoldsReleasesAndSaturationReadsDegraded) {
   }
   ASSERT_TRUE(merge.Start().ok());
 
-  // The merge pulls everything into the reorder buffer but releases
-  // nothing — lane B's bound proves nothing yet.
-  ASSERT_TRUE(PollUntil([&] { return merge.reorder_buffered() == 4; }));
+  // The merge releases nothing — lane B's bound proves nothing yet — so
+  // every slot of lane A stays taken.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(merge.stats().events_processed, 0u);
-  EXPECT_EQ(fabric.lane(0, 0).credits.load(), 0u)
-      << "credits must return on release, not on receipt";
+  EXPECT_EQ(merge.input_depth(), 4u);
+  EXPECT_EQ(fabric.lane(0, 0).queue.ApproxSize(), 4u)
+      << "slots must be freed on release, not on receipt";
 
   // The saturation feeds the /healthz degraded rule (engines fill the row
   // from exactly these two accessors).
@@ -174,25 +174,24 @@ TEST(FlowControlTest, SilentLaneHoldsReleasesAndSaturationReadsDegraded) {
   row.lane = "plain";
   row.group = "default";
   row.merge_shard = 0;
-  row.reorder_depth = merge.reorder_buffered();
-  row.reorder_capacity = merge.reorder_capacity();
+  row.reorder_depth = merge.input_depth();
+  row.reorder_capacity = merge.input_capacity();
   health.groups.push_back(row);
   obs::HealthThresholds thresholds;
   thresholds.degraded_saturation = 0.5;  // 4/8 trips it
   obs::FinalizeHealth(&health, thresholds);
   EXPECT_EQ(health.state, obs::PipelineHealth::State::kDegraded);
   ASSERT_EQ(health.issues.size(), 1u);
-  EXPECT_NE(health.issues[0].find("reorder"), std::string::npos);
+  EXPECT_NE(health.issues[0].find("input lanes"), std::string::npos);
   EXPECT_NE(obs::RenderHealthJson(health).find("\"reorder_capacity\":8"),
             std::string::npos);
 
-  // B's terminal watermark unblocks every release; the credits come home.
+  // B's terminal watermark unblocks every release; the slots come free.
   ASSERT_TRUE(emitter_b.Broadcast(kExchangeSeqEnd).ok());
   ASSERT_TRUE(emitter_a.Broadcast(kExchangeSeqEnd).ok());
   ASSERT_TRUE(merge.WaitSafe(kExchangeSeqEnd).ok());
   EXPECT_EQ(merge.stats().events_processed, 4u);
-  EXPECT_EQ(merge.reorder_buffered(), 0u);
-  EXPECT_EQ(fabric.lane(0, 0).credits.load(), 4u);
+  EXPECT_EQ(merge.input_depth(), 0u);
   ASSERT_TRUE(merge.Stop().ok());
 }
 
@@ -278,10 +277,9 @@ TEST(FlowControlTest, DrainUnderCreditStarvationMatchesSequentialEngine) {
     options.shard_count = stage1;
     options.queue_capacity = 128;
     options.exchange.shard_count = stage2;
-    options.exchange.lane_capacity = 64;
-    // A starvation-sized budget: every producer exhausts its credits
+    // Starvation-sized lanes: every producer finds its lanes full
     // constantly, so the whole run exercises the slow path + liveness.
-    options.exchange.reorder_capacity = 4;
+    options.exchange.lane_capacity = 4;
     const CorrelationKeyFn key =
         MakeCorrelationKeyFn(CorrelationKeySpec::ByAttribute("grp")).value();
     ParallelStreamingEngine engine(options);
@@ -311,7 +309,7 @@ TEST(FlowControlTest, DrainUnderCreditStarvationMatchesSequentialEngine) {
 
 TEST(FlowControlTest, FinishUnderCreditStarvationSealsThePipeline) {
   // The harshest finalize topology: four producers funneling into ONE
-  // merge shard on two credits per lane. Finish() must post end-of-stream
+  // merge shard on two slots per lane. Finish() must post end-of-stream
   // to every shard before waiting on any (one shard's finalize emissions
   // are only releasable once the others' terminal watermarks are in
   // flight) — a per-shard wait would deadlock here.
@@ -329,8 +327,7 @@ TEST(FlowControlTest, FinishUnderCreditStarvationSealsThePipeline) {
   options.shard_count = 4;
   options.queue_capacity = 128;
   options.exchange.shard_count = 1;
-  options.exchange.lane_capacity = 16;
-  options.exchange.reorder_capacity = 2;
+  options.exchange.lane_capacity = 2;
   const CorrelationKeyFn key =
       MakeCorrelationKeyFn(CorrelationKeySpec::Global()).value();
   ParallelStreamingEngine engine(options);
@@ -354,8 +351,8 @@ TEST(FlowControlTest, FinishUnderCreditStarvationSealsThePipeline) {
 }
 
 TEST(FlowControlTest, StalledMergeShardBackpressuresIngestNotMemory) {
-  // A stage-2 consumer blocked inside a detection callback: credits run
-  // out, the stage-1 worker blocks in Emit, the shard queue fills, and the
+  // A stage-2 consumer blocked inside a detection callback: its lane
+  // fills, the stage-1 worker blocks in Emit, the shard queue fills, and the
   // ingest thread finally blocks in the queue push — bounded in-flight
   // events end to end, zero allocations while stalled, and full recovery
   // once the consumer resumes.
@@ -363,8 +360,7 @@ TEST(FlowControlTest, StalledMergeShardBackpressuresIngestNotMemory) {
   options.shard_count = 1;
   options.queue_capacity = 8;
   options.exchange.shard_count = 1;
-  options.exchange.lane_capacity = 8;
-  options.exchange.reorder_capacity = 4;
+  options.exchange.lane_capacity = 4;
   ParallelStreamingEngine engine(options);
   std::mutex mu;
   std::condition_variable cv;
@@ -385,7 +381,7 @@ TEST(FlowControlTest, StalledMergeShardBackpressuresIngestNotMemory) {
           .ok());
   ASSERT_TRUE(engine.Start().ok());
 
-  // CollectHealth must report the hard reorder bound (1 lane x 4 credits).
+  // CollectHealth must report the input bound (1 lane x 4 slots).
   obs::PipelineHealth wired;
   engine.CollectHealth(&wired);
   ASSERT_EQ(wired.groups.size(), 1u);
@@ -422,8 +418,8 @@ TEST(FlowControlTest, StalledMergeShardBackpressuresIngestNotMemory) {
   }
   ASSERT_EQ(stable_rounds, 5) << "ingest never plateaued";
   EXPECT_FALSE(done.load()) << "ingest was never backpressured";
-  // Bounded end to end: queue (8) + lane (8) + reorder budget (4) + the
-  // handful in worker hands — nowhere near the flood size.
+  // Bounded end to end: queue (8) + lane (4) + the handful in worker
+  // hands — nowhere near the flood size.
   EXPECT_LT(pushed.load(), 100u);
 
   if (bench::kAllocHookActive) {

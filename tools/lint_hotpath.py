@@ -9,9 +9,15 @@ contract the annotation documents: the DIRECT BODY of a hot function must
 not
 
   * allocate (`new`, make_unique/make_shared, malloc/calloc/realloc),
-  * build strings (`std::string(...)`, std::to_string, stringstreams), or
+  * build strings (`std::string(...)`, std::to_string, stringstreams),
   * take locks (lock_guard/unique_lock/scoped_lock/shared_lock, MutexLock,
-    `.lock()` / `->lock()`).
+    `.lock()` / `->lock()`), or
+  * declare a local array of a class type (`Item burst[128];`,
+    `std::array<Item, 128>`): every call constructs and destroys each
+    element, whether or not it is used — a 128-element burst of
+    Event-sized items once cost 656 ns per empty poll. An element type
+    counts as trivial when it is a fundamental type, a `*_t` name, or an
+    alias (`using X = ...;` / `typedef`) or enum of the scanned files.
 
 Amortized container growth (push_back on a pre-reserved vector / ring) is
 deliberately NOT banned here — tests/alloc_regression_test.cc (exact zero
@@ -69,6 +75,27 @@ BANNED = [
     (re.compile(r"\bMutexLock\b"), "lock acquisition (MutexLock)"),
     (re.compile(r"(?:\.|->)lock\s*\("), "explicit .lock()"),
 ]
+
+# A local array declaration: `[qualifiers] Type name[N]` then `;`, `=`,
+# `{` or the end of the line. Group 1 is the element type.
+ARRAY_DECL_RE = re.compile(
+    r"^\s*(?:(?:const|constexpr|static|thread_local|volatile)\s+)*"
+    r"((?:[A-Za-z_]\w*::)*[A-Za-z_]\w*)\s+[A-Za-z_]\w*\s*\[[^\]]*\]"
+    r"\s*(?:[;={]|$)")
+STD_ARRAY_RE = re.compile(r"\bstd::array\s*<\s*((?:[A-Za-z_]\w*::)*"
+                          r"[A-Za-z_]\w*)\s*,")
+# Words that can precede `name[...]` without declaring anything.
+NOT_A_TYPE = frozenset({
+    "return", "delete", "else", "case", "goto", "throw", "new", "do",
+    "co_return", "co_yield", "typename", "using", "sizeof",
+})
+FUNDAMENTAL_TYPES = frozenset({
+    "bool", "char", "signed", "unsigned", "short", "int", "long", "float",
+    "double", "wchar_t", "char8_t", "char16_t", "char32_t", "auto",
+})
+ALIAS_RE = re.compile(r"\busing\s+([A-Za-z_]\w*)\s*=\s*([^;]+);")
+TYPEDEF_RE = re.compile(r"\btypedef\s+([^;]+?)\s+([A-Za-z_]\w*)\s*;")
+ENUM_RE = re.compile(r"\benum\s+(?:class\s+|struct\s+)?([A-Za-z_]\w*)")
 
 ALLOW_RE = re.compile(r"//\s*hotpath-allow:\s*\S")
 HOT_RE = re.compile(r"\bPLDP_HOT\b")
@@ -217,6 +244,64 @@ def collect_definitions(stripped):
     return names
 
 
+def is_trivial_name(name, trivial_names):
+    base = name.split("::")[-1]
+    return (base in FUNDAMENTAL_TYPES or base.endswith("_t")
+            or base in trivial_names)
+
+
+def collect_trivial_names(contents):
+    """Enums and aliases of trivial types declared in the scanned files.
+
+    Aliases are resolved to a fixed point, so `using A = B;` counts once B
+    does; an alias of anything else (a class, a template) stays non-trivial.
+    """
+    trivial = set()
+    aliases = []
+    for _, (_, _, stripped) in contents.items():
+        trivial.update(m.group(1) for m in ENUM_RE.finditer(stripped))
+        aliases += [(m.group(1), m.group(2)) for m in ALIAS_RE.finditer(stripped)]
+        aliases += [(m.group(2), m.group(1))
+                    for m in TYPEDEF_RE.finditer(stripped)]
+    changed = True
+    while changed:
+        changed = False
+        for name, target in aliases:
+            words = target.replace("const", " ").replace("volatile", " ")
+            words = words.replace("std::", " ").split()
+            if (name not in trivial and words
+                    and all(is_trivial_name(w, trivial) for w in words)):
+                trivial.add(name)
+                changed = True
+    return trivial
+
+
+def class_array_type(line, trivial_names):
+    """Element type of a local array of a class type declared on `line`."""
+    for regex in (ARRAY_DECL_RE, STD_ARRAY_RE):
+        m = regex.search(line)
+        if m is None:
+            continue
+        element = m.group(1)
+        if element in NOT_A_TYPE or is_trivial_name(element, trivial_names):
+            continue
+        return element
+    return None
+
+
+CLASS_HEAD_RE = re.compile(r"\b(?:class|struct)\s+([A-Za-z_]\w*)[^;{()]*\{")
+
+
+def enclosing_class(text, pos):
+    """Name of the innermost class/struct whose body contains `pos`."""
+    name = None
+    for m in CLASS_HEAD_RE.finditer(text, 0, pos):
+        body_start, body_end, _ = find_body(text, m.end() - 1)
+        if body_start <= pos <= body_end:
+            name = m.group(1)
+    return name
+
+
 def hot_function_name(text, hot_end):
     """Name of the function a PLDP_HOT marker annotates: the identifier
     immediately before the first `(` after the marker."""
@@ -225,7 +310,8 @@ def hot_function_name(text, hot_end):
 
 
 def scan_body(path, raw_lines, stripped, body_start, body_end, func, findings,
-              hot_names=frozenset(), defined_names=frozenset()):
+              hot_names=frozenset(), defined_names=frozenset(),
+              trivial_names=frozenset()):
     body = stripped[body_start:body_end]
     base_line = line_of(stripped, body_start)
     for rel, line in enumerate(body.split("\n")):
@@ -237,6 +323,12 @@ def scan_body(path, raw_lines, stripped, body_start, body_end, func, findings,
             if pattern.search(line):
                 findings.append(
                     f"{path}:{lineno}: in PLDP_HOT `{func}`: {message}")
+        element = class_array_type(line, trivial_names)
+        if element is not None:
+            findings.append(
+                f"{path}:{lineno}: in PLDP_HOT `{func}`: local array of "
+                f"class type `{element}` (each call constructs and destroys "
+                "every element)")
         # One-level call-graph check: unqualified calls to scanned-set
         # functions that are neither hot nor allowlisted.
         for call in CALL_RE.finditer(line):
@@ -287,6 +379,7 @@ def main(argv):
     # invisible to a build-free lint).
     hot_names = set()
     defined_names = set()
+    trivial_names = collect_trivial_names(contents)
     for path, (raw, raw_lines, stripped) in contents.items():
         defined_names |= collect_definitions(stripped)
         for m in HOT_RE.finditer(stripped):
@@ -318,24 +411,32 @@ def main(argv):
             body_start, body_end, had_body = find_body(stripped, m.end())
             if had_body:
                 scan_body(path, raw_lines, stripped, body_start, body_end,
-                          name, findings, hot_names, defined_names)
+                          name, findings, hot_names, defined_names,
+                          trivial_names)
             else:
-                pending.setdefault(name, []).append(
+                owner = enclosing_class(stripped, m.start())
+                pending.setdefault((owner, name), []).append(
                     f"{path}:{line_of(stripped, m.start())}")
 
     # Out-of-line definitions of the pending names.
-    for name, sites in pending.items():
+    for (owner, name), sites in pending.items():
         defined = False
-        def_re = re.compile(r"\b[A-Za-z_]\w*(?:<[^<>]*>)?::" + re.escape(name)
-                            + r"\s*\(")
+        # A member's definition is `Owner::name(`; a free function's
+        # `Namespace::name(` or anything qualified.
+        qualifier = re.escape(owner) if owner else r"[A-Za-z_]\w*"
+        def_re = re.compile(r"\b" + qualifier + r"(?:<[^<>]*>)?::"
+                            + re.escape(name) + r"\s*\(")
         for path, (raw, raw_lines, stripped) in contents.items():
             for m in def_re.finditer(stripped):
-                body_start, body_end, had_body = find_body(stripped, m.end())
+                # From the parameter list's `(`, so its `)` balances.
+                body_start, body_end, had_body = find_body(stripped,
+                                                           m.end() - 1)
                 if not had_body:
                     continue
                 defined = True
                 scan_body(path, raw_lines, stripped, body_start, body_end,
-                          name, findings, hot_names, defined_names)
+                          name, findings, hot_names, defined_names,
+                          trivial_names)
         if not defined:
             # Pure-virtual hot interfaces (a PLDP_HOT `= 0` method) pass as
             # long as at least one override was scanned somewhere; a name
