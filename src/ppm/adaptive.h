@@ -78,10 +78,8 @@ class AdaptivePatternPpm final : public PatternLevelPpm {
 };
 
 /// Logs one warning when `mechanism` is adaptive and `context` makes it
-/// fall back to the uniform split; no-op otherwise. Call it once per
-/// pipeline, where the mechanism configuration is validated: publishers
-/// initialize one mechanism per data subject, so the mechanism itself
-/// stays quiet.
+/// fall back to the uniform split. Called once per pipeline, not from the
+/// mechanism: publishers initialize one per data subject.
 void WarnIfAdaptiveFallsBack(const PrivacyMechanism& mechanism,
                              const MechanismContext& context);
 

@@ -84,7 +84,7 @@ Status ExchangeEmitter::Emit(const Event& event) {
   item.type = event.type();
   item.stream = event.stream();
   item.watermark = false;
-  lane.queue.Publish(1);
+  lane.queue.PublishAtHead(1);
   // order: relaxed; telemetry only.
   forwarded_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
@@ -101,17 +101,17 @@ void ExchangeEmitter::BroadcastKey(ExchangeKey bound) {
       ExchangeItem& item = queue.ClaimedSlot(0);
       item.key = bound;
       item.watermark = true;
-      queue.Publish(1);
+      queue.PublishAtHead(1);
       sent_[c] = bound;
       sent_any = true;
     } else if (bound.primary > sent_[c].primary) {
       // Items in flight bound the lane: leave the primary for the merge to
-      // apply once it has drained the lane, and ring it in case it already
+      // apply once it has drained the lane, and ring it only if it already
       // has. A later broadcast brings the exact key to the empty lane.
       // order: release pairs with the merge's acquire load: the items
       // pushed before the bound are visible to its re-peek.
       lane.skipped_bound.store(bound.primary, std::memory_order_release);
-      queue.RingWaker();
+      queue.PublishAtHead(0);
       sent_[c] = ExchangeKey{bound.primary, 0};
       sent_any = true;
     }

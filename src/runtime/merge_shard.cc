@@ -15,7 +15,8 @@ MergeShard::MergeShard(size_t index, std::vector<ExchangeLane*> inputs)
   for (ExchangeLane* lane : inputs_) {
     lanes_.emplace_back(lane);
     // This shard's worker is the lane queue's sole consumer: route the
-    // lane's push doorbell (events and watermarks alike) to it.
+    // lane's doorbell to it (the emitter rings it for pushes at the head,
+    // SpscQueue::PublishAtHead).
     lane->queue.SetWaker(&doorbell_);
   }
   engine_.SetCallback([this](const StreamingDetection& d) {
@@ -223,17 +224,11 @@ bool MergeShard::MergePass(bool force) {
 void MergeShard::RunLoop() {
   Backoff backoff(&idle_yields_);
   // The park predicate watches each lane the last pass found empty for a
-  // push or a skipped bound above the one applied (a push behind a head
-  // changes nothing). It reads only this unguarded local, refreshed
-  // before each park, as the analysis treats it as unannotated.
-  struct Watch {
-    const ExchangeLane* lane;
-    bool empty;
-    uint64_t applied;
-  };
-  std::vector<Watch> watch;
-  watch.reserve(inputs_.size());
-  for (const ExchangeLane* lane : inputs_) watch.push_back({lane, true, 0});
+  // push or a skipped bound above the one applied; kExchangeSeqEnd marks a
+  // lane held by its head, which a push behind it cannot change. It reads
+  // only this unguarded local, refreshed before each park, as the analysis
+  // treats it as unannotated.
+  std::vector<uint64_t> applied(inputs_.size(), 0);
   for (;;) {
     if (MergePass(/*force=*/false)) {
       backoff.Reset();
@@ -242,22 +237,21 @@ void MergeShard::RunLoop() {
     // order: acquire pairs with Stop()'s release store.
     if (stop_requested_.load(std::memory_order_acquire)) return;
     if (backoff.ShouldPark()) {
-      for (size_t i = 0; i < watch.size(); ++i) {
-        watch[i].empty = lanes_[i].empty;
-        watch[i].applied = lanes_[i].bound.primary;
+      for (size_t i = 0; i < applied.size(); ++i) {
+        applied[i] =
+            lanes_[i].empty ? lanes_[i].bound.primary : kExchangeSeqEnd;
       }
-      // Every wake source rings this doorbell: lane pushes (events and
-      // watermarks, via SetWaker), skipped broadcasts and Stop(). Merge
-      // progress is entirely driven by lane input, so a column with no
-      // new input on its empty lanes and no stop is genuinely idle. See
+      // Each watched source rings this doorbell: a push at a lane's head, a
+      // skipped bound on a drained lane (SpscQueue::PublishAtHead) and
+      // Stop(). Merge progress is driven by lane input alone; see
       // runtime/backoff.h for the lost-wakeup argument.
-      (void)backoff.Park(doorbell_, [this, &watch] {
-        for (const Watch& w : watch) {
-          if (!w.empty) continue;
-          if (!w.lane->queue.ApproxEmpty()) return true;
+      (void)backoff.Park(doorbell_, [this, &applied] {
+        for (size_t i = 0; i < applied.size(); ++i) {
+          if (applied[i] == kExchangeSeqEnd) continue;
+          if (!inputs_[i]->queue.ApproxEmpty()) return true;
           // order: acquire pairs with the emitter's release store.
-          if (w.lane->skipped_bound.load(std::memory_order_acquire) >
-              w.applied) {
+          if (inputs_[i]->skipped_bound.load(std::memory_order_acquire) >
+              applied[i]) {
             return true;
           }
         }

@@ -27,9 +27,8 @@
 // (the router publishes a producer floor for exactly that case).
 //
 // The in-place merge is machine-checked by tests/check/check_merge_test.cc
-// (model seams below); the negative twin PLDP_CHECK_NEGATIVE_MERGE
-// (merge_shard.cc) frees a slot before the engine reads it and the
-// checker reports the race with the producer refilling it.
+// (model seams below), with negative twins for a slot freed before the
+// engine read it and for an unfenced lane ring.
 //
 // Threading contract: AddQuery before Start; exactly one orchestrator
 // thread calls Start/Stop; WaitSafe/stats may be called from any thread.
@@ -211,9 +210,9 @@ class MergeShard {
   /// touched concurrently.
   ThreadRole worker_role_;
   std::vector<LaneState> lanes_ PLDP_GUARDED_BY(worker_role_);
-  /// Wake-on-work doorbell the idle worker parks on; every input lane's
-  /// queue rings it on push (events and watermarks alike) and on a skipped
-  /// broadcast, Stop() rings it directly.
+  /// Wake-on-work doorbell the idle worker parks on; an input lane's queue
+  /// rings it when a push (event or watermark) lands at the lane's head or
+  /// a skipped broadcast finds the lane drained, Stop() rings it directly.
   Doorbell doorbell_;
   /// Worker thread CPU affinity (-1 = unpinned).
   int affinity_core_ = -1;

@@ -236,10 +236,6 @@ Status ParallelStreamingEngine::EnableMetrics(
                                         {"group", group.key_id},
                                         {"shard", std::to_string(c)}};
       registry->AddCounter(
-          "pldp_merge_events_received_total",
-          "Events a merge shard read from its exchange lanes", labels,
-          [merge] { return merge->events_merged(); });
-      registry->AddCounter(
           "pldp_merge_events_total",
           "Events a merge shard released to its engine in global order",
           labels, [merge] { return merge->events_merged(); });
@@ -501,8 +497,7 @@ Status ParallelStreamingEngine::OnEventBatch(EventSpan events) {
         // floor: with an exchange, this worker's output may only be
         // released downstream once the other shards have processed their
         // share, or have broadcast watermarks past it.
-        PublishIngested(seq);
-        PublishProducerFloor(seq);
+        PublishIngested(seq, /*vouch=*/true);
         slot = shard.AwaitSlot();
         if (slot == nullptr) {
           return Status::FailedPrecondition("push after shard stop");
@@ -512,26 +507,30 @@ Status ParallelStreamingEngine::OnEventBatch(EventSpan events) {
       slot->event = e;
     }
   }
-  PublishIngested(seq);
-  // Every stamped event is now published (or parked, which ClampFloor
+  // Every stamped event is published here (or parked, which ClampFloor
   // covers), so the frontier is a safe floor. A multi-event batch always
-  // publishes it; one-element calls (per-event ingest) only every
+  // vouches for it; one-element calls (per-event ingest) only every
   // kProducerFloorPeriod events, so a per-event caller does not ring
   // every shard's doorbell on every event.
-  if (events.size() > 1 || seq % kProducerFloorPeriod == 0) {
-    PublishProducerFloor(seq);
-  }
+  PublishIngested(seq,
+                  events.size() > 1 || seq % kProducerFloorPeriod == 0);
   return Status::OK();
 }
 
-void ParallelStreamingEngine::PublishIngested(uint64_t frontier) {
+void ParallelStreamingEngine::PublishIngested(uint64_t frontier, bool vouch) {
+  // With a floor to publish, each shard is rung once, after its floor: a
+  // worker rung for its events could park before a separate floor ring
+  // and wake twice per batch, each short park buying it a round of yields
+  // (runtime/backoff.h).
+  vouch = vouch && !groups_.empty();
   size_t published = 0;
-  for (auto& shard : shards_) published += shard->Publish();
+  for (auto& shard : shards_) published += shard->Publish(/*ring=*/!vouch);
   // order: relaxed; standalone telemetry counter.
   events_ingested_.fetch_add(published, std::memory_order_relaxed);
   // order: release; a reader that acquires the frontier also sees the
   // pushes below it (the frontier never runs ahead of published slots).
   next_seq_.store(frontier, std::memory_order_release);
+  if (vouch) PublishProducerFloor(frontier);
 }
 
 void ParallelStreamingEngine::PublishProducerFloor(uint64_t floor) {
@@ -541,7 +540,10 @@ void ParallelStreamingEngine::PublishProducerFloor(uint64_t floor) {
     // floor — a late flush would then violate watermark monotonicity.
     floor = admission_->ClampFloor(floor);
   }
-  for (auto& shard : shards_) shard->NoteProducerFloor(floor);
+  for (auto& shard : shards_) {
+    shard->NoteProducerFloor(floor);
+    shard->Wake();
+  }
 }
 
 size_t ParallelStreamingEngine::cross_shard_count() const {

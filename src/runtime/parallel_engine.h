@@ -357,7 +357,10 @@ class ParallelStreamingEngine : public StreamSubscriber {
   uint64_t WatermarkLag(const MergeShard& merge) const;
   /// Publishes every shard's claimed slots, counts them ingested, then
   /// stores `frontier`, the next sequence number to stamp, as next_seq_.
-  void PublishIngested(uint64_t frontier) PLDP_REQUIRES(ingest_role_);
+  /// With `vouch` (and an exchange) it then publishes `frontier` as the
+  /// producer floor, ringing each shard once for slots and floor.
+  void PublishIngested(uint64_t frontier, bool vouch)
+      PLDP_REQUIRES(ingest_role_);
   void PublishProducerFloor(uint64_t floor);
   /// Snapshot of the ingest frontier: every stamped sequence number is
   /// strictly below it. Safe from any thread (best-effort while the

@@ -133,10 +133,10 @@ Status Shard::Start() {
   return Status::OK();
 }
 
-size_t Shard::Publish() {
+size_t Shard::Publish(bool ring) {
   const size_t n = claimed_;
   if (n == 0) return 0;
-  queue_.Publish(n);
+  queue_.Publish(n, ring);
   granted_ -= n;
   claimed_ = 0;
   // order: relaxed; Drain reads it from the producer thread itself (or
@@ -221,8 +221,8 @@ Status Shard::Drain() {
   while (processed_.load(std::memory_order_acquire) < target) {
     backoff.Wait();
   }
-  // order: acquire pairs with LatchExchangeError's release store, which
-  // follows the one write of the status.
+  // order: acquire pairs with ProcessOne's release store, which follows
+  // the one write of the status.
   if (exchange_failed_.load(std::memory_order_acquire)) {
     return exchange_error_;
   }
@@ -323,9 +323,10 @@ void Shard::ExecuteCommand(const std::vector<ExchangeHookRef>& hooks) {
   switch (kind) {
     case kCmdFlushWatermark:
       // The emitters skip bounds they already passed, so a stale request
-      // (issued before newer idle watermarks) is free.
+      // (issued before newer idle watermarks) is free. Broadcast never
+      // fails (it never waits, also on an aborted fabric).
       for (const ExchangeHookRef& hook : hooks) {
-        LatchExchangeError(hook.emitter->Broadcast(payload));
+        (void)hook.emitter->Broadcast(payload);
       }
       break;
     case kCmdFinish:
@@ -333,7 +334,7 @@ void Shard::ExecuteCommand(const std::vector<ExchangeHookRef>& hooks) {
       // finish bound), then close every lane of every row for good.
       if (sink_ != nullptr) sink_->OnShardFinish(payload);
       for (const ExchangeHookRef& hook : hooks) {
-        LatchExchangeError(hook.emitter->Broadcast(kExchangeSeqEnd));
+        (void)hook.emitter->Broadcast(kExchangeSeqEnd);  // Never fails.
       }
       break;
     default:
@@ -358,22 +359,17 @@ void Shard::ProcessOne(const StampedEvent& stamped,
   (void)engine_.OnEvent(stamped.event);
   if (sink_ != nullptr) sink_->OnShardEvent(stamped.event);
   for (const ExchangeHookRef& hook : hooks) {
-    if (hook.forward_raw_events) {
-      LatchExchangeError(hook.emitter->Emit(stamped.event));
+    if (!hook.forward_raw_events) continue;
+    Status s = hook.emitter->Emit(stamped.event);
+    // order: relaxed; this thread is the flag's only writer.
+    if (!s.ok() && !exchange_failed_.load(std::memory_order_relaxed)) {
+      exchange_error_ = std::move(s);
+      // order: release publishes the status to Drain's acquire load.
+      exchange_failed_.store(true, std::memory_order_release);
     }
   }
   last_seq_ = stamped.seq;
   processed_any_ = true;
-}
-
-void Shard::LatchExchangeError(Status status) {
-  // order: relaxed; this thread is the flag's only writer.
-  if (status.ok() || exchange_failed_.load(std::memory_order_relaxed)) {
-    return;
-  }
-  exchange_error_ = std::move(status);
-  // order: release publishes the status to Drain's acquire load.
-  exchange_failed_.store(true, std::memory_order_release);
 }
 
 void Shard::ProcessBurst(size_t n,
@@ -438,7 +434,7 @@ void Shard::RunLoop() {
       if (floor > bound && queue_.ApproxEmpty()) bound = floor;
       if (bound > 0) {
         for (const ExchangeHookRef& hook : hooks) {
-          LatchExchangeError(hook.emitter->Broadcast(bound));
+          (void)hook.emitter->Broadcast(bound);  // Never fails.
         }
         last_idle_bound = bound;
       }

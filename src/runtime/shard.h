@@ -26,8 +26,8 @@
 // Threading contract:
 //   - Exactly one thread (the ingest thread, ParallelStreamingEngine's
 //     caller) may call ClaimSlot / Publish / AwaitSlot / PushStampedN /
-//     TryPushStampedN / NoteProducerFloor at a time; the worker thread is
-//     the only consumer.
+//     TryPushStampedN / NoteProducerFloor / Wake at a time; the worker
+//     thread is the only consumer.
 //   - AddQuery / SetEventSink / AddExchange must happen before Start. Start
 //     and Stop must not race each other or a pushing producer (they manage
 //     the worker thread), but a push racing a Stop fails fast instead of
@@ -177,9 +177,9 @@ class Shard {
     return &queue_.ClaimedSlot(claimed_++);
   }
 
-  /// Makes every claimed slot visible to the worker (one release store,
-  /// one doorbell ring) and counts it pushed. Returns how many (0: no-op).
-  PLDP_HOT size_t Publish();
+  /// Makes every claimed slot visible to the worker (one release store and,
+  /// if `ring`, one doorbell ring) and counts it pushed. Returns how many.
+  PLDP_HOT size_t Publish(bool ring = true);
 
   /// Slow path once ClaimSlot found the ring full: publishes, waits for
   /// the worker to free a slot and claims it (one backpressure wait), or
@@ -207,13 +207,15 @@ class Shard {
   /// that track the global stream instead of staying silent until the
   /// next drain barrier — without it, skewed routings buffer everything
   /// downstream. Same caller as ClaimSlot (the single ingest thread);
-  /// `floor` must not run ahead of published slots.
+  /// `floor` must not run ahead of published slots. The caller rings
+  /// (Wake), once for the floor and any Publish(/*ring=*/false) before.
   void NoteProducerFloor(uint64_t floor) {
     // order: release so everything pushed before the floor claim is
     // visible to the worker's acquire load.
     producer_floor_.store(floor, std::memory_order_release);
-    doorbell_.Ring();
   }
+  /// Rings the worker's doorbell; same caller as NoteProducerFloor.
+  void Wake() { doorbell_.Ring(); }
 
   /// Blocks until every event pushed so far has been processed. The worker
   /// stays alive; more events may be pushed after. Returns the worker's
@@ -333,8 +335,6 @@ class Shard {
       PLDP_REQUIRES(worker_role_);
   void ExecuteCommand(const std::vector<ExchangeHookRef>& hooks)
       PLDP_REQUIRES(worker_role_);
-  /// Keeps the first failed exchange call for Drain (OK is a no-op).
-  PLDP_HOT void LatchExchangeError(Status status) PLDP_REQUIRES(worker_role_);
   StatusOr<uint64_t> PostCommand(uint32_t kind, uint64_t payload);
 
   const size_t index_;
@@ -398,9 +398,8 @@ class Shard {
   Atomic<uint64_t> detections_{0};
   // Worker-side yield count, added once per idle episode (Backoff::Reset).
   Atomic<uint64_t> idle_yields_{0};
-  // The first failed exchange call: the status is written once, by the
-  // worker, before the flag's release store; Drain reads it after the
-  // acquire load.
+  // The first failed raw-forward Emit: written once, by the worker, before
+  // the flag's release store; Drain reads it after the acquire load.
   Atomic<bool> exchange_failed_{false};
   Status exchange_error_;
 

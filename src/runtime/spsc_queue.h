@@ -98,15 +98,26 @@ class SpscQueue {
     return RaceCellWrite(slots_[(tail_local_ + offset) & mask_]);
   }
 
-  /// Makes the first `n` claimed slots visible with one release store and
-  /// one waker ring. Publish(0) is a no-op.
-  PLDP_HOT void Publish(size_t n) {
+  /// Makes the first `n` claimed slots visible with one release store and,
+  /// if `ring`, one waker ring. Publish(0) is a no-op.
+  PLDP_HOT void Publish(size_t n, bool ring = true) {
     if (n == 0) return;
     tail_local_ += n;
     // order: release publishes the slot writes before it to the
     // consumer's acquire load of tail_.
     tail_.store(tail_local_, kTailPublishOrder);
-    if (waker_ != nullptr) waker_->Ring();
+    if (ring && waker_ != nullptr) waker_->Ring();
+  }
+
+  /// Publish that rings only when the items land at the head (the consumer
+  /// had released every earlier slot): a consumer that parks watching only
+  /// the queues it found empty (the merge shard) waits on no other push.
+  /// With `n` = 0 it rings a consumer that drained the queue, after a store
+  /// that consumer reads only once the queue is empty.
+  PLDP_HOT void PublishAtHead(size_t n) {
+    const size_t head_before = tail_local_;
+    Publish(n, /*ring=*/false);
+    if (ConsumerReached(head_before)) waker_->Ring();
   }
 
   /// Returns false when the queue is full.
@@ -190,12 +201,6 @@ class SpscQueue {
 
   bool ApproxEmpty() const { return ApproxSize() == 0; }
 
-  /// Rings the attached doorbell without publishing, after the producer
-  /// changed other state the consumer's park predicate watches.
-  void RingWaker() {
-    if (waker_ != nullptr) waker_->Ring();
-  }
-
   /// Attaches a doorbell rung after every successful push, so a consumer
   /// parked on it (runtime/backoff.h) wakes when work arrives. Must be set
   /// before the producer starts pushing; the queue does not own the bell.
@@ -203,6 +208,24 @@ class SpscQueue {
 
  private:
   static constexpr size_t kCacheLine = 64;
+
+  /// Producer side: a waker is set and the consumer has released every
+  /// slot below `index`. The fence pairs with the one a parking consumer
+  /// issues after its last release (Doorbell::ParkUnless), with head_ in
+  /// the role of the waiter count: either this load sees the release (and
+  /// the caller rings) or the consumer's predicate sees the producer's
+  /// store.
+  PLDP_HOT bool ConsumerReached(size_t index) {
+    if (waker_ == nullptr) return false;
+#ifndef PLDP_CHECK_NEGATIVE_LANE_RING  // check_lane_ring_negative_test
+    // order: seq_cst fence (see above).
+    AtomicFence(std::memory_order_seq_cst);
+#endif
+    // order: acquire, as in Claim: the refreshed cache also gates reuse of
+    // the slots the consumer freed.
+    cached_head_ = head_.load(std::memory_order_acquire);
+    return cached_head_ == index;
+  }
 
 #ifdef PLDP_CHECK_NEGATIVE_SPSC
   // Seeded mutation for the model checker's negative suite: publishing

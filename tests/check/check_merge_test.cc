@@ -19,7 +19,10 @@
 // The PLDP_CHECK_NEGATIVE_MERGE twin (merge_shard.cc) frees an event's
 // slot before the engine reads it: the producer waiting on the full lane
 // can then refill the slot under the read, and the checker must report
-// the race.
+// the race. The PLDP_CHECK_NEGATIVE_LANE_RING twin (spsc_queue.h) deletes
+// the fence between an emitter's push and its read of the merge's head,
+// which decides whether the push rings the merge: the checker must find
+// the merge parked on a push it never hears of.
 
 #include <cstdint>
 #include <memory>
@@ -115,7 +118,8 @@ ModelResult RunMergeHarness(ModelConfig cfg, bool await_seal) {
   });
 }
 
-#ifndef PLDP_CHECK_NEGATIVE_MERGE
+#if !defined(PLDP_CHECK_NEGATIVE_MERGE) && \
+    !defined(PLDP_CHECK_NEGATIVE_LANE_RING)
 
 // Bounded-DFS exploration of every schedule without preemptions: threads
 // switch at blocking and spin points, and every load reads every store
@@ -149,7 +153,7 @@ TEST(MergeModel, RandomWalkClean) {
   EXPECT_FALSE(r.failed) << r.report;
 }
 
-#else  // PLDP_CHECK_NEGATIVE_MERGE
+#elif defined(PLDP_CHECK_NEGATIVE_MERGE)
 
 // With the slot freed before the engine reads it, the producer blocked on
 // lane 0 can write event 5 into the slot of event 1 while the merge still
@@ -166,7 +170,25 @@ TEST(MergeModelNegative, CheckerCatchesSlotFreedBeforeRead) {
   EXPECT_FALSE(r.replay.empty());
 }
 
-#endif  // PLDP_CHECK_NEGATIVE_MERGE
+#else  // PLDP_CHECK_NEGATIVE_LANE_RING
+
+// Without the fence the emitter may read the merge's head from before its
+// last release while the merge's park predicate reads the lane's tail from
+// before the push: neither sees the other, the push does not ring, and the
+// merge stays parked while the producer waits for the seal.
+TEST(MergeModelNegative, CheckerCatchesUnfencedLaneRing) {
+  ModelConfig cfg;
+  cfg.name = "merge-unfenced-ring";
+  cfg.preemption_bound = 0;
+  cfg.max_steps_per_exec = 20000;
+  ModelResult r = RunMergeHarness(cfg, /*await_seal=*/true);
+  EXPECT_TRUE(r.failed)
+      << "seeded unfenced lane ring was NOT caught by the checker";
+  EXPECT_NE(r.report.find("lost-wakeup"), std::string::npos) << r.report;
+  EXPECT_FALSE(r.replay.empty());
+}
+
+#endif
 
 }  // namespace
 }  // namespace pldp

@@ -140,9 +140,6 @@ TEST(MetricsSchemaTest, MixedPipelineExpositionIsPinned) {
       "  {lane=plain,group=global,producer=1}",
       "  {lane=plain,group=attr:zone,producer=0}",
       "  {lane=plain,group=attr:zone,producer=1}",
-      "pldp_merge_events_received_total counter | Events a merge shard read from its exchange lanes",
-      "  {lane=plain,group=global,shard=0}",
-      "  {lane=plain,group=attr:zone,shard=0}",
       "pldp_merge_events_total counter | Events a merge shard released to its engine in global order",
       "  {lane=plain,group=global,shard=0}",
       "  {lane=plain,group=attr:zone,shard=0}",

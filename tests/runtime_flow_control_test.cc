@@ -160,8 +160,10 @@ TEST(FlowControlTest, SilentLaneHoldsReleasesAndSaturationReadsDegraded) {
   ASSERT_TRUE(merge.Start().ok());
 
   // The merge releases nothing — lane B's bound proves nothing yet — so
-  // every slot of lane A stays taken.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // every slot of lane A stays taken. A park proves the merge has looked
+  // at the lanes and gone idle.
+  ASSERT_TRUE(PollUntil([&] { return merge.stats().parks >= 1; }))
+      << "merge never parked";
   EXPECT_EQ(merge.stats().events_processed, 0u);
   EXPECT_EQ(merge.input_depth(), 4u);
   EXPECT_EQ(fabric.lane(0, 0).queue.ApproxSize(), 4u)
