@@ -14,8 +14,8 @@
 // buffer of `kInlineAttrCapacity` slots. An event whose attributes fit the
 // inline buffer and whose string payloads are interned symbols
 // (`Value::Sym`) copies without touching the heap — the property the
-// sharded runtime's steady state depends on (ingest copies the event into
-// its shard's ring slot, and every exchange lane hop copies it again).
+// sharded runtime's steady state depends on (ingest copies an attributed
+// event into its shard's attribute array, runtime/shard.h).
 // Only events with more attributes spill to a heap-allocated vector, and
 // only owned `kString` payloads allocate on copy.
 
@@ -56,7 +56,7 @@ class Event {
  public:
   /// Attribute slots held inline before spilling to the heap. Two covers
   /// every workload in the repo (taxi: cell + taxi id); growing it trades
-  /// queue-slot memory for spill headroom.
+  /// the shards' attribute-array memory for spill headroom.
   static constexpr size_t kInlineAttrCapacity = 2;
 
   /// One attribute: an interned name id and its value, in insertion order.
@@ -86,6 +86,7 @@ class Event {
   Timestamp timestamp() const { return timestamp_; }
   StreamId stream() const { return stream_; }
 
+  void set_type(EventTypeId type) { type_ = type; }
   void set_timestamp(Timestamp ts) { timestamp_ = ts; }
   void set_stream(StreamId s) { stream_ = s; }
 

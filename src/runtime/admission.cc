@@ -2,6 +2,7 @@
 
 #include "runtime/admission.h"
 
+#include <functional>
 #include <utility>
 
 namespace pldp {
@@ -124,19 +125,36 @@ void AdmissionQueue::Pump() {
   MaybeClearShedSet();
 }
 
-Status AdmissionQueue::FlushBlocking() {
+Status AdmissionQueue::FlushBlocking(
+    const std::function<void(uint64_t)>& vouch) {
   ingest_role_.Assert();
-  for (PerShard& ps : state_) {
-    while (!ps.pending.empty()) {
-      PLDP_RETURN_IF_ERROR(ps.shard->PushStampedN(&ps.pending.front(), 1));
-      ps.pending.pop_front();
-      // order: relaxed; ingest-thread-owned counters (telemetry hints).
-      pending_total_.fetch_sub(1, std::memory_order_relaxed);
-      if (pushed_counter_ != nullptr) {
-        pushed_counter_->fetch_add(1, std::memory_order_relaxed);
+  // Oldest parked event first, across shards: when its ring is full,
+  // every event below it has landed, so the floor vouches for exactly
+  // that before the push waits. A worker whose exchange output waits on
+  // an idle peer's watermark is freed by it; shard by shard, the push
+  // could wait on a worker that waits on events parked for a later shard.
+  for (;;) {
+    PerShard* oldest = nullptr;
+    for (PerShard& ps : state_) {
+      if (!ps.pending.empty() &&
+          (oldest == nullptr ||
+           ps.pending.front().seq < oldest->pending.front().seq)) {
+        oldest = &ps;
       }
     }
-    SyncPendingSeq(ps);
+    if (oldest == nullptr) break;
+    StampedEvent& front = oldest->pending.front();
+    if (oldest->shard->TryPushStampedN(&front, 1) != 1) {
+      if (vouch) vouch(front.seq);
+      PLDP_RETURN_IF_ERROR(oldest->shard->PushStampedN(&front, 1));
+    }
+    oldest->pending.pop_front();
+    // order: relaxed; ingest-thread-owned counters (telemetry hints).
+    pending_total_.fetch_sub(1, std::memory_order_relaxed);
+    if (pushed_counter_ != nullptr) {
+      pushed_counter_->fetch_add(1, std::memory_order_relaxed);
+    }
+    SyncPendingSeq(*oldest);
   }
   MaybeClearShedSet();
   return Status::OK();

@@ -36,6 +36,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <unordered_set>
 #include <vector>
 
@@ -81,9 +82,14 @@ class AdmissionQueue {
   /// everything is empty; call it once per ingest batch.
   void Pump();
 
-  /// Blocking flush of every pending FIFO — the drain/finish barrier
-  /// path. Fails fast (like Shard::PushStampedN) when a shard stops.
-  Status FlushBlocking();
+  /// Blocking flush of every pending FIFO, oldest sequence number first
+  /// across shards — the drain/finish barrier path. Before a push waits on
+  /// a full ring it calls `vouch(seq)` (if set) with that event's sequence
+  /// number: every event below it has landed, so the engine may publish
+  /// it as the producer floor. Fails fast (like Shard::PushStampedN) when
+  /// a shard stops.
+  Status FlushBlocking(
+      const std::function<void(uint64_t)>& vouch = nullptr);
 
   /// min(floor, oldest parked sequence number across shards): the value
   /// that is actually safe to publish as a producer floor.

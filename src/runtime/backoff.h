@@ -2,15 +2,29 @@
 //
 // Escalating wait shared by every spin site of the runtime: producers on a
 // full queue, workers on an empty queue, drain barriers on a lagging
-// counter. Burn a few iterations, then yield, then sleep — low latency
+// counter. Burn a few iterations, then yield, then block — low latency
 // under load without pinning a core when idle.
 //
-// Workers additionally escalate past the yield phase into a real park on a
-// `Doorbell` (condition-variable wait): once ShouldPark() reports that the
-// spin and yield budgets are exhausted, the worker re-checks its work
-// predicate under the doorbell's protocol and blocks until a producer
-// rings. Producers never park — their wait is always bounded by a live
-// consumer draining the queue.
+// Which waits park, and on which `Doorbell` (condition-variable wait):
+//
+//   - An idle worker (Shard, MergeShard) parks on its work doorbell, rung
+//     by every push, command post, producer-floor store and stop.
+//   - A barrier wait parks on the progress doorbell of the worker it waits
+//     for (AwaitProgress): Shard::Drain (processed count),
+//     Shard::WaitCommandAck (command ack), Shard::AwaitSlot (the ingest
+//     thread on a full ring: a freed slot) and MergeShard::WaitSafe (merge
+//     frontier). The worker rings it after every published burst, command
+//     ack and frontier advance; Stop rings it too. A barrier waiter keeps
+//     the fixed spin and yield phases, then parks, and after a ring that
+//     did not complete its wait it parks again without spinning.
+//   - Only ExchangeEmitter::AwaitRoom still sleeps (50 µs per Wait past
+//     the yields): it must poll the fabric's abort flag, which no doorbell
+//     covers.
+//
+// Before barrier waits parked they slept, and with Linux's default 50 µs
+// timer slack a 50 µs sleep took ~105 µs (4-thread VM): on perfbench's
+// `local` workload 8–10% of the per-shard drain waits reached the sleep,
+// p90 124–235 µs against a ~300 µs round.
 //
 // A worker's yield budget adapts to its last park (Backoff::Park times
 // it): after a park longer than kLongParkNs the next idle episode parks as
@@ -32,7 +46,9 @@
 // budgets collapse to one iteration and Park takes no clock reads, so spin
 // loops become explicit schedule points instead of wall-clock burns. The
 // Doorbell protocol is machine-checked by tests/check/check_doorbell_test.cc
-// (the lost-wakeup argument below, explored exhaustively).
+// (the lost-wakeup argument below, explored exhaustively) and, with two
+// barrier waiters on one progress doorbell, by
+// tests/check/check_progress_test.cc.
 
 #ifndef PLDP_RUNTIME_BACKOFF_H_
 #define PLDP_RUNTIME_BACKOFF_H_
@@ -56,7 +72,8 @@ class Doorbell;
 
 class Backoff {
  public:
-  /// A producer or barrier wait: the fixed spin → yield → sleep schedule.
+  /// A producer or barrier wait: the fixed spin → yield → sleep (or park,
+  /// AwaitProgress) schedule.
   Backoff() = default;
   /// The idle wait of a worker that parks on a Doorbell: `idle_yields`
   /// accumulates the yields of each idle episode, one relaxed add when the
@@ -131,7 +148,7 @@ class Backoff {
   Atomic<uint64_t>* idle_yields_ = nullptr;
 };
 
-/// Wake-on-work doorbell: one parked consumer, any number of ringers.
+/// Wake-on-work doorbell: any number of parked waiters and of ringers.
 ///
 /// The consumer calls `ParkUnless(has_work)` when its queues look empty;
 /// producers call `Ring()` after publishing work (an SpscQueue push, a
@@ -162,6 +179,15 @@ class Backoff {
 ///      and the wait returns immediately.
 ///   3. A bump from an unrelated ring at worst causes a spurious return;
 ///      the consumer re-polls its queues, which is always correct.
+///   4. Several waiters (a progress doorbell: Drain may run on any thread
+///      while the ingest thread waits for a ring slot) change nothing
+///      above. Each waiter runs points 1 and 2 on its own: waiters_ is
+///      only ever changed by read-modify-writes, so once waiter W's
+///      increment precedes the ringer's fence, every later value of the
+///      count includes it until W itself de-advertises — which W does only
+///      after its predicate held or a ring woke it. RingSlow bumps the
+///      epoch once and notify_all wakes every waiter; each re-checks its
+///      own predicate and parks again if its wait is not over.
 ///
 /// Both halves of the argument are machine-checked: the model suite
 /// tests/check/check_doorbell_test.cc explores every schedule of
@@ -197,7 +223,7 @@ class Doorbell {
   /// publications: once work is published, it returns true until the
   /// consumer itself consumes it. Returns true when the thread actually
   /// parked (and was woken), false when has_work() preempted the park.
-  /// At most one thread may park on a doorbell at a time.
+  /// Any number of threads may park on one doorbell (point 4 above).
   template <typename HasWork>
   bool ParkUnless(HasWork&& has_work) {
     // order: acquire so the epoch observed here is no older than any ring
@@ -253,7 +279,7 @@ class Doorbell {
 
   SyncMutex mu_;
   SyncCondVar cv_;
-  /// Number of threads past the park decision (0 or 1 in practice).
+  /// Number of threads past the park decision.
   Atomic<int> waiters_{0};
   /// Ring generation; bumped under mu_ so the cv predicate orders against
   /// it without further fences.
@@ -276,6 +302,25 @@ bool Backoff::Park(Doorbell& bell, HasWork&& has_work) {
           .count()));
   return parked;
 #endif
+}
+
+/// Barrier wait: the fixed spin and yield phases of a Backoff, then parks
+/// on `progress` until `done()` holds. `done` has ParkUnless's contract
+/// (atomics only, monotone) and every store that can make it true is
+/// followed by a `progress.Ring()`. A ring that does not complete the wait
+/// parks the waiter again at once: a worker rings its progress doorbell
+/// once per burst, and a waiter several bursts short of its target should
+/// not spin through each of them.
+template <typename Done>
+void AwaitProgress(Doorbell& progress, Done&& done) {
+  Backoff backoff;
+  while (!done()) {
+    if (backoff.ShouldPark()) {
+      (void)progress.ParkUnless(done);
+    } else {
+      backoff.Wait();
+    }
+  }
 }
 
 }  // namespace pldp

@@ -79,12 +79,11 @@ Status MergeShard::Start() {
 }
 
 Status MergeShard::WaitSafe(uint64_t bound) {
-  Backoff backoff;
-  // order: acquire pairs with the worker's release publication (the
-  // caller reads the engine after this returns).
-  while (safe_primary_.load(std::memory_order_acquire) < bound) {
-    backoff.Wait();
-  }
+  AwaitProgress(progress_, [this, bound] {
+    // order: acquire pairs with the worker's release publication (the
+    // caller reads the engine after this returns).
+    return safe_primary_.load(std::memory_order_acquire) >= bound;
+  });
   return Status::OK();
 }
 
@@ -105,6 +104,7 @@ Status MergeShard::Stop() {
   worker_role_.Release();
   // order: release publishes the absorbed leftovers to WaitSafe callers.
   safe_primary_.store(kExchangeSeqEnd, std::memory_order_release);
+  progress_.Ring();
   // order: relaxed; advisory flag for running() observers.
   running_.store(false, std::memory_order_relaxed);
   return Status::OK();
@@ -180,11 +180,18 @@ bool MergeShard::MergePass(bool force) {
       if (silent != nullptr && silent->primary < frontier) {
         frontier = silent->primary;
       }
+      if (released > 0) {
+        // order: release publishes the engine effects to stats() readers;
+        // it precedes the frontier's store, so a WaitSafe that saw the
+        // frontier also sees the count.
+        merged_.fetch_add(released, std::memory_order_release);
+      }
       // order: relaxed; this thread is the only writer, so its own last
       // store is always visible to it.
       if (frontier > safe_primary_.load(std::memory_order_relaxed)) {
         // order: release publishes the merged engine state to WaitSafe.
         safe_primary_.store(frontier, std::memory_order_release);
+        progress_.Ring();
       }
       break;
     }
@@ -213,10 +220,6 @@ bool MergeShard::MergePass(bool force) {
       obs_.merge_latency_ns->Record(t_now - t_prev);
       t_prev = t_now;
     }
-  }
-  if (released > 0) {
-    // order: release publishes the engine effects to stats() readers.
-    merged_.fetch_add(released, std::memory_order_release);
   }
   return released > 0;
 }

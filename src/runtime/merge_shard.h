@@ -18,8 +18,10 @@
 //     processing the whole stream would have seen them — and its slot is
 //     released only after the engine consumed it;
 //   - after each pass the worker publishes `safe_primary`, the sequence
-//     number through which everything has been merged and processed. Drain
-//     barriers wait on it; `kExchangeSeqEnd` means the pipeline is sealed.
+//     number through which everything has been merged and processed, and
+//     rings its progress doorbell. Drain barriers wait on it (WaitSafe
+//     parks on that doorbell); `kExchangeSeqEnd` means the pipeline is
+//     sealed.
 //
 // There is no second buffer: the lanes are the merge's input and its
 // flow-control budget at once (runtime/exchange.h). Every producer keeps
@@ -105,7 +107,8 @@ class MergeShard {
   /// Blocks until everything with sequence number < `bound` has been merged
   /// and processed (i.e. safe_primary() >= bound). The caller must have
   /// arranged for every producer to pass `bound` (drain + watermark
-  /// broadcast), or this spins until they do.
+  /// broadcast), or this waits (spins, yields, then parks on the progress
+  /// doorbell) until they do. Any number of threads may wait at once.
   Status WaitSafe(uint64_t bound);
 
   /// The published merge frontier (acquire; see file comment).
@@ -222,8 +225,10 @@ class MergeShard {
   Atomic<bool> stop_requested_{false};
 
   /// Merge frontier: everything with primary < safe_primary_ is done.
-  /// Published with release after the engine absorbed the events.
+  /// Published with release after the engine absorbed the events; every
+  /// advance rings `progress_`, the doorbell WaitSafe parks on.
   Atomic<uint64_t> safe_primary_{0};
+  Doorbell progress_;
   Atomic<uint64_t> merged_{0};
   Atomic<uint64_t> detections_{0};
   /// Worker-side yield count, added once per idle episode

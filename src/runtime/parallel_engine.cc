@@ -360,7 +360,8 @@ Status ParallelStreamingEngine::Barrier(bool finish) {
   if (admission_ != nullptr) {
     // Parked events are part of the ingested stream; the barrier is only a
     // barrier once they have landed in their shard queues.
-    PLDP_RETURN_IF_ERROR(admission_->FlushBlocking());
+    PLDP_RETURN_IF_ERROR(admission_->FlushBlocking(
+        [this](uint64_t floor) { PublishProducerFloor(floor); }));
   }
   const uint64_t bound = IngestFrontier();
   // Vouch for everything ingested before the shards drain: a worker may
@@ -425,7 +426,8 @@ Status ParallelStreamingEngine::Stop() {
   if (admission_ != nullptr) {
     // Land parked events before the shards go away; a shard racing into
     // stop makes this fail fast, which is the best Stop can do.
-    Status s = admission_->FlushBlocking();
+    Status s = admission_->FlushBlocking(
+        [this](uint64_t floor) { PublishProducerFloor(floor); });
     if (result.ok() && !s.ok()) result = s;
   }
   // order: relaxed; see the Start() rationale on the finished_ latch.
@@ -487,24 +489,22 @@ Status ParallelStreamingEngine::OnEventBatch(EventSpan events) {
     admission_->Pump();
   } else {
     // One pass in stream order: route, stamp, and copy each event once,
-    // straight into a claimed slot of its shard's ring.
+    // straight into a claimed slot of its shard's ring (the 32-byte
+    // header; the attributes, if any, into the shard's parallel array).
     for (const Event& e : events) {
       Shard& shard = *shards_[router_.ShardOf(e)];
-      StampedEvent* slot = shard.ClaimSlot();
-      if (slot == nullptr) {
+      if (!shard.ClaimSlot()) {
         // Ring full. Before waiting on this worker, make every event
         // stamped so far visible and vouch for it with the producer
         // floor: with an exchange, this worker's output may only be
         // released downstream once the other shards have processed their
         // share, or have broadcast watermarks past it.
         PublishIngested(seq, /*vouch=*/true);
-        slot = shard.AwaitSlot();
-        if (slot == nullptr) {
+        if (!shard.AwaitSlot()) {
           return Status::FailedPrecondition("push after shard stop");
         }
       }
-      slot->seq = seq++;
-      slot->event = e;
+      shard.Stamp(seq++, e);
     }
   }
   // Every stamped event is published here (or parked, which ClampFloor

@@ -146,30 +146,31 @@ size_t Shard::Publish(bool ring) {
   return n;
 }
 
-StampedEvent* Shard::AwaitSlot() {
+bool Shard::AwaitSlot() {
   // The worker can only free slots the producer has published.
   Publish();
-  Backoff backoff;
-  for (;;) {
-    // Fail fast instead of spinning forever when the worker is gone (a
-    // push racing Stop(), or a producer outliving the shard's shutdown).
-    // Events published before the cutoff still count as pushed; Stop()
-    // processes any ring leftovers after joining the worker, so Drain
-    // stays consistent even if the worker missed them.
-    // order: relaxed; fail-fast hint — Stop()'s post-join leftover pass
-    // makes the cutoff exact regardless of what this load observes.
-    if (stop_requested_.load(std::memory_order_relaxed)) {
-      PLDP_LOG(Warning) << "shard " << index_
-                        << ": push after stop rejected";
-      return nullptr;
-    }
-    backoff.Wait();
-    if (StampedEvent* slot = ClaimSlot()) {
-      // order: relaxed; telemetry only.
-      backpressure_waits_.fetch_add(1, std::memory_order_relaxed);
-      return slot;
-    }
+  // Fail fast instead of waiting forever when the worker is gone (a push
+  // racing Stop(), or a producer outliving the shard's shutdown). Events
+  // published before the cutoff still count as pushed; Stop() processes
+  // any ring leftovers after joining the worker, so Drain stays consistent
+  // even if the worker missed them.
+  // order: relaxed; fail-fast hint — Stop()'s post-join leftover pass
+  // makes the cutoff exact regardless of what this load observes.
+  const auto stopping = [this] {
+    return stop_requested_.load(std::memory_order_relaxed);
+  };
+  // Claim refreshes this thread's cache of the worker's head: an acquire
+  // of the atomic the worker releases before it rings progress_.
+  AwaitProgress(progress_,
+                [&] { return stopping() || queue_.Claim(1) != 0; });
+  if (stopping()) {
+    PLDP_LOG(Warning) << "shard " << index_ << ": push after stop rejected";
+    return false;
   }
+  (void)ClaimSlot();
+  // order: relaxed; telemetry only.
+  backpressure_waits_.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 Status Shard::PushStampedN(StampedEvent* events, size_t count,
@@ -183,9 +184,8 @@ Status Shard::PushStampedN(StampedEvent* events, size_t count,
   }
   size_t done = 0;
   for (; done < count; ++done) {
-    StampedEvent* slot = ClaimSlot();
-    if (slot == nullptr && (slot = AwaitSlot()) == nullptr) break;
-    *slot = std::move(events[done]);
+    if (!ClaimSlot() && !AwaitSlot()) break;
+    Stamp(events[done].seq, std::move(events[done].event));
   }
   Publish();
   if (accepted != nullptr) *accepted = done;
@@ -201,9 +201,8 @@ size_t Shard::TryPushStampedN(StampedEvent* events, size_t count) {
     return 0;
   }
   size_t n = 0;
-  for (StampedEvent* slot; n < count && (slot = ClaimSlot()) != nullptr;
-       ++n) {
-    *slot = std::move(events[n]);
+  for (; n < count && ClaimSlot(); ++n) {
+    Stamp(events[n].seq, std::move(events[n].event));
   }
   Publish();
   return n;
@@ -215,12 +214,11 @@ Status Shard::Drain() {
   // order: relaxed; best-effort snapshot of the push count (see the
   // threading contract in the header).
   const uint64_t target = pushed_.load(std::memory_order_relaxed);
-  Backoff backoff;
-  // order: acquire pairs with the worker's release — once the count
-  // covers the target, the engine/sink effects are visible too.
-  while (processed_.load(std::memory_order_acquire) < target) {
-    backoff.Wait();
-  }
+  AwaitProgress(progress_, [this, target] {
+    // order: acquire pairs with the worker's release — once the count
+    // covers the target, the engine/sink effects are visible too.
+    return processed_.load(std::memory_order_acquire) >= target;
+  });
   // order: acquire pairs with ProcessOne's release store, which follows
   // the one write of the status.
   if (exchange_failed_.load(std::memory_order_acquire)) {
@@ -245,15 +243,17 @@ StatusOr<uint64_t> Shard::PostCommand(uint32_t kind, uint64_t payload) {
 }
 
 Status Shard::WaitCommandAck(uint64_t token) {
-  Backoff backoff;
-  // order: acquire pairs with the worker's release ack — command side
-  // effects (watermarks, finish emissions) are visible once acked.
-  while (cmd_ack_.load(std::memory_order_acquire) < token) {
+  const auto acked = [this, token] {
+    // order: acquire pairs with the worker's release ack — command side
+    // effects (watermarks, finish emissions) are visible once acked.
+    return cmd_ack_.load(std::memory_order_acquire) >= token;
+  };
+  AwaitProgress(progress_, [&] {
     // order: relaxed; fail-fast hint only.
-    if (stop_requested_.load(std::memory_order_relaxed)) {
-      return Status::FailedPrecondition("shard stopping before command ran");
-    }
-    backoff.Wait();
+    return acked() || stop_requested_.load(std::memory_order_relaxed);
+  });
+  if (!acked()) {
+    return Status::FailedPrecondition("shard stopping before command ran");
   }
   return Status::OK();
 }
@@ -273,7 +273,8 @@ Status Shard::Stop() {
   // order: release so work published before the stop request is visible
   // to the worker that observes it (acquire in the run loop).
   stop_requested_.store(true, std::memory_order_release);
-  doorbell_.Ring();  // A parked worker must observe the stop flag.
+  doorbell_.Ring();  // A parked worker must observe the stop flag,
+  progress_.Ring();  // and so must a parked AwaitSlot or WaitCommandAck.
   if (worker_.joinable()) worker_.join();
   // A push racing the stop flag can land an event after the worker's final
   // empty-queue check. The join above makes this thread the sole owner —
@@ -343,24 +344,34 @@ void Shard::ExecuteCommand(const std::vector<ExchangeHookRef>& hooks) {
   // order: release publishes the command's side effects to
   // WaitCommandAck's acquire.
   cmd_ack_.store(gen, std::memory_order_release);
+  progress_.Ring();
 }
 
-void Shard::ProcessOne(const StampedEvent& stamped,
+const Event& Shard::SlotEvent(size_t offset) {
+  const EventHeader& slot = queue_.PeekedSlot(offset);
+  if (slot.attr_count != 0) return attrs_[queue_.PeekedIndex(offset)];
+  plain_.set_type(slot.type);
+  plain_.set_timestamp(slot.timestamp);
+  plain_.set_stream(slot.stream);
+  return plain_;
+}
+
+void Shard::ProcessOne(uint64_t seq, const Event& event,
                        const std::vector<ExchangeHookRef>& hooks) {
   // One exchange trigger scope per event and per lane-group: everything
   // emitted while processing it — raw forwards and sink-driven output
   // alike — is stamped (seq, 0), (seq, 1), ... independently on every
   // group's row.
   for (const ExchangeHookRef& hook : hooks) {
-    hook.emitter->BeginTrigger(stamped.seq);
+    hook.emitter->BeginTrigger(seq);
   }
   // The engine's status is always OK today (OnEvent cannot fail); if
   // a future engine surfaces errors we will carry them to Drain().
-  (void)engine_.OnEvent(stamped.event);
-  if (sink_ != nullptr) sink_->OnShardEvent(stamped.event);
+  (void)engine_.OnEvent(event);
+  if (sink_ != nullptr) sink_->OnShardEvent(event);
   for (const ExchangeHookRef& hook : hooks) {
     if (!hook.forward_raw_events) continue;
-    Status s = hook.emitter->Emit(stamped.event);
+    Status s = hook.emitter->Emit(event);
     // order: relaxed; this thread is the flag's only writer.
     if (!s.ok() && !exchange_failed_.load(std::memory_order_relaxed)) {
       exchange_error_ = std::move(s);
@@ -368,7 +379,7 @@ void Shard::ProcessOne(const StampedEvent& stamped,
       exchange_failed_.store(true, std::memory_order_release);
     }
   }
-  last_seq_ = stamped.seq;
+  last_seq_ = seq;
   processed_any_ = true;
 }
 
@@ -379,7 +390,7 @@ void Shard::ProcessBurst(size_t n,
   // event's full processing latency (engine + sink + exchange).
   uint64_t t_prev = obs_.process_latency_ns ? obs::MonotonicNowNs() : 0;
   for (size_t i = 0; i < n; ++i) {
-    ProcessOne(queue_.PeekedSlot(i), hooks);
+    ProcessOne(queue_.PeekedSlot(i).seq, SlotEvent(i), hooks);
     if (obs_.process_latency_ns) {
       const uint64_t t_now = obs::MonotonicNowNs();
       obs_.process_latency_ns->Record(t_now - t_prev);
@@ -388,9 +399,11 @@ void Shard::ProcessBurst(size_t n,
   }
   queue_.Release(n);
   // One release store per burst: the publication point Drain acquires (it
-  // also releases a Drain waiting across Stop's leftover pass).
+  // also releases a Drain waiting across Stop's leftover pass), then one
+  // ring for whoever parked on it or on a free slot.
   // order: release (see comment above).
   processed_.fetch_add(n, std::memory_order_release);
+  progress_.Ring();
 }
 
 void Shard::RunLoop() {

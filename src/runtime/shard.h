@@ -20,14 +20,23 @@
 // global order on the stage-2 side.
 //
 // Ingest is claim -> publish -> process in place: the producer stamps each
-// event straight into a ring slot (ClaimSlot, Publish), and the worker
-// processes it there, releasing slots once per burst.
+// event straight into a ring slot (ClaimSlot, Stamp, Publish), and the
+// worker processes it there, releasing slots once per burst. A ring slot
+// is a 32-byte `EventHeader`: seq, timestamp, type, subject and attribute
+// count. An attributed event is copied whole into a parallel array of
+// `Event`s at the same ring position, allocated on the shard's first
+// attributed event; a shard that never sees one keeps only the header
+// ring (capacity × 32 B instead of capacity × 136 B).
+//
+// Barrier waits on the worker (Drain, WaitCommandAck, and AwaitSlot on a
+// full ring) park on the shard's progress doorbell, which the worker rings
+// after every burst and command ack (runtime/backoff.h, AwaitProgress).
 //
 // Threading contract:
 //   - Exactly one thread (the ingest thread, ParallelStreamingEngine's
-//     caller) may call ClaimSlot / Publish / AwaitSlot / PushStampedN /
-//     TryPushStampedN / NoteProducerFloor / Wake at a time; the worker
-//     thread is the only consumer.
+//     caller) may call ClaimSlot / Stamp / Publish / AwaitSlot /
+//     PushStampedN / TryPushStampedN / NoteProducerFloor / Wake at a time;
+//     the worker thread is the only consumer.
 //   - AddQuery / SetEventSink / AddExchange must happen before Start. Start
 //     and Stop must not race each other or a pushing producer (they manage
 //     the worker thread), but a push racing a Stop fails fast instead of
@@ -55,6 +64,7 @@
 #include <functional>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cep/streaming_engine.h"
@@ -94,12 +104,25 @@ struct ShardStats {
   size_t idle_yields = 0;
 };
 
-/// A queued event plus its global ingest sequence number — the exchange
-/// merge key's primary component (see runtime/exchange.h).
+/// An event plus its global ingest sequence number — the exchange merge
+/// key's primary component (see runtime/exchange.h). The push API
+/// (PushStampedN, the admission layer) takes events in this form.
 struct StampedEvent {
   uint64_t seq = 0;
   Event event;
 };
+
+/// One shard ring slot: a stamped event without its attributes, which
+/// travel in the shard's attribute array at the same ring position.
+struct EventHeader {
+  uint64_t seq = 0;
+  Timestamp timestamp = 0;
+  EventTypeId type = kInvalidEventType;
+  StreamId stream = kDefaultStream;
+  /// Nonzero: the whole event is in the attribute array.
+  uint32_t attr_count = 0;
+};
+static_assert(sizeof(EventHeader) == 32, "ring slots stay 32 bytes");
 
 /// Receives every event the shard worker processes, after the shard engine
 /// saw it, on the worker thread, in arrival order. Implementations own any
@@ -166,30 +189,48 @@ class Shard {
   /// Launches the worker thread. Returns FailedPrecondition if running.
   Status Start();
 
-  /// The next free ring slot, for the producer to stamp in place (seqs
-  /// strictly increasing per shard), or null when the ring is full.
-  /// Invisible to the worker until Publish.
-  PLDP_HOT StampedEvent* ClaimSlot() {
-    if (claimed_ == granted_) {
-      granted_ = queue_.Claim(queue_.capacity());
-      if (claimed_ == granted_) return nullptr;
+  /// True when a free ring slot is claimed for the next Stamp; false when
+  /// the ring is full.
+  PLDP_HOT bool ClaimSlot() {
+    if (claimed_ == granted_) granted_ = queue_.Claim(queue_.capacity());
+    return claimed_ != granted_;
+  }
+
+  /// Writes `event` stamped `seq` (strictly increasing per shard) into the
+  /// slot ClaimSlot claimed: its header, and the whole event into the
+  /// attribute array when it has attributes. Invisible to the worker
+  /// until Publish.
+  template <typename E>
+  PLDP_HOT void Stamp(uint64_t seq, E&& event) {
+    EventHeader& slot = queue_.ClaimedSlot(claimed_);
+    slot.seq = seq;
+    slot.timestamp = event.timestamp();
+    slot.type = event.type();
+    slot.stream = event.stream();
+    slot.attr_count = static_cast<uint32_t>(event.attribute_count());
+    if (slot.attr_count != 0) {
+      if (attrs_ == nullptr) {
+        const size_t n = queue_.capacity();
+        attrs_ = std::make_unique<Event[]>(n);  // hotpath-allow: once per shard
+      }
+      attrs_[queue_.ClaimedIndex(claimed_)] = std::forward<E>(event);
     }
-    return &queue_.ClaimedSlot(claimed_++);
+    ++claimed_;
   }
 
   /// Makes every claimed slot visible to the worker (one release store and,
   /// if `ring`, one doorbell ring) and counts it pushed. Returns how many.
   PLDP_HOT size_t Publish(bool ring = true);
 
-  /// Slow path once ClaimSlot found the ring full: publishes, waits for
-  /// the worker to free a slot and claims it (one backpressure wait), or
-  /// returns null as soon as the shard stops — never spins on a ring
-  /// nobody drains. A producer feeding several shards publishes theirs
-  /// (and the producer floor) first: this worker's output may wait on
-  /// them downstream.
-  StampedEvent* AwaitSlot();
+  /// Slow path once ClaimSlot found the ring full: publishes, parks on the
+  /// progress doorbell until the worker frees a slot and claims it (one
+  /// backpressure wait), or returns false as soon as the shard stops —
+  /// never waits on a ring nobody drains. A producer feeding several
+  /// shards publishes theirs (and the producer floor) first: this worker's
+  /// output may wait on them downstream.
+  bool AwaitSlot();
 
-  /// Copies pre-stamped events in through ClaimSlot/AwaitSlot and
+  /// Moves pre-stamped events in through ClaimSlot/AwaitSlot and Stamp and
   /// publishes them; fails fast with FailedPrecondition when the shard is
   /// not running or stops. `accepted` (if non-null) receives the number
   /// enqueued (== count on success).
@@ -217,10 +258,12 @@ class Shard {
   /// Rings the worker's doorbell; same caller as NoteProducerFloor.
   void Wake() { doorbell_.Ring(); }
 
-  /// Blocks until every event pushed so far has been processed. The worker
-  /// stays alive; more events may be pushed after. Returns the worker's
-  /// first failed exchange call, if any (e.g. an Emit on an aborted
-  /// fabric): the events it failed to forward are lost downstream.
+  /// Blocks until every event pushed so far has been processed (spins,
+  /// yields, then parks on the progress doorbell). Any number of threads
+  /// may drain at once. The worker stays alive; more events may be pushed
+  /// after. Returns the worker's first failed exchange call, if any (e.g.
+  /// an Emit on an aborted fabric): the events it failed to forward are
+  /// lost downstream.
   Status Drain();
 
   /// Posts a request to broadcast `watermark(bound)` on every exchange row
@@ -281,6 +324,9 @@ class Shard {
   /// the parking-liveness tests.
   uint64_t parks() const { return doorbell_.parks(); }
   uint64_t wakes() const { return doorbell_.wakes(); }
+  /// Times a barrier wait (Drain, WaitCommandAck, AwaitSlot) parked on
+  /// the progress doorbell — safe from any thread.
+  uint64_t barrier_parks() const { return progress_.parks(); }
   /// Idle-episode yields (ShardStats::idle_yields) — safe from any thread.
   uint64_t idle_yields() const {
     // order: relaxed; telemetry only.
@@ -321,9 +367,14 @@ class Shard {
   std::vector<ExchangeHookRef> SnapshotHooks() const PLDP_EXCLUDES(reg_mu_);
 
   void RunLoop() PLDP_REQUIRES(worker_role_);
+  /// The event of ready slot `offset`, for the engine, sink and emitters:
+  /// the attribute array's copy when it has attributes, else the header's
+  /// fields written into the worker's reusable plain event.
+  PLDP_HOT const Event& SlotEvent(size_t offset)
+      PLDP_REQUIRES(worker_role_);
   /// Delivers one event to the engine, the sink, and every exchange hook —
   /// the per-event section of the worker loop.
-  PLDP_HOT void ProcessOne(const StampedEvent& stamped,
+  PLDP_HOT void ProcessOne(uint64_t seq, const Event& event,
                            const std::vector<ExchangeHookRef>& hooks)
       PLDP_REQUIRES(worker_role_);
   /// Processes the `n` peeked events in place, records the burst and each
@@ -338,10 +389,19 @@ class Shard {
   StatusOr<uint64_t> PostCommand(uint32_t kind, uint64_t payload);
 
   const size_t index_;
-  SpscQueue<StampedEvent> queue_;
+  SpscQueue<EventHeader> queue_;
+  /// Attributed events, indexed by ring position (EventHeader::attr_count
+  /// says which slots use theirs). Allocated by the producer at the first
+  /// attributed event; the worker reads it only for such slots, after the
+  /// ring's acquire made the producer's writes (and this pointer) visible.
+  std::unique_ptr<Event[]> attrs_;
   /// Wake-on-work doorbell the idle worker parks on; rung by every queue
   /// push (SetWaker), floor publication, posted command, and stop.
   Doorbell doorbell_;
+  /// Progress doorbell the barrier waits park on (Drain, WaitCommandAck,
+  /// AwaitSlot); rung by the worker after every published burst and
+  /// command ack, and by Stop.
+  Doorbell progress_;
   /// Worker thread CPU affinity (-1 = unpinned).
   int affinity_core_ = -1;
   StreamingCepEngine engine_;
@@ -403,8 +463,10 @@ class Shard {
   Atomic<bool> exchange_failed_{false};
   Status exchange_error_;
 
-  // Worker-local: sequence of the last processed event, for idle-time
-  // progress watermarks.
+  // Worker-local: the event SlotEvent builds for a slot without
+  // attributes, and the sequence of the last processed event, for
+  // idle-time progress watermarks.
+  Event plain_ PLDP_GUARDED_BY(worker_role_);
   uint64_t last_seq_ PLDP_GUARDED_BY(worker_role_) = 0;
   bool processed_any_ PLDP_GUARDED_BY(worker_role_) = false;
 };

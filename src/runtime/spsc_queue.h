@@ -95,7 +95,13 @@ class SpscQueue {
   /// Claimed slot `offset` past the published tail (below the grant); it
   /// may hold a stale item, which the caller's write replaces.
   PLDP_HOT T& ClaimedSlot(size_t offset) {
-    return RaceCellWrite(slots_[(tail_local_ + offset) & mask_]);
+    return RaceCellWrite(slots_[ClaimedIndex(offset)]);
+  }
+
+  /// Ring position of claimed slot `offset`, in [0, capacity()): the
+  /// index of an array the owner keeps in parallel with the slots.
+  PLDP_HOT size_t ClaimedIndex(size_t offset) const {
+    return (tail_local_ + offset) & mask_;
   }
 
   /// Makes the first `n` claimed slots visible with one release store and,
@@ -156,7 +162,13 @@ class SpscQueue {
   /// Ready slot `offset` past the head (below the Peek count), read in
   /// place; valid until released.
   PLDP_HOT const T& PeekedSlot(size_t offset) const {
-    return slots_[(head_local_ + offset) & mask_];
+    return slots_[PeekedIndex(offset)];
+  }
+
+  /// Ring position of ready slot `offset`: equals the ClaimedIndex the
+  /// producer wrote it at.
+  PLDP_HOT size_t PeekedIndex(size_t offset) const {
+    return (head_local_ + offset) & mask_;
   }
 
   /// Frees the first `n` ready slots with one release store. Release(0)

@@ -16,8 +16,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -62,6 +65,77 @@ EventStream CrossSubjectStream(size_t groups, size_t subjects,
   }
   return stream;
 }
+
+/// A stream whose attributes vary with the event's group (its type's
+/// alphabet): group 0 carries none, group 1 two (`grp` and `tag`: exactly
+/// Event::kInlineAttrCapacity), group 2 four (spilled to the heap). The
+/// first `plain_prefix` events are all group 0, so every shard sees its
+/// first attributed event after many plain ones. Group 0 lacks `grp` and
+/// keys to 0 under ByAttribute("grp"); matches stay key-local.
+constexpr size_t kAttrsOfGroup[] = {0, 2, 4};
+
+/// The value MixedAttributeStream gives attribute `k` of `event`.
+int64_t MixedAttributeValue(const Event& event, size_t group, size_t k) {
+  return k == 0 ? static_cast<int64_t>(group)
+                : event.timestamp() * 1000 + event.stream() * 10 +
+                      static_cast<int64_t>(k);
+}
+
+EventStream MixedAttributeStream(size_t num_events, size_t plain_prefix,
+                                 uint64_t seed) {
+  static const char* const kNames[] = {"grp", "tag", "x2", "x3"};
+  static_assert(Event::kInlineAttrCapacity == 2,
+                "group 1 fills the inline slots, group 2 spills");
+  Rng rng(seed);
+  EventStream stream;
+  stream.Reserve(num_events);
+  for (size_t i = 0; i < num_events; ++i) {
+    const size_t group = i < plain_prefix ? 0 : rng.UniformUint64(3);
+    const auto type = static_cast<EventTypeId>(
+        group * kTypesPerGroup + rng.UniformUint64(kTypesPerGroup));
+    const auto subject = static_cast<StreamId>(rng.UniformUint64(32));
+    Event event(type, static_cast<Timestamp>(i / 4), subject);
+    for (size_t k = 0; k < kAttrsOfGroup[group]; ++k) {
+      // `grp` names the group; the others derive from the event's own
+      // fields, so an event read with another slot's attributes shows.
+      event.SetAttribute(kNames[k],
+                         Value(MixedAttributeValue(event, group, k)));
+    }
+    stream.AppendUnchecked(std::move(event));
+  }
+  return stream;
+}
+
+/// Counts the events whose attributes are not the ones
+/// MixedAttributeStream gave them.
+class AttributeCheckSink : public ShardEventSink {
+ public:
+  AttributeCheckSink(std::atomic<size_t>* seen, std::atomic<size_t>* wrong)
+      : seen_(seen), wrong_(wrong) {}
+
+  void OnShardEvent(const Event& event) override {
+    seen_->fetch_add(1);
+    if (!Expected(event)) wrong_->fetch_add(1);
+  }
+
+ private:
+  static bool Expected(const Event& event) {
+    const size_t group = event.type() / kTypesPerGroup;
+    if (group >= 3 || event.attribute_count() != kAttrsOfGroup[group]) {
+      return false;
+    }
+    for (size_t k = 0; k < event.attribute_count(); ++k) {
+      if (event.attribute(k).value !=
+          Value(MixedAttributeValue(event, group, k))) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  std::atomic<size_t>* seen_;
+  std::atomic<size_t>* wrong_;
+};
 
 /// One sequence and one conjunction query per group, over the group's
 /// alphabet (works for both engine types via their AddQuery/AddCrossQuery).
@@ -654,6 +728,116 @@ TEST(ExchangeEngineTest, AbortedExchangeFailsFinishWithTheFirstEmitError) {
       std::chrono::seconds(60));
   EXPECT_EQ(engine.events_processed(), all.size());
   EXPECT_FALSE(engine.Stop().ok());
+}
+
+// Shard ring slots are 32-byte headers; an attributed event travels whole
+// in the shard's attribute array at the same ring position. Four-slot
+// rings reuse every position many times over for plain, inline and
+// spilled events alike, and each shard's first attributed event comes
+// after hundreds of plain ones. Every event must reach the sink with its
+// own attributes, and the queries keyed by an attribute must match the
+// sequential engine: through batch ingest (ClaimSlot/Stamp, AwaitSlot on
+// the full ring) and through the admission layer, which pushes with
+// TryPushStampedN and PushStampedN (its pending buffer holds the whole
+// stream, so nothing is shed).
+TEST(ExchangeEngineTest, AttributesSurviveFourSlotHeaderRings) {
+  constexpr size_t kGroups = 3;
+  const EventStream stream =
+      MixedAttributeStream(8000, /*plain_prefix=*/600, /*seed=*/29);
+  const StreamingCepEngine reference = MakeReference(stream, kGroups);
+  ASSERT_GT(reference.total_detections(), 0u);
+
+  for (const OverloadPolicy policy :
+       {OverloadPolicy::kBlock, OverloadPolicy::kShedOldest}) {
+    ExchangeSetup setup = ExchangeConfig(
+        /*stage1=*/2, /*stage2=*/3, CorrelationKeySpec::ByAttribute("grp"));
+    setup.options.queue_capacity = 4;
+    setup.options.exchange.lane_capacity = 4;
+    setup.options.overload.policy = policy;
+    setup.options.overload.pending_capacity = stream.size();
+    ParallelStreamingEngine engine(setup.options);
+    RegisterGroupQueries(
+        [&](Pattern p, Timestamp w) {
+          return setup.AddCrossQuery(engine, std::move(p), w);
+        },
+        kGroups);
+    std::atomic<size_t> seen{0};
+    std::atomic<size_t> wrong{0};
+    for (size_t i = 0; i < engine.shard_count(); ++i) {
+      ASSERT_TRUE(engine
+                      .SetShardSink(i, std::make_unique<AttributeCheckSink>(
+                                           &seen, &wrong))
+                      .ok());
+    }
+    ASSERT_TRUE(engine.Start().ok());
+    testing_util::RunWithWatchdog(
+        [&] {
+          const std::vector<Event>& all = stream.events();
+          for (size_t i = 0; i < all.size(); i += 50) {
+            const size_t n = std::min<size_t>(50, all.size() - i);
+            ASSERT_TRUE(engine.OnEventBatch(EventSpan(&all[i], n)).ok());
+          }
+          ASSERT_TRUE(engine.Drain().ok());
+        },
+        std::chrono::seconds(60));
+    const std::string where =
+        std::string("policy=") + OverloadPolicyName(policy);
+    EXPECT_EQ(seen.load(), stream.size()) << where;
+    EXPECT_EQ(wrong.load(), 0u) << where;
+    for (size_t q = 0; q < reference.query_count(); ++q) {
+      EXPECT_EQ(engine.CrossDetectionsOf(q).value(),
+                reference.DetectionsOf(q).value())
+          << where << " query=" << q;
+    }
+    ASSERT_TRUE(engine.Stop().ok());
+  }
+}
+
+// The same stream pushed pre-stamped into one shard with a four-slot ring
+// (PushStampedN, in chunks larger than the ring): the shard engine and
+// its sink see every event with its own attributes, in order.
+TEST(ExchangeEngineTest, AttributesSurvivePushStampedNOnAFourSlotRing) {
+  constexpr size_t kGroups = 3;
+  const EventStream stream =
+      MixedAttributeStream(4000, /*plain_prefix=*/600, /*seed=*/31);
+  const StreamingCepEngine reference = MakeReference(stream, kGroups);
+  ASSERT_GT(reference.total_detections(), 0u);
+
+  Shard shard(0, /*queue_capacity=*/4);
+  RegisterGroupQueries(
+      [&shard](Pattern p, Timestamp w) {
+        return shard.AddQuery(std::move(p), w);
+      },
+      kGroups);
+  std::atomic<size_t> seen{0};
+  std::atomic<size_t> wrong{0};
+  ASSERT_TRUE(
+      shard.SetEventSink(std::make_unique<AttributeCheckSink>(&seen, &wrong))
+          .ok());
+  ASSERT_TRUE(shard.Start().ok());
+  testing_util::RunWithWatchdog(
+      [&] {
+        std::vector<StampedEvent> chunk;
+        uint64_t seq = 0;
+        for (const Event& e : stream) {
+          chunk.push_back(StampedEvent{seq++, e});
+          if (chunk.size() == 7) {
+            ASSERT_TRUE(shard.PushStampedN(chunk.data(), chunk.size()).ok());
+            chunk.clear();
+          }
+        }
+        ASSERT_TRUE(shard.PushStampedN(chunk.data(), chunk.size()).ok());
+        ASSERT_TRUE(shard.Drain().ok());
+      },
+      std::chrono::seconds(60));
+  EXPECT_EQ(seen.load(), stream.size());
+  EXPECT_EQ(wrong.load(), 0u);
+  for (size_t q = 0; q < reference.query_count(); ++q) {
+    EXPECT_EQ(shard.engine().DetectionsOf(q).value(),
+              reference.DetectionsOf(q).value())
+        << "query=" << q;
+  }
+  ASSERT_TRUE(shard.Stop().ok());
 }
 
 TEST(ExchangeEngineTest, LifecycleErrors) {

@@ -14,6 +14,9 @@
 //     ordering, not just its logic);
 //   * drain barriers and Finish complete from a fully parked pipeline —
 //     the barrier paths ring the bells they gate on;
+//   * barrier waits park on the worker's progress doorbell, two at once:
+//     a Drain on a second thread and the ingest thread blocked on a full
+//     ring both wake when the worker moves on;
 //   * workers a slow stream has put in spin-only mode still wake on
 //     every source;
 //   * parks/wakes surface through ShardStats and the
@@ -28,13 +31,16 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "runtime/backoff.h"
 #include "runtime/parallel_engine.h"
+#include "runtime/shard.h"
 #include "stream/event_stream.h"
+#include "test_util.h"
 
 namespace pldp {
 namespace {
@@ -194,6 +200,65 @@ TEST(DoorbellTest, NoLostWakeupUnderStress) {
   bell.Ring();
   consumer.join();
   EXPECT_EQ(consumed.load(), kItems);
+}
+
+/// Holds the shard worker inside its first event until `open` is set.
+class GateSink : public ShardEventSink {
+ public:
+  explicit GateSink(const std::atomic<bool>* open) : open_(open) {}
+  void OnShardEvent(const Event& /*event*/) override {
+    while (!open_->load()) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  }
+
+ private:
+  const std::atomic<bool>* open_;
+};
+
+// Two waiters on one progress doorbell: the ingest thread parks in
+// AwaitSlot on a full ring while a second thread parks in Drain. Once the
+// worker moves on, Drain must return with every event pushed before it
+// processed, and the blocked push must complete.
+TEST(ParkingTest, DrainAndBlockedProducerShareTheProgressDoorbell) {
+  Shard shard(0, /*queue_capacity=*/4);
+  std::atomic<bool> open{false};
+  ASSERT_TRUE(shard.SetEventSink(std::make_unique<GateSink>(&open)).ok());
+  ASSERT_TRUE(shard.Start().ok());
+  std::vector<StampedEvent> events;
+  for (uint64_t i = 0; i < 32; ++i) {
+    events.push_back(StampedEvent{i, Event(0, static_cast<Timestamp>(i))});
+  }
+  testing_util::RunWithWatchdog(
+      [&] {
+        std::thread producer([&] {
+          EXPECT_TRUE(shard.PushStampedN(events.data(), events.size()).ok());
+        });
+        // The worker holds its first burst in the sink; the producer fills
+        // the ring behind it and parks.
+        ASSERT_TRUE(Eventually([&] {
+          return shard.queue_depth() == shard.queue_capacity() &&
+                 shard.barrier_parks() >= 1;
+        })) << "the producer never parked on the full ring";
+        // Everything pushed so far is the full ring: the drain's target.
+        const uint64_t pushed_before_drain = shard.queue_capacity();
+        uint64_t processed_at_return = 0;
+        std::thread drainer([&] {
+          EXPECT_TRUE(shard.Drain().ok());
+          processed_at_return = shard.events_processed();
+        });
+        ASSERT_TRUE(Eventually([&] { return shard.barrier_parks() >= 2; }))
+            << "the drain never parked";
+        EXPECT_EQ(shard.events_processed(), 0u);
+        open.store(true);
+        drainer.join();
+        producer.join();
+        EXPECT_GE(processed_at_return, pushed_before_drain);
+        ASSERT_TRUE(shard.Drain().ok());
+        EXPECT_EQ(shard.events_processed(), events.size());
+      },
+      std::chrono::seconds(60));
+  ASSERT_TRUE(shard.Stop().ok());
 }
 
 TEST(ParkingTest, IdleWorkersParkAndWakeOnPush) {

@@ -105,6 +105,41 @@ TEST(SpscQueueTest, ClaimPublishPeekReleaseWrapAround) {
   EXPECT_TRUE(q.ApproxEmpty());
 }
 
+TEST(SpscQueueTest, SlotIndicesAddressAParallelArrayAcrossWrapAround) {
+  // An owner keeps a side array in parallel with the ring (the shard's
+  // attribute array): what the producer writes at ClaimedIndex(i) the
+  // consumer must find at the PeekedIndex of the same item, on every lap,
+  // with bursts (3) that straddle the wrap point at shifting offsets.
+  SpscQueue<uint64_t> q(4);
+  std::vector<uint64_t> side(q.capacity(), ~uint64_t{0});
+  uint64_t next = 0;
+  uint64_t expected = 0;
+  for (int lap = 0; lap < 500; ++lap) {
+    ASSERT_EQ(q.Claim(3), 3u);
+    for (size_t i = 0; i < 3; ++i) {
+      const size_t index = q.ClaimedIndex(i);
+      ASSERT_LT(index, q.capacity());
+      // Consecutive claimed slots are consecutive ring positions.
+      ASSERT_EQ(index, (q.ClaimedIndex(0) + i) % q.capacity());
+      q.ClaimedSlot(i) = next;
+      side[index] = next * 10;
+      ++next;
+    }
+    q.Publish(3);
+    ASSERT_EQ(q.Peek(3), 3u);
+    for (size_t i = 0; i < 3; ++i) {
+      ASSERT_EQ(q.PeekedSlot(i), expected);
+      ASSERT_EQ(side[q.PeekedIndex(i)], expected * 10);
+      ++expected;
+    }
+    q.Release(3);
+    // Producer and consumer meet at the same position once drained.
+    ASSERT_EQ(q.Claim(1), 1u);
+    ASSERT_EQ(q.ClaimedIndex(0), q.PeekedIndex(0));
+  }
+  EXPECT_TRUE(q.ApproxEmpty());
+}
+
 TEST(SpscQueueTest, ClaimOnFullRingGrantsOnlyTheFreeSlots) {
   SpscQueue<int> q(4);
   ASSERT_EQ(q.Claim(3), 3u);
